@@ -44,4 +44,4 @@ total = user_rate(c, 0, T1) + user_rate(c, 1, T2) + user_rate(c, 2, T3)
 i = int(np.argmax(total))
 print(f"\nbrute-force grid (step {step:g}): best {total[i]:.6f} at "
       f"tau=({T1[i]:.3f}, {T2[i]:.3f}, {T3[i]:.3f})")
-print(f"iterative optimizer beats/matches it by {alloc.sum_rate - total[i]:+.2e} bits")
+print(f"water-filling optimizer beats/matches it by {alloc.sum_rate - total[i]:+.2e} bits")

@@ -48,6 +48,7 @@ from .tdma import (
     TdmaAllocation,
     asymptotic_allocation,
     joint_beats_tdma_asymptotic,
+    kkt_slackness,
     optimize_slots,
     single_user_rate,
     single_user_relay_matrix,
@@ -97,6 +98,7 @@ __all__ = [
     "TdmaAllocation",
     "asymptotic_allocation",
     "joint_beats_tdma_asymptotic",
+    "kkt_slackness",
     "optimize_slots",
     "single_user_rate",
     "single_user_relay_matrix",

@@ -159,7 +159,6 @@ def _sweep_config(args) -> SweepConfig:
         pr_grid_db=_parse_grid(args.pr_db),
         n_trials=args.trials,
         epsilon=args.epsilon,
-        output_path=args.out,
         pmax_grid_db=_parse_grid(args.pmax_db),
     )
 

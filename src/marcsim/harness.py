@@ -21,15 +21,20 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     ScenarioConfig,
+    compute_aggregates,
+    relay_tx_power,
     sample_channel,
     trial_rng,
 )
 from .errors import DegenerateChannelError, NumericalError, ValidationError
-from .joint import JointRateBounds, lower_bound
+from .joint import JointRateBounds, lower_bound, sum_rate_closed, sum_rate_logdet
+from .numerics import quadratic_form
 from .tdma import (
     AsymptoticResult,
     TdmaAllocation,
     asymptotic_allocation,
+    joint_beats_tdma_asymptotic,
+    kkt_slackness,
     optimize_slots,
 )
 
@@ -71,7 +76,6 @@ class SweepConfig:
     pr_grid_db: tuple[float, ...] = (10.0,)
     n_trials: int = 1000
     epsilon: float = 1e-8
-    output_path: str = ""
     pmax_grid_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -224,9 +228,6 @@ def _sweep_trial(args) -> tuple[dict[str, float], int]:
 
 def _prob_trial(args) -> tuple[bool, int]:
     scen, seed, trial = args
-    # Import here keeps the worker payload self-contained for process pools.
-    from .tdma import joint_beats_tdma_asymptotic
-
     last: Exception | None = None
     for retry in range(_MAX_RESAMPLES):
         rng = trial_rng(seed, trial, retry)
@@ -343,11 +344,6 @@ def invariant_suite(
     Returns one outcome per invariant with the worst violation seen; used by
     the CLI ``check`` subcommand.
     """
-    from .channel import compute_aggregates, relay_tx_power
-    from .joint import sum_rate_closed, sum_rate_logdet
-    from .numerics import quadratic_form
-    from .tdma import joint_beats_tdma_asymptotic
-
     worst = {
         "aggregates_identity": 0.0,
         "aggregates_psd": 0.0,
@@ -356,6 +352,7 @@ def invariant_suite(
         "lower_matches_logdet": 0.0,
         "relay_power_equality": 0.0,
         "tdma_kkt_spread": 0.0,
+        "tdma_slackness": 0.0,
         "tau_simplex": 0.0,
         "asymptotic_predicate": 0.0,
     }
@@ -367,6 +364,7 @@ def invariant_suite(
         "lower_matches_logdet": 1e-9,
         "relay_power_equality": 1e-8,
         "tdma_kkt_spread": epsilon,
+        "tdma_slackness": epsilon,
         "tau_simplex": 1e-9,
         "asymptotic_predicate": 0.5,  # any disagreement counts as 1.0
     }
@@ -398,6 +396,7 @@ def invariant_suite(
 
         alloc = optimize_slots(c, epsilon)
         worst["tdma_kkt_spread"] = max(worst["tdma_kkt_spread"], alloc.kkt_spread)
+        worst["tdma_slackness"] = max(worst["tdma_slackness"], kkt_slackness(c, alloc.tau))
         worst["tau_simplex"] = max(worst["tau_simplex"], abs(float(alloc.tau.sum()) - 1.0))
 
         asym = asymptotic_allocation(c)

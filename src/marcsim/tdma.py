@@ -3,10 +3,11 @@
 Time is split into K exclusive slots. User k transmits alone in a slot of
 duration tau^(k) with power boosted to P^(k)/tau^(k) (the average power
 constraint is met), and the relay matrix in that slot is matched to user k
-alone, for which the optimum is known in closed form. The slot durations are
-optimized by iteratively equalizing the marginal rates dR^(k)/dtau^(k): the
-objective is concave and separable, so equal derivatives among active users
-(with the durations summing to one) are necessary and sufficient.
+alone, for which the optimum is known in closed form. The objective is
+concave and separable in the slot durations, so the optimum is a
+water-filling on the common marginal rate nu: every user with a slot has
+dR^(k)/dtau^(k) = nu, a user whose marginal rate at a vanishing slot is at
+most nu gets none, and nu is the level at which the durations sum to one.
 
 For unbounded relay power the optimal durations and the resulting sum rate
 have closed forms, which also yield the test deciding whether joint relaying
@@ -16,7 +17,7 @@ beats TDMA in that regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log, log1p, sqrt
+from math import inf, log, log1p, sqrt, ulp
 
 import numpy as np
 
@@ -33,14 +34,15 @@ __all__ = [
     "user_rate",
     "user_rate_derivative",
     "optimize_slots",
+    "kkt_slackness",
     "asymptotic_allocation",
     "joint_beats_tdma_asymptotic",
 ]
 
 _LN2 = log(2.0)
-_MAX_OUTER_ITER = 100_000
-_DELTA_ATOL = 1e-12  # bisection stop on the slot transfer
-_GRAD_ATOL = 1e-10  # bisection stop on the derivative mismatch
+_MAX_ITER = 200  # cap on either water-filling loop
+_TAU_RTOL = 1e-10  # relative Newton step (or bracket) ending a slot search
+_SUM_ATOL = 1e-14  # |sum_k tau_k - 1| ending the search for the level nu
 _TIE_RTOL = 1e-12  # relative guard breaking asymptotic ties toward TDMA
 
 
@@ -94,22 +96,30 @@ def _slot_rate(d: float, nr: float, hp: float, tau: float) -> float:
     return tau * log1p(x) / _LN2
 
 
+def _slot_derivs(d: float, nr: float, hp: float, tau: float) -> tuple[float, float]:
+    """(R', R'') of R(tau) = tau*log2(1 + u), u = d/tau + a/(b*tau + nr) with
+    a = hp*nr, b = hp + 1: R' = (ln(1+u) + tau*u'/(1+u))/ln 2 and
+    R'' = ((2u' + tau*u'')/(1+u) - tau*u'^2/(1+u)^2)/ln 2. At tau = 0, R' is
+    its continuous limit: +inf with a direct link, log2(1 + hp) without."""
+    if d > 0.0 and tau <= 0.0:
+        return inf, -inf
+    a = hp * nr
+    u = u1 = v = 0.0  # v = 2u' + tau*u'', to which d/tau contributes 0
+    if d > 0.0:
+        u, u1 = d / tau, -d / (tau * tau)
+    if a > 0.0:
+        b = hp + 1.0
+        den = b * tau + nr
+        u += a / den
+        u1 -= a * b / (den * den)
+        v = -2.0 * a * b * nr / (den * den * den)
+    w = 1.0 + u
+    return (log1p(u) + tau * u1 / w) / _LN2, (v / w - tau * u1 * u1 / (w * w)) / _LN2
+
+
 def _slot_deriv(d: float, nr: float, hp: float, tau: float) -> float:
-    """d/dtau of tau*log2(1 + d/tau + hp*nr/((hp+1)tau + nr)); at tau = 0 the
-    continuous limit: +inf with a direct link, log2(1+hp) without one."""
-    if tau <= 0.0:
-        if d > 0.0:
-            return inf
-        if nr > 0.0 and hp > 0.0:
-            return log1p(hp) / _LN2
-        return 0.0
-    x = d / tau
-    gp = -d / (tau * tau)
-    if nr > 0.0 and hp > 0.0:
-        den = (hp + 1.0) * tau + nr
-        x += hp * nr / den
-        gp -= hp * nr * (hp + 1.0) / (den * den)
-    return (log1p(x) + tau * gp / (1.0 + x)) / _LN2
+    """Marginal rate dR/dtau of a slot of duration tau (see _slot_derivs)."""
+    return _slot_derivs(d, nr, hp, tau)[0]
 
 
 def single_user_relay_matrix(c: ChannelRealization, k: int) -> RelayMatrix:
@@ -177,118 +187,101 @@ def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     return _slot_deriv(d, nr, hp, tau)
 
 
-def _find_delta(cj, ci, tau_j: float, tau_i: float, hi: float) -> float:
-    """Slot transfer equalizing the pair's derivatives:
-    root of g(delta) = deriv_j(tau_j + delta) - deriv_i(tau_i - delta),
-    strictly decreasing with g(0) > 0. If g stays positive across the whole
-    bracket (possible only when user i has no direct link, so its derivative
-    stays finite as its slot vanishes), the full transfer hi is returned."""
-
-    def gfun(delta: float) -> float:
-        return _slot_deriv(*cj, tau_j + delta) - _slot_deriv(*ci, tau_i - delta)
-
-    hi_eff = hi * (1.0 - 1e-12)
-    if gfun(hi_eff) > 0.0:
-        return hi
-    lo, up = 0.0, hi_eff
-    while up - lo > _DELTA_ATOL:
-        mid = 0.5 * (lo + up)
-        gm = gfun(mid)
-        if abs(gm) <= _GRAD_ATOL:
-            return mid
-        if gm > 0.0:
-            lo = mid
-        else:
-            up = mid
-    return 0.5 * (lo + up)
+def _slot_at_level(consts, g0: float, g1: float, nu: float, t: float):
+    """(tau, dtau/dnu) of one user at the level nu: the root of R'(tau) = nu
+    in (0, 1) by safeguarded Newton from t, or the end of [0, 1] where R'
+    (g0 at 0, g1 at 1) does not reach nu."""
+    if g0 <= nu:
+        return 0.0, 0.0
+    if g1 >= nu:
+        return 1.0, 0.0
+    lo, hi, t = 0.0, 1.0, t if 0.0 < t < 1.0 else 0.5
+    for _ in range(_MAX_ITER):
+        g, h = _slot_derivs(*consts, t)
+        if not h < 0.0:  # R'' < 0 unless it underflows
+            raise NumericalError(f"marginal rate flat at tau = {t}")
+        step = (g - nu) / h
+        if abs(step) <= _TAU_RTOL * t:
+            return t - step, 1.0 / h
+        lo, hi = (t, hi) if g > nu else (lo, t)
+        if hi - lo <= _TAU_RTOL * hi:  # float R' resolves the root no better
+            return t, 1.0 / h
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    raise NumericalError(f"slot at level {nu} not found in {_MAX_ITER} steps")
 
 
 def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
-    Starts uniform and repeatedly equalizes the smallest and largest marginal
-    rate by moving slot time between the two users, until the spread among
-    active users is at most epsilon. Users whose rate is identically zero get
-    tau = 0 up front and are excluded. A user pinned to tau = 0 during the
-    run (finite marginal rate at a vanishing slot) is parked and re-admitted
-    only if its boundary derivative ends up above the common value.
+    Water-filling on the common marginal rate nu: each tau_k(nu) solves
+    R_k'(tau_k) = nu by safeguarded Newton (0 when R_k'(0) <= nu), and nu
+    solves ln sum_k tau_k(nu) = 0 by safeguarded Newton, with
+    dtau_k/dnu = 1/R_k''(tau_k), inside [max_k R_k'(1), max_k R_k'(1/n)] over
+    the n users with nonzero rate. Users whose rate is identically zero get
+    tau = 0. NumericalError is raised if either search exceeds its iteration
+    cap or the marginal rates of the users with a slot differ by more than
+    epsilon.
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     c = c.normalized()
     K = c.K
     consts = [_slot_consts(c, k) for k in range(K)]
-    degenerate = [d == 0.0 and (nr == 0.0 or hp == 0.0) for d, nr, hp in consts]
-    active = [k for k in range(K) if not degenerate[k]]
-
+    active = [k for k in range(K) if _slot_deriv(*consts[k], 0.0) > 0.0]
+    tau = np.zeros(K)
     if not active:
         # Nothing carries rate; keep the simplex invariant with a uniform split.
-        tau = np.full(K, 1.0 / K)
+        tau[:] = 1.0 / K
         return TdmaAllocation(
             tau=tau, per_user_rate=np.zeros(K), sum_rate=0.0, kkt_spread=0.0
         )
 
-    tau = np.zeros(K)
-    for k in active:
-        tau[k] = 1.0 / len(active)
-
-    parked: list[int] = []
-    iterations = 0
-    while True:
-        while len(active) > 1:
-            iterations += 1
-            if iterations > _MAX_OUTER_ITER:
-                derivs = [_slot_deriv(*consts[k], tau[k]) for k in active]
-                spread = max(derivs) - min(derivs)
-                raise NumericalError(
-                    f"slot optimization did not reach spread {epsilon} after "
-                    f"{_MAX_OUTER_ITER} iterations",
-                    residual=spread,
-                )
-            derivs = [_slot_deriv(*consts[k], tau[k]) for k in active]
-            i = active[min(range(len(active)), key=derivs.__getitem__)]
-            j = active[max(range(len(active)), key=derivs.__getitem__)]
-            if max(derivs) - min(derivs) <= epsilon:
-                break
-            hi = min(tau[i], 1.0 - tau[j])
-            if hi <= 0.0:
-                # i has nothing left to give; treat it as pinned.
-                delta = 0.0
-            else:
-                delta = _find_delta(consts[j], consts[i], tau[j], tau[i], hi)
-            tau[j] += delta
-            tau[i] -= delta
-            if tau[i] <= 0.0:
-                tau[i] = 0.0
-                active.remove(i)
-                parked.append(i)
-
-        # Complementary slackness for parked users: their boundary marginal
-        # rate must not exceed the common active value.
-        readmitted = False
-        if parked and active:
-            nu = max(_slot_deriv(*consts[k], tau[k]) for k in active)
-            for k in list(parked):
-                if _slot_deriv(*consts[k], 0.0) > nu + epsilon:
-                    parked.remove(k)
-                    active.append(k)
-                    readmitted = True
-        if not readmitted:
+    n = len(active)
+    users = [consts[k] for k in active]
+    ends = [(_slot_deriv(*u, 0.0), _slot_deriv(*u, 1.0)) for u in users]
+    at_uniform = [_slot_deriv(*u, 1.0 / n) for u in users]
+    # At lo one user has the whole frame, so no level inside clips a slot at 1.
+    lo, hi = max(g1 for _, g1 in ends), max(at_uniform)
+    nu = prev = max(lo, sum(at_uniform) / n)
+    t, dtdnu = [1.0 / n] * n, [0.0] * n
+    for _ in range(_MAX_ITER):
+        for i, u in enumerate(users):
+            # Warm start on the tangent of tau_k(nu) at the previous level.
+            guess = t[i] + dtdnu[i] * (nu - prev)
+            t[i], dtdnu[i] = _slot_at_level(u, *ends[i], nu, guess)
+        prev, total, slope = nu, sum(t), sum(dtdnu)
+        if abs(total - 1.0) <= _SUM_ATOL:
             break
-
-    rates = np.array([_slot_rate(*consts[k], tau[k]) for k in range(K)])
-    live = [k for k in range(K) if tau[k] > 0.0]
-    if len(live) > 1:
-        derivs = [_slot_deriv(*consts[k], tau[k]) for k in live]
-        spread = max(derivs) - min(derivs)
+        lo, hi = (nu, hi) if total > 1.0 else (lo, nu)
+        # Newton on ln(total), close to linear in nu when direct links dominate.
+        nu = nu - total * log(total) / slope if slope else 0.5 * (lo + hi)
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+        if abs(nu - prev) <= 2.0 * ulp(prev):  # float nu can get no closer
+            break
     else:
-        spread = 0.0
+        raise NumericalError(f"water level not found in {_MAX_ITER} steps")
+
+    tau[active] = [ti / total for ti in t]
+    rates = np.array([_slot_rate(*consts[k], tau[k]) for k in range(K)])
+    live = [_slot_deriv(*consts[k], tau[k]) for k in active if tau[k] > 0.0]
+    spread = max(live) - min(live)
+    if not spread <= epsilon:
+        raise NumericalError(f"KKT spread {spread:.3e} > {epsilon}", residual=spread)
     return TdmaAllocation(
-        tau=tau,
-        per_user_rate=rates,
-        sum_rate=float(rates.sum()),
-        kkt_spread=float(spread),
+        tau=tau, per_user_rate=rates, sum_rate=float(rates.sum()), kkt_spread=spread
     )
+
+
+def kkt_slackness(c: ChannelRealization, tau) -> float:
+    """Complementary-slackness violation of slot durations tau: the largest
+    excess of R_k'(0) over nu, the largest marginal rate among users with a
+    slot, over users with tau_k = 0 (0.0 when none exceeds nu)."""
+    c = c.normalized()
+    tau = np.asarray(tau, dtype=float)
+    g = [_slot_deriv(*_slot_consts(c, k), tau[k]) for k in range(c.K)]
+    nu = max(g[k] for k in range(c.K) if tau[k] > 0.0)
+    return max([0.0] + [g[k] - nu for k in range(c.K) if tau[k] == 0.0])
 
 
 def _relay_norm_sum(c: ChannelRealization) -> float:

@@ -189,5 +189,6 @@ def test_invariant_suite_clean_on_random_scenarios():
         "rate_formula_equivalence",
         "bound_ordering",
         "tdma_kkt_spread",
+        "tdma_slackness",
         "asymptotic_predicate",
     }

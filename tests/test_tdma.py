@@ -5,6 +5,7 @@ from marcsim import (
     ChannelRealization,
     asymptotic_allocation,
     joint_beats_tdma_asymptotic,
+    kkt_slackness,
     lower_bound,
     optimize_slots,
     relay_tx_power,
@@ -219,14 +220,39 @@ def test_matches_brute_force_grid(make_channel, K):
         assert alloc.kkt_spread <= 1e-8
 
 
+# Extreme but valid inputs: no relay power, no direct links, 80 dB relay
+# power, a single scalar user, and far more users than relay antennas.
+EXTREME_CASES = [
+    dict(K=5, M_r=2, P_r=0.0),
+    dict(K=5, M_r=2, alpha=0.0),
+    dict(K=5, M_r=2, P_r=1e8),
+    dict(K=1, M_r=1),
+    dict(K=50, M_r=2),
+]
+
+
 def test_allocation_invariants(make_channel):
-    for seed in range(20):
-        c = make_channel(seed=seed, K=5, M_r=2, alpha=(0.0, 1.0)[seed % 2])
+    cases = [dict(seed=s, K=5, M_r=2, alpha=(0.0, 1.0)[s % 2]) for s in range(20)]
+    cases += [dict(case, seed=s) for case in EXTREME_CASES for s in range(4)]
+    for case in cases:
+        c = make_channel(**case)
         alloc = optimize_slots(c)
-        assert abs(alloc.tau.sum() - 1.0) <= 1e-9
-        assert np.all(alloc.tau >= 0)
+        assert np.all(np.isfinite(alloc.tau)), case
+        assert abs(alloc.tau.sum() - 1.0) <= 1e-9, case
+        assert np.all(alloc.tau >= 0), case
         assert alloc.sum_rate == pytest.approx(alloc.per_user_rate.sum(), abs=1e-9)
-        assert alloc.kkt_spread <= 1e-8
+        assert alloc.kkt_spread <= 1e-8, case
+        assert kkt_slackness(c, alloc.tau) <= 1e-8, case
+
+
+def test_kkt_slackness_flags_a_starved_user():
+    # with direct links the marginal rate at a vanishing slot is unbounded,
+    # so a user left without a slot violates complementary slackness
+    c = ChannelRealization(
+        h_r=np.ones((2, 1)), h_d=np.ones(2), h=np.ones(1), P=[1.0, 1.0], P_r=1.0
+    )
+    assert kkt_slackness(c, [0.5, 0.5]) == 0.0
+    assert kkt_slackness(c, [0.0, 1.0]) == np.inf
 
 
 def test_sum_rate_invariant_to_user_relabeling(make_channel):
@@ -263,14 +289,19 @@ def test_all_degenerate_users():
 def test_corner_solution_pins_weak_user_to_zero():
     # user 0 has no direct link, so its marginal rate stays finite as its
     # slot vanishes; user 1 dominates and should take the whole frame
-    c = ChannelRealization(
-        h_r=[[1.0], [1.0]], h_d=[0.0, 10.0], h=[1.0], P=[1.0, 10.0], P_r=1.0
-    )
-    alloc = optimize_slots(c, 1e-10)
-    best, tau = grid_search(c, step=1e-4)
-    assert alloc.sum_rate >= best - 1e-4
-    assert alloc.tau[0] == 0.0
-    assert alloc.tau[1] == 1.0
+    cases = [
+        ([[1.0], [1.0]], [0.0, 10.0], [1.0], [1.0, 10.0]),
+        # user 0's marginal rate at a vanishing slot (5.98 bits) lies just
+        # below user 1's at a full slot (6.97 bits)
+        ([[1.881], [106.387]], [0.0, 14.393], [7.888], [1.0, 1.0]),
+    ]
+    for h_r, h_d, h, P in cases:
+        c = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=1.0)
+        alloc = optimize_slots(c, 1e-10)
+        best, tau = grid_search(c, step=1e-4)
+        assert alloc.sum_rate >= best - 1e-4
+        assert alloc.tau[0] == 0.0
+        assert alloc.tau[1] == 1.0
 
 
 def test_epsilon_validation(make_channel):
