@@ -42,7 +42,7 @@ from .joint import (
     upper_bound_1,
     upper_bound_2,
 )
-from .numerics import dominant_eigenpair, is_hermitian, quadratic_form, rank_one
+from .numerics import dominant_eigenpair, is_hermitian, quadratic_form
 from .tdma import (
     AsymptoticResult,
     TdmaAllocation,
@@ -93,7 +93,6 @@ __all__ = [
     "dominant_eigenpair",
     "is_hermitian",
     "quadratic_form",
-    "rank_one",
     "AsymptoticResult",
     "TdmaAllocation",
     "asymptotic_allocation",

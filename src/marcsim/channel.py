@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import rank_one
 
 __all__ = [
     "ScenarioConfig",
@@ -176,9 +175,10 @@ def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
 def compute_aggregates(c: ChannelRealization) -> ChannelAggregates:
     """Build (s, R, T, W) from a realization.
 
-    W is accumulated pairwise from w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k),
-    which is the form that makes s*R - T = W hold exactly for complex
-    gains; that identity is enforced by the test suite.
+    W = sum_{j<k} P^(j) P^(k) w_jk w_jk^H with
+    w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), one product over all pairs.
+    This pairwise form is PSD by construction and makes s*R - T = W hold
+    exactly for complex gains; that identity is enforced by the test suite.
     """
     h_r, h_d, P = c.h_r, c.h_d, c.P
     s = float(np.sum(np.abs(h_d) ** 2 * P))
@@ -186,11 +186,9 @@ def compute_aggregates(c: ChannelRealization) -> ChannelAggregates:
     R = 0.5 * (R + R.conj().T)
     u = (P * h_d.conj()) @ h_r
     T = np.outer(u, u.conj())
-    W = np.zeros((c.M_r, c.M_r), dtype=complex)
-    for j in range(c.K):
-        for k in range(j + 1, c.K):
-            w = h_d[k] * h_r[j] - h_d[j] * h_r[k]
-            W += rank_one(w, float(P[j] * P[k]))
+    j, k = np.triu_indices(c.K, 1)
+    w = h_d[k, None] * h_r[j] - h_d[j, None] * h_r[k]
+    W = (w.T * (P[j] * P[k])) @ w.conj()
     return ChannelAggregates(s=s, R=R, T=T, W=W)
 
 

@@ -24,6 +24,7 @@ from math import log
 import numpy as np
 
 from .channel import (
+    ChannelAggregates,
     ChannelRealization,
     compute_aggregates,
     effective_channel,
@@ -119,53 +120,74 @@ def sum_rate_closed(F, c: ChannelRealization) -> float:
     return float(np.log1p(max(x, 0.0)) / _LN2)
 
 
+@dataclass(frozen=True)
+class _JointPass:
+    """What every joint bound and relay matrix reads, computed once: the
+    noise-normalized realization, its aggregates, ||h|| and the dominant
+    eigenpairs of R and R + W."""
+
+    c: ChannelRealization
+    agg: ChannelAggregates
+    hn: float
+    lam_r: float
+    v_r: np.ndarray
+    lam_rw: float
+    v_rw: np.ndarray
+
+    @classmethod
+    def of(cls, c: ChannelRealization) -> "_JointPass":
+        c = c.normalized()
+        agg = compute_aggregates(c)
+        lam_r, v_r = dominant_eigenpair(agg.R)
+        lam_rw, v_rw = dominant_eigenpair(agg.R + agg.W)
+        return cls(c, agg, float(np.linalg.norm(c.h)), lam_r, v_r, lam_rw, v_rw)
+
+    def r_up1(self) -> float:
+        hp, lam = self.hn**2 * self.c.P_r, self.lam_r
+        return float((np.log1p(self.agg.s) + np.log1p(lam * hp / (1.0 + hp + lam))) / _LN2)
+
+    def r_up2(self) -> float:
+        return float(np.log1p(self.agg.s + self.lam_rw) / _LN2)
+
+    def beamformer(self, v: np.ndarray, gain: float) -> RelayMatrix:
+        """Rank-one relay matrix gain * h v^H / ||h||."""
+        if self.hn == 0.0:
+            raise DegenerateChannelError("relay-to-receiver channel h is zero")
+        F = gain * np.outer(self.c.h / self.hn, v.conj())
+        return RelayMatrix.for_channel(F, self.c)
+
+    def lower(self) -> tuple[RelayMatrix, float]:
+        """The rank-one beamformer along v_rw and its gain gamma."""
+        gamma = float(np.sqrt(self.c.P_r / (1.0 + quadratic_form(self.v_rw, self.agg.R))))
+        return self.beamformer(self.v_rw, gamma), gamma
+
+
 def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:
     """Rank-one matrix maximizing the cross-term-free objective: beamform the
     dominant direction of R onto h, scaled to meet the power budget with
     equality."""
-    c = c.normalized()
-    hn = float(np.linalg.norm(c.h))
-    if hn == 0.0:
-        raise DegenerateChannelError("relay-to-receiver channel h is zero")
-    agg = compute_aggregates(c)
-    lam, v = dominant_eigenpair(agg.R)
-    F = np.sqrt(c.P_r / (1.0 + lam)) * np.outer(c.h / hn, v.conj())
-    return RelayMatrix.for_channel(F, c)
+    p = _JointPass.of(c)
+    return p.beamformer(p.v_r, np.sqrt(p.c.P_r / (1.0 + p.lam_r)))
 
 
 def upper_bound_1(c: ChannelRealization) -> float:
     """log2((1+s) (1 + lam_max(R) ||h||^2 P_r / (1 + ||h||^2 P_r + lam_max(R)))).
 
     Tighter than :func:`upper_bound_2` when the relay power is small."""
-    c = c.normalized()
-    agg = compute_aggregates(c)
-    lam, _ = dominant_eigenpair(agg.R)
-    hp = float(np.linalg.norm(c.h) ** 2) * c.P_r
-    return float((np.log1p(agg.s) + np.log1p(lam * hp / (1.0 + hp + lam))) / _LN2)
+    return _JointPass.of(c).r_up1()
 
 
 def upper_bound_2(c: ChannelRealization) -> float:
     """log2(1 + s + lam_max(R + W)): the relay-power-unconstrained bound,
     tight as P_r grows."""
-    c = c.normalized()
-    agg = compute_aggregates(c)
-    lam, _ = dominant_eigenpair(agg.R + agg.W)
-    return float(np.log1p(agg.s + lam) / _LN2)
+    return _JointPass.of(c).r_up2()
 
 
 def relay_matrix_lower(c: ChannelRealization) -> tuple[RelayMatrix, float]:
     """Achievable rank-one choice: beamform the dominant direction of R + W
     onto h with gain gamma spending the relay budget exactly
     (gamma^2 = P_r / v^H (I + R) v)."""
-    c = c.normalized()
-    hn = float(np.linalg.norm(c.h))
-    if hn == 0.0:
-        raise DegenerateChannelError("relay-to-receiver channel h is zero")
-    agg = compute_aggregates(c)
-    _, v = dominant_eigenpair(agg.R + agg.W)
-    gamma = float(np.sqrt(c.P_r / (1.0 + quadratic_form(v, agg.R))))
-    F = gamma * np.outer(c.h / hn, v.conj())
-    return RelayMatrix.for_channel(F, c), gamma
+    return _JointPass.of(c).lower()
 
 
 def lower_bound(c: ChannelRealization) -> JointRateBounds:
@@ -173,25 +195,12 @@ def lower_bound(c: ChannelRealization) -> JointRateBounds:
     upper bounds:
     r_lower = log2(1 + s + ||h||^2 lam_max(R+W) gamma^2 / (1 + ||h||^2 gamma^2)).
     """
-    c = c.normalized()
-    agg = compute_aggregates(c)
-    hn2 = float(np.linalg.norm(c.h) ** 2)
-    if hn2 == 0.0:
-        raise DegenerateChannelError("relay-to-receiver channel h is zero")
-
-    lam_r, _ = dominant_eigenpair(agg.R)
-    hp = hn2 * c.P_r
-    r_up1 = float((np.log1p(agg.s) + np.log1p(lam_r * hp / (1.0 + hp + lam_r))) / _LN2)
-
-    lam_rw, v = dominant_eigenpair(agg.R + agg.W)
-    r_up2 = float(np.log1p(agg.s + lam_rw) / _LN2)
-
-    gamma = float(np.sqrt(c.P_r / (1.0 + quadratic_form(v, agg.R))))
-    g = hn2 * gamma**2
-    r_lower = float(np.log1p(agg.s + lam_rw * g / (1.0 + g)) / _LN2)
-    f_lower = RelayMatrix.for_channel(gamma * np.outer(c.h / np.sqrt(hn2), v.conj()), c)
+    p = _JointPass.of(c)
+    f_lower, gamma = p.lower()
+    g = p.hn**2 * gamma**2
+    r_lower = float(np.log1p(p.agg.s + p.lam_rw * g / (1.0 + g)) / _LN2)
     return JointRateBounds(
-        r_up1=r_up1, r_up2=r_up2, r_lower=r_lower, f_lower=f_lower, gamma=gamma
+        r_up1=p.r_up1(), r_up2=p.r_up2(), r_lower=r_lower, f_lower=f_lower, gamma=gamma
     )
 
 

@@ -1,21 +1,18 @@
 """Minimal dense complex linear algebra used by the rate formulas.
 
 Only what the sum-rate expressions need: Hermitian validation, quadratic
-forms, rank-one accumulation, and the dominant eigenpair of a Hermitian
-positive-semidefinite matrix. Matrices here are tiny (relay antenna counts
-of a few), so the solvers favour determinism over asymptotic speed.
+forms, and the dominant eigenpair of a Hermitian positive-semidefinite matrix
+by LAPACK ``eigh``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 HERMITIAN_RTOL = 1e-12
-DEFAULT_EIG_TOL = 1e-12
-
-_POWER_ITER_MAX = 10_000
+_PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
 
 
 def is_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -59,110 +56,16 @@ def quadratic_form(x: np.ndarray, A: np.ndarray) -> float:
     return val.real
 
 
-def rank_one(u: np.ndarray, scale: float) -> np.ndarray:
-    """Return scale * u u^H, Hermitian by construction. scale must be >= 0."""
-    if scale < 0:
-        raise ValidationError(f"rank_one scale must be nonnegative, got {scale}")
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {u.shape}")
-    return scale * np.outer(u, u.conj())
-
-
-def dominant_eigenpair(
-    A: np.ndarray, tol: float = DEFAULT_EIG_TOL
-) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a Hermitian PSD matrix.
-
-    Power iteration from the normalized all-ones vector (deterministic, so
-    Monte Carlo runs are reproducible), with the Rayleigh quotient as the
-    eigenvalue estimate. Falls back to a full cyclic Jacobi sweep when the
-    iteration stalls or when the converged value sits below the eigenvalue
-    mean (which can only happen if the seed is orthogonal to the dominant
-    eigenspace). The returned pair always satisfies
-    ``||A v - lam v|| <= tol * max(1, ||A||_F)``.
-    """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+def dominant_eigenpair(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a Hermitian PSD matrix,
+    by LAPACK ``eigh``. ValidationError is raised when A is not a finite
+    Hermitian matrix or lambda_max < -1e-12 * max(1, ||A||_F); a lambda_max
+    within that slack is returned as 0."""
     A = _check_hermitian(A)
-    A = 0.5 * (A + A.conj().T)
-    n = A.shape[0]
-    norm_f = float(np.linalg.norm(A))
-    res_tol = tol * max(1.0, norm_f)
-    mean_eig = float(np.trace(A).real) / n
-
-    v = np.ones(n, dtype=complex) / np.sqrt(n)
-    if norm_f == 0.0:
-        return 0.0, v
-
-    lam = 0.0
-    converged = False
-    for _ in range(_POWER_ITER_MAX):
-        w = A @ v
-        lam = float((v.conj() @ w).real)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= res_tol:
-            converged = True
-            break
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0:
-            break  # seed lies in the kernel; let the Jacobi fallback decide
-        v = w / wn
-
-    # lam below the eigenvalue mean cannot be the maximum.
-    if not converged or lam < mean_eig - res_tol:
-        lam, v = _jacobi_dominant(A)
-        residual = float(np.linalg.norm(A @ v - lam * v))
-        if residual > res_tol:
-            raise NumericalError(
-                f"eigenpair residual {residual:.3e} above tolerance {res_tol:.3e}",
-                residual=residual,
-            )
-
-    if lam < -res_tol:
+    eigvals, eigvecs = np.linalg.eigh(A)
+    lam = float(eigvals[-1])
+    if lam < -_PSD_RTOL * max(1.0, float(np.linalg.norm(A))):
         raise ValidationError(
             f"matrix is not positive semidefinite (lambda_max = {lam:.3e})"
         )
-    return max(lam, 0.0), v
-
-
-def _jacobi_dominant(A: np.ndarray, max_sweeps: int = 60) -> tuple[float, np.ndarray]:
-    """Full eigen-decomposition by cyclic complex Jacobi rotations; returns
-    the largest eigenvalue with its eigenvector."""
-    B = A.copy()
-    n = B.shape[0]
-    V = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(B))))
-    for _ in range(max_sweeps):
-        off = max(
-            (abs(B[p, q]) for p in range(n - 1) for q in range(p + 1, n)),
-            default=0.0,
-        )
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                m = abs(B[p, q])
-                if m <= 1e-18 * scale:
-                    continue
-                # Unitary rotation J with J[p,p]=J[q,q]=c, J[p,q]=-s*phase,
-                # J[q,p]=s*conj(phase) zeroes B[p,q] for t solving
-                # t^2 + 2*tau*t - 1 = 0.
-                phase = B[p, q] / m
-                tau = (B[p, p].real - B[q, q].real) / (2.0 * m)
-                t = 1.0 if tau == 0.0 else np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                bp = c * B[:, p] + s * np.conj(phase) * B[:, q]
-                bq = -s * phase * B[:, p] + c * B[:, q]
-                B[:, p], B[:, q] = bp, bq
-                bp = c * B[p, :] + s * phase * B[q, :]
-                bq = -s * np.conj(phase) * B[p, :] + c * B[q, :]
-                B[p, :], B[q, :] = bp, bq
-                vp = c * V[:, p] + s * np.conj(phase) * V[:, q]
-                vq = -s * phase * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vp, vq
-    eigs = np.real(np.diag(B))
-    i = int(np.argmax(eigs))
-    v = V[:, i]
-    return float(eigs[i]), v / np.linalg.norm(v)
+    return max(lam, 0.0), eigvecs[:, -1]

@@ -96,15 +96,29 @@ def _slot_rate(d: float, nr: float, hp: float, tau: float) -> float:
     return tau * log1p(x) / _LN2
 
 
+def _log_excess(u: float) -> float:
+    """ln(1+u) - u/(1+u) >= 0 for u >= 0; below u = 1/4, where the two terms
+    cancel, the series sum_{n>=2} t^n/n in t = u/(1+u)."""
+    if u >= 0.25:
+        return log1p(u) - u / (1.0 + u)
+    t = u / (1.0 + u)
+    total, power, n = 0.0, t * t, 2
+    while total + power / n != total:
+        total, power, n = total + power / n, power * t, n + 1
+    return total
+
+
 def _slot_derivs(d: float, nr: float, hp: float, tau: float) -> tuple[float, float]:
     """(R', R'') of R(tau) = tau*log2(1 + u), u = d/tau + a/(b*tau + nr) with
-    a = hp*nr, b = hp + 1: R' = (ln(1+u) + tau*u'/(1+u))/ln 2 and
+    a = hp*nr, b = hp + 1: R' = ([ln(1+u) - u/(1+u)] + (u + tau*u')/(1+u))/ln 2,
+    two terms >= 0 (u + tau*u' = a*nr/(b*tau + nr)^2) that keep R' accurate
+    when every rate is tiny, and
     R'' = ((2u' + tau*u'')/(1+u) - tau*u'^2/(1+u)^2)/ln 2. At tau = 0, R' is
     its continuous limit: +inf with a direct link, log2(1 + hp) without."""
     if d > 0.0 and tau <= 0.0:
         return inf, -inf
     a = hp * nr
-    u = u1 = v = 0.0  # v = 2u' + tau*u'', to which d/tau contributes 0
+    u = u1 = r = v = 0.0  # r = u + tau*u', v = 2u' + tau*u''
     if d > 0.0:
         u, u1 = d / tau, -d / (tau * tau)
     if a > 0.0:
@@ -112,9 +126,10 @@ def _slot_derivs(d: float, nr: float, hp: float, tau: float) -> tuple[float, flo
         den = b * tau + nr
         u += a / den
         u1 -= a * b / (den * den)
-        v = -2.0 * a * b * nr / (den * den * den)
+        r = a * nr / (den * den)
+        v = -2.0 * r * b / den
     w = 1.0 + u
-    return (log1p(u) + tau * u1 / w) / _LN2, (v / w - tau * u1 * u1 / (w * w)) / _LN2
+    return (_log_excess(u) + r / w) / _LN2, (v / w - tau * u1 * u1 / (w * w)) / _LN2
 
 
 def _slot_deriv(d: float, nr: float, hp: float, tau: float) -> float:
@@ -284,24 +299,11 @@ def kkt_slackness(c: ChannelRealization, tau) -> float:
     return max([0.0] + [g[k] - nu for k in range(c.K) if tau[k] == 0.0])
 
 
-def _relay_norm_sum(c: ChannelRealization) -> float:
-    return float(np.sum(np.linalg.norm(c.h_r, axis=1) ** 2 * c.P))
-
-
-def _superior(lam_rw: float, relay_sum: float) -> bool:
-    # Strict inequality with a relative guard so exact ties (e.g. K = 1,
-    # where lam equals the sum) resolve to TDMA under float noise.
-    return lam_rw > relay_sum + _TIE_RTOL * max(1.0, relay_sum)
-
-
 def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:
     """True iff joint relaying achieves a higher sum rate than optimally
     slotted TDMA as the relay power grows without bound:
     lam_max(R + W) > sum_k ||h_r^(k)||^2 P^(k)."""
-    c = c.normalized()
-    agg = compute_aggregates(c)
-    lam, _ = dominant_eigenpair(agg.R + agg.W)
-    return _superior(lam, _relay_norm_sum(c))
+    return asymptotic_allocation(c).joint_wins
 
 
 def asymptotic_allocation(c: ChannelRealization) -> AsymptoticResult:
@@ -311,7 +313,9 @@ def asymptotic_allocation(c: ChannelRealization) -> AsymptoticResult:
     and the TDMA sum rate tends to log2(1 + sum_k P^(k)(|h_d|^2 + ||h_r||^2));
     the joint scheme tends to its power-unconstrained upper bound."""
     c = c.normalized()
-    weights = c.P * (np.abs(c.h_d) ** 2 + np.linalg.norm(c.h_r, axis=1) ** 2)
+    relay_norms = np.linalg.norm(c.h_r, axis=1) ** 2
+    relay_sum = float(np.sum(relay_norms * c.P))
+    weights = c.P * (np.abs(c.h_d) ** 2 + relay_norms)
     total = float(weights.sum())
     if total > 0.0:
         tau_inf = weights / total
@@ -326,5 +330,8 @@ def asymptotic_allocation(c: ChannelRealization) -> AsymptoticResult:
         tau_inf=tau_inf,
         rate_inf=rate_inf,
         joint_rate_inf=joint_rate_inf,
-        joint_wins=_superior(lam, _relay_norm_sum(c)),
+        # lam_max(R + W) > sum_k ||h_r^(k)||^2 P^(k), strictly and with a
+        # relative guard so exact ties (e.g. K = 1, where lam equals the
+        # sum) resolve to TDMA under float noise.
+        joint_wins=lam > relay_sum + _TIE_RTOL * max(1.0, relay_sum),
     )

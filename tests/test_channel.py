@@ -122,6 +122,24 @@ def test_aggregates_identity(make_channel, K, M_r):
         assert np.max(np.abs(lhs - agg.W)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("K", [1, 2, 10, 50])
+@pytest.mark.parametrize("M_r", [1, 4, 8])
+def test_w_matches_pair_loop(make_channel, K, M_r):
+    # reference: the pairwise sum of P_j P_k w_jk w_jk^H over j < k, one pair
+    # at a time
+    for seed in range(3):
+        c = make_channel(seed=seed, K=K, M_r=M_r)
+        ref = np.zeros((M_r, M_r), dtype=complex)
+        for j in range(K):
+            for k in range(j + 1, K):
+                w = c.h_d[k] * c.h_r[j] - c.h_d[j] * c.h_r[k]
+                ref += c.P[j] * c.P[k] * np.outer(w, w.conj())
+        W = compute_aggregates(c).W
+        if K == 1:
+            assert W.shape == (M_r, M_r) and np.all(W == 0)
+        assert np.max(np.abs(W - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_aggregates_hermitian_psd(make_channel, rng):
     for seed in range(8):
         c = make_channel(seed=seed, K=4, M_r=3)

@@ -1,7 +1,14 @@
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import marcsim.harness as harness_mod
+import marcsim.joint as joint_mod
+import marcsim.tdma as tdma_mod
 from marcsim import (
     ScenarioConfig,
     SweepConfig,
@@ -107,7 +114,7 @@ def test_sweep_aggregated_bound_ordering():
 
 
 def test_sweep_resamples_failed_trials(monkeypatch):
-    real = harness_mod.evaluate_realization
+    real = harness_mod.optimize_slots
     calls = {"n": 0}
 
     def flaky(c, epsilon=1e-8):
@@ -116,7 +123,7 @@ def test_sweep_resamples_failed_trials(monkeypatch):
             raise NumericalError("injected failure")
         return real(c, epsilon)
 
-    monkeypatch.setattr(harness_mod, "evaluate_realization", flaky)
+    monkeypatch.setattr(harness_mod, "optimize_slots", flaky)
     cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
     result = run_sweep(cfg)
     assert result.resampled_trials == 1
@@ -192,3 +199,37 @@ def test_invariant_suite_clean_on_random_scenarios():
         "tdma_slackness",
         "asymptotic_predicate",
     }
+
+
+def test_each_trial_builds_aggregates_once(monkeypatch):
+    # a sweep trial needs one aggregate build and the eigenpairs of R and
+    # R + W; a superiority trial one build and the eigenpair of R + W
+    counts = Counter()
+    for mod in (joint_mod, tdma_mod):
+        for name in ("compute_aggregates", "dominant_eigenpair"):
+
+            def counted(*args, _real=getattr(mod, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=5)
+    assert run_sweep(cfg).resampled_trials == 0
+    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
+    counts.clear()
+    cfg = small_cfg(alpha_values=(1.0,), n_trials=5, pmax_grid_db=(10.0,))
+    assert estimate_superiority_probability(cfg).resampled_trials == 0
+    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 5}
+
+
+def test_benchmark_trace_bindings_resolve():
+    # perfbench/invoke.py traces layers by rebinding these module attributes;
+    # a binding that no longer exists would break its --trace 1 split
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "invoke.py"
+    spec = importlib.util.spec_from_file_location("perfbench_invoke", path)
+    invoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(invoke)
+    assert invoke.WRAPPED
+    for module_name, attr, _, _ in invoke.WRAPPED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from marcsim import dominant_eigenpair, quadratic_form, rank_one
+from marcsim import (
+    ScenarioConfig,
+    compute_aggregates,
+    dominant_eigenpair,
+    quadratic_form,
+    sample_channel,
+    trial_rng,
+)
 from marcsim.errors import ValidationError
-from marcsim.numerics import is_hermitian
 
 
 # ---------------------------------------------------------------------------
 # Independent oracle: real Jacobi sweep on the 2n x 2n real-symmetric
 # embedding of a Hermitian matrix (eigenvalues appear with doubled
-# multiplicity). Deliberately a different formulation from the package's
-# complex-rotation fallback.
+# multiplicity). Deliberately a different algorithm from the package's
+# LAPACK eigh.
 # ---------------------------------------------------------------------------
 
 def jacobi_oracle_eigvals(A, sweeps=200):
@@ -69,7 +75,7 @@ def test_random_psd_matches_jacobi_oracle(rng):
         lam, v = dominant_eigenpair(A)
         lam_ref = jacobi_oracle_eigvals(A)[-1]
         assert abs(lam - lam_ref) <= 1e-9 * max(1.0, lam_ref), (
-            f"power iteration {lam} vs oracle {lam_ref}"
+            f"eigh {lam} vs oracle {lam_ref}"
         )
 
 
@@ -85,8 +91,8 @@ def test_eigenpair_residual_and_rayleigh_bounds(rng, n):
         assert lam >= quadratic_form(x, A) / np.linalg.norm(x) ** 2 - 1e-9 * max(1.0, lam)
 
 
-def test_seed_orthogonal_to_dominant_space_falls_back():
-    # all-ones start vector is orthogonal to the dominant eigenvector here
+def test_dominant_vector_orthogonal_to_all_ones():
+    # the dominant eigenvector is orthogonal to the all-ones vector here
     u = np.array([1.0, -1.0]) / np.sqrt(2)
     A = np.eye(2) + np.outer(u, u)
     lam, v = dominant_eigenpair(A)
@@ -105,7 +111,7 @@ def test_near_degenerate_top_eigenvalue(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     A = Q @ np.diag([5.0, 5.0, 1.0, 0.5]) @ Q.conj().T
     A = 0.5 * (A + A.conj().T)
-    lam, v = dominant_eigenpair(A, tol=1e-10)
+    lam, v = dominant_eigenpair(A)
     assert lam == pytest.approx(5.0, rel=1e-9)
     assert np.linalg.norm(A @ v - lam * v) <= 1e-10 * max(1.0, np.linalg.norm(A))
 
@@ -115,9 +121,27 @@ def test_non_hermitian_rejected():
         dominant_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_bad_tol_rejected():
+def test_scalar_matrix():
+    lam, v = dominant_eigenpair(np.array([[2.5]]))
+    assert lam == 2.5
+    assert abs(v[0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_negative_definite_rejected():
     with pytest.raises(ValidationError):
-        dominant_eigenpair(np.eye(2), tol=0.0)
+        dominant_eigenpair(-np.eye(3))
+
+
+def test_many_users_two_antennas_matches_jacobi_oracle():
+    # R + W of a K >> M_r realization: large entries from 1225 user pairs
+    scen = ScenarioConfig(K=50, M_r=2, seed=50)
+    for t in range(5):
+        agg = compute_aggregates(sample_channel(scen, trial_rng(50, t)))
+        A = agg.R + agg.W
+        lam, v = dominant_eigenpair(A)
+        lam_ref = jacobi_oracle_eigvals(A)[-1]
+        assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+        assert np.linalg.norm(A @ v - lam * v) <= 1e-12 * np.linalg.norm(A)
 
 
 def test_quadratic_form_trivial_cases():
@@ -140,28 +164,3 @@ def test_quadratic_form_matches_naive_double_loop(rng):
 def test_quadratic_form_dimension_mismatch():
     with pytest.raises(ValidationError):
         quadratic_form(np.ones(3), np.eye(2))
-
-
-def test_rank_one_basis_vector():
-    M = rank_one(np.array([1.0, 0.0, 0.0]), 2.0)
-    assert np.allclose(M, np.diag([2.0, 0.0, 0.0]))
-
-
-def test_rank_one_zero_vector():
-    assert np.all(rank_one(np.zeros(4), 1.5) == 0)
-
-
-def test_rank_one_trace_identity_and_psd(rng):
-    for _ in range(25):
-        u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        s = float(rng.uniform(0, 3))
-        M = rank_one(u, s)
-        assert is_hermitian(M)
-        assert np.trace(M).real == pytest.approx(s * np.linalg.norm(u) ** 2, rel=1e-12)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert quadratic_form(x, M) >= -1e-10 * max(1.0, np.linalg.norm(M))
-
-
-def test_rank_one_negative_scale_rejected():
-    with pytest.raises(ValidationError):
-        rank_one(np.ones(2), -0.1)

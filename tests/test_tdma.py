@@ -3,15 +3,18 @@ import pytest
 
 from marcsim import (
     ChannelRealization,
+    ScenarioConfig,
     asymptotic_allocation,
     joint_beats_tdma_asymptotic,
     kkt_slackness,
     lower_bound,
     optimize_slots,
     relay_tx_power,
+    sample_channel,
     single_user_rate,
     single_user_relay_matrix,
     sum_rate_logdet,
+    trial_rng,
     user_rate,
     user_rate_derivative,
 )
@@ -221,13 +224,15 @@ def test_matches_brute_force_grid(make_channel, K):
 
 
 # Extreme but valid inputs: no relay power, no direct links, 80 dB relay
-# power, a single scalar user, and far more users than relay antennas.
+# power, a single scalar user, far more users than relay antennas, and rates
+# of ~1e-19 bits (-60 dB powers, no relay power).
 EXTREME_CASES = [
     dict(K=5, M_r=2, P_r=0.0),
     dict(K=5, M_r=2, alpha=0.0),
     dict(K=5, M_r=2, P_r=1e8),
     dict(K=1, M_r=1),
     dict(K=50, M_r=2),
+    dict(K=10, M_r=4, alpha=1e-6, P_max=1e-6, P_r=0.0),
 ]
 
 
@@ -243,6 +248,19 @@ def test_allocation_invariants(make_channel):
         assert alloc.sum_rate == pytest.approx(alloc.per_user_rate.sum(), abs=1e-9)
         assert alloc.kkt_spread <= 1e-8, case
         assert kkt_slackness(c, alloc.tau) <= 1e-8, case
+
+
+@pytest.mark.parametrize("alpha, P_max", [(1.0, 10.0), (1e-6, 1e-6)])
+def test_zero_relay_power_slots_proportional_to_direct_snr(alpha, P_max):
+    # with P_r = 0 user k's rate is tau*log2(1 + d_k/tau), so equal marginal
+    # rates mean equal d_k/tau_k: tau_k = d_k / sum(d). At -60 dB every rate
+    # is ~1e-19 bits and the marginal rates ~1e-38.
+    scen = ScenarioConfig(K=10, M_r=4, alpha=alpha, P_max=P_max, P_r=0.0, seed=77)
+    for t in range(200):
+        c = sample_channel(scen, trial_rng(77, t))
+        d = np.abs(c.h_d) ** 2 * c.P
+        tau = optimize_slots(c).tau
+        assert np.max(np.abs(tau - d / d.sum())) <= 1e-12, t
 
 
 def test_kkt_slackness_flags_a_starved_user():
