@@ -4,10 +4,10 @@ Sweeps (alpha, P_r) grids averaging the joint-relaying bounds and the
 optimized TDMA sum rate, and estimates the probability that joint relaying
 wins in the unbounded-relay-power regime over an (alpha, P_max) grid.
 
-Every trial draws its channel from an independent substream keyed on
-(seed, trial index), so results are byte-identical regardless of execution
-order or worker count. Trials that fail numerically are retried on a flagged
-substream and the retry count is surfaced on the result object.
+Every trial draws its channel from a substream keyed on (seed, trial index), so
+results are byte-identical for any worker count W >= 1. At W > 1 one process
+pool serves the whole run and its workers take blocks of trials of every cell.
+Failed trials are retried on a flagged substream; the result counts retries.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -56,6 +58,7 @@ __all__ = [
 METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_rate")
 
 _MAX_RESAMPLES = 100
+_BLOCKS_PER_WORKER = 4  # trial blocks per pool worker over a whole run
 
 
 def db_to_linear(db: float) -> float:
@@ -213,13 +216,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _sweep_trial(args) -> tuple[dict[str, float], int]:
+def _sweep_trial(scen, trial: int, epsilon: float) -> tuple[dict[str, float], int]:
     """Evaluate one trial; resample on a flagged substream after a numerical
     failure. Returns the metric dict and the number of resamples used."""
-    scen, seed, trial, epsilon = args
     last: Exception | None = None
     for retry in range(_MAX_RESAMPLES):
-        rng = trial_rng(seed, trial, retry)
+        rng = trial_rng(scen.seed, trial, retry)
         c = sample_channel(scen, rng)
         try:
             return _metric_values(lower_bound(c), optimize_slots(c, epsilon)), retry
@@ -230,11 +232,10 @@ def _sweep_trial(args) -> tuple[dict[str, float], int]:
     )
 
 
-def _prob_trial(args) -> tuple[bool, int]:
-    scen, seed, trial = args
+def _prob_trial(scen, trial: int) -> tuple[bool, int]:
     last: Exception | None = None
     for retry in range(_MAX_RESAMPLES):
-        rng = trial_rng(seed, trial, retry)
+        rng = trial_rng(scen.seed, trial, retry)
         c = sample_channel(scen, rng)
         try:
             return joint_beats_tdma_asymptotic(c), retry
@@ -245,11 +246,26 @@ def _prob_trial(args) -> tuple[bool, int]:
     )
 
 
-def _map_tasks(fn, tasks, workers: int):
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+def _trial_block(fn, scen: ScenarioConfig, lo: int, hi: int) -> list:
+    return [fn(scen, t) for t in range(lo, hi)]
+
+
+def _run_cells(fn, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list[list]:
+    """``fn(scen, t)`` for t < n_trials in every cell, in trial order. Each task is
+    one cell's trial block [lo, hi); at workers > 1 a single pool of at most
+    ``workers`` processes serves the whole run, aiming at _BLOCKS_PER_WORKER blocks each."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    size = min(n_trials, -(-len(scens) * n_trials // (_BLOCKS_PER_WORKER * workers)))
+    los = range(0, n_trials, size)
+    tasks = [(fn, scen, lo, min(lo + size, n_trials)) for scen in scens for lo in los]
+    if workers == 1:
+        blocks = [_trial_block(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            blocks = list(pool.map(_trial_block, *zip(*tasks)))
+    flat = [r for block in blocks for r in block]
+    return [flat[i * n_trials : (i + 1) * n_trials] for i in range(len(scens))]
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
@@ -257,39 +273,38 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (alpha, P_r) cell. Deterministic for a fixed config: trial t of every
     cell draws from the substream keyed on (seed, t)."""
     seed = cfg.base.seed
+    cells = list(product(cfg.alpha_values, cfg.pr_grid_db))
+    scens = [replace(cfg.base, alpha=a, P_r=cfg.base.N0 * db_to_linear(p))
+             for a, p in cells]
+    trial = partial(_sweep_trial, epsilon=cfg.epsilon)
+    per_cell = _run_cells(trial, scens, cfg.n_trials, workers)
     rows: list[SweepRow] = []
     resampled = 0
-    for alpha in cfg.alpha_values:
-        for pr_db in cfg.pr_grid_db:
-            scen = replace(
-                cfg.base, alpha=alpha, P_r=cfg.base.N0 * db_to_linear(pr_db)
-            )
-            tasks = [(scen, seed, t, cfg.epsilon) for t in range(cfg.n_trials)]
-            results = _map_tasks(_sweep_trial, tasks, workers)
-            values = {m: np.empty(cfg.n_trials) for m in METRICS}
-            for t, (metrics, retries) in enumerate(results):
-                resampled += retries
-                for m in METRICS:
-                    values[m][t] = metrics[m]
+    for (alpha, pr_db), results in zip(cells, per_cell):
+        values = {m: np.empty(cfg.n_trials) for m in METRICS}
+        for t, (metrics, retries) in enumerate(results):
+            resampled += retries
             for m in METRICS:
-                vals = values[m]
-                mean = float(vals.mean())
-                stderr = (
-                    float(vals.std(ddof=1) / np.sqrt(cfg.n_trials))
-                    if cfg.n_trials > 1
-                    else 0.0
+                values[m][t] = metrics[m]
+        for m in METRICS:
+            vals = values[m]
+            mean = float(vals.mean())
+            stderr = (
+                float(vals.std(ddof=1) / np.sqrt(cfg.n_trials))
+                if cfg.n_trials > 1
+                else 0.0
+            )
+            rows.append(
+                SweepRow(
+                    alpha=alpha,
+                    pr_db=pr_db,
+                    metric=m,
+                    mean=mean,
+                    stderr=stderr,
+                    n_trials=cfg.n_trials,
+                    seed=seed,
                 )
-                rows.append(
-                    SweepRow(
-                        alpha=alpha,
-                        pr_db=pr_db,
-                        metric=m,
-                        mean=mean,
-                        stderr=stderr,
-                        n_trials=cfg.n_trials,
-                        seed=seed,
-                    )
-                )
+            )
     return SweepResult(rows=tuple(rows), resampled_trials=resampled)
 
 
@@ -304,31 +319,29 @@ def estimate_superiority_probability(
         pmax_grid = cfg.pmax_grid_db
     else:
         pmax_grid = (10.0 * np.log10(cfg.base.P_max / cfg.base.N0),)
+    cells = list(product(cfg.alpha_values, pmax_grid))
+    scens = [replace(cfg.base, alpha=a, P_max=cfg.base.N0 * db_to_linear(p))
+             for a, p in cells]
+    per_cell = _run_cells(_prob_trial, scens, cfg.n_trials, workers)
     rows: list[ProbRow] = []
     resampled = 0
-    for alpha in cfg.alpha_values:
-        for pmax_db in pmax_grid:
-            scen = replace(
-                cfg.base, alpha=alpha, P_max=cfg.base.N0 * db_to_linear(pmax_db)
+    for (alpha, pmax_db), results in zip(cells, per_cell):
+        wins = 0
+        for outcome, retries in results:
+            resampled += retries
+            wins += bool(outcome)
+        p = wins / cfg.n_trials
+        stderr = float(np.sqrt(p * (1.0 - p) / cfg.n_trials))
+        rows.append(
+            ProbRow(
+                alpha=alpha,
+                pmax_db=float(pmax_db),
+                probability=p,
+                stderr=stderr,
+                n_trials=cfg.n_trials,
+                seed=seed,
             )
-            tasks = [(scen, seed, t) for t in range(cfg.n_trials)]
-            results = _map_tasks(_prob_trial, tasks, workers)
-            wins = 0
-            for outcome, retries in results:
-                resampled += retries
-                wins += bool(outcome)
-            p = wins / cfg.n_trials
-            stderr = float(np.sqrt(p * (1.0 - p) / cfg.n_trials))
-            rows.append(
-                ProbRow(
-                    alpha=alpha,
-                    pmax_db=float(pmax_db),
-                    probability=p,
-                    stderr=stderr,
-                    n_trials=cfg.n_trials,
-                    seed=seed,
-                )
-            )
+        )
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 
 

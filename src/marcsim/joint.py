@@ -61,9 +61,6 @@ class RelayMatrix:
     def for_channel(cls, F: np.ndarray, c: ChannelRealization) -> "RelayMatrix":
         return cls(F=np.asarray(F, dtype=complex), tx_power=relay_tx_power(F, c))
 
-    def is_feasible(self, p_r: float, rtol: float = 1e-9) -> bool:
-        return self.tx_power <= p_r * (1.0 + rtol) + rtol
-
 
 @dataclass(frozen=True)
 class JointRateBounds:

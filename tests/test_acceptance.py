@@ -118,9 +118,11 @@ def _grid_points(c, t1, t2=None):
         return user_rate(c, 0, t1) + user_rate(c, 1, 1.0 - t1), t1
     T1, T2 = np.meshgrid(t1, t2, indexing="ij")
     mask = T1 + T2 <= 1.0 + 1e-12
+    # users 0 and 1 each depend on one axis: rate them there and broadcast
+    r01 = (user_rate(c, 0, t1)[:, None] + user_rate(c, 1, t2)[None, :])[mask]
     T1, T2 = T1[mask], T2[mask]
     T3 = np.clip(1.0 - T1 - T2, 0.0, 1.0)
-    tot = user_rate(c, 0, T1) + user_rate(c, 1, T2) + user_rate(c, 2, T3)
+    tot = r01 + user_rate(c, 2, T3)
     return tot, np.stack([T1, T2], axis=-1)
 
 

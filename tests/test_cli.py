@@ -106,6 +106,8 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--users", "not-a-number")[0] == 1
     assert run_cli(capsys, "sweep", "--pr-db", "10:0:5")[0] == 1
     assert run_cli(capsys, "nonsense-command")[0] == 1
+    assert run_cli(capsys, "sweep", "--trials", "2", "--workers", "0")[0] == 1
+    assert run_cli(capsys, "prob", "--trials", "2", "--workers", "-3")[0] == 1
 
 
 def test_invalid_scenario_exit_one(capsys):

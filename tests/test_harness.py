@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import multiprocessing
 from collections import Counter
 from pathlib import Path
 
@@ -233,3 +234,104 @@ def test_benchmark_trace_bindings_resolve():
     for module_name, attr, _, _ in invoke.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_workers_below_one_rejected():
+    cfg = small_cfg(n_trials=2)
+    for workers in (0, -3):
+        with pytest.raises(ValidationError):
+            run_sweep(cfg, workers=workers)
+        with pytest.raises(ValidationError):
+            estimate_superiority_probability(cfg, workers=workers)
+
+
+def test_pool_size_capped_by_blocks(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Stands in for the process pool: records its size and runs the
+        blocks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlineExecutor)
+    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
+    assert run_sweep(cfg, workers=64).to_csv() == run_sweep(cfg).to_csv()
+    cfg = small_cfg(n_trials=3, pmax_grid_db=(0.0,))
+    assert estimate_superiority_probability(cfg, workers=64).to_csv() == (
+        estimate_superiority_probability(cfg).to_csv()
+    )
+    # 1 cell and then 2 cells of 3 trials: no more processes than trials
+    assert sizes == [3, 6]
+
+
+def test_one_pool_per_run(monkeypatch):
+    starts = Counter()
+    real = harness_mod.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        starts["pool"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", counted)
+    cfg = small_cfg(n_trials=3, pmax_grid_db=(0.0, 10.0))
+    for workers, expected in ((1, 0), (2, 1)):
+        starts.clear()
+        run_sweep(cfg, workers=workers)
+        assert starts["pool"] == expected
+        starts.clear()
+        estimate_superiority_probability(cfg, workers=workers)
+        assert starts["pool"] == expected
+
+
+def _fail_on_weak_first_link(real):
+    # deterministic in the draw, so forked workers resample the same trials
+    def flaky(c, *args):
+        if abs(c.h_r[0, 0]) < 1.0:
+            raise NumericalError("injected failure")
+        return real(c, *args)
+
+    return flaky
+
+
+_needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the injected failure",
+)
+
+
+@_needs_fork
+@pytest.mark.parametrize("n_trials", [1, 7])
+def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
+    for name in ("optimize_slots", "joint_beats_tdma_asymptotic"):
+        monkeypatch.setattr(
+            harness_mod, name, _fail_on_weak_first_link(getattr(harness_mod, name))
+        )
+    cfg = small_cfg(n_trials=n_trials, pmax_grid_db=(0.0, 10.0))
+    for run in (run_sweep, estimate_superiority_probability):
+        results = [run(cfg, workers=w) for w in (1, 2, 3)]
+        assert results[0].resampled_trials > 0
+        for r in results[1:]:
+            assert r.to_csv() == results[0].to_csv()
+            assert r.resampled_trials == results[0].resampled_trials
+
+
+@_needs_fork
+def test_exhausted_resamples_raise_through_pool(monkeypatch):
+    def always_fails(*args):
+        raise NumericalError("injected failure")
+
+    monkeypatch.setattr(harness_mod, "optimize_slots", always_fails)
+    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=2)
+    with pytest.raises(NumericalError, match="after 100 resamples"):
+        run_sweep(cfg, workers=2)
