@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .channel import (
@@ -41,13 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Parse a grid spec: either a single value or lo:hi:step (inclusive)."""
-    if ":" not in spec:
-        return (float(spec),)
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"grid spec must be lo:hi:step, got {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
+    try:
+        parts = [float(p) for p in spec.split(":")]
+    except ValueError:
+        raise ValidationError(f"grid spec {spec!r} is not numeric") from None
+    if len(parts) not in (1, 3):
+        raise ValidationError(f"grid spec must be a value or lo:hi:step, got {spec!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValidationError(f"grid spec {spec!r} has a non-finite number")
+    if len(parts) == 1:
+        return (parts[0],)
+    lo, hi, step = parts
+    if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
         raise ValidationError(f"invalid grid spec {spec!r}")
     count = int((hi - lo) / step + 1e-9) + 1
     return tuple(lo + i * step for i in range(count))
@@ -163,16 +169,10 @@ def _sweep_config(args) -> SweepConfig:
     )
 
 
-def _cmd_sweep(args) -> int:
-    result = run_sweep(_sweep_config(args), workers=args.workers)
-    _write_text(args.out, result.to_csv())
-    if result.resampled_trials:
-        print(f"resampled_trials={result.resampled_trials}", file=sys.stderr)
-    return 0
-
-
-def _cmd_prob(args) -> int:
-    result = estimate_superiority_probability(_sweep_config(args), workers=args.workers)
+def _cmd_table(args) -> int:
+    # Looked up at call time, so that a rebound module global is the one run.
+    run = run_sweep if args.command == "sweep" else estimate_superiority_probability
+    result = run(_sweep_config(args), workers=args.workers)
     _write_text(args.out, result.to_csv())
     if result.resampled_trials:
         print(f"resampled_trials={result.resampled_trials}", file=sys.stderr)
@@ -199,8 +199,8 @@ def _cmd_check(args) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "prob": _cmd_prob,
+    "sweep": _cmd_table,
+    "prob": _cmd_table,
     "check": _cmd_check,
 }
 

@@ -4,17 +4,19 @@ Sweeps (alpha, P_r) grids averaging the joint-relaying bounds and the
 optimized TDMA sum rate, and estimates the probability that joint relaying
 wins in the unbounded-relay-power regime over an (alpha, P_max) grid.
 
-Every trial draws its channel from a substream keyed on (seed, trial index), so
-results are byte-identical for any worker count W >= 1. At W > 1 one process
-pool serves the whole run and its workers take blocks of trials of every cell.
-Failed trials are retried on a flagged substream; the result counts retries.
+One pipeline serves both tables; they differ only in the per-draw evaluator
+and in how a cell's values become rows. The cells of the (alpha, dB) grid are
+run in sorted order. Every trial draws its channel from a substream keyed on
+(seed, trial index), so results are byte-identical for any worker count
+W >= 1. At W > 1 one process pool serves the whole run and its workers take
+blocks of trials of every cell. A trial that fails numerically is retried on a
+flagged substream by one resample loop, which counts the retries.
 """
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 
@@ -62,7 +64,10 @@ _BLOCKS_PER_WORKER = 4  # trial blocks per pool worker over a whole run
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"{db} dB overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -82,17 +87,14 @@ class SweepConfig:
     pmax_grid_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
-        object.__setattr__(self, "pr_grid_db", tuple(float(p) for p in self.pr_grid_db))
-        if self.pmax_grid_db is not None:
-            object.__setattr__(
-                self, "pmax_grid_db", tuple(float(p) for p in self.pmax_grid_db)
-            )
+        for name in ("alpha_values", "pr_grid_db", "pmax_grid_db"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.n_trials < 1:
             raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
-        if not self.alpha_values or not self.pr_grid_db:
-            raise ValidationError("alpha and P_r grids must be non-empty")
-        if self.epsilon <= 0:
+        if not self.alpha_values or not self.pr_grid_db or self.pmax_grid_db == ():
+            raise ValidationError("alpha, P_r and P_max grids must be non-empty")
+        if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -171,22 +173,6 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    resampled_trials: int = 0
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,pr_db,metric,mean,stderr,n_trials,seed\n")
-        for r in sorted(self.rows, key=lambda r: (r.alpha, r.pr_db, r.metric)):
-            buf.write(
-                f"{_fmt(r.alpha)},{_fmt(r.pr_db)},{r.metric},{_fmt(r.mean)},"
-                f"{_fmt(r.stderr)},{r.n_trials},{r.seed}\n"
-            )
-        return buf.getvalue()
-
-
-@dataclass(frozen=True)
 class ProbRow:
     alpha: float
     pmax_db: float
@@ -197,68 +183,68 @@ class ProbRow:
 
 
 @dataclass(frozen=True)
-class ProbResult:
-    rows: tuple[ProbRow, ...]
+class TableResult:
+    """The rows of one Monte Carlo table, in CSV order, and the number of
+    resampled draws behind them."""
+
+    rows: tuple[SweepRow, ...] | tuple[ProbRow, ...]
     resampled_trials: int = 0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,pmax_db,probability,stderr,n_trials,seed\n")
-        for r in sorted(self.rows, key=lambda r: (r.alpha, r.pmax_db)):
-            buf.write(
-                f"{_fmt(r.alpha)},{_fmt(r.pmax_db)},{_fmt(r.probability)},"
-                f"{_fmt(r.stderr)},{r.n_trials},{r.seed}\n"
-            )
-        return buf.getvalue()
+        """Header from the row fields, then one line per row; floats at 10
+        significant digits; empty without rows."""
+        if not self.rows:
+            return ""
+        names = [f.name for f in fields(self.rows[0])]
+        lines = [",".join(names)]
+        for r in self.rows:
+            values = (getattr(r, n) for n in names)
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
+        return "\n".join(lines) + "\n"
+
+
+SweepResult = ProbResult = TableResult
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _sweep_trial(scen, trial: int, epsilon: float) -> tuple[dict[str, float], int]:
-    """Evaluate one trial; resample on a flagged substream after a numerical
-    failure. Returns the metric dict and the number of resamples used."""
+def _sweep_values(c: ChannelRealization, epsilon: float) -> dict[str, float]:
+    return _metric_values(lower_bound(c), optimize_slots(c, epsilon))
+
+
+def _prob_value(c: ChannelRealization) -> bool:
+    return bool(joint_beats_tdma_asymptotic(c))
+
+
+def _resampled(evaluate, scen: ScenarioConfig, trial: int) -> tuple:
+    """``evaluate`` on the draw of one trial, resampled on a flagged substream
+    after a numerical failure. Returns the value and the number of resamples."""
     last: Exception | None = None
     for retry in range(_MAX_RESAMPLES):
-        rng = trial_rng(scen.seed, trial, retry)
-        c = sample_channel(scen, rng)
+        c = sample_channel(scen, trial_rng(scen.seed, trial, retry))
         try:
-            return _metric_values(lower_bound(c), optimize_slots(c, epsilon)), retry
+            return evaluate(c), retry
         except (NumericalError, DegenerateChannelError) as exc:
             last = exc
-    raise NumericalError(
-        f"trial {trial} failed after {_MAX_RESAMPLES} resamples: {last}"
-    )
+    raise NumericalError(f"trial {trial} failed after {_MAX_RESAMPLES} resamples: {last}")
 
 
-def _prob_trial(scen, trial: int) -> tuple[bool, int]:
-    last: Exception | None = None
-    for retry in range(_MAX_RESAMPLES):
-        rng = trial_rng(scen.seed, trial, retry)
-        c = sample_channel(scen, rng)
-        try:
-            return joint_beats_tdma_asymptotic(c), retry
-        except NumericalError as exc:
-            last = exc
-    raise NumericalError(
-        f"trial {trial} failed after {_MAX_RESAMPLES} resamples: {last}"
-    )
+def _trial_block(evaluate, scen: ScenarioConfig, lo: int, hi: int) -> list:
+    return [_resampled(evaluate, scen, t) for t in range(lo, hi)]
 
 
-def _trial_block(fn, scen: ScenarioConfig, lo: int, hi: int) -> list:
-    return [fn(scen, t) for t in range(lo, hi)]
-
-
-def _run_cells(fn, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list[list]:
-    """``fn(scen, t)`` for t < n_trials in every cell, in trial order. Each task is
-    one cell's trial block [lo, hi); at workers > 1 a single pool of at most
-    ``workers`` processes serves the whole run, aiming at _BLOCKS_PER_WORKER blocks each."""
+def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list:
+    """``_resampled(evaluate, scen, t)`` for t < n_trials in every cell, in trial
+    order. Each task is one cell's trial block [lo, hi); at workers > 1 a single
+    pool of at most ``workers`` processes serves the whole run, aiming at
+    _BLOCKS_PER_WORKER blocks each."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     size = min(n_trials, -(-len(scens) * n_trials // (_BLOCKS_PER_WORKER * workers)))
     los = range(0, n_trials, size)
-    tasks = [(fn, scen, lo, min(lo + size, n_trials)) for scen in scens for lo in los]
+    tasks = [(evaluate, scen, lo, min(lo + size, n_trials)) for scen in scens for lo in los]
     if workers == 1:
         blocks = [_trial_block(*task) for task in tasks]
     else:
@@ -268,80 +254,48 @@ def _run_cells(fn, scens: list[ScenarioConfig], n_trials: int, workers: int) -> 
     return [flat[i * n_trials : (i + 1) * n_trials] for i in range(len(scens))]
 
 
+def _run_table(cfg: SweepConfig, power: str, grid_db, evaluate, workers: int):
+    """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell, where
+    dB sets the scenario's ``power`` ("P_r" or "P_max") over N0. Returns the
+    cells in sorted order, each cell's per-trial values and the total number
+    of resamples."""
+    cells = sorted(product(cfg.alpha_values, grid_db))
+    scens = [replace(cfg.base, alpha=a, **{power: cfg.base.N0 * db_to_linear(db)})
+             for a, db in cells]
+    per_cell = _run_cells(evaluate, scens, cfg.n_trials, workers)
+    resampled = sum(retries for results in per_cell for _, retries in results)
+    return cells, [[value for value, _ in results] for results in per_cell], resampled
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Average each metric over n_trials independent realizations for every
     (alpha, P_r) cell. Deterministic for a fixed config: trial t of every
     cell draws from the substream keyed on (seed, t)."""
-    seed = cfg.base.seed
-    cells = list(product(cfg.alpha_values, cfg.pr_grid_db))
-    scens = [replace(cfg.base, alpha=a, P_r=cfg.base.N0 * db_to_linear(p))
-             for a, p in cells]
-    trial = partial(_sweep_trial, epsilon=cfg.epsilon)
-    per_cell = _run_cells(trial, scens, cfg.n_trials, workers)
-    rows: list[SweepRow] = []
-    resampled = 0
-    for (alpha, pr_db), results in zip(cells, per_cell):
-        values = {m: np.empty(cfg.n_trials) for m in METRICS}
-        for t, (metrics, retries) in enumerate(results):
-            resampled += retries
-            for m in METRICS:
-                values[m][t] = metrics[m]
+    n, seed = cfg.n_trials, cfg.base.seed
+    evaluate = partial(_sweep_values, epsilon=cfg.epsilon)
+    cells, per_cell, resampled = _run_table(cfg, "P_r", cfg.pr_grid_db, evaluate, workers)
+    rows = []
+    for (alpha, pr_db), values in zip(cells, per_cell):
         for m in METRICS:
-            vals = values[m]
-            mean = float(vals.mean())
-            stderr = (
-                float(vals.std(ddof=1) / np.sqrt(cfg.n_trials))
-                if cfg.n_trials > 1
-                else 0.0
-            )
-            rows.append(
-                SweepRow(
-                    alpha=alpha,
-                    pr_db=pr_db,
-                    metric=m,
-                    mean=mean,
-                    stderr=stderr,
-                    n_trials=cfg.n_trials,
-                    seed=seed,
-                )
-            )
+            vals = np.array([v[m] for v in values])
+            stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            rows.append(SweepRow(alpha, pr_db, m, float(vals.mean()), stderr, n, seed))
+    # Only equal cells, from a repeated alpha, move: they interleave by metric.
+    rows.sort(key=lambda r: (r.alpha, r.pr_db, r.metric))
     return SweepResult(rows=tuple(rows), resampled_trials=resampled)
 
 
-def estimate_superiority_probability(
-    cfg: SweepConfig, workers: int = 1
-) -> ProbResult:
+def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> ProbResult:
     """Fraction of realizations where joint relaying beats optimally slotted
     TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, with
     the binomial standard error."""
-    seed = cfg.base.seed
-    if cfg.pmax_grid_db is not None:
-        pmax_grid = cfg.pmax_grid_db
-    else:
-        pmax_grid = (10.0 * np.log10(cfg.base.P_max / cfg.base.N0),)
-    cells = list(product(cfg.alpha_values, pmax_grid))
-    scens = [replace(cfg.base, alpha=a, P_max=cfg.base.N0 * db_to_linear(p))
-             for a, p in cells]
-    per_cell = _run_cells(_prob_trial, scens, cfg.n_trials, workers)
-    rows: list[ProbRow] = []
-    resampled = 0
-    for (alpha, pmax_db), results in zip(cells, per_cell):
-        wins = 0
-        for outcome, retries in results:
-            resampled += retries
-            wins += bool(outcome)
-        p = wins / cfg.n_trials
-        stderr = float(np.sqrt(p * (1.0 - p) / cfg.n_trials))
-        rows.append(
-            ProbRow(
-                alpha=alpha,
-                pmax_db=float(pmax_db),
-                probability=p,
-                stderr=stderr,
-                n_trials=cfg.n_trials,
-                seed=seed,
-            )
-        )
+    n, seed = cfg.n_trials, cfg.base.seed
+    grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max / cfg.base.N0)),)
+    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, _prob_value, workers)
+    rows = []
+    for (alpha, pmax_db), wins in zip(cells, per_cell):
+        p = sum(wins) / n
+        rows.append(ProbRow(alpha, pmax_db, p, float(np.sqrt(p * (1.0 - p) / n)), n, seed))
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 
 
@@ -361,18 +315,6 @@ def invariant_suite(
     Returns one outcome per invariant with the worst violation seen; used by
     the CLI ``check`` subcommand.
     """
-    worst = {
-        "aggregates_identity": 0.0,
-        "aggregates_psd": 0.0,
-        "rate_formula_equivalence": 0.0,
-        "bound_ordering": 0.0,
-        "lower_matches_logdet": 0.0,
-        "relay_power_equality": 0.0,
-        "tdma_kkt_spread": 0.0,
-        "tdma_slackness": 0.0,
-        "tau_simplex": 0.0,
-        "asymptotic_predicate": 0.0,
-    }
     thresholds = {
         "aggregates_identity": 1e-10,
         "aggregates_psd": 1e-10,
@@ -385,6 +327,7 @@ def invariant_suite(
         "tau_simplex": 1e-9,
         "asymptotic_predicate": 0.5,  # any disagreement counts as 1.0
     }
+    worst = dict.fromkeys(thresholds, 0.0)
     for t in range(n_trials):
         rng = trial_rng(scen.seed, t)
         c = sample_channel(scen, rng)
@@ -420,12 +363,5 @@ def invariant_suite(
         if abs(asym.joint_rate_inf - asym.rate_inf) > 1e-9:
             if asym.joint_wins != (asym.joint_rate_inf > asym.rate_inf):
                 worst["asymptotic_predicate"] = 1.0
-    return [
-        CheckOutcome(
-            name=name,
-            passed=worst[name] <= thresholds[name],
-            worst=worst[name],
-            threshold=thresholds[name],
-        )
-        for name in worst
-    ]
+    return [CheckOutcome(name, worst[name] <= limit, worst[name], limit)
+            for name, limit in thresholds.items()]

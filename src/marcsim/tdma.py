@@ -78,13 +78,14 @@ class AsymptoticResult:
     joint_wins: bool
 
 
-def _slot_consts(c: ChannelRealization, k: int) -> tuple[float, float, float]:
-    """(d, nr, hp) for user k of a noise-normalized realization:
-    d = |h_d|^2 P, nr = ||h_r||^2 P, hp = ||h||^2 P_r."""
-    d = float(abs(c.h_d[k]) ** 2 * c.P[k])
-    nr = float(np.linalg.norm(c.h_r[k]) ** 2 * c.P[k])
+def _slot_consts(c: ChannelRealization) -> list[tuple[float, float, float]]:
+    """(d, nr, hp) for every user of a noise-normalized realization:
+    d = |h_d|^2 P, nr = ||h_r||^2 P, and hp = ||h||^2 P_r, common to all."""
     hp = float(np.linalg.norm(c.h) ** 2 * c.P_r)
-    return d, nr, hp
+    return [
+        (float(abs(c.h_d[k]) ** 2 * c.P[k]), float(np.linalg.norm(c.h_r[k]) ** 2 * c.P[k]), hp)
+        for k in range(c.K)
+    ]
 
 
 def _slot_rate(d: float, nr: float, hp: float, tau: float) -> float:
@@ -162,9 +163,7 @@ def single_user_rate(c: ChannelRealization, k: int) -> float:
     c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
-    d, nr, hp = _slot_consts(c, k)
-    relay = hp * nr / (1.0 + hp + nr) if nr > 0.0 and hp > 0.0 else 0.0
-    return log1p(d + relay) / _LN2
+    return _slot_rate(*_slot_consts(c)[k], 1.0)
 
 
 def user_rate(c: ChannelRealization, k: int, tau):
@@ -175,9 +174,9 @@ def user_rate(c: ChannelRealization, k: int, tau):
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr < 0) or np.any(tau_arr > 1):
+    if not np.all((tau_arr >= 0) & (tau_arr <= 1)):
         raise ValidationError("slot durations must lie in [0, 1]")
-    d, nr, hp = _slot_consts(c, k)
+    d, nr, hp = _slot_consts(c)[k]
     if tau_arr.ndim == 0:
         return _slot_rate(d, nr, hp, float(tau_arr))
     out = np.zeros_like(tau_arr)
@@ -196,10 +195,9 @@ def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
-    if tau <= 0:
+    if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    d, nr, hp = _slot_consts(c, k)
-    return _slot_deriv(d, nr, hp, tau)
+    return _slot_deriv(*_slot_consts(c)[k], tau)
 
 
 def _slot_at_level(consts, g0: float, g1: float, nu: float, t: float):
@@ -237,11 +235,11 @@ def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocati
     cap or the marginal rates of the users with a slot differ by more than
     epsilon.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     c = c.normalized()
     K = c.K
-    consts = [_slot_consts(c, k) for k in range(K)]
+    consts = _slot_consts(c)
     active = [k for k in range(K) if _slot_deriv(*consts[k], 0.0) > 0.0]
     tau = np.zeros(K)
     if not active:
@@ -291,10 +289,13 @@ def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocati
 def kkt_slackness(c: ChannelRealization, tau) -> float:
     """Complementary-slackness violation of slot durations tau: the largest
     excess of R_k'(0) over nu, the largest marginal rate among users with a
-    slot, over users with tau_k = 0 (0.0 when none exceeds nu)."""
+    slot, over users with tau_k = 0 (0.0 when none exceeds nu). tau must hold
+    K durations in [0, 1], at least one of them positive."""
     c = c.normalized()
     tau = np.asarray(tau, dtype=float)
-    g = [_slot_deriv(*_slot_consts(c, k), tau[k]) for k in range(c.K)]
+    if tau.shape != (c.K,) or not np.all((tau >= 0) & (tau <= 1)) or not np.any(tau > 0):
+        raise ValidationError(f"need {c.K} slot durations in [0, 1], not all zero, got {tau}")
+    g = [_slot_deriv(*u, t) for u, t in zip(_slot_consts(c), tau)]
     nu = max(g[k] for k in range(c.K) if tau[k] > 0.0)
     return max([0.0] + [g[k] - nu for k in range(c.K) if tau[k] == 0.0])
 

@@ -21,6 +21,10 @@ def test_parse_grid_single_and_range():
         _parse_grid("0:10")
     with pytest.raises(ValidationError):
         _parse_grid("10:0:5")
+    for spec in ("0:inf:1", "0:1:nan", "-inf:0:1", "nan", "inf", "abc", "0:1:x",
+                 "-1e308:1e308:1", "0:1:1e-320"):
+        with pytest.raises(ValidationError):
+            _parse_grid(spec)
 
 
 def test_sample_emits_valid_deterministic_json(capsys):
@@ -108,6 +112,11 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "nonsense-command")[0] == 1
     assert run_cli(capsys, "sweep", "--trials", "2", "--workers", "0")[0] == 1
     assert run_cli(capsys, "prob", "--trials", "2", "--workers", "-3")[0] == 1
+    for flags in (["--pr-db", "0:inf:1"], ["--pr-db", "0:1:nan"], ["--pr-db", "4000"],
+                  ["--pmax-db", "abc"], ["--epsilon", "nan"], ["--epsilon", "0"]):
+        for command in ("sweep", "prob"):
+            code, _, err = run_cli(capsys, command, "--trials", "2", *flags)
+            assert code == 1 and err.startswith("error:"), (command, flags, err)
 
 
 def test_invalid_scenario_exit_one(capsys):

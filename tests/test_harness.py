@@ -106,6 +106,28 @@ def test_sweep_rows_complete_and_ordered():
     assert parsed == sorted(parsed)
 
 
+def test_rows_in_csv_order_for_unsorted_grids():
+    # cells run in sorted (alpha, dB) order, so the grid order given is moot
+    # and to_csv writes the rows as they are
+    for run in (run_sweep, estimate_superiority_probability):
+        ordered = run(small_cfg(n_trials=3, pmax_grid_db=(0.0, 10.0)))
+        shuffled = run(small_cfg(n_trials=3, alpha_values=(1.0, 0.5),
+                                 pr_grid_db=(10.0, 0.0), pmax_grid_db=(10.0, 0.0)))
+        assert shuffled == ordered
+        keys = [(r.alpha, r.pr_db, r.metric) if run is run_sweep else (r.alpha, r.pmax_db)
+                for r in ordered.rows]
+        assert keys == sorted(keys)
+    # a repeated alpha repeats its cell; its rows interleave by metric
+    keys = [(r.alpha, r.pr_db, r.metric)
+            for r in run_sweep(small_cfg(n_trials=2, alpha_values=(1.0, 0.5, 1.0))).rows]
+    assert keys == sorted(keys)
+
+
+def test_one_result_class_writes_both_tables():
+    assert harness_mod.SweepResult is harness_mod.ProbResult
+    assert harness_mod.SweepResult(rows=()).to_csv() == ""
+
+
 def test_sweep_aggregated_bound_ordering():
     cfg = small_cfg(n_trials=20)
     rows = {(r.alpha, r.pr_db, r.metric): r.mean for r in run_sweep(cfg).rows}
@@ -185,6 +207,10 @@ def test_sweep_config_validation():
         SweepConfig(base=base, alpha_values=())
     with pytest.raises(ValidationError):
         SweepConfig(base=base, epsilon=-1.0)
+    with pytest.raises(ValidationError):
+        SweepConfig(base=base, epsilon=float("nan"))
+    with pytest.raises(ValidationError):
+        SweepConfig(base=base, pmax_grid_db=())
 
 
 def test_invariant_suite_clean_on_random_scenarios():

@@ -122,6 +122,22 @@ def test_user_rate_validates_range(make_channel):
         user_rate(c, 0, 1.5)
 
 
+def test_user_rate_rejects_nan(make_channel):
+    c = make_channel()
+    with pytest.raises(ValidationError):
+        user_rate(c, 0, float("nan"))
+    with pytest.raises(ValidationError):
+        user_rate(c, 0, np.array([0.5, np.nan]))
+
+
+def test_single_user_rate_is_the_full_slot_rate(make_channel):
+    # one slot-rate formula: the single-user rate is the rate of a full slot
+    for seed in range(5):
+        c = make_channel(seed=seed, K=3, alpha=(0.0, 1.0)[seed % 2])
+        for k in range(3):
+            assert single_user_rate(c, k) == user_rate(c, k, 1.0)
+
+
 def test_derivative_matches_finite_differences(make_channel):
     rng = np.random.default_rng(7)
     for seed in range(30):
@@ -159,6 +175,13 @@ def test_derivative_validates_tau(make_channel):
     c = make_channel()
     with pytest.raises(ValidationError):
         user_rate_derivative(c, 0, 0.0)
+
+
+def test_derivative_rejects_nan(make_channel):
+    # a NaN slot once reached the _log_excess series, which never ended on it
+    c = make_channel()
+    with pytest.raises(ValidationError):
+        user_rate_derivative(c, 0, float("nan"))
 
 
 def test_user_rate_concave(make_channel):
@@ -273,6 +296,15 @@ def test_kkt_slackness_flags_a_starved_user():
     assert kkt_slackness(c, [0.0, 1.0]) == np.inf
 
 
+@pytest.mark.parametrize(
+    "tau", [[0.0, 0.0, 0.0], [0.5, 0.5], [0.2, 0.3, 0.5, 0.0], [0.5, np.nan, 0.5],
+            [-0.5, 1.0, 0.5], [[0.5, 0.5, 0.0]]],
+)
+def test_kkt_slackness_validates_tau(make_channel, tau):
+    with pytest.raises(ValidationError):
+        kkt_slackness(make_channel(K=3), tau)
+
+
 def test_sum_rate_invariant_to_user_relabeling(make_channel):
     c = make_channel(seed=7, K=4, M_r=2)
     perm = [2, 0, 3, 1]
@@ -325,6 +357,8 @@ def test_corner_solution_pins_weak_user_to_zero():
 def test_epsilon_validation(make_channel):
     with pytest.raises(ValidationError):
         optimize_slots(make_channel(), epsilon=0.0)
+    with pytest.raises(ValidationError):
+        optimize_slots(make_channel(), epsilon=float("nan"))
 
 
 # --------------------------------------------------------------------------
