@@ -33,7 +33,6 @@ from .harness import (
 from .joint import (
     JointRateBounds,
     RelayMatrix,
-    achieved_rate_ub1,
     lower_bound,
     relay_matrix_lower,
     relay_matrix_ub1,
@@ -82,7 +81,6 @@ __all__ = [
     "run_sweep",
     "JointRateBounds",
     "RelayMatrix",
-    "achieved_rate_ub1",
     "lower_bound",
     "relay_matrix_lower",
     "relay_matrix_ub1",

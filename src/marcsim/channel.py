@@ -2,8 +2,10 @@
 
 A realization holds the user-to-relay vectors h_r^(k), the scalar direct
 links h_d^(k), the relay-to-receiver vector h (stored unconjugated; the
-forward channel is h^H), per-user transmit powers P^(k), the relay power
-budget P_r and the receiver noise variance N0.
+forward channel is h^H), per-user transmit powers P^(k) and the relay power
+budget P_r. The noise at the relay and at the receiver has unit variance, so
+every power is a signal-to-noise ratio; a channel JSON file that states a
+noise variance N0 is folded to unit noise when it is parsed.
 
 Fading model used by :func:`sample_channel`: every entry of h_r and h is
 circularly-symmetric complex Gaussian with unit variance, the direct links
@@ -13,7 +15,7 @@ are CN(0, alpha^2), and the per-user powers are uniform on [0, P_max].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +43,13 @@ class ScenarioConfig:
     M_r: int = 2  # relay antennas
     P_max: float = 10.0  # per-user power drawn uniformly from [0, P_max]
     P_r: float = 10.0  # relay power budget
-    N0: float = 1.0  # receiver noise variance
     alpha: float = 1.0  # direct-link strength multiplier
     seed: int = 0
 
     def __post_init__(self):
         if self.K < 1 or self.M_r < 1:
             raise ValidationError(f"K and M_r must be >= 1, got K={self.K}, M_r={self.M_r}")
-        for name in ("P_max", "P_r", "N0", "alpha"):
+        for name in ("P_max", "P_r", "alpha"):
             val = getattr(self, name)
             if not np.isfinite(val):
                 raise ValidationError(f"{name} must be finite, got {val}")
@@ -56,8 +57,6 @@ class ScenarioConfig:
             raise ValidationError(f"P_max must be positive, got {self.P_max}")
         if self.P_r < 0 or self.alpha < 0:
             raise ValidationError("P_r and alpha must be nonnegative")
-        if self.N0 <= 0:
-            raise ValidationError(f"N0 must be positive, got {self.N0}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
@@ -71,7 +70,6 @@ class ChannelRealization:
     h: np.ndarray  # (M_r,) relay-to-receiver channel (forward channel is h^H)
     P: np.ndarray  # (K,) per-user transmit powers
     P_r: float
-    N0: float = 1.0
 
     def __post_init__(self):
         h_r = np.atleast_2d(np.asarray(self.h_r, dtype=complex))
@@ -95,8 +93,6 @@ class ChannelRealization:
             raise ValidationError("P must be finite and nonnegative")
         if not np.isfinite(self.P_r) or self.P_r < 0:
             raise ValidationError(f"P_r must be finite and nonnegative, got {self.P_r}")
-        if not np.isfinite(self.N0) or self.N0 <= 0:
-            raise ValidationError(f"N0 must be finite and positive, got {self.N0}")
         for arr in (h_r, h_d, h, P):
             arr.flags.writeable = False
 
@@ -107,16 +103,6 @@ class ChannelRealization:
     @property
     def M_r(self) -> int:
         return self.h_r.shape[1]
-
-    def normalized(self) -> "ChannelRealization":
-        """Equivalent realization with unit noise variance.
-
-        Noise is folded into the power budgets (P -> P/N0, P_r -> P_r/N0) so
-        the unit-noise rate formulas apply unchanged.
-        """
-        if self.N0 == 1.0:
-            return self
-        return replace(self, P=self.P / self.N0, P_r=self.P_r / self.N0, N0=1.0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +143,7 @@ def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelReal
     h = _cn(rng, cfg.M_r)
     h_d = cfg.alpha * _cn(rng, cfg.K)
     P = rng.uniform(0.0, cfg.P_max, cfg.K)
-    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r, N0=cfg.N0)
+    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
 
 
 def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
@@ -219,14 +205,17 @@ def realization_to_json(c: ChannelRealization) -> str:
         "h": [pair(z) for z in c.h],
         "P": [float(p) for p in c.P],
         "P_r": float(c.P_r),
-        "N0": float(c.N0),
     }
     return json.dumps(doc, indent=2)
 
 
 def realization_from_json(text: str) -> ChannelRealization:
     """Parse a realization from the JSON layout written by
-    :func:`realization_to_json`."""
+    :func:`realization_to_json`.
+
+    An optional noise variance "N0" (finite, > 0) is folded into the powers,
+    P -> P/N0 and P_r -> P_r/N0, giving the equivalent unit-noise
+    realization."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -248,4 +237,6 @@ def realization_from_json(text: str) -> ChannelRealization:
         raise ValidationError(f"malformed realization document: {exc}") from exc
     if h_r.ndim != 2:
         raise ValidationError("h_r must be a list of per-user channel vectors")
-    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=P_r, N0=N0)
+    if not (np.isfinite(N0) and N0 > 0):
+        raise ValidationError(f"N0 must be finite and positive, got {N0}")
+    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P / N0, P_r=P_r / N0)

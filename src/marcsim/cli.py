@@ -40,8 +40,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_MAX_GRID_POINTS = 10_000  # more points is a mistyped spec, not a feasible run
+
+
 def _parse_grid(spec: str) -> tuple[float, ...]:
-    """Parse a grid spec: either a single value or lo:hi:step (inclusive)."""
+    """Parse a grid spec: either a single value or lo:hi:step (inclusive),
+    of at most _MAX_GRID_POINTS values."""
     try:
         parts = [float(p) for p in spec.split(":")]
     except ValueError:
@@ -56,62 +60,54 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     if step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
         raise ValidationError(f"invalid grid spec {spec!r}")
     count = int((hi - lo) / step + 1e-9) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ValidationError(f"grid spec {spec!r} has {count} points, over {_MAX_GRID_POINTS}")
     return tuple(lo + i * step for i in range(count))
 
 
-def _add_common(p: argparse.ArgumentParser, trials_default: int):
-    p.add_argument("--users", type=int, default=3, metavar="K", help="number of users")
-    p.add_argument("--antennas", type=int, default=2, metavar="M", help="relay antennas")
-    p.add_argument(
-        "--alpha",
-        type=float,
-        action="append",
-        metavar="A",
-        help="direct-link strength multiplier (repeatable; default 1.0)",
-    )
-    p.add_argument(
-        "--pr-db",
-        default="10",
-        metavar="LO:HI:STEP",
-        help="relay power over N0 in dB, single value or range spec",
-    )
-    p.add_argument(
-        "--pmax-db",
-        default="10",
-        metavar="LO:HI:STEP",
-        help="peak user power over N0 in dB, single value or range spec",
-    )
-    p.add_argument("--trials", type=int, default=trials_default, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--epsilon", type=float, default=1e-8, metavar="E",
-                   help="slot-optimizer derivative spread tolerance")
-    p.add_argument("--out", default="", metavar="PATH", help="output path (default stdout)")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="parallel worker processes (results identical for any W)")
+def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: int = 0):
+    """Add the named flags to subcommand p. The power axis named by swept
+    takes a range spec and, with it, --alpha may repeat; every other axis
+    takes one value."""
+    specs = {
+        "users": dict(type=int, default=3, metavar="K", help="number of users"),
+        "antennas": dict(type=int, default=2, metavar="M", help="relay antennas"),
+        "alpha": dict(type=float, action="append", metavar="A",
+                      help="direct-link strength multiplier (default 1.0)"),
+        "pr-db": dict(default="10", metavar="DB", help="relay power, dB over the noise"),
+        "pmax-db": dict(default="10", metavar="DB", help="peak user power, dB over the noise"),
+        "trials": dict(type=int, default=trials, metavar="N"),
+        "seed": dict(type=int, default=0, metavar="S"),
+        "epsilon": dict(type=float, default=1e-8, metavar="E",
+                        help="slot-optimizer derivative spread tolerance"),
+        "out": dict(default="", metavar="PATH", help="output path (default stdout)"),
+        "workers": dict(type=int, default=1, metavar="W",
+                        help="parallel worker processes (results identical for any W)"),
+    }
+    if swept:
+        specs[swept].update(metavar="LO:HI:STEP", help=specs[swept]["help"] + ", or a range")
+        specs["alpha"]["help"] += "; repeatable"
+    for name in names.split():
+        p.add_argument("--" + name, **specs[name])
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marcsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="emit one channel realization as JSON")
-    _add_common(p, trials_default=1)
-
+    scenario = "users antennas alpha pr-db pmax-db seed out"
+    for name, help_, flags, swept, trials in (
+        ("sample", "emit one channel realization as JSON", scenario, "", 0),
+        ("sweep", "alpha x P_r metric grid -> CSV",
+         scenario + " trials epsilon workers", "pr-db", 1000),
+        ("prob", "alpha x P_max superiority probabilities -> CSV",
+         "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
+        ("check", "invariant suite on random instances", scenario + " trials epsilon", "", 100),
+    ):
+        _add_flags(sub.add_parser(name, help=help_), flags, swept, trials)
     p = sub.add_parser("eval", help="metrics for a JSON realization")
     p.add_argument("realization", help="path to a realization JSON ('-' for stdin)")
-    p.add_argument("--epsilon", type=float, default=1e-8, metavar="E")
-    p.add_argument("--out", default="", metavar="PATH")
-
-    p = sub.add_parser("sweep", help="alpha x P_r metric grid -> CSV")
-    _add_common(p, trials_default=1000)
-
-    p = sub.add_parser("prob", help="alpha x P_max superiority probabilities -> CSV")
-    _add_common(p, trials_default=1000)
-
-    p = sub.add_parser("check", help="invariant suite on random instances")
-    _add_common(p, trials_default=100)
-
+    _add_flags(p, "epsilon out")
     return parser
 
 
@@ -127,20 +123,27 @@ def _alphas(args) -> tuple[float, ...]:
     return tuple(args.alpha) if args.alpha else (1.0,)
 
 
-def _base_scenario(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        K=args.users,
-        M_r=args.antennas,
-        P_max=db_to_linear(_parse_grid(args.pmax_db)[0]),
-        P_r=db_to_linear(_parse_grid(args.pr_db)[0]),
-        N0=1.0,
-        alpha=_alphas(args)[0],
-        seed=args.seed,
-    )
+def _scenario(args, **axes) -> ScenarioConfig:
+    return ScenarioConfig(K=args.users, M_r=args.antennas, seed=args.seed, **axes)
+
+
+def _one_power(spec: str, flag: str) -> float:
+    """Linear power of a power axis that takes one value here."""
+    if ":" in spec:
+        raise ValidationError(f"{flag} takes one value here, not the range {spec!r}")
+    return db_to_linear(_parse_grid(spec)[0])
+
+
+def _single_scenario(args) -> ScenarioConfig:
+    """The one scenario of sample and check, where every axis takes one value."""
+    if len(_alphas(args)) > 1:
+        raise ValidationError("--alpha takes one value here")
+    return _scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db"),
+                     P_r=_one_power(args.pr_db, "--pr-db"), alpha=_alphas(args)[0])
 
 
 def _cmd_sample(args) -> int:
-    scen = _base_scenario(args)
+    scen = _single_scenario(args)
     c = sample_channel(scen, trial_rng(scen.seed, 0))
     _write_text(args.out, realization_to_json(c) + "\n")
     return 0
@@ -158,21 +161,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_config(args) -> SweepConfig:
-    return SweepConfig(
-        base=_base_scenario(args),
-        alpha_values=_alphas(args),
-        pr_grid_db=_parse_grid(args.pr_db),
-        n_trials=args.trials,
-        epsilon=args.epsilon,
-        pmax_grid_db=_parse_grid(args.pmax_db),
-    )
-
-
 def _cmd_table(args) -> int:
     # Looked up at call time, so that a rebound module global is the one run.
-    run = run_sweep if args.command == "sweep" else estimate_superiority_probability
-    result = run(_sweep_config(args), workers=args.workers)
+    if args.command == "sweep":
+        run = run_sweep
+        cfg = SweepConfig(base=_scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db")),
+                          alpha_values=_alphas(args), pr_grid_db=_parse_grid(args.pr_db),
+                          n_trials=args.trials, epsilon=args.epsilon)
+    else:
+        run = estimate_superiority_probability
+        cfg = SweepConfig(base=_scenario(args), alpha_values=_alphas(args),
+                          n_trials=args.trials, pmax_grid_db=_parse_grid(args.pmax_db))
+    result = run(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
     if result.resampled_trials:
         print(f"resampled_trials={result.resampled_trials}", file=sys.stderr)
@@ -180,8 +180,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    scen = _base_scenario(args)
-    outcomes = invariant_suite(scen, n_trials=args.trials, epsilon=args.epsilon)
+    outcomes = invariant_suite(_single_scenario(args), n_trials=args.trials, epsilon=args.epsilon)
     lines = []
     all_ok = True
     for o in outcomes:

@@ -74,9 +74,9 @@ def db_to_linear(db: float) -> float:
 class SweepConfig:
     """Grid specification for the Monte Carlo sweeps.
 
-    pr_grid_db and pmax_grid_db are relative to N0 (P = N0 * 10^(dB/10));
-    pmax_grid_db is only consulted by the superiority-probability table and
-    defaults to the base scenario's P_max.
+    pr_grid_db and pmax_grid_db are in dB over the unit noise
+    (P = 10^(dB/10)); pmax_grid_db is only consulted by the
+    superiority-probability table and defaults to the base scenario's P_max.
     """
 
     base: ScenarioConfig
@@ -256,11 +256,11 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
 
 def _run_table(cfg: SweepConfig, power: str, grid_db, evaluate, workers: int):
     """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell, where
-    dB sets the scenario's ``power`` ("P_r" or "P_max") over N0. Returns the
-    cells in sorted order, each cell's per-trial values and the total number
-    of resamples."""
+    dB sets the scenario's ``power`` ("P_r" or "P_max"). Returns the cells
+    in sorted order, each cell's per-trial values and the total number of
+    resamples."""
     cells = sorted(product(cfg.alpha_values, grid_db))
-    scens = [replace(cfg.base, alpha=a, **{power: cfg.base.N0 * db_to_linear(db)})
+    scens = [replace(cfg.base, alpha=a, **{power: db_to_linear(db)})
              for a, db in cells]
     per_cell = _run_cells(evaluate, scens, cfg.n_trials, workers)
     resampled = sum(retries for results in per_cell for _, retries in results)
@@ -290,7 +290,7 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, with
     the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
-    grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max / cfg.base.N0)),)
+    grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max)),)
     cells, per_cell, resampled = _run_table(cfg, "P_max", grid, _prob_value, workers)
     rows = []
     for (alpha, pmax_db), wins in zip(cells, per_cell):
@@ -348,10 +348,9 @@ def invariant_suite(
         worst["lower_matches_logdet"] = max(
             worst["lower_matches_logdet"], abs(b.r_lower - sum_rate_logdet(b.f_lower, c))
         )
-        pr = c.normalized().P_r
         worst["relay_power_equality"] = max(
             worst["relay_power_equality"],
-            abs(relay_tx_power(b.f_lower.F, c.normalized()) - pr) / max(1.0, pr),
+            abs(relay_tx_power(b.f_lower.F, c) - c.P_r) / max(1.0, c.P_r),
         )
 
         alloc = optimize_slots(c, epsilon)

@@ -10,10 +10,7 @@ aggregates). The optimal F is not known; this module provides
 * ``lower_bound``    -- rank-one beamforming along the dominant direction of
   R + W, scaled to spend the full relay budget (achievable).
 
-Rates are bits per channel use. Noise is folded in by operating on the
-noise-normalized realization (P/N0, P_r/N0), so relay matrices returned here
-are expressed in that normalized domain; with the default N0 = 1 this is the
-physical domain.
+Rates are bits per channel use.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "upper_bound_2",
     "relay_matrix_lower",
     "lower_bound",
-    "achieved_rate_ub1",
 ]
 
 _ORDER_SLACK = 1e-9
@@ -94,7 +90,6 @@ def sum_rate_logdet(F, c: ChannelRealization) -> float:
     """Ground-truth sum rate log2 det(I + sum_k P^(k) h_eff h_eff^H),
     evaluated as a closed-form 2x2 determinant."""
     F = _as_matrix(F)
-    c = c.normalized()
     heff = np.array([effective_channel(F, c, k) for k in range(c.K)])
     a, b = heff[:, 0], heff[:, 1]
     saa = float(np.sum(c.P * np.abs(a) ** 2))
@@ -109,7 +104,6 @@ def sum_rate_closed(F, c: ChannelRealization) -> float:
     """Same sum rate via the aggregate form
     log2(1 + s + h^H F (R + W) F^H h / r), r = 1 + h^H F F^H h."""
     F = _as_matrix(F)
-    c = c.normalized()
     agg = compute_aggregates(c)
     fh = F.conj().T @ c.h
     r = 1.0 + float(np.real(fh.conj() @ fh))
@@ -120,8 +114,8 @@ def sum_rate_closed(F, c: ChannelRealization) -> float:
 @dataclass(frozen=True)
 class _JointPass:
     """What every joint bound and relay matrix reads, computed once: the
-    noise-normalized realization, its aggregates, ||h|| and the dominant
-    eigenpairs of R and R + W."""
+    realization, its aggregates, ||h|| and the dominant eigenpairs of R and
+    R + W."""
 
     c: ChannelRealization
     agg: ChannelAggregates
@@ -133,7 +127,6 @@ class _JointPass:
 
     @classmethod
     def of(cls, c: ChannelRealization) -> "_JointPass":
-        c = c.normalized()
         agg = compute_aggregates(c)
         lam_r, v_r = dominant_eigenpair(agg.R)
         lam_rw, v_rw = dominant_eigenpair(agg.R + agg.W)
@@ -200,11 +193,3 @@ def lower_bound(c: ChannelRealization) -> JointRateBounds:
         r_up1=p.r_up1(), r_up2=p.r_up2(), r_lower=r_lower, f_lower=f_lower, gamma=gamma
     )
 
-
-def achieved_rate_ub1(c: ChannelRealization) -> float:
-    """Diagnostic: the true rate achieved by the first bound's relay matrix.
-
-    Usually below the rank-one lower bound, but no per-instance ordering is
-    guaranteed; kept out of :class:`JointRateBounds` for that reason.
-    """
-    return sum_rate_logdet(relay_matrix_ub1(c), c)

@@ -79,7 +79,7 @@ class AsymptoticResult:
 
 
 def _slot_consts(c: ChannelRealization) -> list[tuple[float, float, float]]:
-    """(d, nr, hp) for every user of a noise-normalized realization:
+    """(d, nr, hp) for every user of a realization:
     d = |h_d|^2 P, nr = ||h_r||^2 P, and hp = ||h||^2 P_r, common to all."""
     hp = float(np.linalg.norm(c.h) ** 2 * c.P_r)
     return [
@@ -144,7 +144,6 @@ def single_user_relay_matrix(c: ChannelRealization, k: int) -> RelayMatrix:
 
     A zero channel on either hop yields F = 0 (the rate falls back to the
     direct link)."""
-    c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
     hn = float(np.linalg.norm(c.h))
@@ -160,7 +159,6 @@ def single_user_rate(c: ChannelRealization, k: int) -> float:
     """Rate of user k alone with the matched relay matrix:
     log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P)).
     """
-    c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
     return _slot_rate(*_slot_consts(c)[k], 1.0)
@@ -170,7 +168,6 @@ def user_rate(c: ChannelRealization, k: int, tau):
     """Rate of user k in a slot of duration tau (power boosted to P/tau),
     continuously extended to 0 at tau = 0. Accepts a scalar or an array of
     durations."""
-    c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
     tau_arr = np.asarray(tau, dtype=float)
@@ -192,7 +189,6 @@ def user_rate(c: ChannelRealization, k: int, tau):
 def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     """Marginal rate dR^(k)/dtau at tau > 0 (analytic form; strictly
     decreasing in tau)."""
-    c = c.normalized()
     if not 0 <= k < c.K:
         raise ValidationError(f"user index {k} out of range for K={c.K}")
     if not tau > 0:
@@ -237,7 +233,6 @@ def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocati
     """
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    c = c.normalized()
     K = c.K
     consts = _slot_consts(c)
     active = [k for k in range(K) if _slot_deriv(*consts[k], 0.0) > 0.0]
@@ -291,7 +286,6 @@ def kkt_slackness(c: ChannelRealization, tau) -> float:
     excess of R_k'(0) over nu, the largest marginal rate among users with a
     slot, over users with tau_k = 0 (0.0 when none exceeds nu). tau must hold
     K durations in [0, 1], at least one of them positive."""
-    c = c.normalized()
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (c.K,) or not np.all((tau >= 0) & (tau <= 1)) or not np.any(tau > 0):
         raise ValidationError(f"need {c.K} slot durations in [0, 1], not all zero, got {tau}")
@@ -313,7 +307,6 @@ def asymptotic_allocation(c: ChannelRealization) -> AsymptoticResult:
     The optimal durations become proportional to P^(k) (|h_d|^2 + ||h_r||^2)
     and the TDMA sum rate tends to log2(1 + sum_k P^(k)(|h_d|^2 + ||h_r||^2));
     the joint scheme tends to its power-unconstrained upper bound."""
-    c = c.normalized()
     relay_norms = np.linalg.norm(c.h_r, axis=1) ** 2
     relay_sum = float(np.sum(relay_norms * c.P))
     weights = c.P * (np.abs(c.h_d) ** 2 + relay_norms)

@@ -8,10 +8,8 @@ from marcsim import ChannelRealization, ScenarioConfig, sample_channel, trial_rn
 def make_channel():
     """Factory for random realizations with a controlled seed."""
 
-    def _make(seed=0, K=3, M_r=2, alpha=1.0, P_max=10.0, P_r=10.0, N0=1.0, trial=0):
-        cfg = ScenarioConfig(
-            K=K, M_r=M_r, P_max=P_max, P_r=P_r, N0=N0, alpha=alpha, seed=seed
-        )
+    def _make(seed=0, K=3, M_r=2, alpha=1.0, P_max=10.0, P_r=10.0, trial=0):
+        cfg = ScenarioConfig(K=K, M_r=M_r, P_max=P_max, P_r=P_r, alpha=alpha, seed=seed)
         return sample_channel(cfg, trial_rng(seed, trial))
 
     return _make

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,13 +185,15 @@ def test_effective_channel_index_validation(make_channel):
 
 
 def test_json_roundtrip(make_channel):
-    c = make_channel(seed=17, K=3, M_r=2, N0=2.5)
-    c2 = realization_from_json(realization_to_json(c))
+    c = make_channel(seed=17, K=3, M_r=2)
+    text = realization_to_json(c)
+    assert "N0" not in json.loads(text)
+    c2 = realization_from_json(text)
     assert np.array_equal(c.h_r, c2.h_r)
     assert np.array_equal(c.h_d, c2.h_d)
     assert np.array_equal(c.h, c2.h)
     assert np.array_equal(c.P, c2.P)
-    assert c.P_r == c2.P_r and c.N0 == c2.N0
+    assert c.P_r == c2.P_r
 
 
 def test_json_rejects_garbage():
@@ -199,13 +203,15 @@ def test_json_rejects_garbage():
         realization_from_json('{"h_r": [[1.0]], "h_d": [[0,0]], "h": [[0,0]], "P": [1]}')
 
 
-def test_normalized_folds_noise(make_channel):
-    c = make_channel(seed=2, N0=4.0)
-    cn = c.normalized()
-    assert cn.N0 == 1.0
-    assert np.allclose(cn.P, c.P / 4.0)
-    assert cn.P_r == pytest.approx(c.P_r / 4.0)
-    assert np.array_equal(cn.h_r, c.h_r)
+def test_json_folds_noise(make_channel):
+    # A document's noise variance is folded into the powers; channels are kept.
+    c = make_channel(seed=2)
+    doc = json.loads(realization_to_json(c))
+    cn = realization_from_json(json.dumps({**doc, "N0": 4}))
+    assert np.array_equal(cn.P, c.P / 4.0)
+    assert cn.P_r == c.P_r / 4.0
+    for name in ("h_r", "h_d", "h"):
+        assert np.array_equal(getattr(cn, name), getattr(c, name))
 
 
 def test_realization_validation():
@@ -213,8 +219,11 @@ def test_realization_validation():
         ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[-1.0], P_r=1.0)
     with pytest.raises(ValidationError):
         ChannelRealization(h_r=[[1.0]], h_d=[1.0, 2.0], h=[1.0], P=[1.0], P_r=1.0)
-    with pytest.raises(ValidationError):
-        ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[1.0], P_r=1.0, N0=0.0)
+    doc = json.loads(realization_to_json(
+        ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[1.0], P_r=1.0)))
+    for n0 in (0, -1, float("nan"), float("inf"), "x"):
+        with pytest.raises(ValidationError):
+            realization_from_json(json.dumps({**doc, "N0": n0}))
 
 
 def test_scenario_validation():

@@ -22,7 +22,7 @@ def test_parse_grid_single_and_range():
     with pytest.raises(ValidationError):
         _parse_grid("10:0:5")
     for spec in ("0:inf:1", "0:1:nan", "-inf:0:1", "nan", "inf", "abc", "0:1:x",
-                 "-1e308:1e308:1", "0:1:1e-320"):
+                 "-1e308:1e308:1", "0:1:1e-320", "0:1e12:1"):
         with pytest.raises(ValidationError):
             _parse_grid(spec)
 
@@ -52,6 +52,21 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
     assert doc["tdma"]["sum_rate"] == pytest.approx(direct.tdma.sum_rate)
     assert doc["joint"]["r_lower"] <= doc["joint"]["r_up_min"] + 1e-9
     assert doc["asymptotic"]["joint_wins"] == direct.asymptotic.joint_wins
+
+
+def test_eval_folds_json_noise(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "sample", "--users", "3", "--seed", "5")
+    doc = json.loads(out)
+    noisy = {**doc, "N0": 2.5}
+    folded = {**doc, "P": [p / 2.5 for p in doc["P"]], "P_r": doc["P_r"] / 2.5}
+    outs = []
+    for name, d in (("noisy", noisy), ("folded", folded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code, out, _ = run_cli(capsys, "eval", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_eval_missing_file_is_io_error(capsys):
@@ -117,6 +132,15 @@ def test_bad_flags_exit_one(capsys):
         for command in ("sweep", "prob"):
             code, _, err = run_cli(capsys, command, "--trials", "2", *flags)
             assert code == 1 and err.startswith("error:"), (command, flags, err)
+    # Flags a subcommand does not read, and ranges or repeats on an axis that
+    # takes one value.
+    for argv in (["sample", "--workers", "2"], ["sample", "--trials", "5"],
+                 ["check", "--workers", "2"], ["prob", "--pr-db", "10"],
+                 ["prob", "--epsilon", "1e-6"], ["check", "--pr-db", "0:40:10"],
+                 ["sample", "--alpha", "0.1", "--alpha", "1"],
+                 ["sweep", "--pmax-db", "0:20:10"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), (argv, err)
 
 
 def test_invalid_scenario_exit_one(capsys):

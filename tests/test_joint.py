@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from marcsim import (
     ChannelRealization,
-    achieved_rate_ub1,
     compute_aggregates,
     lower_bound,
+    realization_from_json,
     relay_matrix_lower,
     relay_matrix_ub1,
     relay_tx_power,
@@ -34,8 +36,10 @@ def test_zero_power_zero_rate(rng):
 
 
 def test_direct_only_awgn_capacity():
-    # F = 0, one user: plain AWGN capacity of the direct link, N0 folded in
-    c = ChannelRealization(h_r=[[1.0]], h_d=[2.0], h=[1.0], P=[3.0], P_r=1.0, N0=2.0)
+    # F = 0, one user: plain AWGN capacity of the direct link, with the
+    # document's N0 folded into the power
+    c = realization_from_json(json.dumps(
+        {"h_r": [[[1, 0]]], "h_d": [[2, 0]], "h": [[1, 0]], "P": [3.0], "P_r": 1.0, "N0": 2.0}))
     assert sum_rate_logdet(np.zeros((1, 1)), c) == pytest.approx(np.log2(1 + 4 * 3 / 2))
 
 
@@ -250,4 +254,4 @@ def test_diagnostic_rate_stays_below_bounds(make_channel):
     for seed in range(10):
         c = make_channel(seed=seed, K=3, M_r=2)
         b = lower_bound(c)
-        assert achieved_rate_ub1(c) <= min(b.r_up1, b.r_up2) + 1e-9
+        assert sum_rate_logdet(relay_matrix_ub1(c), c) <= min(b.r_up1, b.r_up2) + 1e-9
