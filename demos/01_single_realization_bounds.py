@@ -11,7 +11,6 @@ from marcsim import (
     ScenarioConfig,
     compute_aggregates,
     lower_bound,
-    relay_matrix_lower,
     sample_channel,
     sum_rate_closed,
     sum_rate_logdet,
@@ -40,8 +39,7 @@ print("\njoint-relaying bounds at P_r = 10:")
 print(f"  upper bound 1 (cross term dropped)   {b.r_up1:.4f}")
 print(f"  upper bound 2 (unbounded relay power) {b.r_up2:.4f}")
 print(f"  achievable rank-one beamformer        {b.r_lower:.4f}  (gamma={b.gamma:.3f})")
-fm, _ = relay_matrix_lower(c)
-print(f"  relay power spent: {fm.tx_power:.6f} of budget {c.P_r}")
+print(f"  relay power spent: {b.f_lower.tx_power:.6f} of budget {c.P_r}")
 
 print("\nbounds vs relay power budget:")
 print("  P_r      lower     min upper   up2-lower")

@@ -15,7 +15,7 @@ cfg = SweepConfig(
 result = run_sweep(cfg)
 rows = {(r.alpha, r.pr_db, r.metric): r for r in result.rows}
 
-print("mean sum rates (bits/use), K=10, M_r=4, P_max/N0 = 10 dB,"
+print("mean sum rates (bits/use), K=10, M_r=4, P_max = 10 dB over the noise,"
       f" {cfg.n_trials} trials:\n")
 print("alpha  P_r[dB]   TDMA     joint lower  min upper   winner")
 for alpha in cfg.alpha_values:

@@ -4,14 +4,11 @@ The CLI maps these onto exit codes: validation errors exit with 1,
 numerical failures with 2, I/O problems with 3.
 """
 
+__all__ = ["ValidationError", "NumericalError"]
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
-
-
-class DegenerateChannelError(ValidationError):
-    """Raised when a channel is degenerate for the requested operation,
-    e.g. a zero relay-receiver link where a beamforming direction is needed."""
 
 
 class NumericalError(RuntimeError):

@@ -30,7 +30,7 @@ from .channel import (
     sample_channel,
     trial_rng,
 )
-from .errors import DegenerateChannelError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .joint import JointRateBounds, lower_bound, sum_rate_closed, sum_rate_logdet
 from .numerics import quadratic_form
 from .tdma import (
@@ -226,7 +226,7 @@ def _resampled(evaluate, scen: ScenarioConfig, trial: int) -> tuple:
         c = sample_channel(scen, trial_rng(scen.seed, trial, retry))
         try:
             return evaluate(c), retry
-        except (NumericalError, DegenerateChannelError) as exc:
+        except NumericalError as exc:
             last = exc
     raise NumericalError(f"trial {trial} failed after {_MAX_RESAMPLES} resamples: {last}")
 

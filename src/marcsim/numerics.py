@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+__all__ = ["is_hermitian", "quadratic_form", "dominant_eigenpair"]
+
 HERMITIAN_RTOL = 1e-12
 _PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
 

@@ -78,14 +78,22 @@ class AsymptoticResult:
     joint_wins: bool
 
 
-def _slot_consts(c: ChannelRealization) -> list[tuple[float, float, float]]:
-    """(d, nr, hp) for every user of a realization:
+def _slot_consts(c: ChannelRealization, users) -> list[tuple[float, float, float]]:
+    """(d, nr, hp) for each of the given users of a realization:
     d = |h_d|^2 P, nr = ||h_r||^2 P, and hp = ||h||^2 P_r, common to all."""
     hp = float(np.linalg.norm(c.h) ** 2 * c.P_r)
     return [
         (float(abs(c.h_d[k]) ** 2 * c.P[k]), float(np.linalg.norm(c.h_r[k]) ** 2 * c.P[k]), hp)
-        for k in range(c.K)
+        for k in users
     ]
+
+
+def _user_consts(c: ChannelRealization, k: int) -> tuple[float, float, float]:
+    """The slot constants (d, nr, hp) of user k alone; ValidationError unless
+    0 <= k < K."""
+    if not 0 <= k < c.K:
+        raise ValidationError(f"user index {k} out of range for K={c.K}")
+    return _slot_consts(c, (k,))[0]
 
 
 def _slot_rate(d: float, nr: float, hp: float, tau: float) -> float:
@@ -140,40 +148,35 @@ def _slot_deriv(d: float, nr: float, hp: float, tau: float) -> float:
 
 def single_user_relay_matrix(c: ChannelRealization, k: int) -> RelayMatrix:
     """Optimal relay matrix when user k is alone on the channel:
-    sqrt(P_r / (1 + ||h_r||^2 P)) * h h_r^H / (||h|| ||h_r||).
+    sqrt(P_r / (1 + ||h_r||^2 P)) * h h_r^H / (||h|| ||h_r||), with its
+    transmit power charged to user k alone.
 
     A zero channel on either hop yields F = 0 (the rate falls back to the
     direct link)."""
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
-    hn = float(np.linalg.norm(c.h))
+    _, nr, _ = _user_consts(c, k)
+    alone = ChannelRealization(
+        h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h, P=c.P[k : k + 1], P_r=c.P_r
+    )
     hrn = float(np.linalg.norm(c.h_r[k]))
-    if hn == 0.0 or hrn == 0.0 or c.P_r == 0.0:
-        return RelayMatrix.for_channel(np.zeros((c.M_r, c.M_r), dtype=complex), c)
-    scale = sqrt(c.P_r / (1.0 + hrn**2 * c.P[k]))
-    F = scale * np.outer(c.h, c.h_r[k].conj()) / (hn * hrn)
-    return RelayMatrix.for_channel(F, c)
+    v = c.h_r[k] / hrn if hrn else c.h_r[k]  # a zero h_r keeps F = 0
+    return RelayMatrix.beamformer(alone, v, sqrt(c.P_r / (1.0 + nr)))
 
 
 def single_user_rate(c: ChannelRealization, k: int) -> float:
     """Rate of user k alone with the matched relay matrix:
     log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P)).
     """
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
-    return _slot_rate(*_slot_consts(c)[k], 1.0)
+    return _slot_rate(*_user_consts(c, k), 1.0)
 
 
 def user_rate(c: ChannelRealization, k: int, tau):
     """Rate of user k in a slot of duration tau (power boosted to P/tau),
     continuously extended to 0 at tau = 0. Accepts a scalar or an array of
     durations."""
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
+    d, nr, hp = _user_consts(c, k)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all((tau_arr >= 0) & (tau_arr <= 1)):
         raise ValidationError("slot durations must lie in [0, 1]")
-    d, nr, hp = _slot_consts(c)[k]
     if tau_arr.ndim == 0:
         return _slot_rate(d, nr, hp, float(tau_arr))
     out = np.zeros_like(tau_arr)
@@ -189,11 +192,10 @@ def user_rate(c: ChannelRealization, k: int, tau):
 def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     """Marginal rate dR^(k)/dtau at tau > 0 (analytic form; strictly
     decreasing in tau)."""
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
+    consts = _user_consts(c, k)
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    return _slot_deriv(*_slot_consts(c)[k], tau)
+    return _slot_deriv(*consts, tau)
 
 
 def _slot_at_level(consts, g0: float, g1: float, nu: float, t: float):
@@ -234,7 +236,7 @@ def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocati
     if not epsilon > 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     K = c.K
-    consts = _slot_consts(c)
+    consts = _slot_consts(c, range(K))
     active = [k for k in range(K) if _slot_deriv(*consts[k], 0.0) > 0.0]
     tau = np.zeros(K)
     if not active:
@@ -289,7 +291,7 @@ def kkt_slackness(c: ChannelRealization, tau) -> float:
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (c.K,) or not np.all((tau >= 0) & (tau <= 1)) or not np.any(tau > 0):
         raise ValidationError(f"need {c.K} slot durations in [0, 1], not all zero, got {tau}")
-    g = [_slot_deriv(*u, t) for u, t in zip(_slot_consts(c), tau)]
+    g = [_slot_deriv(*u, t) for u, t in zip(_slot_consts(c, range(c.K)), tau)]
     nu = max(g[k] for k in range(c.K) if tau[k] > 0.0)
     return max([0.0] + [g[k] - nu for k in range(c.K) if tau[k] == 0.0])
 

@@ -99,7 +99,7 @@ def test_criterion_02_bound_ordering():
 
 def test_criterion_03_high_relay_power_tightness():
     n = 1000
-    pr = 10.0**8  # 80 dB over N0
+    pr = 10.0**8  # 80 dB over the unit noise
     worst = 0.0
     for i in range(n):
         c = _mk(seed=3, K=10, M_r=4, alpha=1.0, P_r=pr, trial=i)

@@ -69,6 +69,18 @@ def test_eval_folds_json_noise(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_eval_dead_relay_receiver_link(tmp_path, capsys):
+    # h = 0 is a valid channel: the relay adds nothing and every bound is finite
+    _, out, _ = run_cli(capsys, "sample", "--users", "3", "--seed", "5")
+    doc = {**json.loads(out), "h": [[0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "eval", str(path))
+    assert code == 0
+    joint = json.loads(out)["joint"]
+    assert joint["r_lower"] == joint["r_up1"] <= joint["r_up2"]
+
+
 def test_eval_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "eval", "/nonexistent/path.json")
     assert code == 3
@@ -92,6 +104,16 @@ def test_sweep_csv_deterministic_across_workers(tmp_path, capsys):
     lines = p1.read_text().splitlines()
     assert lines[0] == "alpha,pr_db,metric,mean,stderr,n_trials,seed"
     assert len(lines) == 1 + 2 * 2 * 5
+
+
+def test_sweep_negative_start_range_needs_equals_form(tmp_path, capsys):
+    # argparse reads a separate "-10:0:10" as an option; the "=" form passes it
+    path = tmp_path / "neg.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--pr-db=-10:0:10", "--trials", "2",
+                         "--out", str(path))
+    assert code == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert sorted({float(r[1]) for r in rows}) == [-10.0, 0.0]
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):

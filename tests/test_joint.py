@@ -8,15 +8,11 @@ from marcsim import (
     compute_aggregates,
     lower_bound,
     realization_from_json,
-    relay_matrix_lower,
     relay_matrix_ub1,
     relay_tx_power,
     sum_rate_closed,
     sum_rate_logdet,
-    upper_bound_1,
-    upper_bound_2,
 )
-from marcsim.errors import DegenerateChannelError
 from marcsim.numerics import quadratic_form
 
 
@@ -104,13 +100,13 @@ def test_ub1_matrix_rank_one(make_channel):
 
 def test_upper_bound_1_hand_value():
     c = ChannelRealization(h_r=[[1.0]], h_d=[0.0], h=[1.0], P=[1.0], P_r=1.0)
-    assert upper_bound_1(c) == pytest.approx(np.log2(4 / 3), abs=1e-12)
+    assert lower_bound(c).r_up1 == pytest.approx(np.log2(4 / 3), abs=1e-12)
 
 
 def test_upper_bound_1_no_feasible_scalar_beats_it(rng):
     # dense scan over scalar relay gains stays below the bound
     c = ChannelRealization(h_r=[[1.0]], h_d=[0.0], h=[1.0], P=[1.0], P_r=1.0)
-    bound = upper_bound_1(c)
+    bound = lower_bound(c).r_up1
     best = 0.0
     for f in np.linspace(-1.5, 1.5, 2001):
         F = np.array([[f]], dtype=complex)
@@ -122,13 +118,13 @@ def test_upper_bound_1_no_feasible_scalar_beats_it(rng):
 def test_upper_bound_1_zero_relay_power(make_channel):
     c = make_channel(seed=6, P_r=0.0)
     agg = compute_aggregates(c)
-    assert upper_bound_1(c) == pytest.approx(np.log2(1 + agg.s))
+    assert lower_bound(c).r_up1 == pytest.approx(np.log2(1 + agg.s))
 
 
 def test_upper_bound_1_dominates_its_own_matrix(make_channel):
     for seed in range(10):
         c = make_channel(seed=seed, K=3, M_r=2)
-        assert upper_bound_1(c) >= sum_rate_logdet(relay_matrix_ub1(c), c) - 1e-9
+        assert lower_bound(c).r_up1 >= sum_rate_logdet(relay_matrix_ub1(c), c) - 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -139,14 +135,14 @@ def test_upper_bound_2_single_user(make_channel):
     c = make_channel(seed=8, K=1, M_r=3)
     agg = compute_aggregates(c)
     expected = np.log2(1 + agg.s + np.linalg.norm(c.h_r[0]) ** 2 * c.P[0])
-    assert upper_bound_2(c) == pytest.approx(expected, rel=1e-10)
+    assert lower_bound(c).r_up2 == pytest.approx(expected, rel=1e-10)
 
 
 def test_upper_bound_2_zero_channels():
     c = ChannelRealization(
         h_r=np.zeros((2, 2)), h_d=np.zeros(2), h=np.zeros(2), P=[1.0, 1.0], P_r=1.0
     )
-    assert upper_bound_2(c) == 0.0
+    assert lower_bound(c).r_up2 == 0.0
 
 
 def test_upper_bound_2_tight_at_huge_relay_power(make_channel):
@@ -163,7 +159,7 @@ def test_upper_bound_2_tight_at_huge_relay_power(make_channel):
 def test_lower_matrix_single_user_direction_matches_ub1(make_channel):
     c = make_channel(seed=9, K=1, M_r=3)
     f1 = relay_matrix_ub1(c).F
-    f2, _ = relay_matrix_lower(c)
+    f2 = lower_bound(c).f_lower
     # same rank-one direction up to a real scale (W = 0 for K = 1)
     ratio = f2.F.ravel() / f1.ravel()
     assert np.allclose(ratio, ratio[0], atol=1e-9)
@@ -171,17 +167,17 @@ def test_lower_matrix_single_user_direction_matches_ub1(make_channel):
 
 def test_lower_matrix_zero_relay_power(make_channel):
     c = make_channel(seed=10, P_r=0.0)
-    fm, gamma = relay_matrix_lower(c)
-    assert gamma == 0.0
-    assert np.all(fm.F == 0)
+    b = lower_bound(c)
+    assert b.gamma == 0.0
+    assert np.all(b.f_lower.F == 0)
 
 
 def test_lower_matrix_power_equality(make_channel):
     for seed in range(8):
         c = make_channel(seed=seed, K=3, M_r=3, P_r=7.0)
-        fm, gamma = relay_matrix_lower(c)
-        assert fm.tx_power == pytest.approx(7.0, rel=1e-8)
-        assert gamma > 0
+        b = lower_bound(c)
+        assert b.f_lower.tx_power == pytest.approx(7.0, rel=1e-8)
+        assert b.gamma > 0
 
 
 def test_lower_bound_scalar_hand_value(scalar_ones_channel):
@@ -227,8 +223,8 @@ def test_rates_monotone_in_relay_power(make_channel):
 
 def test_eigvec_phase_invariance(make_channel, rng):
     c = make_channel(seed=13, K=3, M_r=3)
-    fm, gamma = relay_matrix_lower(c)
-    base = sum_rate_logdet(fm, c)
+    b = lower_bound(c)
+    base = sum_rate_logdet(b.f_lower, c)
     hn = np.linalg.norm(c.h)
     # rebuild F with the eigen-direction rotated by an arbitrary phase
     from marcsim.numerics import dominant_eigenpair
@@ -236,18 +232,22 @@ def test_eigvec_phase_invariance(make_channel, rng):
     agg = compute_aggregates(c)
     _, v = dominant_eigenpair(agg.R + agg.W)
     for theta in (0.3, 1.2, 2.9):
-        F = gamma * np.outer(c.h / hn, (np.exp(1j * theta) * v).conj())
+        F = b.gamma * np.outer(c.h / hn, (np.exp(1j * theta) * v).conj())
         assert sum_rate_logdet(F, c) == pytest.approx(base, abs=1e-10)
 
 
 def test_degenerate_relay_receiver_channel():
+    # h = 0: no link to beamform onto, so both rank-one matrices are F = 0,
+    # the relay adds nothing, and the power-unconstrained bound stays finite
     c = ChannelRealization(
-        h_r=np.ones((2, 2)), h_d=np.ones(2), h=np.zeros(2), P=[1.0, 1.0], P_r=1.0
+        h_r=[[1.0, 0.5], [0.2, 1.0]], h_d=[1.0, 0.5j], h=np.zeros(2), P=[1.0, 2.0], P_r=1.0
     )
-    with pytest.raises(DegenerateChannelError):
-        relay_matrix_ub1(c)
-    with pytest.raises(DegenerateChannelError):
-        lower_bound(c)
+    b = lower_bound(c)
+    assert np.all(b.f_lower.F == 0) and b.f_lower.tx_power == 0.0
+    assert np.all(relay_matrix_ub1(c).F == 0)
+    direct = np.log2(1 + compute_aggregates(c).s)
+    assert b.r_lower == b.r_up1 == pytest.approx(direct, rel=1e-15)
+    assert np.isfinite(b.r_up2) and b.r_up2 >= b.r_lower
 
 
 def test_diagnostic_rate_stays_below_bounds(make_channel):

@@ -59,6 +59,18 @@ def test_single_user_matrix_power_equality():
         assert relay_tx_power(fm.F, c) == pytest.approx(4.0, rel=1e-8)
 
 
+def test_single_user_matrix_power_charged_to_its_user():
+    # only user k transmits in its slot, so F spends the budget on k alone
+    c = sample_channel(ScenarioConfig(K=3, M_r=2, P_r=10.0, seed=1), trial_rng(1, 0))
+    for k in range(c.K):
+        fm = single_user_relay_matrix(c, k)
+        alone = ChannelRealization(
+            h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h, P=c.P[k : k + 1], P_r=c.P_r
+        )
+        assert fm.tx_power == pytest.approx(10.0, rel=1e-8)
+        assert fm.tx_power == pytest.approx(relay_tx_power(fm.F, alone), rel=1e-12)
+
+
 def test_single_user_rate_matches_logdet_oracle():
     for seed in range(10):
         c = single_user(seed=seed, M_r=3)
