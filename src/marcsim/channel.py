@@ -10,11 +10,15 @@ noise variance N0 is folded to unit noise when it is parsed.
 Fading model used by :func:`sample_channel`: every entry of h_r and h is
 circularly-symmetric complex Gaussian with unit variance, the direct links
 are CN(0, alpha^2), and the per-user powers are uniform on [0, P_max].
+
+The cross-difference matrix W of :func:`compute_aggregates` is defined as a
+sum over user pairs but formed from its Gram factor, in O(K M_r^2).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +85,8 @@ class ChannelRealization:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "P", P)
         K, M_r = h_r.shape
+        if K < 1 or M_r < 1:
+            raise ValidationError(f"K and M_r must be >= 1, got K={K}, M_r={M_r}")
         if h_d.shape != (K,) or P.shape != (K,) or h.shape != (M_r,):
             raise ValidationError(
                 "inconsistent shapes: h_r %s, h_d %s, h %s, P %s"
@@ -111,7 +117,7 @@ class ChannelAggregates:
 
     s is the direct-link SNR sum, R the relay-side signal covariance, T the
     rank-one direct/relay cross term, and W the pairwise cross-difference
-    matrix satisfying s*R - T = W.
+    matrix satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD).
     """
 
     s: float
@@ -138,12 +144,20 @@ def _cn(rng: np.random.Generator, shape) -> np.ndarray:
 
 def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization. Draw order (h_r, h, h_d, P) is fixed so a given
-    stream state always yields the same realization."""
+    stream state always yields the same realization. The draws already have
+    the constructor's dtypes and shapes; of its checks only alpha * CN, which
+    can overflow, can fail, so the realization is built without the others."""
     h_r = _cn(rng, (cfg.K, cfg.M_r))
     h = _cn(rng, cfg.M_r)
     h_d = cfg.alpha * _cn(rng, cfg.K)
     P = rng.uniform(0.0, cfg.P_max, cfg.K)
-    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
+    if not np.all(np.isfinite(h_d.view(float))):
+        raise ValidationError("h_d has non-finite entries")
+    c = object.__new__(ChannelRealization)
+    c.__dict__.update(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
+    for arr in (h_r, h_d, h, P):
+        arr.flags.writeable = False
+    return c
 
 
 def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
@@ -161,20 +175,28 @@ def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
 def compute_aggregates(c: ChannelRealization) -> ChannelAggregates:
     """Build (s, R, T, W) from a realization.
 
-    W = sum_{j<k} P^(j) P^(k) w_jk w_jk^H with
-    w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), one product over all pairs.
-    This pairwise form is PSD by construction and makes s*R - T = W hold
-    exactly for complex gains; that identity is enforced by the test suite.
-    """
+    W is defined as the pair sum over j < k of P^(j) P^(k) w_jk w_jk^H with
+    w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), so s*R - T = W exactly. It is
+    formed in O(K M_r^2) as Y Y^H with Y = sqrt(s) G - u d^T / sqrt(s), where G
+    has columns g_k = sqrt(P^(k)) h_r^(k), d_k = sqrt(P^(k)) h_d^(k) and
+    u = G conj(d), so T = u u^H. As for the pair sum, W = 0 exactly when s = 0
+    or fewer than two users have power. ValidationError is raised when
+    s * tr(R), which bounds T and W, overflows a float."""
     h_r, h_d, P = c.h_r, c.h_d, c.P
     s = float(np.sum(np.abs(h_d) ** 2 * P))
     R = (h_r.T * P) @ h_r.conj()
     R = 0.5 * (R + R.conj().T)
+    tr_R = float(np.trace(R).real)
+    if not math.isfinite(s * tr_R):
+        raise ValidationError(f"channel SNRs overflow a float: s = {s:.3e}, tr R = {tr_R:.3e}")
     u = (P * h_d.conj()) @ h_r
     T = np.outer(u, u.conj())
-    j, k = np.triu_indices(c.K, 1)
-    w = h_d[k, None] * h_r[j] - h_d[j, None] * h_r[k]
-    W = (w.T * (P[j] * P[k])) @ w.conj()
+    if s == 0.0 or np.count_nonzero(P) < 2:
+        W = np.zeros_like(R)
+    else:
+        root_P, root_s = np.sqrt(P), math.sqrt(s)
+        Y = root_s * (h_r.T * root_P) - np.outer(u, root_P * h_d) / root_s
+        W = Y @ Y.conj().T
     return ChannelAggregates(s=s, R=R, T=T, W=W)
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,34 @@ def test_same_seed_bit_identical():
     assert np.array_equal(c1.h_d, c2.h_d)
     assert np.array_equal(c1.h, c2.h)
     assert np.array_equal(c1.P, c2.P)
+
+
+@pytest.mark.parametrize("K, M_r, alpha", [(1, 1, 0.0), (3, 2, 1.0), (50, 8, 0.1)])
+def test_sample_matches_public_construction(K, M_r, alpha):
+    # The sampler skips the constructor's checks; it must build the same
+    # realization the public constructor builds from the same stream.
+    cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=4)
+    c = sample_channel(cfg, trial_rng(4, 3))
+    rng = trial_rng(4, 3)
+
+    def cn(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    h_r, h = cn((K, M_r)), cn(M_r)
+    h_d = alpha * cn(K)
+    ref = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=rng.uniform(0.0, 5.0, K), P_r=2.0)
+    for name in ("h_r", "h_d", "h", "P"):
+        got, want = getattr(c, name), getattr(ref, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype, name
+        assert got.shape == want.shape and not got.flags.writeable, name
+    assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
+
+
+def test_sample_overflowing_direct_links_rejected():
+    # alpha only has to be finite, so alpha * CN can overflow
+    cfg = ScenarioConfig(K=50, M_r=8, alpha=1e308, seed=0)
+    with pytest.raises(ValidationError, match="h_d has non-finite entries"):
+        sample_channel(cfg, trial_rng(0, 0))
 
 
 def test_different_trials_differ():
@@ -124,22 +153,59 @@ def test_aggregates_identity(make_channel, K, M_r):
         assert np.max(np.abs(lhs - agg.W)) <= 1e-10 * scale
 
 
+def _pair_loop_w(c):
+    # reference: the pairwise sum of P_j P_k w_jk w_jk^H over j < k, one pair
+    # at a time
+    ref = np.zeros((c.M_r, c.M_r), dtype=complex)
+    for j in range(c.K):
+        for k in range(j + 1, c.K):
+            w = c.h_d[k] * c.h_r[j] - c.h_d[j] * c.h_r[k]
+            ref += c.P[j] * c.P[k] * np.outer(w, w.conj())
+    return ref
+
+
 @pytest.mark.parametrize("K", [1, 2, 10, 50])
 @pytest.mark.parametrize("M_r", [1, 4, 8])
 def test_w_matches_pair_loop(make_channel, K, M_r):
-    # reference: the pairwise sum of P_j P_k w_jk w_jk^H over j < k, one pair
-    # at a time
-    for seed in range(3):
-        c = make_channel(seed=seed, K=K, M_r=M_r)
-        ref = np.zeros((M_r, M_r), dtype=complex)
-        for j in range(K):
-            for k in range(j + 1, K):
-                w = c.h_d[k] * c.h_r[j] - c.h_d[j] * c.h_r[k]
-                ref += c.P[j] * c.P[k] * np.outer(w, w.conj())
-        W = compute_aggregates(c).W
-        if K == 1:
-            assert W.shape == (M_r, M_r) and np.all(W == 0)
-        assert np.max(np.abs(W - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    # The Gram form cancels sqrt(s) G against u d^T / sqrt(s); weak, strong
+    # and absent direct links at 80 dB stress that cancellation.
+    settings = [(1.0, 10.0)] + [(alpha, 1e8) for alpha in (0.0, 1e-6, 10.0, 1e6)]
+    for alpha, P_max in settings:
+        for seed in range(3):
+            c = make_channel(seed=seed, K=K, M_r=M_r, alpha=alpha, P_max=P_max)
+            ref = _pair_loop_w(c)
+            W = compute_aggregates(c).W
+            assert W.shape == (M_r, M_r)
+            if K == 1 or alpha == 0.0:
+                assert np.all(W == 0)
+            assert np.max(np.abs(W - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            # only one user transmits: every pair term, and so W, is exactly 0
+            lone = ChannelRealization(h_r=c.h_r, h_d=c.h_d, h=c.h,
+                                      P=np.where(np.arange(K) == K // 2, c.P, 0.0), P_r=c.P_r)
+            assert np.all(_pair_loop_w(lone) == 0)
+            assert np.all(compute_aggregates(lone).W == 0)
+
+
+def test_aggregates_memory_is_gram_sized(make_channel):
+    # Structural guard with no timing in it: at K=200, M_r=8 the 19,900 pair
+    # vectors alone take 2.4 MiB, the Gram factor Y takes 25 KiB.
+    c = make_channel(K=200, M_r=8)
+    compute_aggregates(c)
+    tracemalloc.start()
+    try:
+        compute_aggregates(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_aggregates_overflow_is_validation_error():
+    # finite channels whose s, R or s*R (and so T and W) overflow a float
+    for h_d, P, h_r in ((1e200, 1.0, 1.0), (1.0, 1e308, 10.0), (1e80, 1.0, 1e80)):
+        c = ChannelRealization(h_r=[[h_r]], h_d=[h_d], h=[1.0], P=[P], P_r=1.0)
+        with pytest.raises(ValidationError, match="overflow a float"):
+            compute_aggregates(c)
 
 
 def test_aggregates_hermitian_psd(make_channel, rng):
@@ -219,6 +285,10 @@ def test_realization_validation():
         ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[-1.0], P_r=1.0)
     with pytest.raises(ValidationError):
         ChannelRealization(h_r=[[1.0]], h_d=[1.0, 2.0], h=[1.0], P=[1.0], P_r=1.0)
+    with pytest.raises(ValidationError, match="K=0, M_r=2"):
+        ChannelRealization(h_r=np.zeros((0, 2)), h_d=[], h=np.zeros(2), P=[], P_r=1.0)
+    with pytest.raises(ValidationError, match="K=2, M_r=0"):
+        ChannelRealization(h_r=np.zeros((2, 0)), h_d=[1.0, 1.0], h=[], P=[1.0, 1.0], P_r=1.0)
     doc = json.loads(realization_to_json(
         ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[1.0], P_r=1.0)))
     for n0 in (0, -1, float("nan"), float("inf"), "x"):

@@ -81,6 +81,24 @@ def test_eval_dead_relay_receiver_link(tmp_path, capsys):
     assert joint["r_lower"] == joint["r_up1"] <= joint["r_up2"]
 
 
+def test_eval_empty_channel_is_validation_error(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "sample", "--users", "2", "--seed", "5")
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**json.loads(out), "h_r": [[], []], "h": []}))
+    code, _, err = run_cli(capsys, "eval", str(path))
+    assert code == 1
+    assert "K and M_r must be >= 1, got K=2, M_r=0" in err
+
+
+def test_overflowing_channels_exit_one(capsys):
+    for command in ("sweep", "prob"):
+        code, _, err = run_cli(capsys, command, "--alpha", "1e200", "--trials", "3")
+        assert code == 1 and "channel SNRs overflow a float" in err, (command, err)
+    code, _, err = run_cli(capsys, "prob", "--users", "50", "--antennas", "8",
+                           "--alpha", "1e308", "--trials", "3")
+    assert code == 1 and "h_d has non-finite entries" in err, err
+
+
 def test_eval_missing_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "eval", "/nonexistent/path.json")
     assert code == 3
