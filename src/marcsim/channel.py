@@ -12,30 +12,25 @@ circularly-symmetric complex Gaussian with unit variance, the direct links
 are CN(0, alpha^2), and the per-user powers are uniform on [0, P_max].
 
 The cross-difference matrix W of :func:`compute_aggregates` is defined as a
-sum over user pairs but formed from its Gram factor, in O(K M_r^2).
+sum over user pairs but formed from its Gram factor, in O(K M_r^2). A
+:class:`ChannelBlock` stacks realizations of one shape on a leading trial
+axis; the aggregates and the block kernels of ``joint`` and ``tdma`` take it
+whole, and the same code serves a single realization.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
-    "ScenarioConfig",
-    "ChannelRealization",
-    "ChannelAggregates",
-    "trial_rng",
-    "sample_channel",
-    "relay_tx_power",
-    "compute_aggregates",
-    "effective_channel",
-    "realization_to_json",
-    "realization_from_json",
+    "ScenarioConfig", "ChannelRealization", "ChannelBlock", "ChannelAggregates", "trial_rng",
+    "sample_channel", "sample_block", "relay_tx_power", "compute_aggregates", "effective_channel",
+    "realization_to_json", "realization_from_json",
 ]
 
 
@@ -76,14 +71,10 @@ class ChannelRealization:
     P_r: float
 
     def __post_init__(self):
-        h_r = np.atleast_2d(np.asarray(self.h_r, dtype=complex))
-        h_d = np.atleast_1d(np.asarray(self.h_d, dtype=complex))
-        h = np.atleast_1d(np.asarray(self.h, dtype=complex))
-        P = np.atleast_1d(np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "h_r", h_r)
-        object.__setattr__(self, "h_d", h_d)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "P", P)
+        for name, dtype, ndmin in (("h_r", complex, 2), ("h_d", complex, 1), ("h", complex, 1),
+                                   ("P", float, 1)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype, ndmin=ndmin))
+        h_r, h_d, h, P = self.h_r, self.h_d, self.h, self.P
         K, M_r = h_r.shape
         if K < 1 or M_r < 1:
             raise ValidationError(f"K and M_r must be >= 1, got K={K}, M_r={M_r}")
@@ -112,18 +103,40 @@ class ChannelRealization:
 
 
 @dataclass(frozen=True)
+class ChannelBlock:
+    """Realizations of one (K, M_r) shape stacked on a leading trial axis:
+    h_r (N, K, M_r), h_d (N, K), h (N, M_r), P (N, K) and P_r (N,)."""
+
+    h_r: np.ndarray
+    h_d: np.ndarray
+    h: np.ndarray
+    P: np.ndarray
+    P_r: np.ndarray
+
+    @classmethod
+    def stack(cls, realizations) -> "ChannelBlock":
+        cs = tuple(realizations)
+        return cls(*(np.array([getattr(c, f.name) for c in cs]) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
 class ChannelAggregates:
     """Quantities the reformulated sum-rate is built from.
 
     s is the direct-link SNR sum, R the relay-side signal covariance, T the
     rank-one direct/relay cross term, and W the pairwise cross-difference
     matrix satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD).
+    d, nr and hp are the SNRs of :func:`user_snrs`, so s = sum d and
+    tr R = sum nr. Aggregates of a ChannelBlock carry its leading trial axis.
     """
 
     s: float
     R: np.ndarray
     T: np.ndarray
     W: np.ndarray
+    d: np.ndarray
+    nr: np.ndarray
+    hp: float
 
 
 def trial_rng(seed: int, trial_index: int, retry: int = 0) -> np.random.Generator:
@@ -137,27 +150,46 @@ def trial_rng(seed: int, trial_index: int, retry: int = 0) -> np.random.Generato
     return np.random.default_rng(ss)
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _coefficients(z: np.ndarray, alpha, K: int, M: int):
+    """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
+    row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn, h_d
+    scaled by alpha. ValidationError when alpha * CN overflows, the one
+    realization check a draw can fail."""
+
+    def cn(lo: int, n: int) -> np.ndarray:
+        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
+
+    with np.errstate(over="ignore"):
+        h_d = alpha * cn(2 * (K * M + M), K)
+    if not np.all(np.isfinite(h_d)):
+        raise ValidationError("h_d has non-finite entries")
+    return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), h_d
 
 
 def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization. Draw order (h_r, h, h_d, P) is fixed so a given
-    stream state always yields the same realization. The draws already have
-    the constructor's dtypes and shapes; of its checks only alpha * CN, which
-    can overflow, can fail, so the realization is built without the others."""
-    h_r = _cn(rng, (cfg.K, cfg.M_r))
-    h = _cn(rng, cfg.M_r)
-    h_d = cfg.alpha * _cn(rng, cfg.K)
-    P = rng.uniform(0.0, cfg.P_max, cfg.K)
-    if not np.all(np.isfinite(h_d.view(float))):
-        raise ValidationError("h_d has non-finite entries")
+    """Draw one realization: one standard_normal call for the coefficients
+    (see _coefficients), then P, so a given stream state always yields the
+    same realization, built without re-running the constructor's checks."""
+    K, M = cfg.K, cfg.M_r
+    h_r, h, h_d = _coefficients(rng.standard_normal(2 * (K * M + M + K)), cfg.alpha, K, M)
+    P = rng.uniform(0.0, cfg.P_max, K)
     c = object.__new__(ChannelRealization)
     c.__dict__.update(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
     for arr in (h_r, h_d, h, P):
         arr.flags.writeable = False
     return c
+
+
+def sample_block(cfgs, rngs) -> ChannelBlock:
+    """One realization per (scenario, stream) pair, all of one (K, M_r) shape,
+    drawn as :func:`sample_channel` draws it, as a block."""
+    K, M = cfgs[0].K, cfgs[0].M_r
+    z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
+    for i, (cfg, rng) in enumerate(zip(cfgs, rngs)):
+        rng.standard_normal(out=z[i])
+        P[i] = rng.uniform(0.0, cfg.P_max, K)
+    h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M)
+    return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
 
 
 def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
@@ -172,32 +204,48 @@ def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
     return float(np.trace(F @ G @ F.conj().T).real)
 
 
-def compute_aggregates(c: ChannelRealization) -> ChannelAggregates:
-    """Build (s, R, T, W) from a realization.
+def user_snrs(c):
+    """Each user's direct-link SNR d = |h_d^(k)|^2 P^(k) and relay-hop SNR
+    nr = ||h_r^(k)||^2 P^(k) (last axis), and the relay-to-receiver SNR
+    hp = ||h||^2 P_r, of a realization or a ChannelBlock."""
+    sq = np.abs(c.h_r) ** 2, np.abs(c.h) ** 2
+    return np.abs(c.h_d) ** 2 * c.P, sq[0].sum(axis=-1) * c.P, sq[1].sum(axis=-1) * c.P_r
+
+
+def compute_aggregates(c) -> ChannelAggregates:
+    """Build (s, R, T, W, d, nr, hp) from a realization or, with a leading
+    trial axis, from a ChannelBlock.
 
     W is defined as the pair sum over j < k of P^(j) P^(k) w_jk w_jk^H with
     w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), so s*R - T = W exactly. It is
     formed in O(K M_r^2) as Y Y^H with Y = sqrt(s) G - u d^T / sqrt(s), where G
     has columns g_k = sqrt(P^(k)) h_r^(k), d_k = sqrt(P^(k)) h_d^(k) and
     u = G conj(d), so T = u u^H. As for the pair sum, W = 0 exactly when s = 0
-    or fewer than two users have power. ValidationError is raised when
-    s * tr(R), which bounds T and W, overflows a float."""
+    or fewer than two users have power. ValidationError is raised, before
+    anything else is formed, when s * tr(R), which bounds T and W, overflows
+    a float in any trial."""
     h_r, h_d, P = c.h_r, c.h_d, c.P
-    s = float(np.sum(np.abs(h_d) ** 2 * P))
-    R = (h_r.T * P) @ h_r.conj()
-    R = 0.5 * (R + R.conj().T)
-    tr_R = float(np.trace(R).real)
-    if not math.isfinite(s * tr_R):
-        raise ValidationError(f"channel SNRs overflow a float: s = {s:.3e}, tr R = {tr_R:.3e}")
-    u = (P * h_d.conj()) @ h_r
-    T = np.outer(u, u.conj())
-    if s == 0.0 or np.count_nonzero(P) < 2:
-        W = np.zeros_like(R)
-    else:
-        root_P, root_s = np.sqrt(P), math.sqrt(s)
-        Y = root_s * (h_r.T * root_P) - np.outer(u, root_P * h_d) / root_s
-        W = Y @ Y.conj().T
-    return ChannelAggregates(s=s, R=R, T=T, W=W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, nr, hp = user_snrs(c)
+        s, tr_R = d.sum(axis=-1), nr.sum(axis=-1)
+        fits = np.isfinite(s * tr_R)
+    if not fits.all():
+        i = np.argmin(fits)
+        raise ValidationError("channel SNRs overflow a float: "
+                              f"s = {np.ravel(s)[i]:.3e}, tr R = {np.ravel(tr_R)[i]:.3e}")
+    G = np.swapaxes(h_r, -1, -2)
+    R = (G * P[..., None, :]) @ h_r.conj()
+    R = 0.5 * (R + np.swapaxes(R, -1, -2).conj())
+    u = ((P * h_d.conj())[..., None, :] @ h_r)[..., 0, :]
+    T = u[..., :, None] * u.conj()[..., None, :]
+    gram = (s > 0.0) & (np.count_nonzero(P, axis=-1) >= 2)
+    root_P, root_s = np.sqrt(P)[..., None, :], np.sqrt(np.where(gram, s, 1.0))[..., None, None]
+    Y, ud = G * root_P, u[..., :, None] * (root_P * h_d[..., None, :])
+    Y *= root_s
+    ud /= root_s
+    Y -= ud
+    W = np.where(gram[..., None, None], Y @ np.swapaxes(Y, -1, -2).conj(), 0.0)
+    return ChannelAggregates(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp)
 
 
 def effective_channel(F: np.ndarray, c: ChannelRealization, k: int) -> np.ndarray:

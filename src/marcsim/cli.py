@@ -18,20 +18,12 @@ import math
 import sys
 
 from .channel import (
-    ScenarioConfig,
-    realization_from_json,
-    realization_to_json,
-    sample_channel,
-    trial_rng,
+    ScenarioConfig, realization_from_json, realization_to_json, sample_channel, trial_rng,
 )
 from .errors import NumericalError, ValidationError
 from .harness import (
-    SweepConfig,
-    db_to_linear,
-    estimate_superiority_probability,
-    evaluate_realization,
-    invariant_suite,
-    run_sweep,
+    SweepConfig, db_to_linear, estimate_superiority_probability, evaluate_realization,
+    invariant_suite, run_sweep,
 )
 
 
@@ -181,27 +173,16 @@ def _cmd_table(args) -> int:
 
 def _cmd_check(args) -> int:
     outcomes = invariant_suite(_single_scenario(args), n_trials=args.trials, epsilon=args.epsilon)
-    lines = []
-    all_ok = True
-    for o in outcomes:
-        status = "PASS" if o.passed else "FAIL"
-        all_ok &= o.passed
-        lines.append(
-            f"{status}  {o.name:28s} worst={o.worst:.3e}  threshold={o.threshold:.3e}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if not all_ok:
+    _write_text(args.out, "".join(
+        f"{'PASS' if o.passed else 'FAIL'}  {o.name:28s} worst={o.worst:.3e}  "
+        f"threshold={o.threshold:.3e}\n" for o in outcomes))
+    if not all(o.passed for o in outcomes):
         raise NumericalError("one or more invariant checks failed")
     return 0
 
 
-_COMMANDS = {
-    "sample": _cmd_sample,
-    "eval": _cmd_eval,
-    "sweep": _cmd_table,
-    "prob": _cmd_table,
-    "check": _cmd_check,
-}
+_COMMANDS = {"sample": _cmd_sample, "eval": _cmd_eval, "sweep": _cmd_table, "prob": _cmd_table,
+             "check": _cmd_check}
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,5 @@ class ValidationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iterative routine fails to converge.
-
-    Carries the last residual (or spread) so callers can report diagnostics.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when an iterative routine fails to converge or a computed
+    result fails one of its checks; the message names the check."""

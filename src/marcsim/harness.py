@@ -4,13 +4,16 @@ Sweeps (alpha, P_r) grids averaging the joint-relaying bounds and the
 optimized TDMA sum rate, and estimates the probability that joint relaying
 wins in the unbounded-relay-power regime over an (alpha, P_max) grid.
 
-One pipeline serves both tables; they differ only in the per-draw evaluator
-and in how a cell's values become rows. The cells of the (alpha, dB) grid are
-run in sorted order. Every trial draws its channel from a substream keyed on
-(seed, trial index), so results are byte-identical for any worker count
-W >= 1. At W > 1 one process pool serves the whole run and its workers take
-blocks of trials of every cell. A trial that fails numerically is retried on a
-flagged substream by one resample loop, which counts the retries.
+One pipeline serves both tables; they differ only in the block evaluator and
+in how a cell's values become rows. The trials of the cells, in sorted
+(alpha, dB) order, form one flat list, and a block is a slice of it, so a
+block can span cells. At W = 1 the whole run is one block, up to a cap that
+bounds its memory; at W > 1 one process pool serves the run and each worker
+takes about _BLOCKS_PER_WORKER blocks. Every trial draws from a substream
+keyed on (seed, trial index), and no trial's values depend on the rest of
+its block, so results are byte-identical for any W >= 1. A draw that fails
+a check is redrawn on a flagged substream, in a smaller block, by one
+resample loop that counts the retries.
 """
 
 from __future__ import annotations
@@ -23,44 +26,30 @@ from itertools import product
 import numpy as np
 
 from .channel import (
-    ChannelRealization,
-    ScenarioConfig,
-    compute_aggregates,
-    relay_tx_power,
-    sample_channel,
-    trial_rng,
+    ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates, sample_block,
+    sample_channel, trial_rng,
 )
 from .errors import NumericalError, ValidationError
-from .joint import JointRateBounds, lower_bound, sum_rate_closed, sum_rate_logdet
+from .joint import (
+    JointRateBounds, RelayMatrix, block_bounds, lower_bound, sum_rate_closed, sum_rate_logdet,
+)
 from .numerics import quadratic_form
 from .tdma import (
-    AsymptoticResult,
-    TdmaAllocation,
-    asymptotic_allocation,
-    joint_beats_tdma_asymptotic,
-    kkt_slackness,
-    optimize_slots,
+    AsymptoticResult, TdmaAllocation, asymptotic_allocation, block_asymptotic, block_slots,
+    kkt_slackness, optimize_slots,
 )
 
 __all__ = [
-    "SweepConfig",
-    "SweepRow",
-    "SweepResult",
-    "ProbRow",
-    "ProbResult",
-    "RealizationMetrics",
-    "CheckOutcome",
-    "evaluate_realization",
-    "run_sweep",
-    "estimate_superiority_probability",
-    "invariant_suite",
-    "METRICS",
+    "SweepConfig", "SweepRow", "SweepResult", "ProbRow", "ProbResult", "RealizationMetrics",
+    "CheckOutcome", "evaluate_realization", "run_sweep", "estimate_superiority_probability",
+    "invariant_suite", "METRICS",
 ]
 
 METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_rate")
 
 _MAX_RESAMPLES = 100
 _BLOCKS_PER_WORKER = 4  # trial blocks per pool worker over a whole run
+_BLOCK_ENTRIES = 1 << 13  # cap on K * M_r relay coefficients summed over a block
 
 
 def db_to_linear(db: float) -> float:
@@ -108,41 +97,23 @@ class RealizationMetrics:
     joint_beats_tdma: bool
 
     def metric_values(self) -> dict[str, float]:
-        return _metric_values(self.bounds, self.tdma)
+        return dict(zip(METRICS, _metrics(self.bounds, self.tdma)))
 
     def to_json_dict(self) -> dict:
+        def plain(record, names: str) -> dict:
+            return {n: np.asarray(getattr(record, n)).tolist() for n in names.split()}
+
         return {
-            "joint": {
-                "r_lower": self.bounds.r_lower,
-                "r_up1": self.bounds.r_up1,
-                "r_up2": self.bounds.r_up2,
-                "r_up_min": self.bounds.r_up_min,
-                "gamma": self.bounds.gamma,
-            },
-            "tdma": {
-                "tau": [float(t) for t in self.tdma.tau],
-                "per_user_rate": [float(r) for r in self.tdma.per_user_rate],
-                "sum_rate": self.tdma.sum_rate,
-                "kkt_spread": self.tdma.kkt_spread,
-            },
-            "asymptotic": {
-                "tau_inf": [float(t) for t in self.asymptotic.tau_inf],
-                "rate_inf": self.asymptotic.rate_inf,
-                "joint_rate_inf": self.asymptotic.joint_rate_inf,
-                "joint_wins": self.asymptotic.joint_wins,
-            },
+            "joint": plain(self.bounds, "r_lower r_up1 r_up2 r_up_min gamma"),
+            "tdma": plain(self.tdma, "tau per_user_rate sum_rate kkt_spread"),
+            "asymptotic": plain(self.asymptotic, "tau_inf rate_inf joint_rate_inf joint_wins"),
             "joint_beats_tdma_asymptotic": self.joint_beats_tdma,
         }
 
 
-def _metric_values(bounds: JointRateBounds, alloc: TdmaAllocation) -> dict[str, float]:
-    return {
-        "joint_lower": bounds.r_lower,
-        "joint_up1": bounds.r_up1,
-        "joint_up2": bounds.r_up2,
-        "joint_up_min": bounds.r_up_min,
-        "tdma_sum_rate": alloc.sum_rate,
-    }
+def _metrics(bounds: JointRateBounds, alloc: TdmaAllocation) -> tuple:
+    """The METRICS of a trial, or of each trial of a block as arrays."""
+    return bounds.r_lower, bounds.r_up1, bounds.r_up2, bounds.r_up_min, alloc.sum_rate
 
 
 def evaluate_realization(
@@ -150,15 +121,9 @@ def evaluate_realization(
 ) -> RealizationMetrics:
     """Joint bounds, optimized TDMA allocation, asymptotic comparison and the
     superiority predicate for one realization."""
-    bounds = lower_bound(c)
-    alloc = optimize_slots(c, epsilon)
     asym = asymptotic_allocation(c)
-    return RealizationMetrics(
-        bounds=bounds,
-        tdma=alloc,
-        asymptotic=asym,
-        joint_beats_tdma=asym.joint_wins,
-    )
+    return RealizationMetrics(lower_bound(c), optimize_slots(c, epsilon), asym,
+                              bool(asym.joint_wins))
 
 
 @dataclass(frozen=True)
@@ -210,41 +175,55 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _sweep_values(c: ChannelRealization, epsilon: float) -> dict[str, float]:
-    return _metric_values(lower_bound(c), optimize_slots(c, epsilon))
+def _sweep_block(blk: ChannelBlock, epsilon: float):
+    """The METRICS of each trial of a block, (N, 5), and a failure message per
+    trial ("" when it passed every check)."""
+    agg = compute_aggregates(blk)
+    b, _, why = block_bounds(blk, agg)
+    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp, epsilon)
+    return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 
 
-def _prob_value(c: ChannelRealization) -> bool:
-    return bool(joint_beats_tdma_asymptotic(c))
+def _prob_block(blk: ChannelBlock, epsilon: float):
+    """The superiority predicate of each trial of a block; no check can fail."""
+    wins = block_asymptotic(compute_aggregates(blk)).joint_wins
+    return wins, np.full(wins.shape, "")
 
 
-def _resampled(evaluate, scen: ScenarioConfig, trial: int) -> tuple:
-    """``evaluate`` on the draw of one trial, resampled on a flagged substream
-    after a numerical failure. Returns the value and the number of resamples."""
-    last: Exception | None = None
+def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int) -> list:
+    """(value, resamples) of items lo <= i < hi of the flat (cell, trial)
+    list, i = cell * n_trials + trial, evaluated as one block. Draws that fail
+    a check are redrawn on their trials' next flagged substreams, as a block."""
+    done, last = {}, {}
+    pending = list(range(lo, hi))
     for retry in range(_MAX_RESAMPLES):
-        c = sample_channel(scen, trial_rng(scen.seed, trial, retry))
-        try:
-            return evaluate(c), retry
-        except NumericalError as exc:
-            last = exc
-    raise NumericalError(f"trial {trial} failed after {_MAX_RESAMPLES} resamples: {last}")
-
-
-def _trial_block(evaluate, scen: ScenarioConfig, lo: int, hi: int) -> list:
-    return [_resampled(evaluate, scen, t) for t in range(lo, hi)]
+        if not pending:
+            break
+        cfgs = [scens[i // n_trials] for i in pending]
+        rngs = [trial_rng(cfg.seed, i % n_trials, retry) for cfg, i in zip(cfgs, pending)]
+        values, why = evaluate(sample_block(cfgs, rngs))
+        for i, value, message in zip(pending, values, why):
+            done[i], last[i] = (value, retry), message
+        pending = [i for i, message in zip(pending, why) if message]
+    if pending:
+        i = pending[0]
+        raise NumericalError(
+            f"trial {i % n_trials} failed after {_MAX_RESAMPLES} resamples: {last[i]}")
+    return [done[i] for i in range(lo, hi)]
 
 
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list:
-    """``_resampled(evaluate, scen, t)`` for t < n_trials in every cell, in trial
-    order. Each task is one cell's trial block [lo, hi); at workers > 1 a single
-    pool of at most ``workers`` processes serves the whole run, aiming at
-    _BLOCKS_PER_WORKER blocks each."""
+    """``evaluate``d (value, resamples) of trials t < n_trials of every cell,
+    cell by cell. At workers = 1 one block holds every trial, up to
+    _BLOCK_ENTRIES relay coefficients; at workers > 1 one pool of at most
+    ``workers`` processes takes about _BLOCKS_PER_WORKER blocks each."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    size = min(n_trials, -(-len(scens) * n_trials // (_BLOCKS_PER_WORKER * workers)))
-    los = range(0, n_trials, size)
-    tasks = [(evaluate, scen, lo, min(lo + size, n_trials)) for scen in scens for lo in los]
+    items = len(scens) * n_trials
+    size = items if workers == 1 else -(-items // (_BLOCKS_PER_WORKER * workers))
+    size = max(1, min(size, _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
+    tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
+             for lo in range(0, items, size)]
     if workers == 1:
         blocks = [_trial_block(*task) for task in tasks]
     else:
@@ -272,12 +251,11 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (alpha, P_r) cell. Deterministic for a fixed config: trial t of every
     cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
-    evaluate = partial(_sweep_values, epsilon=cfg.epsilon)
+    evaluate = partial(_sweep_block, epsilon=cfg.epsilon)
     cells, per_cell, resampled = _run_table(cfg, "P_r", cfg.pr_grid_db, evaluate, workers)
     rows = []
     for (alpha, pr_db), values in zip(cells, per_cell):
-        for m in METRICS:
-            vals = np.array([v[m] for v in values])
+        for m, vals in zip(METRICS, np.array(values).T):
             stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
             rows.append(SweepRow(alpha, pr_db, m, float(vals.mean()), stderr, n, seed))
     # Only equal cells, from a repeated alpha, move: they interleave by metric.
@@ -291,7 +269,8 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
     grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max)),)
-    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, _prob_value, workers)
+    evaluate = partial(_prob_block, epsilon=cfg.epsilon)
+    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, evaluate, workers)
     rows = []
     for (alpha, pmax_db), wins in zip(cells, per_cell):
         p = sum(wins) / n
@@ -312,55 +291,53 @@ def invariant_suite(
 ) -> list[CheckOutcome]:
     """Exercise the cross-formula invariants on random realizations.
 
-    Returns one outcome per invariant with the worst violation seen; used by
-    the CLI ``check`` subcommand.
+    The draws are evaluated as one block by the kernels the sweeps run; only
+    sum_rate_closed, the independent closed form, builds a trial's aggregates
+    again. Returns one outcome per invariant with the worst violation seen;
+    used by the CLI ``check`` subcommand.
     """
-    thresholds = {
-        "aggregates_identity": 1e-10,
-        "aggregates_psd": 1e-10,
-        "rate_formula_equivalence": 1e-10,
-        "bound_ordering": 1e-9,
-        "lower_matches_logdet": 1e-9,
-        "relay_power_equality": 1e-8,
-        "tdma_kkt_spread": epsilon,
-        "tdma_slackness": epsilon,
-        "tau_simplex": 1e-9,
-        "asymptotic_predicate": 0.5,  # any disagreement counts as 1.0
-    }
-    worst = dict.fromkeys(thresholds, 0.0)
+    draws, probes = [], []
     for t in range(n_trials):
         rng = trial_rng(scen.seed, t)
-        c = sample_channel(scen, rng)
-        agg = compute_aggregates(c)
-        scale = max(1.0, float(np.max(np.abs(agg.W))), float(np.max(np.abs(agg.T))))
-        diff = float(np.max(np.abs(agg.s * agg.R - agg.T - agg.W)))
-        worst["aggregates_identity"] = max(worst["aggregates_identity"], diff / scale)
-        for M in (agg.R, agg.T, agg.W):
-            x = rng.standard_normal(c.M_r) + 1j * rng.standard_normal(c.M_r)
-            q = quadratic_form(x, M)
-            worst["aggregates_psd"] = max(worst["aggregates_psd"], -q / scale)
-        F = (rng.standard_normal((c.M_r, c.M_r)) + 1j * rng.standard_normal((c.M_r, c.M_r)))
-        gap = abs(sum_rate_logdet(F, c) - sum_rate_closed(F, c))
-        worst["rate_formula_equivalence"] = max(worst["rate_formula_equivalence"], gap)
-
-        b = lower_bound(c)
-        worst["bound_ordering"] = max(worst["bound_ordering"], b.r_lower - b.r_up_min)
-        worst["lower_matches_logdet"] = max(
-            worst["lower_matches_logdet"], abs(b.r_lower - sum_rate_logdet(b.f_lower, c))
-        )
-        worst["relay_power_equality"] = max(
-            worst["relay_power_equality"],
-            abs(relay_tx_power(b.f_lower.F, c) - c.P_r) / max(1.0, c.P_r),
-        )
-
-        alloc = optimize_slots(c, epsilon)
-        worst["tdma_kkt_spread"] = max(worst["tdma_kkt_spread"], alloc.kkt_spread)
-        worst["tdma_slackness"] = max(worst["tdma_slackness"], kkt_slackness(c, alloc.tau))
-        worst["tau_simplex"] = max(worst["tau_simplex"], abs(float(alloc.tau.sum()) - 1.0))
-
-        asym = asymptotic_allocation(c)
-        if abs(asym.joint_rate_inf - asym.rate_inf) > 1e-9:
-            if asym.joint_wins != (asym.joint_rate_inf > asym.rate_inf):
-                worst["asymptotic_predicate"] = 1.0
+        draws.append(sample_channel(scen, rng))
+        M = scen.M_r  # three PSD probes x, then a relay matrix F
+        probes.append([rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                       for s in (M, M, M, (M, M))])
+    blk = ChannelBlock.stack(draws)
+    agg = compute_aggregates(blk)
+    b, v, why = block_bounds(blk, agg)
+    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp, epsilon)
+    asym = block_asymptotic(agg)
+    for message in np.concatenate([why, why_slots]):
+        if message:
+            raise NumericalError(message)
+    scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(agg.T).max(axis=(1, 2))))
+    rows = []
+    for i, (c, (*xs, F)) in enumerate(zip(draws, probes)):
+        f = RelayMatrix.beamformer(c, v[i], b.gamma[i])
+        rows.append((
+            max(-quadratic_form(x, A[i]) for x, A in zip(xs, (agg.R, agg.T, agg.W))) / scale[i],
+            abs(sum_rate_logdet(F, c) - sum_rate_closed(F, c)),
+            abs(b.r_lower[i] - sum_rate_logdet(f, c)),
+            abs(f.tx_power - c.P_r) / max(1.0, c.P_r),
+            kkt_slackness(c, alloc.tau[i]),
+        ))
+    psd, formulas, logdet, power, slackness = np.array(rows).T
+    gap = asym.joint_rate_inf - asym.rate_inf
+    checks = {  # name: (violation measure per trial, threshold)
+        "aggregates_identity": (
+            abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
+        "aggregates_psd": (psd, 1e-10),
+        "rate_formula_equivalence": (formulas, 1e-10),
+        "bound_ordering": (b.r_lower - b.r_up_min, 1e-9),
+        "lower_matches_logdet": (logdet, 1e-9),
+        "relay_power_equality": (power, 1e-8),
+        "tdma_kkt_spread": (alloc.kkt_spread, epsilon),
+        "tdma_slackness": (slackness, epsilon),
+        "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), 1e-9),
+        # any disagreement counts as 1.0
+        "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),
+    }
+    worst = {name: max(0.0, float(np.max(m))) for name, (m, _) in checks.items()}
     return [CheckOutcome(name, worst[name] <= limit, worst[name], limit)
-            for name, limit in thresholds.items()]
+            for name, (_, limit) in checks.items()]

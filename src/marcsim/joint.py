@@ -17,27 +17,20 @@ Rates are bits per channel use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log
 
 import numpy as np
 
 from .channel import (
-    ChannelRealization,
-    compute_aggregates,
-    effective_channel,
-    relay_tx_power,
+    ChannelAggregates, ChannelRealization, compute_aggregates, effective_channel, relay_tx_power,
 )
 from .errors import NumericalError
 from .numerics import dominant_eigenpair, quadratic_form
 
 __all__ = [
-    "RelayMatrix",
-    "JointRateBounds",
-    "sum_rate_logdet",
-    "sum_rate_closed",
-    "relay_matrix_ub1",
-    "lower_bound",
+    "RelayMatrix", "JointRateBounds", "sum_rate_logdet", "sum_rate_closed", "relay_matrix_ub1",
+    "lower_bound", "block_bounds",
 ]
 
 _ORDER_SLACK = 1e-9
@@ -66,26 +59,18 @@ class RelayMatrix:
 
 @dataclass(frozen=True)
 class JointRateBounds:
-    """Upper bounds, the achievable rank-one rate, and its relay matrix."""
+    """Upper bounds, the achievable rank-one rate, and its relay matrix; as
+    (N,) arrays, with f_lower None, for a block."""
 
     r_up1: float
     r_up2: float
     r_lower: float
-    f_lower: RelayMatrix
+    f_lower: RelayMatrix | None
     gamma: float
-
-    def __post_init__(self):
-        if min(self.r_up1, self.r_up2, self.r_lower) < -_ORDER_SLACK:
-            raise NumericalError("negative rate in joint bounds")
-        if self.r_lower > min(self.r_up1, self.r_up2) + _ORDER_SLACK:
-            raise NumericalError(
-                "lower bound exceeds an upper bound: "
-                f"lower={self.r_lower!r}, up1={self.r_up1!r}, up2={self.r_up2!r}"
-            )
 
     @property
     def r_up_min(self) -> float:
-        return min(self.r_up1, self.r_up2)
+        return np.minimum(self.r_up1, self.r_up2)
 
 
 def _as_matrix(F) -> np.ndarray:
@@ -125,6 +110,29 @@ def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:
     return RelayMatrix.beamformer(c, v_r, np.sqrt(c.P_r / (1.0 + lam_r)))
 
 
+def block_bounds(blk, agg: ChannelAggregates):
+    """The bounds of :func:`lower_bound` for each trial of a ChannelBlock, or
+    for one realization, from its aggregates: the JointRateBounds, the
+    directions v of R + W that f_lower beamforms, and a failure message per
+    trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound
+    by more than 1e-9."""
+    lam_r, _ = dominant_eigenpair(agg.R)
+    lam_rw, v = dominant_eigenpair(agg.R + agg.W)
+    vRv = np.sum(v.conj() * (agg.R @ v[..., None])[..., 0], axis=-1).real
+    gamma = np.sqrt(blk.P_r / (1.0 + vRv))
+    g = agg.hp / (1.0 + vRv)  # ||h||^2 gamma^2
+    b = JointRateBounds(
+        r_up1=(np.log1p(agg.s) + np.log1p(lam_r * agg.hp / (1.0 + agg.hp + lam_r))) / _LN2,
+        r_up2=np.log1p(agg.s + lam_rw) / _LN2,
+        r_lower=np.log1p(agg.s + lam_rw * g / (1.0 + g)) / _LN2,
+        f_lower=None,
+        gamma=gamma,
+    )
+    ordered = (np.minimum(b.r_up_min, b.r_lower) >= -_ORDER_SLACK) & (
+        b.r_lower <= b.r_up_min + _ORDER_SLACK)
+    return b, v, np.where(ordered, "", "joint bounds out of order or negative")
+
+
 def lower_bound(c: ChannelRealization) -> JointRateBounds:
     """Both upper bounds and the achievable rank-one rate of one realization:
 
@@ -136,22 +144,10 @@ def lower_bound(c: ChannelRealization) -> JointRateBounds:
       onto h with gain gamma spending the relay budget exactly
       (gamma^2 = P_r / v^H (I + R) v).
 
-    When h = 0, f_lower is 0 and r_lower = r_up1 = log2(1 + s).
+    When h = 0, f_lower is 0 and r_lower = r_up1 = log2(1 + s). NumericalError
+    is raised when the rates are out of order or negative.
     """
-    agg = compute_aggregates(c)
-    lam_r, _ = dominant_eigenpair(agg.R)
-    lam_rw, v_rw = dominant_eigenpair(agg.R + agg.W)
-    gamma = float(np.sqrt(c.P_r / (1.0 + quadratic_form(v_rw, agg.R))))
-    # The matrix comes before the rates. Ending on the matrix products of
-    # relay_tx_power instead of the scalar log1p calls made the slot
-    # optimizer that runs next a third slower (measured on an AVX-512 Xeon).
-    f_lower = RelayMatrix.beamformer(c, v_rw, gamma)
-    hn = float(np.linalg.norm(c.h))
-    hp, g = hn**2 * c.P_r, hn**2 * gamma**2
-    return JointRateBounds(
-        r_up1=float((np.log1p(agg.s) + np.log1p(lam_r * hp / (1.0 + hp + lam_r))) / _LN2),
-        r_up2=float(np.log1p(agg.s + lam_rw) / _LN2),
-        r_lower=float(np.log1p(agg.s + lam_rw * g / (1.0 + g)) / _LN2),
-        f_lower=f_lower,
-        gamma=gamma,
-    )
+    b, v, why = block_bounds(c, compute_aggregates(c))
+    if why:
+        raise NumericalError(str(why))
+    return replace(b, f_lower=RelayMatrix.beamformer(c, v, b.gamma))

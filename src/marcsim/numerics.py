@@ -1,8 +1,8 @@
 """Minimal dense complex linear algebra used by the rate formulas.
 
 Only what the sum-rate expressions need: Hermitian validation, quadratic
-forms, and the dominant eigenpair of a Hermitian positive-semidefinite matrix
-by LAPACK ``eigh``.
+forms, and the dominant eigenpair of a Hermitian positive-semidefinite matrix,
+or of each matrix of a stack, by LAPACK ``eigh``.
 """
 
 from __future__ import annotations
@@ -18,20 +18,21 @@ _PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
 
 
 def is_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """True if A equals its conjugate transpose within rtol relative to the
-    largest entry magnitude."""
+    """True if A, or each matrix of a stack A (..., n, n), equals its
+    conjugate transpose within rtol relative to its largest entry magnitude."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    return float(np.max(np.abs(A - A.conj().T))) <= rtol * scale
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    diff = np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
+    return bool(np.all(diff <= rtol * scale))
 
 
 def _check_hermitian(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.all(np.isfinite(A)):
         raise ValidationError("matrix has non-finite entries")
     if not is_hermitian(A):
         raise ValidationError("matrix is not Hermitian within tolerance")
@@ -58,16 +59,17 @@ def quadratic_form(x: np.ndarray, A: np.ndarray) -> float:
     return val.real
 
 
-def dominant_eigenpair(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a Hermitian PSD matrix,
-    by LAPACK ``eigh``. ValidationError is raised when A is not a finite
-    Hermitian matrix or lambda_max < -1e-12 * max(1, ||A||_F); a lambda_max
-    within that slack is returned as 0."""
+def dominant_eigenpair(A: np.ndarray):
+    """Largest eigenvalue and a unit eigenvector of a Hermitian PSD matrix, or
+    of each matrix of a stack A (N, n, n) as arrays (N,) and (N, n), by LAPACK
+    ``eigh``. ValidationError is raised when A is not finite and Hermitian or
+    some lambda_max < -1e-12 * max(1, ||A||_F); a lambda_max within that slack
+    is returned as 0."""
     A = _check_hermitian(A)
     eigvals, eigvecs = np.linalg.eigh(A)
-    lam = float(eigvals[-1])
-    if lam < -_PSD_RTOL * max(1.0, float(np.linalg.norm(A))):
+    lam = eigvals[..., -1]
+    if np.any(lam < 0.0) and np.any(
+            lam < -_PSD_RTOL * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))):
         raise ValidationError(
-            f"matrix is not positive semidefinite (lambda_max = {lam:.3e})"
-        )
-    return max(lam, 0.0), eigvecs[:, -1]
+            f"matrix is not positive semidefinite (lambda_max = {np.min(lam):.3e})")
+    return np.maximum(lam, 0.0), eigvecs[..., -1]

@@ -12,6 +12,7 @@ from marcsim import (
     realization_from_json,
     realization_to_json,
     relay_tx_power,
+    sample_block,
     sample_channel,
     trial_rng,
 )
@@ -34,32 +35,41 @@ def test_same_seed_bit_identical():
     assert np.array_equal(c1.P, c2.P)
 
 
-@pytest.mark.parametrize("K, M_r, alpha", [(1, 1, 0.0), (3, 2, 1.0), (50, 8, 0.1)])
+@pytest.mark.parametrize("K, M_r, alpha", [(1, 1, 0.0), (3, 2, 1.0), (10, 4, 0.3), (50, 8, 0.1)])
 def test_sample_matches_public_construction(K, M_r, alpha):
-    # The sampler skips the constructor's checks; it must build the same
-    # realization the public constructor builds from the same stream.
+    # The sampler skips the constructor's checks and draws all normals in one
+    # call; on the same streams it must build the realizations the public
+    # constructor builds from one call per real or imaginary part, alone and
+    # as a block.
     cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=4)
-    c = sample_channel(cfg, trial_rng(4, 3))
-    rng = trial_rng(4, 3)
+    blk = sample_block([cfg] * 50, [trial_rng(4, t) for t in range(50)])
+    for t in range(50):
+        c = sample_channel(cfg, trial_rng(4, t))
+        rng = trial_rng(4, t)
 
-    def cn(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        def cn(shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
-    h_r, h = cn((K, M_r)), cn(M_r)
-    h_d = alpha * cn(K)
-    ref = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=rng.uniform(0.0, 5.0, K), P_r=2.0)
-    for name in ("h_r", "h_d", "h", "P"):
-        got, want = getattr(c, name), getattr(ref, name)
-        assert np.array_equal(got, want) and got.dtype == want.dtype, name
-        assert got.shape == want.shape and not got.flags.writeable, name
-    assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
+        h_r, h = cn((K, M_r)), cn(M_r)
+        h_d = alpha * cn(K)
+        ref = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=rng.uniform(0.0, 5.0, K), P_r=2.0)
+        for name in ("h_r", "h_d", "h", "P"):
+            got, want = getattr(c, name), getattr(ref, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, name
+            assert got.shape == want.shape and not got.flags.writeable, name
+            assert np.array_equal(getattr(blk, name)[t], want), name
+        assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
+    assert np.array_equal(blk.P_r, np.full(50, 2.0))
 
 
 def test_sample_overflowing_direct_links_rejected():
-    # alpha only has to be finite, so alpha * CN can overflow
+    # alpha only has to be finite, so alpha * CN can overflow; the error comes
+    # without a RuntimeWarning, which the test configuration turns into one
     cfg = ScenarioConfig(K=50, M_r=8, alpha=1e308, seed=0)
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
         sample_channel(cfg, trial_rng(0, 0))
+    with pytest.raises(ValidationError, match="h_d has non-finite entries"):
+        sample_block([ScenarioConfig(K=50, M_r=8, seed=0), cfg], [trial_rng(0, 1), trial_rng(0, 0)])
 
 
 def test_different_trials_differ():
@@ -309,3 +319,8 @@ def test_realizations_immutable(make_channel):
     c = make_channel()
     with pytest.raises(ValueError):
         c.P[0] = 5.0
+    # the realization freezes its own copies, not the caller's arrays
+    h_r = np.ones((2, 2), dtype=complex)
+    c = ChannelRealization(h_r=h_r, h_d=np.ones(2, complex), h=np.ones(2, complex), P=np.ones(2),
+                           P_r=1.0)
+    assert h_r.flags.writeable and not c.h_r.flags.writeable

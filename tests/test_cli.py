@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -91,12 +92,18 @@ def test_eval_empty_channel_is_validation_error(tmp_path, capsys):
 
 
 def test_overflowing_channels_exit_one(capsys):
-    for command in ("sweep", "prob"):
-        code, _, err = run_cli(capsys, command, "--alpha", "1e200", "--trials", "3")
-        assert code == 1 and "channel SNRs overflow a float" in err, (command, err)
-    code, _, err = run_cli(capsys, "prob", "--users", "50", "--antennas", "8",
-                           "--alpha", "1e308", "--trials", "3")
-    assert code == 1 and "h_d has non-finite entries" in err, err
+    cases = [(command, ("--alpha", "1e200", "--trials", "3"), "channel SNRs overflow a float")
+             for command in ("sweep", "prob")]
+    cases.append(("prob", ("--users", "50", "--antennas", "8", "--alpha", "1e308", "--trials", "3"),
+                  "h_d has non-finite entries"))
+    for command, args, message in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, command, *args)
+        assert code == 1 and message in err, (command, err)
+        # the error line is all a user sees: no numpy RuntimeWarning before it
+        assert len(err.splitlines()) == 1 and "RuntimeWarning" not in err, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (command, caught)
 
 
 def test_eval_missing_file_is_io_error(capsys):

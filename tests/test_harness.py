@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import multiprocessing
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import marcsim.harness as harness_mod
 import marcsim.joint as joint_mod
 import marcsim.tdma as tdma_mod
 from marcsim import (
+    ChannelBlock,
     ScenarioConfig,
     SweepConfig,
     estimate_superiority_probability,
@@ -137,16 +139,17 @@ def test_sweep_aggregated_bound_ordering():
 
 
 def test_sweep_resamples_failed_trials(monkeypatch):
-    real = harness_mod.optimize_slots
+    real = harness_mod.block_slots
     calls = {"n": 0}
 
-    def flaky(c, epsilon=1e-8):
+    def flaky(*args):
         calls["n"] += 1
+        alloc, why = real(*args)
         if calls["n"] == 1:
-            raise NumericalError("injected failure")
-        return real(c, epsilon)
+            why[0] = "injected failure"
+        return alloc, why
 
-    monkeypatch.setattr(harness_mod, "optimize_slots", flaky)
+    monkeypatch.setattr(harness_mod, "block_slots", flaky)
     cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
     result = run_sweep(cfg)
     assert result.resampled_trials == 1
@@ -228,18 +231,29 @@ def test_invariant_suite_clean_on_random_scenarios():
     }
 
 
+def _count_trials(counts, monkeypatch, modules, names):
+    """Count the trials each named function is called on: a stack or a block
+    counts its leading axis, a single matrix or realization one."""
+    for mod in modules:
+        for name in names:
+            if hasattr(mod, name):
+
+                def counted(*args, _real=getattr(mod, name), _name=name):
+                    x = args[0]
+                    stacked = isinstance(x, ChannelBlock) or getattr(x, "ndim", 0) == 3
+                    counts[_name] += len(x.P) if isinstance(x, ChannelBlock) else (
+                        len(x) if stacked else 1)
+                    return _real(*args)
+
+                monkeypatch.setattr(mod, name, counted)
+
+
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build and the eigenpairs of R and
     # R + W; a superiority trial one build and the eigenpair of R + W
     counts = Counter()
-    for mod in (joint_mod, tdma_mod):
-        for name in ("compute_aggregates", "dominant_eigenpair"):
-
-            def counted(*args, _real=getattr(mod, name), _name=name):
-                counts[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(mod, name, counted)
+    _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
+                  ("compute_aggregates", "dominant_eigenpair"))
     cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
@@ -247,6 +261,16 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
     cfg = small_cfg(alpha_values=(1.0,), n_trials=5, pmax_grid_db=(10.0,))
     assert estimate_superiority_probability(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 5}
+
+
+def test_check_builds_aggregates_at_most_twice_per_trial(monkeypatch):
+    # one build for the block the kernels evaluate, and one per trial inside
+    # sum_rate_closed, the independent closed form
+    counts = Counter()
+    _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod), ("compute_aggregates",))
+    scen = ScenarioConfig(K=10, M_r=4, seed=3)
+    assert all(o.passed for o in invariant_suite(scen, n_trials=20))
+    assert counts == {"compute_aggregates": 2 * 20}
 
 
 def test_benchmark_trace_bindings_resolve():
@@ -320,14 +344,20 @@ def test_one_pool_per_run(monkeypatch):
         assert starts["pool"] == expected
 
 
-def _fail_on_weak_first_link(real):
-    # deterministic in the draw, so forked workers resample the same trials
-    def flaky(c, *args):
-        if abs(c.h_r[0, 0]) < 1.0:
-            raise NumericalError("injected failure")
-        return real(c, *args)
+# The real block evaluators, looked up by name, so that a stand-in is a
+# partial of module-level functions and a string, which pool tasks can pickle.
+_REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
-    return flaky
+
+def _fail_on_weak_first_link(name, blk, epsilon):
+    # deterministic in the draw, so forked workers resample the same trials
+    values, why = _REAL_EVALUATORS[name](blk, epsilon)
+    return values, np.where(np.abs(blk.h_r[:, 0, 0]) < 1.0, "injected failure", why)
+
+
+def _always_fail(name, blk, epsilon):
+    values, why = _REAL_EVALUATORS[name](blk, epsilon)
+    return values, np.full(len(why), "injected failure")
 
 
 _needs_fork = pytest.mark.skipif(
@@ -339,10 +369,8 @@ _needs_fork = pytest.mark.skipif(
 @_needs_fork
 @pytest.mark.parametrize("n_trials", [1, 7])
 def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
-    for name in ("optimize_slots", "joint_beats_tdma_asymptotic"):
-        monkeypatch.setattr(
-            harness_mod, name, _fail_on_weak_first_link(getattr(harness_mod, name))
-        )
+    for name in ("_sweep_block", "_prob_block"):
+        monkeypatch.setattr(harness_mod, name, partial(_fail_on_weak_first_link, name))
     cfg = small_cfg(n_trials=n_trials, pmax_grid_db=(0.0, 10.0))
     for run in (run_sweep, estimate_superiority_probability):
         results = [run(cfg, workers=w) for w in (1, 2, 3)]
@@ -354,10 +382,7 @@ def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
 
 @_needs_fork
 def test_exhausted_resamples_raise_through_pool(monkeypatch):
-    def always_fails(*args):
-        raise NumericalError("injected failure")
-
-    monkeypatch.setattr(harness_mod, "optimize_slots", always_fails)
+    monkeypatch.setattr(harness_mod, "_sweep_block", partial(_always_fail, "_sweep_block"))
     cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=2)
     with pytest.raises(NumericalError, match="after 100 resamples"):
         run_sweep(cfg, workers=2)
