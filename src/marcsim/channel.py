@@ -150,6 +150,66 @@ def trial_rng(seed: int, trial_index: int, retry: int = 0) -> np.random.Generato
     return np.random.default_rng(ss)
 
 
+def _hash_steps(init: int, mult: int, n: int) -> list:
+    """The (xor, multiplier) uint32 constants of n successive steps of a
+    SeedSequence hash walk that starts at init; they do not depend on data."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(h, h[1:])]
+
+
+# numpy's SeedSequence (pool of 4 words) on the 6 entropy words of a trial
+# key takes 24 mixing hash steps and 8 output steps; PCG64 then seeds with
+# two steps of its 128-bit LCG.
+_MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 24)
+_OUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _substream_states(seeds, trials, retry: int) -> list[dict]:
+    """The PCG64 state of ``trial_rng(seed, t, retry)`` for each (seed, t)
+    pair, computed for all pairs at once.
+
+    SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]
+    here as uint32 array arithmetic, and PCG64's two seeding steps run on
+    Python ints. Every t and retry must be below 2**32 and every seed below
+    2**64, so that each key has exactly these six words."""
+    seeds, n = np.array(seeds, dtype=np.uint64), len(trials)
+    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32),
+             np.zeros(n, np.uint32), np.zeros(n, np.uint32),
+             np.array(trials, dtype=np.uint32), np.full(n, retry, np.uint32)]
+    steps = iter(_MIX_STEPS)
+
+    def hashmix(v, step):
+        v = (v ^ step[0]) * step[1]
+        return v ^ (v >> _SHIFT)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> _SHIFT)
+
+    pool = [hashmix(w, next(steps)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], next(steps)))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w, next(steps)))
+    out = [hashmix(pool[i % 4], step).astype(np.uint64) for i, step in enumerate(_OUT_STEPS)]
+    # little-endian uint32 pairs -> uint64: state high, state low, seq high, seq low
+    hi_lo = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*hi_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _coefficients(z: np.ndarray, alpha, K: int, M: int):
     """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
     row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn, h_d
@@ -166,13 +226,23 @@ def _coefficients(z: np.ndarray, alpha, K: int, M: int):
     return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), h_d
 
 
+def _draw(rng: np.random.Generator, z: np.ndarray, u: np.ndarray) -> None:
+    """Fill one draw's normals z (see _coefficients) and then the uniforms u
+    on [0, 1) that scale to its powers. u * P_max equals
+    ``rng.uniform(0.0, P_max)`` bit for bit on the same stream state."""
+    rng.standard_normal(out=z)
+    rng.random(out=u)
+
+
 def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization: one standard_normal call for the coefficients
-    (see _coefficients), then P, so a given stream state always yields the
-    same realization, built without re-running the constructor's checks."""
+    """Draw one realization: the coefficients and then P, uniform on
+    [0, P_max], so a given stream state always yields the same realization,
+    built without re-running the constructor's checks."""
     K, M = cfg.K, cfg.M_r
-    h_r, h, h_d = _coefficients(rng.standard_normal(2 * (K * M + M + K)), cfg.alpha, K, M)
-    P = rng.uniform(0.0, cfg.P_max, K)
+    z, P = np.empty(2 * (K * M + M + K)), np.empty(K)
+    _draw(rng, z, P)
+    P *= cfg.P_max
+    h_r, h, h_d = _coefficients(z, cfg.alpha, K, M)
     c = object.__new__(ChannelRealization)
     c.__dict__.update(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
     for arr in (h_r, h_d, h, P):
@@ -180,14 +250,21 @@ def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelReal
     return c
 
 
-def sample_block(cfgs, rngs) -> ChannelBlock:
-    """One realization per (scenario, stream) pair, all of one (K, M_r) shape,
-    drawn as :func:`sample_channel` draws it, as a block."""
+def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
+    """One realization per (scenario, trial index) pair, all of one (K, M_r)
+    shape: the draw :func:`sample_channel` makes from
+    ``trial_rng(cfg.seed, t, retry)``, as a block. The substreams are seeded
+    in bulk (_substream_states) and drawn in turn by one generator."""
+    if min(trials) < 0 or max(trials) >= 2**32 or not 0 <= retry < 2**32:
+        raise ValidationError("trial indices and the retry must be in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
     z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
-    for i, (cfg, rng) in enumerate(zip(cfgs, rngs)):
-        rng.standard_normal(out=z[i])
-        P[i] = rng.uniform(0.0, cfg.P_max, K)
+    bitgen = np.random.PCG64()  # every draw sets its own state first
+    rng = np.random.Generator(bitgen)
+    for i, state in enumerate(_substream_states([int(c.seed) for c in cfgs], trials, retry)):
+        bitgen.state = state
+        _draw(rng, z[i], P[i])
+    P *= np.array([[cfg.P_max] for cfg in cfgs])
     h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M)
     return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
 

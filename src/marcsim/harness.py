@@ -7,13 +7,13 @@ wins in the unbounded-relay-power regime over an (alpha, P_max) grid.
 One pipeline serves both tables; they differ only in the block evaluator and
 in how a cell's values become rows. The trials of the cells, in sorted
 (alpha, dB) order, form one flat list, and a block is a slice of it, so a
-block can span cells. At W = 1 the whole run is one block, up to a cap that
-bounds its memory; at W > 1 one process pool serves the run and each worker
-takes about _BLOCKS_PER_WORKER blocks. Every trial draws from a substream
-keyed on (seed, trial index), and no trial's values depend on the rest of
-its block, so results are byte-identical for any W >= 1. A draw that fails
-a check is redrawn on a flagged substream, in a smaller block, by one
-resample loop that counts the retries.
+block can span cells. Each of the W workers takes one block of about
+1/W of the run, up to a cap that bounds a block's memory; at W > 1 one
+process pool serves the run. Every trial draws from a substream keyed on
+(seed, trial index), seeded in bulk for a whole block, and no trial's values
+depend on the rest of its block, so results are byte-identical for any
+W >= 1. A draw that fails a check is redrawn on a flagged substream, in a
+smaller block, by one resample loop that counts the retries.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
 METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_rate")
 
 _MAX_RESAMPLES = 100
-_BLOCKS_PER_WORKER = 4  # trial blocks per pool worker over a whole run
 _BLOCK_ENTRIES = 1 << 13  # cap on K * M_r relay coefficients summed over a block
 
 
@@ -79,8 +78,8 @@ class SweepConfig:
         for name in ("alpha_values", "pr_grid_db", "pmax_grid_db"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if self.n_trials < 1:
-            raise ValidationError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not 1 <= self.n_trials < 2**32:
+            raise ValidationError(f"n_trials must be in [1, 2**32), got {self.n_trials}")
         if not self.alpha_values or not self.pr_grid_db or self.pmax_grid_db == ():
             raise ValidationError("alpha, P_r and P_max grids must be non-empty")
         if not self.epsilon > 0:
@@ -200,8 +199,7 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
         if not pending:
             break
         cfgs = [scens[i // n_trials] for i in pending]
-        rngs = [trial_rng(cfg.seed, i % n_trials, retry) for cfg, i in zip(cfgs, pending)]
-        values, why = evaluate(sample_block(cfgs, rngs))
+        values, why = evaluate(sample_block(cfgs, [i % n_trials for i in pending], retry))
         for i, value, message in zip(pending, values, why):
             done[i], last[i] = (value, retry), message
         pending = [i for i, message in zip(pending, why) if message]
@@ -214,19 +212,21 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
 
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list:
     """``evaluate``d (value, resamples) of trials t < n_trials of every cell,
-    cell by cell. At workers = 1 one block holds every trial, up to
-    _BLOCK_ENTRIES relay coefficients; at workers > 1 one pool of at most
-    ``workers`` processes takes about _BLOCKS_PER_WORKER blocks each."""
+    cell by cell. Each block holds ceil(items / workers) of the run's items,
+    up to _BLOCK_ENTRIES relay coefficients: every block pays the kernels'
+    fixed cost per call again. At workers > 1 one pool of at most
+    ``workers`` processes takes the blocks."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     items = len(scens) * n_trials
-    size = items if workers == 1 else -(-items // (_BLOCKS_PER_WORKER * workers))
-    size = max(1, min(size, _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
+    size = max(1, min(-(-items // workers), _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
              for lo in range(0, items, size)]
     if workers == 1:
         blocks = [_trial_block(*task) for task in tasks]
     else:
+        import numpy.random  # noqa: F401  (loaded once here; the forked workers inherit it)
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_trial_block, *zip(*tasks)))
     flat = [r for block in blocks for r in block]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import marcsim.harness as harness_mod
 from marcsim import ChannelRealization, ScenarioConfig, sample_channel, trial_rng
 
 
@@ -24,3 +25,26 @@ def scalar_ones_channel():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the harness's process pool: runs the blocks in this
+    process. Returns the list of the pool sizes asked for."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlineExecutor)
+    return sizes

@@ -64,9 +64,9 @@ def test_trial_values_do_not_depend_on_the_worker_count(table):
         assert all(retries == 0 for cell in per_cell for _, retries in cell)
 
 
-def test_blocks_are_capped_and_span_cells(monkeypatch):
-    # one block per run at one worker, up to the coefficient cap; a block
-    # holds trials of several cells
+def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool):
+    # one block per worker, of ceil(trials / workers) trials, up to the
+    # coefficient cap; a block holds trials of several cells
     spans = []
     real = harness_mod._trial_block
 
@@ -76,9 +76,14 @@ def test_blocks_are_capped_and_span_cells(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
     evaluate = partial(harness_mod._prob_block, epsilon=1e-8)
-    harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, 1)
-    assert spans == [(0, 9 * N_TRIALS)]
-    spans.clear()
+    items = 9 * N_TRIALS
+    for workers, ends in ((1, [0, items]), (2, [0, 23, items]), (3, [0, 15, 30, items])):
+        spans.clear()
+        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        assert spans == list(zip(ends, ends[1:])), workers
     monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 3 * 2 * 7)
-    harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, 1)
-    assert spans[0] == (0, 7) and spans[-1][1] == 9 * N_TRIALS and len(spans) == 7
+    for workers in (1, 2, 3):
+        spans.clear()
+        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        assert spans == [(lo, min(lo + 7, items)) for lo in range(0, items, 7)], workers
+    assert inline_pool == [2, 3, 2, 3]

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, SeedSequence
 
 from marcsim import (
     ChannelRealization,
@@ -16,6 +17,7 @@ from marcsim import (
     sample_channel,
     trial_rng,
 )
+from marcsim.channel import _substream_states
 from marcsim.errors import ValidationError
 from marcsim.numerics import is_hermitian, quadratic_form
 
@@ -40,26 +42,29 @@ def test_sample_matches_public_construction(K, M_r, alpha):
     # The sampler skips the constructor's checks and draws all normals in one
     # call; on the same streams it must build the realizations the public
     # constructor builds from one call per real or imaginary part, alone and
-    # as a block.
-    cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=4)
-    blk = sample_block([cfg] * 50, [trial_rng(4, t) for t in range(50)])
-    for t in range(50):
-        c = sample_channel(cfg, trial_rng(4, t))
-        rng = trial_rng(4, t)
+    # as a block seeded in bulk, whatever order the block lists its trials in,
+    # also for a two-word seed and a retry.
+    for seed, retry in ((4, 0), (2**32 + 5, 2)):
+        cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=seed)
+        order = np.random.default_rng(K).permutation(50)
+        blk = sample_block([cfg] * 50, order.tolist(), retry)
+        for i, t in enumerate(order):
+            c = sample_channel(cfg, trial_rng(seed, t, retry))
+            rng = trial_rng(seed, t, retry)
 
-        def cn(shape):
-            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            def cn(shape):
+                return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
-        h_r, h = cn((K, M_r)), cn(M_r)
-        h_d = alpha * cn(K)
-        ref = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=rng.uniform(0.0, 5.0, K), P_r=2.0)
-        for name in ("h_r", "h_d", "h", "P"):
-            got, want = getattr(c, name), getattr(ref, name)
-            assert np.array_equal(got, want) and got.dtype == want.dtype, name
-            assert got.shape == want.shape and not got.flags.writeable, name
-            assert np.array_equal(getattr(blk, name)[t], want), name
-        assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
-    assert np.array_equal(blk.P_r, np.full(50, 2.0))
+            h_r, h = cn((K, M_r)), cn(M_r)
+            h_d = alpha * cn(K)
+            ref = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=rng.uniform(0.0, 5.0, K), P_r=2.0)
+            for name in ("h_r", "h_d", "h", "P"):
+                got, want = getattr(c, name), getattr(ref, name)
+                assert np.array_equal(got, want) and got.dtype == want.dtype, name
+                assert got.shape == want.shape and not got.flags.writeable, name
+                assert np.array_equal(getattr(blk, name)[i], want), name
+            assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
+        assert np.array_equal(blk.P_r, np.full(50, 2.0))
 
 
 def test_sample_overflowing_direct_links_rejected():
@@ -69,7 +74,26 @@ def test_sample_overflowing_direct_links_rejected():
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
         sample_channel(cfg, trial_rng(0, 0))
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
-        sample_block([ScenarioConfig(K=50, M_r=8, seed=0), cfg], [trial_rng(0, 1), trial_rng(0, 0)])
+        sample_block([ScenarioConfig(K=50, M_r=8, seed=0), cfg], [1, 0])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("retry", [0, 3])
+def test_bulk_seeding_matches_seed_sequence(seed, retry):
+    # numpy's own SeedSequence and PCG64 are the oracle for every key the
+    # harness can form; the block also mixes in a second seed
+    trials = list(range(5000))
+    seeds = [seed] * 4999 + [8]
+    got = _substream_states(seeds, trials, retry)
+    for s, t, state in zip(seeds, trials, got):
+        assert state == PCG64(SeedSequence(s, spawn_key=(t, retry))).state, (s, t)
+
+
+def test_sample_block_rejects_keys_beyond_one_word():
+    cfg = ScenarioConfig(K=2, M_r=2, seed=5)
+    for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32)):
+        with pytest.raises(ValidationError, match="2\\*\\*32"):
+            sample_block([cfg] * len(trials), trials, retry)
 
 
 def test_different_trials_differ():

@@ -175,7 +175,8 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--trials", "2", "--workers", "0")[0] == 1
     assert run_cli(capsys, "prob", "--trials", "2", "--workers", "-3")[0] == 1
     for flags in (["--pr-db", "0:inf:1"], ["--pr-db", "0:1:nan"], ["--pr-db", "4000"],
-                  ["--pmax-db", "abc"], ["--epsilon", "nan"], ["--epsilon", "0"]):
+                  ["--pmax-db", "abc"], ["--epsilon", "nan"], ["--epsilon", "0"],
+                  ["--trials", "4294967296"]):
         for command in ("sweep", "prob"):
             code, _, err = run_cli(capsys, command, "--trials", "2", *flags)
             assert code == 1 and err.startswith("error:"), (command, flags, err)

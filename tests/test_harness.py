@@ -206,6 +206,8 @@ def test_sweep_config_validation():
     base = ScenarioConfig()
     with pytest.raises(ValidationError):
         SweepConfig(base=base, n_trials=0)
+    with pytest.raises(ValidationError, match="n_trials"):
+        SweepConfig(base=base, n_trials=2**32)
     with pytest.raises(ValidationError):
         SweepConfig(base=base, alpha_values=())
     with pytest.raises(ValidationError):
@@ -295,26 +297,7 @@ def test_workers_below_one_rejected():
             estimate_superiority_probability(cfg, workers=workers)
 
 
-def test_pool_size_capped_by_blocks(monkeypatch):
-    sizes = []
-
-    class InlineExecutor:
-        """Stands in for the process pool: records its size and runs the
-        blocks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlineExecutor)
+def test_pool_size_capped_by_blocks(inline_pool):
     cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
     assert run_sweep(cfg, workers=64).to_csv() == run_sweep(cfg).to_csv()
     cfg = small_cfg(n_trials=3, pmax_grid_db=(0.0,))
@@ -322,7 +305,7 @@ def test_pool_size_capped_by_blocks(monkeypatch):
         estimate_superiority_probability(cfg).to_csv()
     )
     # 1 cell and then 2 cells of 3 trials: no more processes than trials
-    assert sizes == [3, 6]
+    assert inline_pool == [3, 6]
 
 
 def test_one_pool_per_run(monkeypatch):
