@@ -10,7 +10,6 @@ cfg = SweepConfig(
     alpha_values=(0.1, 0.3, 1.0),
     pr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0),
     n_trials=150,
-    epsilon=1e-8,
 )
 result = run_sweep(cfg)
 rows = {(r.alpha, r.pr_db, r.metric): r for r in result.rows}

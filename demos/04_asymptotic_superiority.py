@@ -26,9 +26,10 @@ print(f"  TDMA limit     = {res.rate_inf:.4f} bits/use")
 print(f"  joint limit    = {res.joint_rate_inf:.4f} bits/use")
 print(f"  joint wins?      {res.joint_wins}")
 
-alloc = optimize_slots(replace(c, P_r=1e8), epsilon=1e-10)
+alloc = optimize_slots(replace(c, P_r=1e8))
 print(f"\niterative optimizer at P_r = 80 dB agrees: "
-      f"max|tau - tau_inf| = {np.max(np.abs(alloc.tau - res.tau_inf)):.2e}")
+      f"max|tau - tau_inf| = {np.max(np.abs(alloc.tau - res.tau_inf)):.2e}, "
+      f"KKT spread {alloc.kkt_spread:.1e} bits")
 
 sweep = SweepConfig(
     base=ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=5),

@@ -255,8 +255,10 @@ def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
     shape: the draw :func:`sample_channel` makes from
     ``trial_rng(cfg.seed, t, retry)``, as a block. The substreams are seeded
     in bulk (_substream_states) and drawn in turn by one generator."""
-    if min(trials) < 0 or max(trials) >= 2**32 or not 0 <= retry < 2**32:
-        raise ValidationError("trial indices and the retry must be in [0, 2**32)")
+    if (not cfgs or len(cfgs) != len(trials) or len({(c.K, c.M_r) for c in cfgs}) > 1
+            or min(trials) < 0 or max(trials) >= 2**32 or not 0 <= retry < 2**32):
+        raise ValidationError("a block needs scenarios of one (K, M_r), at least one, each "
+                              "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
     z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
     bitgen = np.random.PCG64()  # every draw sets its own state first

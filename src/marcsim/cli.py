@@ -70,8 +70,6 @@ def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: 
         "pmax-db": dict(default="10", metavar="DB", help="peak user power, dB over the noise"),
         "trials": dict(type=int, default=trials, metavar="N"),
         "seed": dict(type=int, default=0, metavar="S"),
-        "epsilon": dict(type=float, default=1e-8, metavar="E",
-                        help="slot-optimizer derivative spread tolerance"),
         "out": dict(default="", metavar="PATH", help="output path (default stdout)"),
         "workers": dict(type=int, default=1, metavar="W",
                         help="parallel worker processes (results identical for any W)"),
@@ -91,15 +89,15 @@ def _build_parser() -> _Parser:
     for name, help_, flags, swept, trials in (
         ("sample", "emit one channel realization as JSON", scenario, "", 0),
         ("sweep", "alpha x P_r metric grid -> CSV",
-         scenario + " trials epsilon workers", "pr-db", 1000),
+         scenario + " trials workers", "pr-db", 1000),
         ("prob", "alpha x P_max superiority probabilities -> CSV",
          "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
-        ("check", "invariant suite on random instances", scenario + " trials epsilon", "", 100),
+        ("check", "invariant suite on random instances", scenario + " trials", "", 100),
     ):
         _add_flags(sub.add_parser(name, help=help_), flags, swept, trials)
     p = sub.add_parser("eval", help="metrics for a JSON realization")
     p.add_argument("realization", help="path to a realization JSON ('-' for stdin)")
-    _add_flags(p, "epsilon out")
+    _add_flags(p, "out")
     return parser
 
 
@@ -148,7 +146,7 @@ def _cmd_eval(args) -> int:
         with open(args.realization, "r", encoding="utf-8") as fh:
             text = fh.read()
     c = realization_from_json(text)
-    metrics = evaluate_realization(c, args.epsilon)
+    metrics = evaluate_realization(c)
     _write_text(args.out, json.dumps(metrics.to_json_dict(), indent=2) + "\n")
     return 0
 
@@ -159,7 +157,7 @@ def _cmd_table(args) -> int:
         run = run_sweep
         cfg = SweepConfig(base=_scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db")),
                           alpha_values=_alphas(args), pr_grid_db=_parse_grid(args.pr_db),
-                          n_trials=args.trials, epsilon=args.epsilon)
+                          n_trials=args.trials)
     else:
         run = estimate_superiority_probability
         cfg = SweepConfig(base=_scenario(args), alpha_values=_alphas(args),
@@ -172,7 +170,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    outcomes = invariant_suite(_single_scenario(args), n_trials=args.trials, epsilon=args.epsilon)
+    outcomes = invariant_suite(_single_scenario(args), n_trials=args.trials)
     _write_text(args.out, "".join(
         f"{'PASS' if o.passed else 'FAIL'}  {o.name:28s} worst={o.worst:.3e}  "
         f"threshold={o.threshold:.3e}\n" for o in outcomes))

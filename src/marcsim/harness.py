@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -65,13 +64,13 @@ class SweepConfig:
     pr_grid_db and pmax_grid_db are in dB over the unit noise
     (P = 10^(dB/10)); pmax_grid_db is only consulted by the
     superiority-probability table and defaults to the base scenario's P_max.
+    A trial's checks, the TDMA KKT check at 1e-8 bits among them, are fixed.
     """
 
     base: ScenarioConfig
     alpha_values: tuple[float, ...] = (1.0,)
     pr_grid_db: tuple[float, ...] = (10.0,)
     n_trials: int = 1000
-    epsilon: float = 1e-8
     pmax_grid_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class SweepConfig:
             raise ValidationError(f"n_trials must be in [1, 2**32), got {self.n_trials}")
         if not self.alpha_values or not self.pr_grid_db or self.pmax_grid_db == ():
             raise ValidationError("alpha, P_r and P_max grids must be non-empty")
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,11 @@ class RealizationMetrics:
     bounds: JointRateBounds
     tdma: TdmaAllocation
     asymptotic: AsymptoticResult
-    joint_beats_tdma: bool
+
+    @property
+    def joint_beats_tdma(self) -> bool:
+        """The superiority predicate: joint relaying beats TDMA as P_r grows."""
+        return bool(self.asymptotic.joint_wins)
 
     def metric_values(self) -> dict[str, float]:
         return dict(zip(METRICS, _metrics(self.bounds, self.tdma)))
@@ -115,14 +116,10 @@ def _metrics(bounds: JointRateBounds, alloc: TdmaAllocation) -> tuple:
     return bounds.r_lower, bounds.r_up1, bounds.r_up2, bounds.r_up_min, alloc.sum_rate
 
 
-def evaluate_realization(
-    c: ChannelRealization, epsilon: float = 1e-8
-) -> RealizationMetrics:
+def evaluate_realization(c: ChannelRealization) -> RealizationMetrics:
     """Joint bounds, optimized TDMA allocation, asymptotic comparison and the
     superiority predicate for one realization."""
-    asym = asymptotic_allocation(c)
-    return RealizationMetrics(lower_bound(c), optimize_slots(c, epsilon), asym,
-                              bool(asym.joint_wins))
+    return RealizationMetrics(lower_bound(c), optimize_slots(c), asymptotic_allocation(c))
 
 
 @dataclass(frozen=True)
@@ -174,16 +171,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _sweep_block(blk: ChannelBlock, epsilon: float):
+def _sweep_block(blk: ChannelBlock):
     """The METRICS of each trial of a block, (N, 5), and a failure message per
     trial ("" when it passed every check)."""
     agg = compute_aggregates(blk)
     b, _, why = block_bounds(blk, agg)
-    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp, epsilon)
+    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 
 
-def _prob_block(blk: ChannelBlock, epsilon: float):
+def _prob_block(blk: ChannelBlock):
     """The superiority predicate of each trial of a block; no check can fail."""
     wins = block_asymptotic(compute_aggregates(blk)).joint_wins
     return wins, np.full(wins.shape, "")
@@ -251,8 +248,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (alpha, P_r) cell. Deterministic for a fixed config: trial t of every
     cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
-    evaluate = partial(_sweep_block, epsilon=cfg.epsilon)
-    cells, per_cell, resampled = _run_table(cfg, "P_r", cfg.pr_grid_db, evaluate, workers)
+    cells, per_cell, resampled = _run_table(cfg, "P_r", cfg.pr_grid_db, _sweep_block, workers)
     rows = []
     for (alpha, pr_db), values in zip(cells, per_cell):
         for m, vals in zip(METRICS, np.array(values).T):
@@ -269,8 +265,7 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
     grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max)),)
-    evaluate = partial(_prob_block, epsilon=cfg.epsilon)
-    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, evaluate, workers)
+    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, _prob_block, workers)
     rows = []
     for (alpha, pmax_db), wins in zip(cells, per_cell):
         p = sum(wins) / n
@@ -286,16 +281,16 @@ class CheckOutcome:
     threshold: float
 
 
-def invariant_suite(
-    scen: ScenarioConfig, n_trials: int = 100, epsilon: float = 1e-8
-) -> list[CheckOutcome]:
+def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutcome]:
     """Exercise the cross-formula invariants on random realizations.
 
     The draws are evaluated as one block by the kernels the sweeps run; only
     sum_rate_closed, the independent closed form, builds a trial's aggregates
     again. Returns one outcome per invariant with the worst violation seen;
-    used by the CLI ``check`` subcommand.
+    used by the CLI ``check`` subcommand. ValidationError unless n_trials >= 1.
     """
+    if n_trials < 1:
+        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     draws, probes = [], []
     for t in range(n_trials):
         rng = trial_rng(scen.seed, t)
@@ -306,7 +301,7 @@ def invariant_suite(
     blk = ChannelBlock.stack(draws)
     agg = compute_aggregates(blk)
     b, v, why = block_bounds(blk, agg)
-    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp, epsilon)
+    alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     asym = block_asymptotic(agg)
     for message in np.concatenate([why, why_slots]):
         if message:
@@ -332,8 +327,8 @@ def invariant_suite(
         "bound_ordering": (b.r_lower - b.r_up_min, 1e-9),
         "lower_matches_logdet": (logdet, 1e-9),
         "relay_power_equality": (power, 1e-8),
-        "tdma_kkt_spread": (alloc.kkt_spread, epsilon),
-        "tdma_slackness": (slackness, epsilon),
+        "tdma_kkt_spread": (alloc.kkt_spread, 1e-8),
+        "tdma_slackness": (slackness, 1e-8),
         "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), 1e-9),
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),

@@ -17,15 +17,15 @@ HERMITIAN_RTOL = 1e-12
 _PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
 
 
-def is_hermitian(A: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """True if A, or each matrix of a stack A (..., n, n), equals its
-    conjugate transpose within rtol relative to its largest entry magnitude."""
+def is_hermitian(A: np.ndarray) -> bool:
+    """True if A, or each matrix of a stack A (..., n, n), equals its conjugate
+    transpose within HERMITIAN_RTOL times max(1, its largest entry magnitude)."""
     A = np.asarray(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     diff = np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
-    return bool(np.all(diff <= rtol * scale))
+    return bool(np.all(diff <= HERMITIAN_RTOL * scale))
 
 
 def _check_hermitian(A: np.ndarray) -> np.ndarray:

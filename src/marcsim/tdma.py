@@ -40,6 +40,7 @@ _MAX_ITER = 200  # cap on either water-filling loop
 _TAU_RTOL = 1e-10  # relative Newton step (or bracket) ending a slot search
 _SUM_ATOL = 1e-14  # |sum_k tau_k - 1| ending the search for the level nu
 _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
+_KKT_ATOL = 1e-8  # KKT spread in bits an allocation may show
 _TIE_RTOL = 1e-12  # relative guard breaking asymptotic ties toward TDMA
 # n = 2..24 in the series of _log_excess: at t = 1/5 its last term is below
 # 1e-16 of the sum, and the tail after it below 1e-17.
@@ -169,12 +170,13 @@ def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     return float(_slot_derivs(*consts, np.array([float(tau)]))[0][0] / _LN2)
 
 
-def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray, epsilon: float):
+def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     """:func:`optimize_slots` for each trial of a block, from its SNRs d, nr
     (N, K) and hp (N,). Returns the TdmaAllocation of the block and one
-    failure message per trial, "" when every check passed. A trial, and each
-    of its users, stops iterating once converged and keeps its values, so no
-    result depends on the rest of the block."""
+    failure message per trial, "" when it passed every check of
+    :func:`optimize_slots`. A trial, and each of its users, stops iterating
+    once converged and keeps its values, so no result depends on the rest of
+    the block."""
     N, K = d.shape
     hp = hp[:, None]
     why = np.full(N, "", dtype=object)
@@ -220,8 +222,8 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray, epsilon: float):
         spread = np.where(pos.any(axis=1), np.where(pos, g, -np.inf).max(axis=1)
                           - np.where(pos, g, np.inf).min(axis=1), 0.0) / _LN2
         rates = _slot_rate(d, nr, hp, tau)
-    for j in np.flatnonzero((why == "") & ~(spread <= epsilon)):
-        why[j] = f"KKT spread {spread[j]:.3e} > {epsilon}"
+    for j in np.flatnonzero((why == "") & ~(spread <= _KKT_ATOL)):
+        why[j] = f"KKT spread {spread[j]:.3e} > {_KKT_ATOL}"
     simplex = np.all(tau >= 0.0, axis=1) & (np.abs(tau.sum(axis=1) - 1.0) <= _SIMPLEX_ATOL)
     why[(why == "") & ~simplex] = "slot durations off the simplex"
     return TdmaAllocation(tau, rates, rates.sum(axis=1), spread), why
@@ -263,7 +265,7 @@ def _slots_at_level(d, nr, hp, g0, g1, nu, guess):
     return tau, slope, failed
 
 
-def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocation:
+def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
     Water-filling on the common marginal rate nu: each tau_k(nu) solves
@@ -274,12 +276,11 @@ def optimize_slots(c: ChannelRealization, epsilon: float = 1e-8) -> TdmaAllocati
     tau = 0; when no user carries rate the split is uniform. NumericalError
     is raised if either search exceeds its iteration cap, a marginal rate is
     flat, the marginal rates of the users with a slot differ by more than
-    epsilon, or the durations leave the simplex by more than 1e-9.
+    1e-8 bits (a fixed check; the searches stop on far tighter tolerances of
+    their own), or the durations leave the simplex by more than 1e-9.
     """
-    if not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     d, nr, hp = user_snrs(c)
-    alloc, why = block_slots(d[None], nr[None], np.array([hp]), epsilon)
+    alloc, why = block_slots(d[None], nr[None], np.array([hp]))
     if why[0]:
         raise NumericalError(why[0])
     return TdmaAllocation(*(field[0] for field in vars(alloc).values()))

@@ -161,7 +161,7 @@ def test_criterion_04_slot_optimizer_vs_brute_force():
     for K in (2, 3):
         for i in range(n_per_k):
             c = _mk(seed=4, K=K, M_r=MR_MIX[i % 3], trial=i)
-            alloc = optimize_slots(c, eps)
+            alloc = optimize_slots(c)
             coarse, argmax = _grid_search(c)
             worst_below_grid = max(worst_below_grid, coarse - alloc.sum_rate)
             center = alloc.tau[: K - 1] if K > 1 else alloc.tau
@@ -226,31 +226,32 @@ def test_criterion_06_asymptotic_superiority_consistency():
         )
         res = asymptotic_allocation(c)
         gap = res.joint_rate_inf - res.rate_inf
-        pred = joint_beats_tdma_asymptotic(c)
         # |gap| <= 1e-9 counts as "no strict winner" and must read False
-        disagreements += pred != (gap > 1e-9)
+        disagreements += res.joint_wins != (gap > 1e-9)
 
     false_at_alpha0 = 0
     for i in range(n):
         c = _mk(seed=60, K=K_MIX[i % 5], M_r=MR_MIX[i % 3], alpha=0.0, trial=i)
         false_at_alpha0 += not joint_beats_tdma_asymptotic(c)
 
-    worst_tau = 0.0
+    worst_tau = worst_spread = 0.0
     pr = 10.0**8
     for i in range(100):
         c = _mk(seed=61, K=(2, 3, 5)[i % 3], M_r=4, P_r=pr, trial=i)
-        alloc = optimize_slots(c, 1e-10)
+        alloc = optimize_slots(c)
         res = asymptotic_allocation(c)
         worst_tau = max(worst_tau, float(np.max(np.abs(alloc.tau - res.tau_inf))))
+        worst_spread = max(worst_spread, alloc.kkt_spread)
 
-    ok = disagreements == 0 and false_at_alpha0 == n and worst_tau <= 1e-3
+    ok = (disagreements == 0 and false_at_alpha0 == n and worst_tau <= 1e-3
+          and worst_spread <= 1e-10)
     _report(
         6,
         "asymptotic superiority test consistency",
         ok,
         f"{disagreements} predicate/rate disagreements over {n}; predicate false "
         f"in {false_at_alpha0}/{n} draws at alpha=0; max |tau - tau_inf| at 80 dB "
-        f"= {worst_tau:.2e} <= 1e-3",
+        f"= {worst_tau:.2e} <= 1e-3 with KKT spread {worst_spread:.2e} <= 1e-10",
     )
 
 
@@ -288,7 +289,6 @@ def _criterion8_rows():
             alpha_values=(0.1, 1.0),
             pr_grid_db=_PR_GRID,
             n_trials=1000,
-            epsilon=1e-8,
         )
         rows = {(r.alpha, r.pr_db, r.metric): r.mean for r in run_sweep(cfg).rows}
         _criterion8_cache["rows"] = rows

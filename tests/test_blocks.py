@@ -8,7 +8,6 @@ K = 1 and M_r = 1.
 """
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ def _cells(K, M_r):
 
 
 def _evaluate(evaluate, draws):
-    values, why = evaluate(ChannelBlock.stack(draws), 1e-8)
+    values, why = evaluate(ChannelBlock.stack(draws))
     assert not any(why), why
     return np.asarray(values)
 
@@ -59,7 +58,7 @@ def test_trial_values_do_not_depend_on_the_worker_count(table):
     scens = _cells(10, 4)
     alone, _ = _alone_and_in_blocks(evaluate, scens)
     for workers in (1, 2, 3):
-        per_cell = harness_mod._run_cells(partial(evaluate, epsilon=1e-8), scens, N_TRIALS, workers)
+        per_cell = harness_mod._run_cells(evaluate, scens, N_TRIALS, workers)
         assert np.array_equal([value for cell in per_cell for value, _ in cell], alone), workers
         assert all(retries == 0 for cell in per_cell for _, retries in cell)
 
@@ -75,7 +74,7 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool):
         return real(evaluate, scens, n_trials, lo, hi)
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
-    evaluate = partial(harness_mod._prob_block, epsilon=1e-8)
+    evaluate = harness_mod._prob_block
     items = 9 * N_TRIALS
     for workers, ends in ((1, [0, items]), (2, [0, 23, items]), (3, [0, 15, 30, items])):
         spans.clear()

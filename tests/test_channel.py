@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,11 +90,17 @@ def test_bulk_seeding_matches_seed_sequence(seed, retry):
         assert state == PCG64(SeedSequence(s, spawn_key=(t, retry))).state, (s, t)
 
 
-def test_sample_block_rejects_keys_beyond_one_word():
+def test_sample_block_rejects_malformed_blocks():
     cfg = ScenarioConfig(K=2, M_r=2, seed=5)
     for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32)):
         with pytest.raises(ValidationError, match="2\\*\\*32"):
             sample_block([cfg] * len(trials), trials, retry)
+    # empty, one trial index short or over, and mixed (K, M_r)
+    for cfgs, trials in (([], []), ([cfg] * 3, [5]), ([cfg], [0, 1, 2]),
+                         ([replace(cfg, K=3), replace(cfg, K=4)], [0, 1]),
+                         ([cfg, replace(cfg, M_r=3)], [0, 1])):
+        with pytest.raises(ValidationError, match="block"):
+            sample_block(cfgs, trials)
 
 
 def test_different_trials_differ():

@@ -175,8 +175,7 @@ def test_bad_flags_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--trials", "2", "--workers", "0")[0] == 1
     assert run_cli(capsys, "prob", "--trials", "2", "--workers", "-3")[0] == 1
     for flags in (["--pr-db", "0:inf:1"], ["--pr-db", "0:1:nan"], ["--pr-db", "4000"],
-                  ["--pmax-db", "abc"], ["--epsilon", "nan"], ["--epsilon", "0"],
-                  ["--trials", "4294967296"]):
+                  ["--pmax-db", "abc"], ["--trials", "4294967296"]):
         for command in ("sweep", "prob"):
             code, _, err = run_cli(capsys, command, "--trials", "2", *flags)
             assert code == 1 and err.startswith("error:"), (command, flags, err)
@@ -184,11 +183,16 @@ def test_bad_flags_exit_one(capsys):
     # takes one value.
     for argv in (["sample", "--workers", "2"], ["sample", "--trials", "5"],
                  ["check", "--workers", "2"], ["prob", "--pr-db", "10"],
-                 ["prob", "--epsilon", "1e-6"], ["check", "--pr-db", "0:40:10"],
+                 ["check", "--pr-db", "0:40:10"],
+                 *([command, "--epsilon", "1e-6"] for command in ("sweep", "prob", "check")),
+                 ["eval", "-", "--epsilon", "1e-6"],
                  ["sample", "--alpha", "0.1", "--alpha", "1"],
                  ["sweep", "--pmax-db", "0:20:10"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), (argv, err)
+    for trials in ("0", "-3"):  # the invariant suite needs one draw
+        code, _, err = run_cli(capsys, "check", "--trials", trials)
+        assert code == 1 and err.startswith("error:"), (trials, err)
 
 
 def test_invalid_scenario_exit_one(capsys):

@@ -40,7 +40,6 @@ def small_cfg(**kw):
         alpha_values=(0.5, 1.0),
         pr_grid_db=(0.0, 10.0),
         n_trials=8,
-        epsilon=1e-8,
     )
     defaults.update(kw)
     return SweepConfig(**defaults)
@@ -82,7 +81,7 @@ def test_sweep_single_trial_equals_direct_evaluation():
 
     scen = replace(cfg.base, alpha=1.0, P_r=10.0)
     c = sample_channel(scen, trial_rng(cfg.base.seed, 0))
-    direct = evaluate_realization(c, cfg.epsilon).metric_values()
+    direct = evaluate_realization(c).metric_values()
     for row in result.rows:
         assert row.mean == pytest.approx(direct[row.metric], abs=1e-14)
         assert row.stderr == 0.0
@@ -211,10 +210,6 @@ def test_sweep_config_validation():
     with pytest.raises(ValidationError):
         SweepConfig(base=base, alpha_values=())
     with pytest.raises(ValidationError):
-        SweepConfig(base=base, epsilon=-1.0)
-    with pytest.raises(ValidationError):
-        SweepConfig(base=base, epsilon=float("nan"))
-    with pytest.raises(ValidationError):
         SweepConfig(base=base, pmax_grid_db=())
 
 
@@ -332,14 +327,14 @@ def test_one_pool_per_run(monkeypatch):
 _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
 
-def _fail_on_weak_first_link(name, blk, epsilon):
+def _fail_on_weak_first_link(name, blk):
     # deterministic in the draw, so forked workers resample the same trials
-    values, why = _REAL_EVALUATORS[name](blk, epsilon)
+    values, why = _REAL_EVALUATORS[name](blk)
     return values, np.where(np.abs(blk.h_r[:, 0, 0]) < 1.0, "injected failure", why)
 
 
-def _always_fail(name, blk, epsilon):
-    values, why = _REAL_EVALUATORS[name](blk, epsilon)
+def _always_fail(name, blk):
+    values, why = _REAL_EVALUATORS[name](blk)
     return values, np.full(len(why), "injected failure")
 
 
