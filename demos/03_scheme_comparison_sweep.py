@@ -7,8 +7,8 @@ from marcsim import ScenarioConfig, SweepConfig, run_sweep
 
 cfg = SweepConfig(
     base=ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=2),
+    grid_db=(0.0, 10.0, 20.0, 30.0, 40.0),  # the swept relay power P_r
     alpha_values=(0.1, 0.3, 1.0),
-    pr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0),
     n_trials=150,
 )
 result = run_sweep(cfg)
@@ -18,7 +18,7 @@ print("mean sum rates (bits/use), K=10, M_r=4, P_max = 10 dB over the noise,"
       f" {cfg.n_trials} trials:\n")
 print("alpha  P_r[dB]   TDMA     joint lower  min upper   winner")
 for alpha in cfg.alpha_values:
-    for pr in cfg.pr_grid_db:
+    for pr in cfg.grid_db:
         tdma = rows[(alpha, pr, "tdma_sum_rate")].mean
         low = rows[(alpha, pr, "joint_lower")].mean
         up = rows[(alpha, pr, "joint_up_min")].mean

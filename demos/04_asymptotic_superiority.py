@@ -33,16 +33,15 @@ print(f"\niterative optimizer at P_r = 80 dB agrees: "
 
 sweep = SweepConfig(
     base=ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=5),
+    grid_db=(0.0, 10.0, 20.0),  # the swept transmit power P_max
     alpha_values=(0.1, 0.3, 1.0),
-    pr_grid_db=(0.0,),
     n_trials=400,
-    pmax_grid_db=(0.0, 10.0, 20.0),
 )
 table = estimate_superiority_probability(sweep)
 print(f"\nP(joint beats TDMA at P_r -> inf), K=10, M_r=4, {sweep.n_trials} trials:")
 print("P_max[dB]   alpha=0.1  alpha=0.3  alpha=1.0")
 probs = {(r.alpha, r.pmax_db): r.probability for r in table.rows}
-for pm in (0.0, 10.0, 20.0):
+for pm in sweep.grid_db:
     vals = "  ".join(f"{probs[(a, pm)]:9.3f}" for a in (0.1, 0.3, 1.0))
     print(f"{pm:9.0f} {vals}")
 print("\nthe probability grows with both the direct-link strength and the")

@@ -154,14 +154,12 @@ def _cmd_eval(args) -> int:
 def _cmd_table(args) -> int:
     # Looked up at call time, so that a rebound module global is the one run.
     if args.command == "sweep":
-        run = run_sweep
-        cfg = SweepConfig(base=_scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db")),
-                          alpha_values=_alphas(args), pr_grid_db=_parse_grid(args.pr_db),
-                          n_trials=args.trials)
+        run, swept = run_sweep, args.pr_db
+        base = _scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db"))
     else:
-        run = estimate_superiority_probability
-        cfg = SweepConfig(base=_scenario(args), alpha_values=_alphas(args),
-                          n_trials=args.trials, pmax_grid_db=_parse_grid(args.pmax_db))
+        run, swept = estimate_superiority_probability, args.pmax_db
+        base = _scenario(args)
+    cfg = SweepConfig(base, _parse_grid(swept), alpha_values=_alphas(args), n_trials=args.trials)
     result = run(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
     if result.resampled_trials:

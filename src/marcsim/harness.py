@@ -1,23 +1,25 @@
 """Monte Carlo experiment driver.
 
-Sweeps (alpha, P_r) grids averaging the joint-relaying bounds and the
-optimized TDMA sum rate, and estimates the probability that joint relaying
-wins in the unbounded-relay-power regime over an (alpha, P_max) grid.
+Each table sweeps one power, SweepConfig.grid_db, for several alpha.
+run_sweep averages the joint-relaying bounds and the optimized TDMA sum rate
+over P_r; estimate_superiority_probability estimates over P_max the
+probability that joint relaying wins as the relay power grows without bound.
 
-One pipeline serves both tables; they differ only in the block evaluator and
-in how a cell's values become rows. The trials of the cells, in sorted
-(alpha, dB) order, form one flat list, and a block is a slice of it, so a
-block can span cells. Each of the W workers takes one block of about
-1/W of the run, up to a cap that bounds a block's memory; at W > 1 one
-process pool serves the run. Every trial draws from a substream keyed on
-(seed, trial index), seeded in bulk for a whole block, and no trial's values
-depend on the rest of its block, so results are byte-identical for any
-W >= 1. A draw that fails a check is redrawn on a flagged substream, in a
-smaller block, by one resample loop that counts the retries.
+One pipeline serves both tables; they differ only in the swept power, the
+block evaluator and how a cell's values become rows. The trials of the
+cells, in sorted (alpha, dB) order, form one flat list, and a block is a
+slice of it, so a block can span cells. Each of the W workers, W at most
+the CPU count, takes one block of about 1/W of the run, up to a cap that
+bounds a block's memory; at W > 1 one process pool serves the run. Every
+trial draws from a substream keyed on (seed, trial index), seeded in bulk
+for a block, and no trial's values depend on the rest of its block, so
+results are byte-identical for any W >= 1. A failed draw is redrawn on a
+flagged substream, in a smaller block, by one loop that counts retries.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -30,12 +32,13 @@ from .channel import (
 )
 from .errors import NumericalError, ValidationError
 from .joint import (
-    JointRateBounds, RelayMatrix, block_bounds, lower_bound, sum_rate_closed, sum_rate_logdet,
+    _ORDER_SLACK, JointRateBounds, RelayMatrix, block_bounds, lower_bound, sum_rate_closed,
+    sum_rate_logdet,
 )
 from .numerics import quadratic_form
 from .tdma import (
-    AsymptoticResult, TdmaAllocation, asymptotic_allocation, block_asymptotic, block_slots,
-    kkt_slackness, optimize_slots,
+    _KKT_ATOL, _SIMPLEX_ATOL, AsymptoticResult, TdmaAllocation, asymptotic_allocation,
+    block_asymptotic, block_slots, kkt_slackness, optimize_slots,
 )
 
 __all__ = [
@@ -59,28 +62,25 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification for the Monte Carlo sweeps.
+    """Grid specification for one Monte Carlo table.
 
-    pr_grid_db and pmax_grid_db are in dB over the unit noise
-    (P = 10^(dB/10)); pmax_grid_db is only consulted by the
-    superiority-probability table and defaults to the base scenario's P_max.
-    A trial's checks, the TDMA KKT check at 1e-8 bits among them, are fixed.
+    grid_db is the swept power in dB over the unit noise (P = 10^(dB/10)):
+    P_r for run_sweep, P_max for estimate_superiority_probability, in place
+    of the base scenario's. A trial's checks are fixed.
     """
 
     base: ScenarioConfig
+    grid_db: tuple[float, ...]
     alpha_values: tuple[float, ...] = (1.0,)
-    pr_grid_db: tuple[float, ...] = (10.0,)
     n_trials: int = 1000
-    pmax_grid_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("alpha_values", "pr_grid_db", "pmax_grid_db"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        for name in ("grid_db", "alpha_values"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 1 <= self.n_trials < 2**32:
             raise ValidationError(f"n_trials must be in [1, 2**32), got {self.n_trials}")
-        if not self.alpha_values or not self.pr_grid_db or self.pmax_grid_db == ():
-            raise ValidationError("alpha, P_r and P_max grids must be non-empty")
+        if not self.alpha_values or not self.grid_db:
+            raise ValidationError("alpha and power grids must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -209,12 +209,13 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
 
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list:
     """``evaluate``d (value, resamples) of trials t < n_trials of every cell,
-    cell by cell. Each block holds ceil(items / workers) of the run's items,
-    up to _BLOCK_ENTRIES relay coefficients: every block pays the kernels'
-    fixed cost per call again. At workers > 1 one pool of at most
-    ``workers`` processes takes the blocks."""
+    cell by cell. workers is capped at the CPU count, as a pool starts all its
+    processes at once. Each block holds ceil(items / workers) of the run's
+    items, up to _BLOCK_ENTRIES relay coefficients: every block pays the
+    kernels' fixed cost per call again. At workers > 1 one pool takes them."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     items = len(scens) * n_trials
     size = max(1, min(-(-items // workers), _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
@@ -230,12 +231,12 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
     return [flat[i * n_trials : (i + 1) * n_trials] for i in range(len(scens))]
 
 
-def _run_table(cfg: SweepConfig, power: str, grid_db, evaluate, workers: int):
-    """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell, where
-    dB sets the scenario's ``power`` ("P_r" or "P_max"). Returns the cells
-    in sorted order, each cell's per-trial values and the total number of
-    resamples."""
-    cells = sorted(product(cfg.alpha_values, grid_db))
+def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
+    """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell of
+    cfg.grid_db, where dB sets the scenario's ``power`` ("P_r" or "P_max").
+    Returns the cells in sorted order, each cell's per-trial values and the
+    total number of resamples."""
+    cells = sorted(product(cfg.alpha_values, cfg.grid_db))
     scens = [replace(cfg.base, alpha=a, **{power: db_to_linear(db)})
              for a, db in cells]
     per_cell = _run_cells(evaluate, scens, cfg.n_trials, workers)
@@ -245,10 +246,10 @@ def _run_table(cfg: SweepConfig, power: str, grid_db, evaluate, workers: int):
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Average each metric over n_trials independent realizations for every
-    (alpha, P_r) cell. Deterministic for a fixed config: trial t of every
-    cell draws from the substream keyed on (seed, t)."""
+    (alpha, P_r) cell, P_r from cfg.grid_db. Deterministic for a fixed
+    config: trial t of every cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
-    cells, per_cell, resampled = _run_table(cfg, "P_r", cfg.pr_grid_db, _sweep_block, workers)
+    cells, per_cell, resampled = _run_table(cfg, "P_r", _sweep_block, workers)
     rows = []
     for (alpha, pr_db), values in zip(cells, per_cell):
         for m, vals in zip(METRICS, np.array(values).T):
@@ -261,11 +262,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
 def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> ProbResult:
     """Fraction of realizations where joint relaying beats optimally slotted
-    TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, with
-    the binomial standard error."""
+    TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, P_max
+    from cfg.grid_db, with the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
-    grid = cfg.pmax_grid_db or (float(10.0 * np.log10(cfg.base.P_max)),)
-    cells, per_cell, resampled = _run_table(cfg, "P_max", grid, _prob_block, workers)
+    cells, per_cell, resampled = _run_table(cfg, "P_max", _prob_block, workers)
     rows = []
     for (alpha, pmax_db), wins in zip(cells, per_cell):
         p = sum(wins) / n
@@ -324,12 +324,12 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
             abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
         "aggregates_psd": (psd, 1e-10),
         "rate_formula_equivalence": (formulas, 1e-10),
-        "bound_ordering": (b.r_lower - b.r_up_min, 1e-9),
+        "bound_ordering": (b.r_lower - b.r_up_min, _ORDER_SLACK),
         "lower_matches_logdet": (logdet, 1e-9),
         "relay_power_equality": (power, 1e-8),
-        "tdma_kkt_spread": (alloc.kkt_spread, 1e-8),
+        "tdma_kkt_spread": (alloc.kkt_spread, _KKT_ATOL),
         "tdma_slackness": (slackness, 1e-8),
-        "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), 1e-9),
+        "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), _SIMPLEX_ATOL),
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),
     }

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,10 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlineExecutor)
     return sizes
+
+
+@pytest.fixture
+def pin_cpu_count(monkeypatch):
+    """Pins the CPU count that caps the harness's worker count, so that pool
+    sizes do not depend on the machine. Call it with the count."""
+    return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)

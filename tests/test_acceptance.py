@@ -114,24 +114,23 @@ def test_criterion_03_high_relay_power_tightness():
 
 
 def _grid_points(c, t1, t2=None):
+    """Sum rate on the grid of slots t1 (K=2), or on the square t1 x t2 of the
+    first two users' slots (K=3), where points off the simplex read -inf."""
     if c.K == 2:
-        return user_rate(c, 0, t1) + user_rate(c, 1, 1.0 - t1), t1
-    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-    mask = T1 + T2 <= 1.0 + 1e-12
+        return user_rate(c, 0, t1) + user_rate(c, 1, 1.0 - t1)
+    t3 = np.clip(1.0 - t1[:, None] - t2[None, :], 0.0, 1.0)
     # users 0 and 1 each depend on one axis: rate them there and broadcast
-    r01 = (user_rate(c, 0, t1)[:, None] + user_rate(c, 1, t2)[None, :])[mask]
-    T1, T2 = T1[mask], T2[mask]
-    T3 = np.clip(1.0 - T1 - T2, 0.0, 1.0)
-    tot = r01 + user_rate(c, 2, T3)
-    return tot, np.stack([T1, T2], axis=-1)
+    tot = (user_rate(c, 0, t1)[:, None] + user_rate(c, 1, t2)[None, :]) + user_rate(c, 2, t3)
+    tot[t1[:, None] + t2[None, :] > 1.0 + 1e-12] = -np.inf
+    return tot
 
 
 def _grid_search(c, step=1e-3):
     """Coarse brute-force simplex grid; returns (max rate, argmax point)."""
     t = np.arange(0.0, 1.0 + step / 2, step)
-    tot, pts = _grid_points(c, t, t)
-    i = int(np.argmax(tot))
-    return float(tot[i]), np.atleast_1d(pts[i])
+    tot = _grid_points(c, t, t)
+    i = np.unravel_index(np.argmax(tot), tot.shape)
+    return float(tot[i]), t[list(i)]
 
 
 def _refined_grid_search(c, center, width=2e-3, step=1e-6):
@@ -140,11 +139,7 @@ def _refined_grid_search(c, center, width=2e-3, step=1e-6):
         np.clip(np.arange(ci - width, ci + width + step / 2, step), 0.0, 1.0)
         for ci in np.atleast_1d(center)[: max(1, c.K - 1)]
     ]
-    if c.K == 2:
-        tot, _ = _grid_points(c, axes[0])
-    else:
-        tot, _ = _grid_points(c, axes[0], axes[1])
-    return float(tot.max())
+    return float(_grid_points(c, *axes).max())
 
 
 def test_criterion_04_slot_optimizer_vs_brute_force():
@@ -286,8 +281,8 @@ def _criterion8_rows():
         base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=8)
         cfg = SweepConfig(
             base=base,
+            grid_db=_PR_GRID,
             alpha_values=(0.1, 1.0),
-            pr_grid_db=_PR_GRID,
             n_trials=1000,
         )
         rows = {(r.alpha, r.pr_db, r.metric): r.mean for r in run_sweep(cfg).rows}
@@ -346,10 +341,9 @@ def test_criterion_09_superiority_probability_trends():
     base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=9)
     cfg = SweepConfig(
         base=base,
+        grid_db=(0.0, 10.0, 20.0),
         alpha_values=(0.1, 0.3, 1.0),
-        pr_grid_db=(0.0,),
         n_trials=1000,
-        pmax_grid_db=(0.0, 10.0, 20.0),
     )
     rows = {
         (r.alpha, r.pmax_db): (r.probability, r.stderr)
@@ -378,8 +372,8 @@ def test_criterion_10_sweep_determinism():
     base = ScenarioConfig(K=3, M_r=2, P_max=10.0, P_r=1.0, alpha=1.0, seed=10)
     cfg = SweepConfig(
         base=base,
+        grid_db=(0.0, 10.0),
         alpha_values=(0.5, 1.0),
-        pr_grid_db=(0.0, 10.0),
         n_trials=50,
     )
     csvs = [run_sweep(cfg, workers=w).to_csv() for w in (1, 2, 3)]

@@ -63,9 +63,10 @@ def test_trial_values_do_not_depend_on_the_worker_count(table):
         assert all(retries == 0 for cell in per_cell for _, retries in cell)
 
 
-def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool):
+def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_count):
     # one block per worker, of ceil(trials / workers) trials, up to the
     # coefficient cap; a block holds trials of several cells
+    pin_cpu_count(3)
     spans = []
     real = harness_mod._trial_block
 

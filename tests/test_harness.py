@@ -31,14 +31,14 @@ def small_cfg(**kw):
         K=kw.pop("K", 3),
         M_r=kw.pop("M_r", 2),
         P_max=kw.pop("P_max", 10.0),
-        P_r=10.0,
+        P_r=kw.pop("P_r", 10.0),
         alpha=1.0,
         seed=kw.pop("seed", 123),
     )
     defaults = dict(
         base=base,
+        grid_db=(0.0, 10.0),
         alpha_values=(0.5, 1.0),
-        pr_grid_db=(0.0, 10.0),
         n_trials=8,
     )
     defaults.update(kw)
@@ -75,7 +75,7 @@ def test_evaluate_record_invariants(make_channel):
 
 
 def test_sweep_single_trial_equals_direct_evaluation():
-    cfg = small_cfg(n_trials=1, alpha_values=(1.0,), pr_grid_db=(10.0,))
+    cfg = small_cfg(n_trials=1, alpha_values=(1.0,), grid_db=(10.0,))
     result = run_sweep(cfg)
     from dataclasses import replace
 
@@ -111,9 +111,8 @@ def test_rows_in_csv_order_for_unsorted_grids():
     # cells run in sorted (alpha, dB) order, so the grid order given is moot
     # and to_csv writes the rows as they are
     for run in (run_sweep, estimate_superiority_probability):
-        ordered = run(small_cfg(n_trials=3, pmax_grid_db=(0.0, 10.0)))
-        shuffled = run(small_cfg(n_trials=3, alpha_values=(1.0, 0.5),
-                                 pr_grid_db=(10.0, 0.0), pmax_grid_db=(10.0, 0.0)))
+        ordered = run(small_cfg(n_trials=3))
+        shuffled = run(small_cfg(n_trials=3, alpha_values=(1.0, 0.5), grid_db=(10.0, 0.0)))
         assert shuffled == ordered
         keys = [(r.alpha, r.pr_db, r.metric) if run is run_sweep else (r.alpha, r.pmax_db)
                 for r in ordered.rows]
@@ -133,7 +132,7 @@ def test_sweep_aggregated_bound_ordering():
     cfg = small_cfg(n_trials=20)
     rows = {(r.alpha, r.pr_db, r.metric): r.mean for r in run_sweep(cfg).rows}
     for alpha in cfg.alpha_values:
-        for pr in cfg.pr_grid_db:
+        for pr in cfg.grid_db:
             assert rows[(alpha, pr, "joint_lower")] <= rows[(alpha, pr, "joint_up_min")] + 1e-9
 
 
@@ -149,7 +148,7 @@ def test_sweep_resamples_failed_trials(monkeypatch):
         return alloc, why
 
     monkeypatch.setattr(harness_mod, "block_slots", flaky)
-    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
+    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=3)
     result = run_sweep(cfg)
     assert result.resampled_trials == 1
     assert len(result.rows) == len(METRICS)
@@ -159,22 +158,21 @@ def test_no_direct_links_tdma_dominates_at_high_relay_power():
     # with absent direct links the asymptotic comparison always favors TDMA,
     # which must show in the 40 dB cell means
     base = ScenarioConfig(K=5, M_r=2, P_max=10.0, P_r=1.0, alpha=0.0, seed=31)
-    cfg = SweepConfig(base=base, alpha_values=(0.0,), pr_grid_db=(40.0,), n_trials=60)
+    cfg = SweepConfig(base=base, grid_db=(40.0,), alpha_values=(0.0,), n_trials=60)
     rows = {r.metric: r.mean for r in run_sweep(cfg).rows}
     assert rows["tdma_sum_rate"] >= rows["joint_lower"]
 
 
 def test_up2_mean_gap_small_at_top_of_grid():
     base = ScenarioConfig(K=5, M_r=2, P_max=10.0, P_r=1.0, alpha=1.0, seed=37)
-    cfg = SweepConfig(base=base, alpha_values=(1.0,), pr_grid_db=(40.0,), n_trials=100)
+    cfg = SweepConfig(base=base, grid_db=(40.0,), alpha_values=(1.0,), n_trials=100)
     rows = {r.metric: r.mean for r in run_sweep(cfg).rows}
     assert rows["joint_up2"] - rows["joint_lower"] <= 0.05
 
 
 def test_probability_zero_without_direct_links():
     base = ScenarioConfig(K=5, M_r=2, P_max=10.0, P_r=10.0, alpha=0.0, seed=7)
-    cfg = SweepConfig(base=base, alpha_values=(0.0,), pr_grid_db=(0.0,),
-                      n_trials=200, pmax_grid_db=(10.0,))
+    cfg = SweepConfig(base=base, grid_db=(10.0,), alpha_values=(0.0,), n_trials=200)
     result = estimate_superiority_probability(cfg)
     (row,) = result.rows
     assert row.probability == 0.0
@@ -183,16 +181,14 @@ def test_probability_zero_without_direct_links():
 
 def test_probability_zero_single_user():
     base = ScenarioConfig(K=1, M_r=3, P_max=10.0, P_r=10.0, alpha=1.0, seed=7)
-    cfg = SweepConfig(base=base, alpha_values=(1.0,), pr_grid_db=(0.0,),
-                      n_trials=200, pmax_grid_db=(0.0, 10.0))
+    cfg = SweepConfig(base=base, grid_db=(0.0, 10.0), alpha_values=(1.0,), n_trials=200)
     result = estimate_superiority_probability(cfg)
     assert all(r.probability == 0.0 for r in result.rows)
 
 
 def test_probability_csv_schema_and_determinism():
     base = ScenarioConfig(K=4, M_r=2, P_max=10.0, P_r=10.0, alpha=1.0, seed=3)
-    cfg = SweepConfig(base=base, alpha_values=(0.3, 1.0), pr_grid_db=(0.0,),
-                      n_trials=50, pmax_grid_db=(0.0, 10.0))
+    cfg = SweepConfig(base=base, grid_db=(0.0, 10.0), alpha_values=(0.3, 1.0), n_trials=50)
     r1 = estimate_superiority_probability(cfg, workers=1)
     r2 = estimate_superiority_probability(cfg, workers=2)
     assert r1.to_csv() == r2.to_csv()
@@ -204,13 +200,27 @@ def test_probability_csv_schema_and_determinism():
 def test_sweep_config_validation():
     base = ScenarioConfig()
     with pytest.raises(ValidationError):
-        SweepConfig(base=base, n_trials=0)
+        SweepConfig(base=base, grid_db=(10.0,), n_trials=0)
     with pytest.raises(ValidationError, match="n_trials"):
-        SweepConfig(base=base, n_trials=2**32)
+        SweepConfig(base=base, grid_db=(10.0,), n_trials=2**32)
     with pytest.raises(ValidationError):
-        SweepConfig(base=base, alpha_values=())
+        SweepConfig(base=base, grid_db=(10.0,), alpha_values=())
     with pytest.raises(ValidationError):
-        SweepConfig(base=base, pmax_grid_db=())
+        SweepConfig(base=base, grid_db=())
+    # the swept power has no default: no table falls back to the base's
+    with pytest.raises(TypeError):
+        SweepConfig(base=base)
+
+
+def test_each_table_reads_one_swept_power():
+    # grid_db sets the swept power of every cell; the base scenario's P_r is
+    # read by no table, and its P_max only by the sweep, as a fixed axis
+    sweep = run_sweep(small_cfg(n_trials=3)).to_csv()
+    assert run_sweep(small_cfg(n_trials=3, P_r=1e4)).to_csv() == sweep
+    assert run_sweep(small_cfg(n_trials=3, P_max=1.0)).to_csv() != sweep
+    prob = estimate_superiority_probability(small_cfg(n_trials=3)).to_csv()
+    for kw in (dict(P_max=1e3), dict(P_r=1e4), dict(P_max=1.0, P_r=0.0)):
+        assert estimate_superiority_probability(small_cfg(n_trials=3, **kw)).to_csv() == prob
 
 
 def test_invariant_suite_clean_on_random_scenarios():
@@ -251,11 +261,11 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair"))
-    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=5)
+    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
     counts.clear()
-    cfg = small_cfg(alpha_values=(1.0,), n_trials=5, pmax_grid_db=(10.0,))
+    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 5}
 
@@ -292,10 +302,11 @@ def test_workers_below_one_rejected():
             estimate_superiority_probability(cfg, workers=workers)
 
 
-def test_pool_size_capped_by_blocks(inline_pool):
-    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=3)
+def test_pool_size_capped_by_blocks(inline_pool, pin_cpu_count):
+    pin_cpu_count(64)
+    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=3)
     assert run_sweep(cfg, workers=64).to_csv() == run_sweep(cfg).to_csv()
-    cfg = small_cfg(n_trials=3, pmax_grid_db=(0.0,))
+    cfg = small_cfg(n_trials=3, grid_db=(0.0,))
     assert estimate_superiority_probability(cfg, workers=64).to_csv() == (
         estimate_superiority_probability(cfg).to_csv()
     )
@@ -303,7 +314,17 @@ def test_pool_size_capped_by_blocks(inline_pool):
     assert inline_pool == [3, 6]
 
 
-def test_one_pool_per_run(monkeypatch):
+def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count):
+    # a pool starts all its processes at once, so a huge W must not reach it
+    pin_cpu_count(3)
+    cfg = small_cfg(n_trials=4)
+    for run in (run_sweep, estimate_superiority_probability):
+        assert run(cfg, workers=10**6).to_csv() == run(cfg, workers=1).to_csv()
+    assert inline_pool == [3, 3]
+
+
+def test_one_pool_per_run(monkeypatch, pin_cpu_count):
+    pin_cpu_count(2)
     starts = Counter()
     real = harness_mod.ProcessPoolExecutor
 
@@ -312,7 +333,7 @@ def test_one_pool_per_run(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", counted)
-    cfg = small_cfg(n_trials=3, pmax_grid_db=(0.0, 10.0))
+    cfg = small_cfg(n_trials=3)
     for workers, expected in ((1, 0), (2, 1)):
         starts.clear()
         run_sweep(cfg, workers=workers)
@@ -349,7 +370,7 @@ _needs_fork = pytest.mark.skipif(
 def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
     for name in ("_sweep_block", "_prob_block"):
         monkeypatch.setattr(harness_mod, name, partial(_fail_on_weak_first_link, name))
-    cfg = small_cfg(n_trials=n_trials, pmax_grid_db=(0.0, 10.0))
+    cfg = small_cfg(n_trials=n_trials)
     for run in (run_sweep, estimate_superiority_probability):
         results = [run(cfg, workers=w) for w in (1, 2, 3)]
         assert results[0].resampled_trials > 0
@@ -361,6 +382,6 @@ def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
 @_needs_fork
 def test_exhausted_resamples_raise_through_pool(monkeypatch):
     monkeypatch.setattr(harness_mod, "_sweep_block", partial(_always_fail, "_sweep_block"))
-    cfg = small_cfg(alpha_values=(1.0,), pr_grid_db=(10.0,), n_trials=2)
+    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=2)
     with pytest.raises(NumericalError, match="after 100 resamples"):
         run_sweep(cfg, workers=2)
