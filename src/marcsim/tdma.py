@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 _LN2 = log(2.0)
-_MAX_ITER = 200  # cap on either water-filling loop
-_TAU_RTOL = 1e-10  # relative Newton step (or bracket) ending a slot search
-_SUM_ATOL = 1e-14  # |sum_k tau_k - 1| ending the search for the level nu
+_MAX_ITER = 200  # cap on the Newton steps of the slot optimizer
+_TAU_RTOL = 1e-10  # relative move of a slot that has converged
+_NU_ULPS = 16  # ulps of nu within which a slot's marginal rate has converged
 _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
 _KKT_ATOL = 1e-8  # KKT spread in bits an allocation may show
 _TIE_RTOL = 1e-12  # relative guard breaking asymptotic ties toward TDMA
@@ -174,49 +174,54 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     """:func:`optimize_slots` for each trial of a block, from its SNRs d, nr
     (N, K) and hp (N,). Returns the TdmaAllocation of the block and one
     failure message per trial, "" when it passed every check of
-    :func:`optimize_slots`. A trial, and each of its users, stops iterating
-    once converged and keeps its values, so no result depends on the rest of
-    the block."""
+    :func:`optimize_slots`. Every pass takes one Newton step on each live
+    trial; a trial stops once every slot has moved by at most _TAU_RTOL of
+    itself or has a marginal rate within _NU_ULPS ulps of nu, and keeps its
+    values, so no result depends on the rest of the block."""
     N, K = d.shape
     hp = hp[:, None]
     why = np.full(N, "", dtype=object)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g0 = _marginal_at_zero(d, nr, hp)
         act = g0 > 0.0
-        n = np.maximum(act.sum(axis=1), 1)
-        g1, gu = _slot_derivs(d, nr, hp, 1.0)[0], _slot_derivs(d, nr, hp, 1.0 / n[:, None])[0]
-        # At nu_lo one user has the whole frame, so no level inside clips a slot at 1.
-        nu_lo, nu_hi = (np.where(act, g, -np.inf).max(axis=1) for g in (g1, gu))
-        nu = np.maximum(nu_lo, np.where(act, gu, 0.0).sum(axis=1) / n)
-        prev, total = nu.copy(), np.ones(N)
-        t, dtdnu = np.where(act, 1.0 / n[:, None], 0.0), np.zeros((N, K))
-        live = act.any(axis=1)
+        # Start at the optimum for unbounded relay power, tau_k ~ d_k + nr_k.
+        t = np.where(act, d + nr, 0.0)
+        some = act.any(axis=1)
+        t /= np.where(some, t.sum(axis=1), 1.0)[:, None]
+        live = some.copy()
         for _ in range(_MAX_ITER):
-            if not live.any():
-                break
-            # Every slot at the level nu of its trial, warm-started on the
-            # tangent of tau_k(nu) at the previous level.
-            i, k = np.nonzero(act & live[:, None])
-            t[i, k], dtdnu[i, k], failed = _slots_at_level(
-                d[i, k], nr[i, k], hp[i, 0], g0[i, k], g1[i, k], nu[i],
-                t[i, k] + dtdnu[i, k] * (nu[i] - prev[i]))
-            for j, message in sorted(failed, reverse=True):  # a trial's first user wins
-                why[i[j]], live[i[j]] = message, False
             L = np.flatnonzero(live)
-            prev = nu.copy()
-            total[L], slope, level = t[L].sum(axis=1), dtdnu[L].sum(axis=1), nu[L]
-            above, lo, hi = total[L] > 1.0, nu_lo[L], nu_hi[L]
-            nu_lo[L], nu_hi[L] = np.where(above, level, lo), np.where(above, hi, level)
-            # Newton on ln(total), close to linear in nu when direct links dominate.
-            mid = 0.5 * (nu_lo[L] + nu_hi[L])
-            step = np.where(slope != 0.0, level - total[L] * np.log(total[L]) / slope, mid)
-            step = np.where((nu_lo[L] < step) & (step < nu_hi[L]), step, mid)
-            done = np.abs(total[L] - 1.0) <= _SUM_ATOL
-            nu[L] = np.where(done, level, step)
-            # a float nu that gets no closer also ends the search
-            live[L] = ~done & (np.abs(step - level) > 2.0 * np.spacing(np.abs(level)))
+            if not L.size:
+                break
+            tau = t[L]
+            open_ = tau > 0.0
+            g, h = _slot_derivs(d[L], nr[L], hp[L], np.where(open_, tau, 1.0))
+            # Newton step on R_k'(tau_k) = nu, sum_k tau_k = 1: each open slot
+            # moves to tau_k + (nu - g_k)/h_k, and nu makes these sum to one.
+            # nu is found as ref + rise, ref the g of the flattest slot, whose
+            # tau moves most per ulp of nu: rise and the (ref - g_k)/h_k are
+            # then small and exact. A slot whose 1/R'' is not finite, as R''
+            # underflowed, takes no step.
+            inv = 1.0 / h
+            step = open_ & (inv < 0.0) & (inv > -np.inf)
+            inv[~step] = 0.0
+            flattest = step & (inv == inv.min(axis=1, keepdims=True))
+            ref = np.where(flattest, g, -np.inf).max(axis=1, keepdims=True)
+            move = np.where(step, (ref - g) * inv, 0.0)
+            rise = (1.0 - tau.sum(axis=1, keepdims=True) - move.sum(axis=1, keepdims=True)) \
+                / inv.sum(axis=1, keepdims=True)
+            nu = ref + rise
+            nxt = np.where(step, tau + move + rise * inv, tau)
+            # A step that would close a slot halves it; a slot whose marginal
+            # rate at 0 is at most nu is parked at 0 for good.
+            nxt = np.where(nxt > 0.0, nxt, 0.5 * tau)
+            nxt[~open_ | (g0[L] <= nu)] = 0.0
+            t[L] = nxt
+            done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) \
+                | (np.abs(g - nu) <= _NU_ULPS * np.spacing(np.abs(nu)))
+            live[L] = ~done.all(axis=1)
         why[live] = f"water level not found in {_MAX_ITER} steps"
-        tau = np.where(act.any(axis=1)[:, None], t / total[:, None], 1.0 / K)
+        tau = np.where(some[:, None], t, 1.0 / K)
         pos = act & (tau > 0.0)
         g, _ = _slot_derivs(d, nr, hp, np.where(pos, tau, 1.0))
         spread = np.where(pos.any(axis=1), np.where(pos, g, -np.inf).max(axis=1)
@@ -229,55 +234,20 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     return TdmaAllocation(tau, rates, rates.sum(axis=1), spread), why
 
 
-def _slots_at_level(d, nr, hp, g0, g1, nu, guess):
-    """(tau, dtau/dnu) of each user at the level nu of its trial: the root of
-    R'(tau) = nu in (0, 1) by safeguarded Newton from the guess, or the end of
-    [0, 1] where R' (g0 at 0, g1 at 1) misses nu; and (user, message) pairs."""
-    tau = np.where(g0 <= nu, 0.0, 1.0)
-    slope = np.zeros_like(tau)
-    idx = np.flatnonzero((g0 > nu) & (g1 < nu))
-    x = guess[idx]
-    x = np.where((0.0 < x) & (x < 1.0), x, 0.5)
-    lo, hi = np.zeros_like(x), np.ones_like(x)
-    d, nr, hp, nu = d[idx], nr[idx], hp[idx], nu[idx]
-    failed = []
-    for _ in range(_MAX_ITER):
-        if not idx.size:
-            return tau, slope, failed
-        g, h = _slot_derivs(d, nr, hp, x)
-        flat = ~(h < 0.0)  # R'' < 0 unless it underflows
-        step = (g - nu) / h
-        close = np.abs(step) <= _TAU_RTOL * x
-        above = g > nu
-        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-        end = flat | close | (hi - lo <= _TAU_RTOL * hi)
-        if flat.any():
-            failed += [(j, f"marginal rate flat at tau = {v}") for j, v in zip(idx[flat], x[flat])]
-        nxt = x - step
-        root = np.where(close, nxt, x)
-        x = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        if end.any():
-            tau[idx[end]], slope[idx[end]] = root[end], 1.0 / h[end]
-            keep = ~end
-            idx, x, lo, hi, d, nr, hp, nu = (v[keep] for v in (idx, x, lo, hi, d, nr, hp, nu))
-    failed += [(j, f"slot at level {v / _LN2} not found in {_MAX_ITER} steps")
-               for j, v in zip(idx, nu)]
-    return tau, slope, failed
-
-
 def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
-    Water-filling on the common marginal rate nu: each tau_k(nu) solves
-    R_k'(tau_k) = nu by safeguarded Newton (0 when R_k'(0) <= nu), and nu
-    solves ln sum_k tau_k(nu) = 0 by safeguarded Newton, with
-    dtau_k/dnu = 1/R_k''(tau_k), inside [max_k R_k'(1), max_k R_k'(1/n)] over
-    the n users with nonzero rate. Users whose rate is identically zero get
-    tau = 0; when no user carries rate the split is uniform. NumericalError
-    is raised if either search exceeds its iteration cap, a marginal rate is
-    flat, the marginal rates of the users with a slot differ by more than
-    1e-8 bits (a fixed check; the searches stop on far tighter tolerances of
-    their own), or the durations leave the simplex by more than 1e-9.
+    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1,
+    from the unbounded-relay-power optimum tau_k ~ d_k + nr_k. Each step
+    linearizes every open slot as tau_k + (nu - g_k)/h_k, with g_k and h_k
+    its R' and R'', and takes nu in closed form so that these sum to one. A
+    slot the step would close is halved instead, and a slot whose marginal
+    rate at 0 is at most nu gets tau = 0 for good. Users whose rate is
+    identically zero get tau = 0; when no user carries rate the split is
+    uniform. NumericalError is raised if the steps exceed their cap, the
+    marginal rates of the users with a slot differ by more than 1e-8 bits (a
+    fixed check; the steps stop on far tighter tolerances of their own), or
+    the durations leave the simplex by more than 1e-9.
     """
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -20,9 +21,11 @@ from marcsim import (
     user_rate,
     user_rate_derivative,
 )
+from marcsim import tdma
 from marcsim.channel import sample_block, user_snrs
 from marcsim.errors import ValidationError
-from marcsim.tdma import block_slots
+from marcsim.harness import _BLOCK_ENTRIES, db_to_linear
+from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_slots
 
 
 def single_user(seed=0, M_r=2, alpha=1.0, P_max=10.0, P_r=10.0):
@@ -214,22 +217,18 @@ def test_user_rate_concave(make_channel):
 # --------------------------------------------------------------------------
 
 def grid_search(c, step=1e-3):
-    """Brute-force simplex maximization of the TDMA sum rate (K <= 3)."""
+    """Brute-force simplex maximum of the TDMA sum rate (K <= 3)."""
     K = c.K
     if K == 1:
-        return user_rate(c, 0, 1.0), np.array([1.0])
+        return user_rate(c, 0, 1.0)
     t = np.arange(0.0, 1.0 + step / 2, step)
     if K == 2:
-        tot = user_rate(c, 0, t) + user_rate(c, 1, 1.0 - t)
-        i = int(np.argmax(tot))
-        return float(tot[i]), np.array([t[i], 1.0 - t[i]])
+        return float(np.max(user_rate(c, 0, t) + user_rate(c, 1, 1.0 - t)))
     T1, T2 = np.meshgrid(t, t, indexing="ij")
     mask = T1 + T2 <= 1.0 + 1e-12
     T1, T2 = T1[mask], T2[mask]
     T3 = np.clip(1.0 - T1 - T2, 0.0, 1.0)
-    tot = user_rate(c, 0, T1) + user_rate(c, 1, T2) + user_rate(c, 2, T3)
-    i = int(np.argmax(tot))
-    return float(tot[i]), np.array([T1[i], T2[i], T3[i]])
+    return float(np.max(user_rate(c, 0, T1) + user_rate(c, 1, T2) + user_rate(c, 2, T3)))
 
 
 def test_two_identical_users_split_evenly():
@@ -255,7 +254,7 @@ def test_matches_brute_force_grid(make_channel, K):
     for seed in range(10):
         c = make_channel(seed=seed, K=K, M_r=2)
         alloc = optimize_slots(c)
-        best, tau = grid_search(c)
+        best = grid_search(c)
         assert alloc.sum_rate >= best - 1e-4, (
             f"iterative {alloc.sum_rate} below grid {best}"
         )
@@ -302,6 +301,62 @@ def test_kkt_spread_far_inside_its_fixed_threshold(K, M_r):
     alloc, why = block_slots(*user_snrs(blk))
     assert not any(why), sorted(set(why))
     assert np.max(alloc.kkt_spread) <= 1e-12
+
+
+def test_failing_trial_fails_alone(monkeypatch):
+    # Even rows have one user with rate, which the first Newton step leaves
+    # at the whole frame; odd rows have three. The last row's rates all
+    # underflow: every R'' reads 0, so no slot steps and the uniform start
+    # stays.
+    blk = sample_block([ScenarioConfig(K=3, M_r=2, seed=5)] * 6, range(6))
+    d, nr, hp = user_snrs(blk)
+    d[::2, 1:] = nr[::2, 1:] = 0.0
+    d, nr, hp = np.vstack([d, [0.0] * 3]), np.vstack([nr, [1e-200] * 3]), np.append(hp, 1e-200)
+    ref, ref_why = block_slots(d, nr, hp)
+    assert not any(ref_why)
+    monkeypatch.setattr(tdma, "_MAX_ITER", 1)
+    alloc, why = block_slots(d, nr, hp)
+    assert list(why) == ["", "water level not found in 1 steps"] * 3 + [""]
+    passed = why == ""
+    for name, field in vars(alloc).items():
+        assert np.array_equal(field[passed], getattr(ref, name)[passed]), name
+    assert np.array_equal(alloc.tau[passed][:3], [[1.0, 0.0, 0.0]] * 3)
+    assert np.array_equal(alloc.tau[-1], np.full(3, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_parked_users_meet_complementary_slackness(K):
+    # SNRs log-uniform over 14 decades, 40 % of users without a direct link:
+    # a parked user's marginal rate at a vanishing slot must not exceed the
+    # level of the users that kept a slot.
+    rng = np.random.default_rng(K)
+    N = 2000
+    d, nr = 10.0 ** rng.uniform(-6.0, 8.0, (2, N, K))
+    hp = 10.0 ** rng.uniform(-6.0, 8.0, N)
+    d[rng.random((N, K)) < 0.4] = 0.0
+    alloc, why = block_slots(d, nr, hp)
+    assert not any(why), sorted(set(why))
+    parked = alloc.tau == 0.0
+    g, _ = _slot_derivs(d, nr, hp[:, None], np.where(parked, 1.0, alloc.tau))
+    nu = np.where(parked, -np.inf, g).max(axis=1, keepdims=True)
+    assert parked.any(axis=1).sum() >= N // 10
+    assert not np.any(parked & (_marginal_at_zero(d, nr, hp[:, None]) > nu))
+
+
+def test_newton_steps_on_criterion_8_draws(monkeypatch):
+    # The criterion-8 draws in the blocks a one-worker sweep makes: each
+    # block's Newton steps and its final KKT spread call _slot_derivs once.
+    base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=8)
+    scens = [replace(base, alpha=a, P_r=db_to_linear(db))
+             for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
+    n, size = 1000, _BLOCK_ENTRIES // (base.K * base.M_r)
+    calls = []
+    monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
+    for lo in range(0, len(scens) * n, size):
+        items = range(lo, min(lo + size, len(scens) * n))
+        blk = sample_block([scens[i // n] for i in items], [i % n for i in items])
+        assert not any(block_slots(*user_snrs(blk))[1])
+    assert len(calls) <= 600
 
 
 @pytest.mark.parametrize("alpha, P_max", [(1.0, 10.0), (1e-6, 1e-6)])
@@ -380,7 +435,7 @@ def test_corner_solution_pins_weak_user_to_zero():
         c = ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=1.0)
         alloc = optimize_slots(c)
         assert alloc.kkt_spread <= 1e-10
-        best, tau = grid_search(c, step=1e-4)
+        best = grid_search(c, step=1e-4)
         assert alloc.sum_rate >= best - 1e-4
         assert alloc.tau[0] == 0.0
         assert alloc.tau[1] == 1.0
