@@ -236,18 +236,12 @@ def _draw(rng: np.random.Generator, z: np.ndarray, u: np.ndarray) -> None:
 
 def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one realization: the coefficients and then P, uniform on
-    [0, P_max], so a given stream state always yields the same realization,
-    built without re-running the constructor's checks."""
+    [0, P_max], so a given stream state always yields the same realization."""
     K, M = cfg.K, cfg.M_r
     z, P = np.empty(2 * (K * M + M + K)), np.empty(K)
     _draw(rng, z, P)
-    P *= cfg.P_max
     h_r, h, h_d = _coefficients(z, cfg.alpha, K, M)
-    c = object.__new__(ChannelRealization)
-    c.__dict__.update(h_r=h_r, h_d=h_d, h=h, P=P, P_r=cfg.P_r)
-    for arr in (h_r, h_d, h, P):
-        arr.flags.writeable = False
-    return c
+    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P * cfg.P_max, P_r=cfg.P_r)
 
 
 def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:

@@ -14,7 +14,9 @@ bounds a block's memory; at W > 1 one process pool serves the run. Every
 trial draws from a substream keyed on (seed, trial index), seeded in bulk
 for a block, and no trial's values depend on the rest of its block, so
 results are byte-identical for any W >= 1. A failed draw is redrawn on a
-flagged substream, in a smaller block, by one loop that counts retries.
+flagged substream, in a smaller block, by one loop. A block returns its
+values, with a leading trial axis, and its redraw count; the table reads
+the blocks joined into one (cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -186,33 +188,36 @@ def _prob_block(blk: ChannelBlock):
     return wins, np.full(wins.shape, "")
 
 
-def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int) -> list:
-    """(value, resamples) of items lo <= i < hi of the flat (cell, trial)
-    list, i = cell * n_trials + trial, evaluated as one block. Draws that fail
-    a check are redrawn on their trials' next flagged substreams, as a block."""
-    done, last = {}, {}
-    pending = list(range(lo, hi))
+def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int):
+    """The values of items lo <= i < hi of the flat (cell, trial) list,
+    i = cell * n_trials + trial, evaluated as one block with a leading item
+    axis, and the number of redraws behind them. Draws that fail a check are
+    redrawn as a block on their next flagged substreams, over their rows."""
+    rows, resampled = np.arange(hi - lo), 0  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
-        if not pending:
-            break
-        cfgs = [scens[i // n_trials] for i in pending]
-        values, why = evaluate(sample_block(cfgs, [i % n_trials for i in pending], retry))
-        for i, value, message in zip(pending, values, why):
-            done[i], last[i] = (value, retry), message
-        pending = [i for i, message in zip(pending, why) if message]
-    if pending:
-        i = pending[0]
-        raise NumericalError(
-            f"trial {i % n_trials} failed after {_MAX_RESAMPLES} resamples: {last[i]}")
-    return [done[i] for i in range(lo, hi)]
+        items = (rows + lo).tolist()
+        got, why = evaluate(sample_block([scens[i // n_trials] for i in items],
+                                         [i % n_trials for i in items], retry))
+        if retry:
+            values[rows] = got
+            resampled += len(rows)
+        else:
+            values = got
+        failed = why != ""
+        if not failed.any():
+            return values, resampled
+        rows = rows[failed]
+    raise NumericalError(f"trial {(rows[0] + lo) % n_trials} failed after {_MAX_RESAMPLES} "
+                         f"resamples: {why[failed][0]}")
 
 
-def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int) -> list:
-    """``evaluate``d (value, resamples) of trials t < n_trials of every cell,
-    cell by cell. workers is capped at the CPU count, as a pool starts all its
-    processes at once. Each block holds ceil(items / workers) of the run's
-    items, up to _BLOCK_ENTRIES relay coefficients: every block pays the
-    kernels' fixed cost per call again. At workers > 1 one pool takes them."""
+def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int):
+    """``evaluate``d values of trials t < n_trials of every cell, as one
+    (cells, n_trials, ...) array, and the total number of redraws. workers is
+    capped at the CPU count, as a pool starts all its processes at once. Each
+    block holds ceil(items / workers) of the run's items, up to _BLOCK_ENTRIES
+    relay coefficients: every block pays the kernels' fixed cost per call
+    again. At workers > 1 one pool takes them."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -227,21 +232,19 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             blocks = list(pool.map(_trial_block, *zip(*tasks)))
-    flat = [r for block in blocks for r in block]
-    return [flat[i * n_trials : (i + 1) * n_trials] for i in range(len(scens))]
+    values, counts = zip(*blocks)
+    return np.concatenate(values).reshape(len(scens), n_trials, *values[0].shape[1:]), sum(counts)
 
 
 def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
     """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell of
     cfg.grid_db, where dB sets the scenario's ``power`` ("P_r" or "P_max").
-    Returns the cells in sorted order, each cell's per-trial values and the
-    total number of resamples."""
+    Returns the cells in sorted order, their values as one (cells, n_trials,
+    ...) array and the total number of redraws."""
     cells = sorted(product(cfg.alpha_values, cfg.grid_db))
     scens = [replace(cfg.base, alpha=a, **{power: db_to_linear(db)})
              for a, db in cells]
-    per_cell = _run_cells(evaluate, scens, cfg.n_trials, workers)
-    resampled = sum(retries for results in per_cell for _, retries in results)
-    return cells, [[value for value, _ in results] for results in per_cell], resampled
+    return (cells, *_run_cells(evaluate, scens, cfg.n_trials, workers))
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
@@ -249,10 +252,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (alpha, P_r) cell, P_r from cfg.grid_db. Deterministic for a fixed
     config: trial t of every cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
-    cells, per_cell, resampled = _run_table(cfg, "P_r", _sweep_block, workers)
+    cells, values, resampled = _run_table(cfg, "P_r", _sweep_block, workers)
     rows = []
-    for (alpha, pr_db), values in zip(cells, per_cell):
-        for m, vals in zip(METRICS, np.array(values).T):
+    for (alpha, pr_db), cell in zip(cells, values):
+        for m, vals in zip(METRICS, cell.T):
             stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
             rows.append(SweepRow(alpha, pr_db, m, float(vals.mean()), stderr, n, seed))
     # Only equal cells, from a repeated alpha, move: they interleave by metric.
@@ -265,10 +268,10 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, P_max
     from cfg.grid_db, with the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
-    cells, per_cell, resampled = _run_table(cfg, "P_max", _prob_block, workers)
+    cells, values, resampled = _run_table(cfg, "P_max", _prob_block, workers)
     rows = []
-    for (alpha, pmax_db), wins in zip(cells, per_cell):
-        p = sum(wins) / n
+    for (alpha, pmax_db), wins in zip(cells, values):
+        p = int(wins.sum()) / n
         rows.append(ProbRow(alpha, pmax_db, p, float(np.sqrt(p * (1.0 - p) / n)), n, seed))
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 

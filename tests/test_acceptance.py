@@ -15,7 +15,6 @@ from marcsim import (
     asymptotic_allocation,
     compute_aggregates,
     estimate_superiority_probability,
-    joint_beats_tdma_asymptotic,
     lower_bound,
     optimize_slots,
     run_sweep,
@@ -29,6 +28,7 @@ from marcsim import (
 )
 from marcsim.channel import sample_block
 from marcsim.joint import block_bounds
+from marcsim.tdma import block_asymptotic
 
 K_MIX = (1, 2, 3, 5, 10)
 MR_MIX = (1, 2, 4)
@@ -50,6 +50,12 @@ def _block_bounds(cfgs, trials):
     b, _, why = block_bounds(blk, compute_aggregates(blk))
     assert not any(why), [m for m in why if m]
     return b
+
+
+def _block_asymptotic(cfg, trials):
+    """The asymptotic comparison of the draws _mk makes of cfg for the given
+    trials, evaluated as one block."""
+    return block_asymptotic(compute_aggregates(sample_block([cfg] * len(trials), trials)))
 
 
 def _report(num, name, ok, detail):
@@ -213,24 +219,16 @@ def test_criterion_05_derivative_matches_finite_differences():
 
 def test_criterion_06_asymptotic_superiority_consistency():
     n = 10_000
-    disagreements = 0
-    for i in range(n):
-        c = _mk(
-            seed=6,
-            K=K_MIX[i % 5],
-            M_r=MR_MIX[i % 3],
-            alpha=(0.1, 0.3, 1.0)[i % 3],
-            trial=i,
-        )
-        res = asymptotic_allocation(c)
+    disagreements = false_at_alpha0 = 0
+    for r in range(15):  # the draws i = r mod 15 share (K, M_r) and alpha
+        trials = range(r, n, 15)
+        K, M_r = K_MIX[r % 5], MR_MIX[r % 3]
+        res = _block_asymptotic(_cfg(6, K, M_r, alpha=(0.1, 0.3, 1.0)[r % 3]), trials)
         gap = res.joint_rate_inf - res.rate_inf
         # |gap| <= 1e-9 counts as "no strict winner" and must read False
-        disagreements += res.joint_wins != (gap > 1e-9)
-
-    false_at_alpha0 = 0
-    for i in range(n):
-        c = _mk(seed=60, K=K_MIX[i % 5], M_r=MR_MIX[i % 3], alpha=0.0, trial=i)
-        false_at_alpha0 += not joint_beats_tdma_asymptotic(c)
+        disagreements += int(np.sum(res.joint_wins != (gap > 1e-9)))
+        false_at_alpha0 += int(np.sum(~_block_asymptotic(_cfg(60, K, M_r, alpha=0.0),
+                                                          trials).joint_wins))
 
     worst_tau = worst_spread = 0.0
     pr = 10.0**8

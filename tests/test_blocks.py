@@ -14,6 +14,8 @@ import pytest
 
 import marcsim.harness as harness_mod
 from marcsim import ChannelBlock, ScenarioConfig, sample_channel, trial_rng
+from marcsim.channel import sample_block
+from marcsim.errors import NumericalError
 
 N_TRIALS = 5
 ALPHAS = (0.0, 0.1, 1.0)
@@ -58,9 +60,10 @@ def test_trial_values_do_not_depend_on_the_worker_count(table):
     scens = _cells(10, 4)
     alone, _ = _alone_and_in_blocks(evaluate, scens)
     for workers in (1, 2, 3):
-        per_cell = harness_mod._run_cells(evaluate, scens, N_TRIALS, workers)
-        assert np.array_equal([value for cell in per_cell for value, _ in cell], alone), workers
-        assert all(retries == 0 for cell in per_cell for _, retries in cell)
+        values, resampled = harness_mod._run_cells(evaluate, scens, N_TRIALS, workers)
+        assert values.shape == (len(scens), N_TRIALS, *alone.shape[1:]), workers
+        assert np.array_equal(values.reshape(alone.shape), alone), workers
+        assert resampled == 0
 
 
 def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_count):
@@ -87,3 +90,63 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
         assert spans == [(lo, min(lo + 7, items)) for lo in range(0, items, 7)], workers
     assert inline_pool == [2, 3, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
+def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu_count,
+                                               table, workers):
+    pin_cpu_count(2)
+    returned = []
+    real = harness_mod._trial_block
+
+    def recorded(evaluate, scens, n_trials, lo, hi):
+        returned.append((hi - lo, real(evaluate, scens, n_trials, lo, hi)))
+        return returned[-1][1]
+
+    monkeypatch.setattr(harness_mod, "_trial_block", recorded)
+    harness_mod._run_cells(getattr(harness_mod, table), _cells(3, 2), N_TRIALS, workers)
+    assert len(returned) == workers
+    for size, (values, resampled) in returned:
+        assert isinstance(values, np.ndarray) and len(values) == size
+        assert type(resampled) is int and resampled == 0
+    assert inline_pool == [2] * (workers - 1)
+
+
+def test_redraws_overwrite_their_rows_and_count_once_each():
+    # items 3..7: rows 0 and 2 fail the first pass, row 0 the second too
+    scens, lo, hi = _cells(3, 2), 3, 8
+    passes = []
+
+    def flaky(blk):
+        values, why = harness_mod._sweep_block(blk)
+        passes.append(len(why))
+        why = why.astype(object)
+        why[{1: [0, 2], 2: [0]}.get(len(passes), [])] = "injected failure"
+        return values, why
+
+    values, resampled = harness_mod._trial_block(flaky, scens, N_TRIALS, lo, hi)
+    assert passes == [5, 2, 1]
+    assert type(resampled) is int and resampled == 3
+    expected = [harness_mod._sweep_block(sample_block([scens[i // N_TRIALS]], [i % N_TRIALS],
+                                                      retry))[0][0]
+                for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
+    assert np.array_equal(values, expected)
+
+
+def test_exhausted_resamples_report_the_whole_last_message():
+    # The first pass's messages are one character wide, as _prob_block's
+    # empty ones are; the later passes fail with a longer message.
+    passes = []
+
+    def failing(blk):
+        values, why = harness_mod._prob_block(blk)
+        passes.append(1)
+        message = "x" if len(passes) == 1 else f"pass {len(passes)} failed for a longer reason"
+        return values, np.full(why.shape, message)
+
+    with pytest.raises(NumericalError) as err:
+        harness_mod._trial_block(failing, _cells(3, 2), N_TRIALS, 7, 9)
+    assert len(passes) == 100
+    assert str(err.value) == ("trial 2 failed after 100 resamples: "
+                              "pass 100 failed for a longer reason")

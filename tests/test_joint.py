@@ -5,8 +5,10 @@ import pytest
 
 from marcsim import (
     ChannelRealization,
+    asymptotic_allocation,
     compute_aggregates,
     lower_bound,
+    optimize_slots,
     realization_from_json,
     relay_matrix_ub1,
     relay_tx_power,
@@ -255,3 +257,20 @@ def test_diagnostic_rate_stays_below_bounds(make_channel):
         c = make_channel(seed=seed, K=3, M_r=2)
         b = lower_bound(c)
         assert sum_rate_logdet(relay_matrix_ub1(c), c) <= min(b.r_up1, b.r_up2) + 1e-9
+
+
+@pytest.mark.parametrize("P_r", [0.0, 10.0, 1e8])
+@pytest.mark.parametrize("h_d", [(0.0, 0.0), (1.0, 1j)], ids=["no-direct", "direct"])
+def test_repeated_top_eigenvalues(h_d, P_r):
+    # h_r = I and equal powers give R = 2I, whose top eigenvalue is repeated;
+    # without direct links W = 0, so R + W has a repeated one too
+    c = ChannelRealization(h_r=np.eye(2), h_d=h_d, h=[1.0, 1.0], P=[2.0, 2.0], P_r=P_r)
+    agg = compute_aggregates(c)
+    assert np.array_equal(agg.R, 2.0 * np.eye(2)) and (any(h_d) or not agg.W.any())
+    b = lower_bound(c)
+    assert np.all(np.isfinite([b.r_lower, b.r_up1, b.r_up2]))
+    assert 0.0 <= b.r_lower <= b.r_up_min + 1e-9
+    assert abs(b.r_lower - sum_rate_logdet(b.f_lower, c)) <= 1e-12
+    assert abs(b.f_lower.tx_power - P_r) <= 1e-12 * P_r
+    optimize_slots(c)
+    asymptotic_allocation(c)

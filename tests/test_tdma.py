@@ -324,15 +324,17 @@ def test_failing_trial_fails_alone(monkeypatch):
     assert np.array_equal(alloc.tau[-1], np.full(3, 1.0 / 3.0))
 
 
-@pytest.mark.parametrize("K", [2, 3, 6])
-def test_parked_users_meet_complementary_slackness(K):
-    # SNRs log-uniform over 14 decades, 40 % of users without a direct link:
-    # a parked user's marginal rate at a vanishing slot must not exceed the
-    # level of the users that kept a slot.
+@pytest.mark.parametrize("K, lo, hi", [pytest.param(K, -6.0, 8.0, id=str(K)) for K in (2, 3, 6)]
+                         + [pytest.param(K, -12.0, 12.0, id=f"{K}-24-decades") for K in (2, 3, 6)])
+def test_parked_users_meet_complementary_slackness(K, lo, hi):
+    # SNRs log-uniform on [10^lo, 10^hi], 40 % of users without a direct
+    # link: a parked user's marginal rate at a vanishing slot must not exceed
+    # the level of the users that kept a slot. Over 24 decades some levels
+    # fall below 1e-12 nats, where the absolute 1e-8-bit KKT checks are blind.
     rng = np.random.default_rng(K)
     N = 2000
-    d, nr = 10.0 ** rng.uniform(-6.0, 8.0, (2, N, K))
-    hp = 10.0 ** rng.uniform(-6.0, 8.0, N)
+    d, nr = 10.0 ** rng.uniform(lo, hi, (2, N, K))
+    hp = 10.0 ** rng.uniform(lo, hi, N)
     d[rng.random((N, K)) < 0.4] = 0.0
     alloc, why = block_slots(d, nr, hp)
     assert not any(why), sorted(set(why))
