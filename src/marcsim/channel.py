@@ -308,7 +308,9 @@ def compute_aggregates(c) -> ChannelAggregates:
                               f"s = {np.ravel(s)[i]:.3e}, tr R = {np.ravel(tr_R)[i]:.3e}")
     G = np.swapaxes(h_r, -1, -2)
     R = (G * P[..., None, :]) @ h_r.conj()
-    R = 0.5 * (R + np.swapaxes(R, -1, -2).conj())
+    # C order, so that a block's matrix products take one path at any stack
+    # size and a trial's values do not depend on its block.
+    R = np.ascontiguousarray(0.5 * (R + np.swapaxes(R, -1, -2).conj()))
     u = ((P * h_d.conj())[..., None, :] @ h_r)[..., 0, :]
     T = u[..., :, None] * u.conj()[..., None, :]
     gram = (s > 0.0) & (np.count_nonzero(P, axis=-1) >= 2)

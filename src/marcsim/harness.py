@@ -8,15 +8,18 @@ probability that joint relaying wins as the relay power grows without bound.
 One pipeline serves both tables; they differ only in the swept power, the
 block evaluator and how a cell's values become rows. The trials of the
 cells, in sorted (alpha, dB) order, form one flat list, and a block is a
-slice of it, so a block can span cells. Each of the W workers, W at most
-the CPU count, takes one block of about 1/W of the run, up to a cap that
-bounds a block's memory; at W > 1 one process pool serves the run. Every
-trial draws from a substream keyed on (seed, trial index), seeded in bulk
-for a block, and no trial's values depend on the rest of its block, so
-results are byte-identical for any W >= 1. A failed draw is redrawn on a
-flagged substream, in a smaller block, by one loop. A block returns its
-values, with a leading trial axis, and its redraw count; the table reads
-the blocks joined into one (cells, trials, ...) array.
+slice of it, so a block can span cells. A block holds about 1/W of the run,
+W at most the CPU count, up to a cap that bounds a block's memory. The
+blocks, in order, form W contiguous groups, or one per block when there are
+fewer. The calling process computes the first group; with more groups, one
+process pool, of one process per further group, computes the others at the
+same time. Every trial draws from a substream keyed on (seed, trial index),
+seeded in bulk for a block, and no trial's values depend on the rest of its
+block, as the kernels take C-ordered stacks, so results are byte-identical
+for any W >= 1. A failed draw is redrawn on a flagged substream, in a
+smaller block, by one loop. A block returns its values, with a leading trial
+axis, and its redraw count; the table reads the blocks joined into one
+(cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -211,13 +214,21 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
                          f"resamples: {why[failed][0]}")
 
 
+def _run_blocks(tasks) -> list:
+    """The (values, redraws) of each of a group's blocks, in order."""
+    return [_trial_block(*task) for task in tasks]
+
+
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int):
     """``evaluate``d values of trials t < n_trials of every cell, as one
     (cells, n_trials, ...) array, and the total number of redraws. workers is
     capped at the CPU count, as a pool starts all its processes at once. Each
     block holds ceil(items / workers) of the run's items, up to _BLOCK_ENTRIES
     relay coefficients: every block pays the kernels' fixed cost per call
-    again. At workers > 1 one pool takes them."""
+    again. The blocks, in order, form min(workers, blocks) contiguous groups.
+    With more than one group, one pool of a process per group after the first
+    takes those groups while this process computes the first; the groups are
+    joined in order."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -225,13 +236,18 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
     size = max(1, min(-(-items // workers), _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
              for lo in range(0, items, size)]
-    if workers == 1:
-        blocks = [_trial_block(*task) for task in tasks]
+    n = min(workers, len(tasks))
+    groups = [tasks[g * len(tasks) // n:(g + 1) * len(tasks) // n] for g in range(n)]
+    if n == 1:
+        blocks = _run_blocks(tasks)
     else:
         import numpy.random  # noqa: F401  (loaded once here; the forked workers inherit it)
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            blocks = list(pool.map(_trial_block, *zip(*tasks)))
+        with ProcessPoolExecutor(max_workers=n - 1) as pool:
+            rest = pool.map(_run_blocks, groups[1:])
+            blocks = _run_blocks(groups[0])
+            for group in rest:
+                blocks += group
     values, counts = zip(*blocks)
     return np.concatenate(values).reshape(len(scens), n_trials, *values[0].shape[1:]), sum(counts)
 
@@ -253,11 +269,14 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     config: trial t of every cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
     cells, values, resampled = _run_table(cfg, "P_r", _sweep_block, workers)
-    rows = []
-    for (alpha, pr_db), cell in zip(cells, values):
-        for m, vals in zip(METRICS, cell.T):
-            stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            rows.append(SweepRow(alpha, pr_db, m, float(vals.mean()), stderr, n, seed))
+    # Contiguous trials per (cell, metric): the reductions then sum in the
+    # order each cell's own contiguous copy would.
+    by_metric = np.ascontiguousarray(values.transpose(0, 2, 1))
+    means = by_metric.mean(axis=-1)
+    stderrs = by_metric.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means)
+    rows = [SweepRow(alpha, pr_db, m, float(mean), float(stderr), n, seed)
+            for (alpha, pr_db), cell_means, cell_stderrs in zip(cells, means, stderrs)
+            for m, mean, stderr in zip(METRICS, cell_means, cell_stderrs)]
     # Only equal cells, from a repeated alpha, move: they interleave by metric.
     rows.sort(key=lambda r: (r.alpha, r.pr_db, r.metric))
     return SweepResult(rows=tuple(rows), resampled_trials=resampled)
@@ -270,8 +289,8 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     n, seed = cfg.n_trials, cfg.base.seed
     cells, values, resampled = _run_table(cfg, "P_max", _prob_block, workers)
     rows = []
-    for (alpha, pmax_db), wins in zip(cells, values):
-        p = int(wins.sum()) / n
+    for (alpha, pmax_db), count in zip(cells, values.sum(axis=1).tolist()):
+        p = count / n
         rows.append(ProbRow(alpha, pmax_db, p, float(np.sqrt(p * (1.0 - p) / n)), n, seed))
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 

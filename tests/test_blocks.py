@@ -55,7 +55,8 @@ def test_trial_values_do_not_depend_on_the_block(K, M_r, table):
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
-def test_trial_values_do_not_depend_on_the_worker_count(table):
+def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count):
+    pin_cpu_count(3)
     evaluate = getattr(harness_mod, table)
     scens = _cells(10, 4)
     alone, _ = _alone_and_in_blocks(evaluate, scens)
@@ -64,6 +65,13 @@ def test_trial_values_do_not_depend_on_the_worker_count(table):
         assert values.shape == (len(scens), N_TRIALS, *alone.shape[1:]), workers
         assert np.array_equal(values.reshape(alone.shape), alone), workers
         assert resampled == 0
+    # one cell of 1,024 trials at K=2, M_r=4: one block, then blocks of 512
+    # and 342, whose stacked matrix products must not change a trial's values
+    one_cell = [ScenarioConfig(K=2, M_r=4, P_max=10.0, P_r=10.0, seed=5)]
+    whole, _ = harness_mod._run_cells(evaluate, one_cell, 1024, 1)
+    for workers in (2, 3):
+        values, _ = harness_mod._run_cells(evaluate, one_cell, 1024, workers)
+        assert np.array_equal(values, whole), workers
 
 
 def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_count):
@@ -89,7 +97,7 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
         assert spans == [(lo, min(lo + 7, items)) for lo in range(0, items, 7)], workers
-    assert inline_pool == [2, 3, 2, 3]
+    assert inline_pool == [1, 2, 1, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -110,7 +118,7 @@ def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu
     for size, (values, resampled) in returned:
         assert isinstance(values, np.ndarray) and len(values) == size
         assert type(resampled) is int and resampled == 0
-    assert inline_pool == [2] * (workers - 1)
+    assert inline_pool == [1] * (workers - 1)
 
 
 def test_redraws_overwrite_their_rows_and_count_once_each():

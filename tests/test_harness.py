@@ -96,6 +96,24 @@ def test_sweep_deterministic_and_worker_invariant():
     assert csv1 == csv3
 
 
+@pytest.mark.parametrize("n_trials", [2, 9, 129])
+def test_table_statistics_equal_the_per_cell_reductions(n_trials):
+    # the tables reduce all cells at once; each row must equal its own cell's
+    # reductions over that cell's trials, bit for bit
+    cfg = small_cfg(n_trials=n_trials)
+    rows = {(r.alpha, r.pr_db, r.metric): r for r in run_sweep(cfg).rows}
+    cells, values, _ = harness_mod._run_table(cfg, "P_r", harness_mod._sweep_block, 1)
+    for (alpha, pr_db), cell in zip(cells, values):
+        for m, vals in zip(METRICS, cell.T):
+            row = rows[alpha, pr_db, m]
+            assert row.mean == float(vals.mean())
+            assert row.stderr == float(vals.std(ddof=1) / np.sqrt(n_trials))
+    probs = estimate_superiority_probability(cfg).rows
+    cells, wins, _ = harness_mod._run_table(cfg, "P_max", harness_mod._prob_block, 1)
+    assert [(r.alpha, r.pmax_db) for r in probs] == cells
+    assert [r.probability for r in probs] == [int(w.sum()) / n_trials for w in wins]
+
+
 def test_sweep_rows_complete_and_ordered():
     cfg = small_cfg()
     result = run_sweep(cfg)
@@ -310,8 +328,9 @@ def test_pool_size_capped_by_blocks(inline_pool, pin_cpu_count):
     assert estimate_superiority_probability(cfg, workers=64).to_csv() == (
         estimate_superiority_probability(cfg).to_csv()
     )
-    # 1 cell and then 2 cells of 3 trials: no more processes than trials
-    assert inline_pool == [3, 6]
+    # 1 cell and then 2 cells of 3 trials: one block per trial, and a pool
+    # process for each block after the first, which this process computes
+    assert inline_pool == [2, 5]
 
 
 def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count):
@@ -320,7 +339,7 @@ def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count):
     cfg = small_cfg(n_trials=4)
     for run in (run_sweep, estimate_superiority_probability):
         assert run(cfg, workers=10**6).to_csv() == run(cfg, workers=1).to_csv()
-    assert inline_pool == [3, 3]
+    assert inline_pool == [2, 2]
 
 
 def test_one_pool_per_run(monkeypatch, pin_cpu_count):
@@ -359,6 +378,19 @@ def _always_fail(name, blk):
     return values, np.full(len(why), "injected failure")
 
 
+_REAL_TRIAL_BLOCK = harness_mod._trial_block
+
+
+def _recorded_block(spans, fail_from, evaluate, scens, n_trials, lo, hi):
+    # a sweep's draws of items from fail_from on always fail; the spans a
+    # process evaluated land in its own copy of spans
+    if lo >= fail_from:
+        evaluate = partial(_always_fail, "_sweep_block")
+    result = _REAL_TRIAL_BLOCK(evaluate, scens, n_trials, lo, hi)
+    spans.append((lo, hi))
+    return result
+
+
 _needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="pool workers must inherit the injected failure",
@@ -385,3 +417,31 @@ def test_exhausted_resamples_raise_through_pool(monkeypatch):
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=2)
     with pytest.raises(NumericalError, match="after 100 resamples"):
         run_sweep(cfg, workers=2)
+
+
+@_needs_fork
+def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count):
+    # at W = 2 the blocks form two contiguous groups: this process evaluates
+    # the first and the pool's one process the second
+    pin_cpu_count(2)
+    spans = []
+    monkeypatch.setattr(harness_mod, "_trial_block", partial(_recorded_block, spans, np.inf))
+    scens = [ScenarioConfig(K=3, M_r=2, alpha=a, seed=4) for a in (0.1, 0.5, 1.0)]
+    harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
+    assert spans == [(0, 8)]
+    # 15 items in blocks of 2: eight blocks, four to a group
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 3 * 2 * 2)
+    spans.clear()
+    harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
+    assert spans == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+
+@_needs_fork
+def test_exhausted_resamples_in_the_pool_raise_after_the_first_group(monkeypatch, pin_cpu_count):
+    # 4 cells of 3 trials in blocks [0, 6) and [6, 12): only the pool's group fails
+    pin_cpu_count(2)
+    spans = []
+    monkeypatch.setattr(harness_mod, "_trial_block", partial(_recorded_block, spans, 6))
+    with pytest.raises(NumericalError, match="after 100 resamples"):
+        run_sweep(small_cfg(n_trials=3), workers=2)
+    assert spans == [(0, 6)]
