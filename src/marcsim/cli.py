@@ -72,7 +72,8 @@ def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: 
         "seed": dict(type=int, default=0, metavar="S"),
         "out": dict(default="", metavar="PATH", help="output path (default stdout)"),
         "workers": dict(type=int, default=1, metavar="W",
-                        help="parallel worker processes (results identical for any W)"),
+                        help="most worker processes; a run too small to pay for starting "
+                             "them stays in this process (results identical for any W)"),
     }
     if swept:
         specs[swept].update(metavar="LO:HI:STEP", help=specs[swept]["help"] + ", or a range")

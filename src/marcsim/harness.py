@@ -8,9 +8,12 @@ probability that joint relaying wins as the relay power grows without bound.
 One pipeline serves both tables; they differ only in the swept power, the
 block evaluator and how a cell's values become rows. The trials of the
 cells, in sorted (alpha, dB) order, form one flat list, and a block is a
-slice of it, so a block can span cells. A block holds about 1/W of the run,
-W at most the CPU count, up to a cap that bounds a block's memory. The
-blocks, in order, form W contiguous groups, or one per block when there are
+slice of it, so a block can span cells. A run is split into n process
+groups: W, at most the CPU count, but no more than leave every process the
+work that pays for its start, _MIN_PROCESS_WORK, a trial weighing
+sqrt(K * M_r); a smaller run is one group, computed here. A block holds
+about 1/n of the run, up to a cap that bounds a block's memory. The
+blocks, in order, form n contiguous groups, or one per block when there are
 fewer. The calling process computes the first group; with more groups, one
 process pool, of one process per further group, computes the others at the
 same time. Every trial draws from a substream keyed on (seed, trial index),
@@ -28,6 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from math import sqrt
 
 import numpy as np
 
@@ -56,6 +60,10 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 
 _MAX_RESAMPLES = 100
 _BLOCK_ENTRIES = 1 << 13  # cap on K * M_r relay coefficients summed over a block
+# Work, in trials times sqrt(K * M_r), that pays for starting a pool process:
+# a trial's cost grows about as that root, and at W = 2 a run of twice this
+# work is as fast on two processes as on one (tools/fanout_breakeven.py).
+_MIN_PROCESS_WORK = 2750
 
 
 def db_to_linear(db: float) -> float:
@@ -222,21 +230,23 @@ def _run_blocks(tasks) -> list:
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int):
     """``evaluate``d values of trials t < n_trials of every cell, as one
     (cells, n_trials, ...) array, and the total number of redraws. workers is
-    capped at the CPU count, as a pool starts all its processes at once. Each
-    block holds ceil(items / workers) of the run's items, up to _BLOCK_ENTRIES
-    relay coefficients: every block pays the kernels' fixed cost per call
-    again. The blocks, in order, form min(workers, blocks) contiguous groups.
-    With more than one group, one pool of a process per group after the first
-    takes those groups while this process computes the first; the groups are
-    joined in order."""
+    an upper bound: it is capped at the CPU count, as a pool starts all its
+    processes at once, and at one process per _MIN_PROCESS_WORK of the run's
+    work, items * sqrt(K * M_r), which gives n groups; W = 1 and a run of
+    less than twice that work are one group. Each block holds ceil(items / n)
+    of the items, up to _BLOCK_ENTRIES relay coefficients: every block pays
+    the kernels' fixed cost per call again. The blocks, in order, form min(n,
+    blocks) contiguous groups. With more than one group, one pool of a
+    process per group after the first takes those groups while this process
+    computes the first; the groups are joined in order."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
-    items = len(scens) * n_trials
-    size = max(1, min(-(-items // workers), _BLOCK_ENTRIES // (scens[0].K * scens[0].M_r)))
+    items, entries = len(scens) * n_trials, scens[0].K * scens[0].M_r
+    n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(entries) // _MIN_PROCESS_WORK)))
+    size = max(1, min(-(-items // n), _BLOCK_ENTRIES // entries))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
              for lo in range(0, items, size)]
-    n = min(workers, len(tasks))
+    n = min(n, len(tasks))
     groups = [tasks[g * len(tasks) // n:(g + 1) * len(tasks) // n] for g in range(n)]
     if n == 1:
         blocks = _run_blocks(tasks)

@@ -85,10 +85,12 @@ def sum_rate_logdet(F, c: ChannelRealization) -> float:
     a, b = heff[:, 0], heff[:, 1]
     saa = float(np.sum(c.P * np.abs(a) ** 2))
     sbb = float(np.sum(c.P * np.abs(b) ** 2))
-    m12 = complex(np.sum(c.P * a * b.conj()))
-    # det(I + sum) = (1+saa)(1+sbb) - |m12|^2, evaluated as 1 + x for accuracy
-    x = saa + sbb + saa * sbb - abs(m12) ** 2
-    return float(np.log1p(max(x, 0.0)) / _LN2)
+    # det(I + sum) = 1 + saa + sbb + (saa*sbb - |m12|^2), the Gram term taken
+    # by the Lagrange identity as sum_{j<k} P_j P_k |a_j b_k - a_k b_j|^2:
+    # saa*sbb - |m12|^2 cancels when one user dominates, and at K = 1 exactly
+    minors = np.abs(np.outer(a, b) - np.outer(b, a)) ** 2
+    x = saa + sbb + float(c.P @ minors @ c.P) / 2.0
+    return float(np.log1p(x) / _LN2)
 
 
 def sum_rate_closed(F, c: ChannelRealization) -> float:

@@ -211,14 +211,15 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
             rise = (1.0 - tau.sum(axis=1, keepdims=True) - move.sum(axis=1, keepdims=True)) \
                 / inv.sum(axis=1, keepdims=True)
             nu = ref + rise
+            tol = _NU_ULPS * np.spacing(np.abs(nu))
             nxt = np.where(step, tau + move + rise * inv, tau)
             # A step that would close a slot halves it; a slot whose marginal
-            # rate at 0 is at most nu is parked at 0 for good.
+            # rate at 0 is below nu by more than tol is parked at 0 for good
+            # (one at nu to rounding, as a flat R' gives, keeps its slot).
             nxt = np.where(nxt > 0.0, nxt, 0.5 * tau)
-            nxt[~open_ | (g0[L] <= nu)] = 0.0
+            nxt[~open_ | (g0[L] < nu - tol)] = 0.0
             t[L] = nxt
-            done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) \
-                | (np.abs(g - nu) <= _NU_ULPS * np.spacing(np.abs(nu)))
+            done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)
             live[L] = ~done.all(axis=1)
         why[live] = f"water level not found in {_MAX_ITER} steps"
         tau = np.where(some[:, None], t, 1.0 / K)
@@ -242,12 +243,12 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     linearizes every open slot as tau_k + (nu - g_k)/h_k, with g_k and h_k
     its R' and R'', and takes nu in closed form so that these sum to one. A
     slot the step would close is halved instead, and a slot whose marginal
-    rate at 0 is at most nu gets tau = 0 for good. Users whose rate is
-    identically zero get tau = 0; when no user carries rate the split is
-    uniform. NumericalError is raised if the steps exceed their cap, the
-    marginal rates of the users with a slot differ by more than 1e-8 bits (a
-    fixed check; the steps stop on far tighter tolerances of their own), or
-    the durations leave the simplex by more than 1e-9.
+    rate at 0 is below nu by more than 16 ulps of nu gets tau = 0 for good.
+    Users whose rate is identically zero get tau = 0; when no user carries
+    rate the split is uniform. NumericalError is raised if the steps exceed
+    their cap, the marginal rates of the users with a slot differ by more
+    than 1e-8 bits (a fixed check; the steps stop on far tighter tolerances
+    of their own), or the durations leave the simplex by more than 1e-9.
     """
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))

@@ -53,6 +53,14 @@ def inline_pool(monkeypatch):
 
 
 @pytest.fixture
+def any_run_forks(monkeypatch):
+    """Lets a parallel run of any size start its pool: each process then
+    needs one trial of its own, not _MIN_PROCESS_WORK, so that small tables
+    exercise the pool."""
+    monkeypatch.setattr(harness_mod, "_MIN_PROCESS_WORK", 1)
+
+
+@pytest.fixture
 def pin_cpu_count(monkeypatch):
     """Pins the CPU count that caps the harness's worker count, so that pool
     sizes do not depend on the machine. Call it with the count."""

@@ -369,7 +369,7 @@ def test_criterion_09_superiority_probability_trends():
     )
 
 
-def test_criterion_10_sweep_determinism():
+def test_criterion_10_sweep_determinism(any_run_forks):
     base = ScenarioConfig(K=3, M_r=2, P_max=10.0, P_r=1.0, alpha=1.0, seed=10)
     cfg = SweepConfig(
         base=base,

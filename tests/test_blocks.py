@@ -55,7 +55,7 @@ def test_trial_values_do_not_depend_on_the_block(K, M_r, table):
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
-def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count):
+def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, any_run_forks):
     pin_cpu_count(3)
     evaluate = getattr(harness_mod, table)
     scens = _cells(10, 4)
@@ -75,8 +75,8 @@ def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count):
 
 
 def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_count):
-    # one block per worker, of ceil(trials / workers) trials, up to the
-    # coefficient cap; a block holds trials of several cells
+    # 45 trials are too little work for a second process: one block of the
+    # whole run, computed here, at any W
     pin_cpu_count(3)
     spans = []
     real = harness_mod._trial_block
@@ -88,6 +88,15 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
     evaluate = harness_mod._prob_block
     items = 9 * N_TRIALS
+    for workers in (1, 2, 3):
+        spans.clear()
+        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        assert spans == [(0, items)], workers
+    assert inline_pool == []
+    # with a process paid for by any trial: one block per worker, of
+    # ceil(trials / workers) trials, up to the coefficient cap; a block holds
+    # trials of several cells
+    monkeypatch.setattr(harness_mod, "_MIN_PROCESS_WORK", 1)
     for workers, ends in ((1, [0, items]), (2, [0, 23, items]), (3, [0, 15, 30, items])):
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
@@ -103,7 +112,7 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
 def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu_count,
-                                               table, workers):
+                                               any_run_forks, table, workers):
     pin_cpu_count(2)
     returned = []
     real = harness_mod._trial_block

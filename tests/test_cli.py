@@ -118,7 +118,7 @@ def test_eval_invalid_json_is_validation_error(tmp_path, capsys):
     assert code == 1
 
 
-def test_sweep_csv_deterministic_across_workers(tmp_path, capsys):
+def test_sweep_csv_deterministic_across_workers(tmp_path, capsys, any_run_forks):
     args = ["sweep", "--users", "3", "--antennas", "2", "--alpha", "0.5",
             "--alpha", "1.0", "--pr-db", "0:10:10", "--trials", "5",
             "--seed", "9"]
@@ -166,6 +166,14 @@ def test_check_passes_on_defaults(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_check_passes_on_a_single_user_at_high_power(capsys):
+    # one user: the log-det reference must not cancel where the rate is ~40 bits
+    code, out, _ = run_cli(capsys, "check", "--users", "1", "--antennas", "1", "--pmax-db",
+                           "60", "--pr-db", "60", "--trials", "500", "--seed", "7")
+    assert code == 0, out
+    assert "FAIL" not in out
 
 
 def test_bad_flags_exit_one(capsys):

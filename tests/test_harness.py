@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import multiprocessing
 from collections import Counter
 from functools import partial
@@ -87,7 +88,7 @@ def test_sweep_single_trial_equals_direct_evaluation():
         assert row.stderr == 0.0
 
 
-def test_sweep_deterministic_and_worker_invariant():
+def test_sweep_deterministic_and_worker_invariant(any_run_forks):
     cfg = small_cfg()
     csv1 = run_sweep(cfg, workers=1).to_csv()
     csv2 = run_sweep(cfg, workers=1).to_csv()
@@ -320,7 +321,7 @@ def test_workers_below_one_rejected():
             estimate_superiority_probability(cfg, workers=workers)
 
 
-def test_pool_size_capped_by_blocks(inline_pool, pin_cpu_count):
+def test_pool_size_capped_by_blocks(inline_pool, pin_cpu_count, any_run_forks):
     pin_cpu_count(64)
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=3)
     assert run_sweep(cfg, workers=64).to_csv() == run_sweep(cfg).to_csv()
@@ -333,7 +334,7 @@ def test_pool_size_capped_by_blocks(inline_pool, pin_cpu_count):
     assert inline_pool == [2, 5]
 
 
-def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count):
+def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count, any_run_forks):
     # a pool starts all its processes at once, so a huge W must not reach it
     pin_cpu_count(3)
     cfg = small_cfg(n_trials=4)
@@ -342,24 +343,48 @@ def test_pool_size_capped_by_cpu_count(inline_pool, pin_cpu_count):
     assert inline_pool == [2, 2]
 
 
-def test_one_pool_per_run(monkeypatch, pin_cpu_count):
-    pin_cpu_count(2)
-    starts = Counter()
+def _recorded_pool_starts(monkeypatch) -> list:
+    """The max_workers of each pool the harness starts through its binding."""
+    starts = []
     real = harness_mod.ProcessPoolExecutor
 
-    def counted(*args, **kwargs):
-        starts["pool"] += 1
-        return real(*args, **kwargs)
+    def counted(max_workers):
+        starts.append(max_workers)
+        return real(max_workers=max_workers)
 
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", counted)
+    return starts
+
+
+def test_one_pool_per_run(monkeypatch, pin_cpu_count, any_run_forks):
+    pin_cpu_count(2)
+    starts = _recorded_pool_starts(monkeypatch)
     cfg = small_cfg(n_trials=3)
-    for workers, expected in ((1, 0), (2, 1)):
+    for workers, expected in ((1, []), (2, [1])):
         starts.clear()
         run_sweep(cfg, workers=workers)
-        assert starts["pool"] == expected
+        assert starts == expected
         starts.clear()
         estimate_superiority_probability(cfg, workers=workers)
-        assert starts["pool"] == expected
+        assert starts == expected
+
+
+@pytest.mark.parametrize("run", [run_sweep, estimate_superiority_probability])
+def test_pool_starts_only_when_each_process_gets_its_work(monkeypatch, pin_cpu_count, run):
+    # four cells at K = 3, M_r = 2, a trial weighing sqrt(6): below twice
+    # _MIN_PROCESS_WORK a run stays in this process at any W; from there on
+    # W = 2 and W = 3 start one pool of one process, as a third would get
+    # too little work. The CSV is the same at any W.
+    pin_cpu_count(3)
+    starts = _recorded_pool_starts(monkeypatch)
+    fork_from = math.ceil(2 * harness_mod._MIN_PROCESS_WORK / math.sqrt(3 * 2) / 4)
+    for n_trials, pools in ((fork_from - 1, []), (fork_from, [1])):
+        cfg = small_cfg(n_trials=n_trials)
+        serial = run(cfg, workers=1).to_csv()
+        for workers in (2, 3):
+            starts.clear()
+            assert run(cfg, workers=workers).to_csv() == serial, (n_trials, workers)
+            assert starts == pools, (n_trials, workers)
 
 
 # The real block evaluators, looked up by name, so that a stand-in is a
@@ -399,7 +424,7 @@ _needs_fork = pytest.mark.skipif(
 
 @_needs_fork
 @pytest.mark.parametrize("n_trials", [1, 7])
-def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
+def test_output_and_resamples_worker_invariant(monkeypatch, any_run_forks, n_trials):
     for name in ("_sweep_block", "_prob_block"):
         monkeypatch.setattr(harness_mod, name, partial(_fail_on_weak_first_link, name))
     cfg = small_cfg(n_trials=n_trials)
@@ -412,7 +437,7 @@ def test_output_and_resamples_worker_invariant(monkeypatch, n_trials):
 
 
 @_needs_fork
-def test_exhausted_resamples_raise_through_pool(monkeypatch):
+def test_exhausted_resamples_raise_through_pool(monkeypatch, any_run_forks):
     monkeypatch.setattr(harness_mod, "_sweep_block", partial(_always_fail, "_sweep_block"))
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=2)
     with pytest.raises(NumericalError, match="after 100 resamples"):
@@ -420,7 +445,7 @@ def test_exhausted_resamples_raise_through_pool(monkeypatch):
 
 
 @_needs_fork
-def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count):
+def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count, any_run_forks):
     # at W = 2 the blocks form two contiguous groups: this process evaluates
     # the first and the pool's one process the second
     pin_cpu_count(2)
@@ -437,7 +462,8 @@ def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count):
 
 
 @_needs_fork
-def test_exhausted_resamples_in_the_pool_raise_after_the_first_group(monkeypatch, pin_cpu_count):
+def test_exhausted_resamples_in_the_pool_raise_after_the_first_group(monkeypatch, pin_cpu_count,
+                                                                     any_run_forks):
     # 4 cells of 3 trials in blocks [0, 6) and [6, 12): only the pool's group fails
     pin_cpu_count(2)
     spans = []

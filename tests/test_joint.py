@@ -57,6 +57,15 @@ def test_logdet_equals_closed_form(make_channel, rng, K, M_r):
         assert abs(r1 - r2) <= 1e-10 * max(1.0, r1), f"logdet {r1} vs closed {r2}"
 
 
+def test_logdet_of_a_single_user_does_not_cancel():
+    # K = M_r = 1: the 2x2 Gram term of det(I + sum) is exactly zero, so a
+    # form that subtracts |m12|^2 from saa*sbb is 1.3e-8 bits off here
+    c = ChannelRealization(h_r=[[889 - 934j]], h_d=[-379 + 256j], h=[4528 + 742j],
+                           P=[607.0], P_r=100.0)
+    b = lower_bound(c)
+    assert sum_rate_logdet(b.f_lower, c) == pytest.approx(b.r_lower, rel=1e-12, abs=0.0)
+
+
 def test_closed_form_equals_pre_identity_variant(make_channel, rng):
     # same rate through (1+s)R - T instead of R + W
     for seed in range(6):

@@ -424,6 +424,16 @@ def test_all_degenerate_users():
     assert abs(alloc.tau.sum() - 1.0) <= 1e-9
 
 
+def test_a_flat_marginal_rate_keeps_the_only_slot():
+    # relay-only user with nr / hp ~ 4e16: R' is flat to rounding, and R'(1)
+    # is not below R'(0) = ln(1 + hp) in floats; the slot must stay open
+    c = ChannelRealization(h_r=[[244365 + 580972j]], h_d=[0.0], h=[0.234 - 0.921j],
+                           P=[82770.0], P_r=1.0)
+    alloc = optimize_slots(c)
+    assert np.array_equal(alloc.tau, [1.0])
+    assert alloc.sum_rate == pytest.approx(single_user_rate(c, 0), rel=1e-15)
+
+
 def test_corner_solution_pins_weak_user_to_zero():
     # user 0 has no direct link, so its marginal rate stays finite as its
     # slot vanishes; user 1 dominates and should take the whole frame
