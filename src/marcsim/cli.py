@@ -82,7 +82,9 @@ def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: 
         p.add_argument("--" + name, **specs[name])
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand; given a command, only that subcommand
+    gets its flags, as only its own are parsed or shown."""
     parser = _Parser(prog="marcsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,10 +97,13 @@ def _build_parser() -> _Parser:
          "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
         ("check", "invariant suite on random instances", scenario + " trials", "", 100),
     ):
-        _add_flags(sub.add_parser(name, help=help_), flags, swept, trials)
+        p = sub.add_parser(name, help=help_)
+        if command in (None, name):
+            _add_flags(p, flags, swept, trials)
     p = sub.add_parser("eval", help="metrics for a JSON realization")
-    p.add_argument("realization", help="path to a realization JSON ('-' for stdin)")
-    _add_flags(p, "out")
+    if command in (None, "eval"):
+        p.add_argument("realization", help="path to a realization JSON ('-' for stdin)")
+        _add_flags(p, "out")
     return parser
 
 
@@ -183,7 +188,9 @@ _COMMANDS = {"sample": _cmd_sample, "eval": _cmd_eval, "sweep": _cmd_table, "pro
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first argument that is not an option names the subcommand
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

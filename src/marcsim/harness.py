@@ -12,17 +12,17 @@ slice of it, so a block can span cells. A run is split into n process
 groups: W, at most the CPU count, but no more than leave every process the
 work that pays for its start, _MIN_PROCESS_WORK, a trial weighing
 sqrt(K * M_r); a smaller run is one group, computed here. A block holds
-about 1/n of the run, up to a cap that bounds a block's memory. The
-blocks, in order, form n contiguous groups, or one per block when there are
-fewer. The calling process computes the first group; with more groups, one
-process pool, of one process per further group, computes the others at the
-same time. Every trial draws from a substream keyed on (seed, trial index),
-seeded in bulk for a block, and no trial's values depend on the rest of its
-block, as the kernels take C-ordered stacks, so results are byte-identical
-for any W >= 1. A failed draw is redrawn on a flagged substream, in a
-smaller block, by one loop. A block returns its values, with a leading trial
-axis, and its redraw count; the table reads the blocks joined into one
-(cells, trials, ...) array.
+about 1/n of the run, up to a byte budget on its memory, at a footprint per
+trial fitted in K and M_r. The blocks, in order, form n contiguous groups,
+or one per block when there are fewer. The calling process computes the
+first group; with more groups, one process pool, of one process per
+further group, computes the others at the same time. Every trial draws
+from a substream keyed on (seed, trial index), seeded in bulk for a block,
+and no trial's values depend on the rest of its block, as the kernels take
+C-ordered stacks, so results are byte-identical for any W >= 1. A failed
+draw is redrawn on a flagged substream, in a smaller block, by one loop. A
+block returns its values, with a leading trial axis, and its redraw count;
+the table reads the blocks joined into one (cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .joint import (
 )
 from .numerics import quadratic_form
 from .tdma import (
-    _KKT_ATOL, _SIMPLEX_ATOL, AsymptoticResult, TdmaAllocation, asymptotic_allocation,
-    block_asymptotic, block_slots, kkt_slackness, optimize_slots,
+    _KKT_ATOL, _SIMPLEX_ATOL, AsymptoticResult, TdmaAllocation, _kkt_gaps, _kkt_tolerance,
+    asymptotic_allocation, block_asymptotic, block_slots, optimize_slots,
 )
 
 __all__ = [
@@ -59,11 +59,20 @@ __all__ = [
 METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_rate")
 
 _MAX_RESAMPLES = 100
-_BLOCK_ENTRIES = 1 << 13  # cap on K * M_r relay coefficients summed over a block
+_BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for starting a pool process:
 # a trial's cost grows about as that root, and at W = 2 a run of twice this
 # work is as fast on two processes as on one (tools/fanout_breakeven.py).
 _MIN_PROCESS_WORK = 2750
+
+
+def _trial_bytes(K: int, M_r: int) -> int:
+    """Bytes a trial of K users and M_r relay antennas adds to a block's peak
+    memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
+    slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
+    blocks, which lie within 0.5-1.25 times it for K 1-50 and M_r 1-8
+    (tools/block_footprint.py --grid)."""
+    return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
 
 def db_to_linear(db: float) -> float:
@@ -234,16 +243,18 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
     processes at once, and at one process per _MIN_PROCESS_WORK of the run's
     work, items * sqrt(K * M_r), which gives n groups; W = 1 and a run of
     less than twice that work are one group. Each block holds ceil(items / n)
-    of the items, up to _BLOCK_ENTRIES relay coefficients: every block pays
-    the kernels' fixed cost per call again. The blocks, in order, form min(n,
-    blocks) contiguous groups. With more than one group, one pool of a
-    process per group after the first takes those groups while this process
-    computes the first; the groups are joined in order."""
+    of the items, up to the _BLOCK_BYTES // _trial_bytes(K, M_r) that fit
+    its memory budget; a block of many small trials as of a few large ones,
+    as every block pays the kernels' fixed cost per call again. The blocks,
+    in order, form min(n, blocks) contiguous groups. With more than one
+    group, one pool of a process per group after the first takes those
+    groups while this process computes the first; the groups are joined in
+    order."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    items, entries = len(scens) * n_trials, scens[0].K * scens[0].M_r
-    n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(entries) // _MIN_PROCESS_WORK)))
-    size = max(1, min(-(-items // n), _BLOCK_ENTRIES // entries))
+    items, K, M_r = len(scens) * n_trials, scens[0].K, scens[0].M_r
+    n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(K * M_r) // _MIN_PROCESS_WORK)))
+    size = max(1, min(-(-items // n), _BLOCK_BYTES // _trial_bytes(K, M_r)))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
              for lo in range(0, items, size)]
     n = min(n, len(tasks))
@@ -347,9 +358,12 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
             abs(sum_rate_logdet(F, c) - sum_rate_closed(F, c)),
             abs(b.r_lower[i] - sum_rate_logdet(f, c)),
             abs(f.tx_power - c.P_r) / max(1.0, c.P_r),
-            kkt_slackness(c, alloc.tau[i]),
         ))
-    psd, formulas, logdet, power, slackness = np.array(rows).T
+    psd, formulas, logdet, power = np.array(rows).T
+    _, slack, nu = _kkt_gaps(agg.d, agg.nr, agg.hp[:, None], alloc.tau)
+    # The KKT gaps in bits times _KKT_ATOL / min(_KKT_ATOL, _KKT_RTOL * nu):
+    # each is within its threshold _KKT_ATOL iff it is within its tolerance.
+    kkt_scale = _KKT_ATOL / np.maximum(_kkt_tolerance(nu), np.finfo(float).tiny)
     gap = asym.joint_rate_inf - asym.rate_inf
     checks = {  # name: (violation measure per trial, threshold)
         "aggregates_identity": (
@@ -359,8 +373,8 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
         "bound_ordering": (b.r_lower - b.r_up_min, _ORDER_SLACK),
         "lower_matches_logdet": (logdet, 1e-9),
         "relay_power_equality": (power, 1e-8),
-        "tdma_kkt_spread": (alloc.kkt_spread, _KKT_ATOL),
-        "tdma_slackness": (slackness, 1e-8),
+        "tdma_kkt_spread": (alloc.kkt_spread * kkt_scale, _KKT_ATOL),
+        "tdma_slackness": (slack * kkt_scale, _KKT_ATOL),
         "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), _SIMPLEX_ATOL),
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),

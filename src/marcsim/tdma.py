@@ -40,7 +40,8 @@ _MAX_ITER = 200  # cap on the Newton steps of the slot optimizer
 _TAU_RTOL = 1e-10  # relative move of a slot that has converged
 _NU_ULPS = 16  # ulps of nu within which a slot's marginal rate has converged
 _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
-_KKT_ATOL = 1e-8  # KKT spread in bits an allocation may show
+_KKT_ATOL = 1e-8  # KKT spread and slackness in bits an allocation may show
+_KKT_RTOL = 1e-10  # ... and relative to the water level nu, where that is smaller
 _TIE_RTOL = 1e-12  # relative guard breaking asymptotic ties toward TDMA
 # n = 2..24 in the series of _log_excess: at t = 1/5 its last term is below
 # 1e-16 of the sum, and the tail after it below 1e-17.
@@ -178,9 +179,8 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     trial; a trial stops once every slot has moved by at most _TAU_RTOL of
     itself or has a marginal rate within _NU_ULPS ulps of nu, and keeps its
     values, so no result depends on the rest of the block."""
-    N, K = d.shape
+    K = d.shape[1]
     hp = hp[:, None]
-    why = np.full(N, "", dtype=object)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g0 = _marginal_at_zero(d, nr, hp)
         act = g0 > 0.0
@@ -221,15 +221,46 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
             t[L] = nxt
             done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)
             live[L] = ~done.all(axis=1)
-        why[live] = f"water level not found in {_MAX_ITER} steps"
-        tau = np.where(some[:, None], t, 1.0 / K)
-        pos = act & (tau > 0.0)
-        g, _ = _slot_derivs(d, nr, hp, np.where(pos, tau, 1.0))
-        spread = np.where(pos.any(axis=1), np.where(pos, g, -np.inf).max(axis=1)
-                          - np.where(pos, g, np.inf).min(axis=1), 0.0) / _LN2
+    alloc, why = _checked_allocation(d, nr, hp, np.where(some[:, None], t, 1.0 / K))
+    why[live] = f"water level not found in {_MAX_ITER} steps"
+    return alloc, why
+
+
+def _kkt_gaps(d, nr, hp, tau):
+    """(spread, slack, nu) in bits of slot durations tau, for one user set
+    or each trial of a block (leading axes, hp broadcast against tau): the
+    spread of the marginal rates over the open slots, the largest excess of
+    a parked user's marginal rate at a vanishing slot over nu (0.0 when
+    none exceeds it), and nu, the largest marginal rate of an open slot."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        open_ = tau > 0.0
+        g, _ = _slot_derivs(d, nr, hp, np.where(open_, tau, 1.0))
+        nu = np.where(open_, g, -np.inf).max(axis=-1)
+        spread = np.where(open_.any(axis=-1), nu - np.where(open_, g, np.inf).min(axis=-1), 0.0)
+        excess = np.where(open_, -np.inf, _marginal_at_zero(d, nr, hp) - nu[..., None])
+        slack = np.maximum(excess.max(axis=-1), 0.0)
+    return spread / _LN2, slack / _LN2, nu / _LN2
+
+
+def _kkt_tolerance(nu):
+    """The KKT spread or slackness in bits that slot durations at the level
+    nu may show: _KKT_ATOL, or _KKT_RTOL of nu where that is smaller, so that
+    a wrong allocation stays visible when every rate is tiny."""
+    return np.minimum(_KKT_ATOL, _KKT_RTOL * nu)
+
+
+def _checked_allocation(d, nr, hp, tau):
+    """The TdmaAllocation of a block's slot durations tau (N, K), hp (N, 1),
+    and one failure message per trial: a KKT spread or slackness over
+    _kkt_tolerance, or durations off the simplex; "" when it passes."""
+    spread, slack, nu = _kkt_gaps(d, nr, hp, tau)
+    tol = _kkt_tolerance(nu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rates = _slot_rate(d, nr, hp, tau)
-    for j in np.flatnonzero((why == "") & ~(spread <= _KKT_ATOL)):
-        why[j] = f"KKT spread {spread[j]:.3e} > {_KKT_ATOL}"
+    why = np.full(len(tau), "", dtype=object)
+    for name, gap in (("spread", spread), ("slackness", slack)):
+        for j in np.flatnonzero((why == "") & ~(gap <= tol)):
+            why[j] = f"KKT {name} {gap[j]:.3e} > {tol[j]:.3e}"
     simplex = np.all(tau >= 0.0, axis=1) & (np.abs(tau.sum(axis=1) - 1.0) <= _SIMPLEX_ATOL)
     why[(why == "") & ~simplex] = "slot durations off the simplex"
     return TdmaAllocation(tau, rates, rates.sum(axis=1), spread), why
@@ -247,8 +278,10 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     Users whose rate is identically zero get tau = 0; when no user carries
     rate the split is uniform. NumericalError is raised if the steps exceed
     their cap, the marginal rates of the users with a slot differ by more
-    than 1e-8 bits (a fixed check; the steps stop on far tighter tolerances
-    of their own), or the durations leave the simplex by more than 1e-9.
+    than 1e-8 bits or 1e-10 of nu, where that is smaller, a user without a
+    slot has a marginal rate at 0 above nu by as much (fixed checks; the
+    steps stop on far tighter tolerances of their own), or the durations
+    leave the simplex by more than 1e-9.
     """
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))
@@ -265,10 +298,7 @@ def kkt_slackness(c: ChannelRealization, tau) -> float:
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (c.K,) or not np.all((tau >= 0) & (tau <= 1)) or not np.any(tau > 0):
         raise ValidationError(f"need {c.K} slot durations in [0, 1], not all zero, got {tau}")
-    d, nr, hp = user_snrs(c)
-    pos = tau > 0.0
-    nu = _slot_derivs(d[pos], nr[pos], hp, tau[pos])[0].max()
-    return float(np.max(_marginal_at_zero(d[~pos], nr[~pos], hp) - nu, initial=0.0) / _LN2)
+    return float(_kkt_gaps(*user_snrs(c), tau)[1])
 
 
 def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:

@@ -7,6 +7,7 @@ any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
 K = 1 and M_r = 1.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -94,19 +95,54 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
         assert spans == [(0, items)], workers
     assert inline_pool == []
     # with a process paid for by any trial: one block per worker, of
-    # ceil(trials / workers) trials, up to the coefficient cap; a block holds
+    # ceil(trials / workers) trials, up to the byte budget; a block holds
     # trials of several cells
     monkeypatch.setattr(harness_mod, "_MIN_PROCESS_WORK", 1)
     for workers, ends in ((1, [0, items]), (2, [0, 23, items]), (3, [0, 15, 30, items])):
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
         assert spans == list(zip(ends, ends[1:])), workers
-    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 3 * 2 * 7)
+    monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._trial_bytes(3, 2))
     for workers in (1, 2, 3):
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
         assert spans == [(lo, min(lo + 7, items)) for lo in range(0, items, 7)], workers
     assert inline_pool == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
+def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
+    # Two full blocks of a run at each shape of a small grid, with the
+    # extremes and the benchmark shapes: a block's traced peak per trial lies
+    # within a fixed band of _trial_bytes, and no block's peak passes 1.6
+    # times the budget.
+    evaluate = getattr(harness_mod, table)
+    peaks = []
+    real = harness_mod._trial_block
+
+    def traced(evaluate, scens, n_trials, lo, hi):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = real(evaluate, scens, n_trials, lo, hi)
+        peaks.append((tracemalloc.get_traced_memory()[1] - held, hi - lo))
+        return out
+
+    monkeypatch.setattr(harness_mod, "_trial_block", traced)
+    tracemalloc.start()
+    try:
+        for K, M_r in ((1, 1), (3, 2), (10, 4), (50, 1), (1, 8), (50, 8)):
+            scen = ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=10.0, seed=3)
+            fit = harness_mod._trial_bytes(K, M_r)
+            size = harness_mod._BLOCK_BYTES // fit
+            harness_mod._run_cells(evaluate, [scen], 2, 1)  # first use: not counted
+            peaks.clear()
+            harness_mod._run_cells(evaluate, [scen], 2 * size, 1)
+            assert [n for _, n in peaks] == [size, size], (K, M_r)
+            for peak, n in peaks:
+                assert 0.4 <= peak / (n * fit) <= 1.5, (K, M_r, peak / n)
+                assert peak <= 1.6 * harness_mod._BLOCK_BYTES, (K, M_r, peak)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

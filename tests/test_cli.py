@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from marcsim import evaluate_realization, realization_from_json
-from marcsim.cli import _parse_grid, main
+from marcsim.cli import _build_parser, _parse_grid, main
 from marcsim.errors import ValidationError
 
 
@@ -26,6 +26,21 @@ def test_parse_grid_single_and_range():
                  "-1e308:1e308:1", "0:1:1e-320", "0:1e12:1"):
         with pytest.raises(ValidationError):
             _parse_grid(spec)
+
+
+@pytest.mark.parametrize("command", [None, "sample", "eval", "sweep", "prob", "check"])
+def test_help_is_that_of_the_parser_with_every_flag(capsys, command):
+    # main builds the flags of the named subcommand only; its --help, and
+    # the top-level one, read as from the parser of every subcommand's flags
+    argv = [command, "--help"] if command else ["--help"]
+    shown = []
+    for show in (main, _build_parser().parse_args):
+        with pytest.raises(SystemExit) as exited:
+            show(argv)
+        assert exited.value.code == 0
+        shown.append(capsys.readouterr().out)
+    assert shown[0] == shown[1]
+    assert shown[0].startswith(f"usage: marcsim {command or ''}".rstrip())
 
 
 def test_sample_emits_valid_deterministic_json(capsys):

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import multiprocessing
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import marcsim.joint as joint_mod
 import marcsim.tdma as tdma_mod
 from marcsim import (
     ChannelBlock,
+    ChannelRealization,
     ScenarioConfig,
     SweepConfig,
     estimate_superiority_probability,
@@ -257,6 +259,26 @@ def test_invariant_suite_clean_on_random_scenarios():
     }
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
+    # The channel of tests/test_tdma.py's PLANTED SNRs (d and hp scaled), with
+    # user 1 parked by a slot optimizer that reports no failure: the
+    # slackness row must fail, also where the absolute 1e-8 bits cannot see it.
+    c = ChannelRealization(h_r=np.sqrt([[0.615], [5.02e11]]), h_d=np.sqrt([2.43e-6 * scale, 0.0]),
+                           h=np.sqrt([1.14e-7 * scale]), P=[1.0, 1.0], P_r=1.0)
+    monkeypatch.setattr(harness_mod, "sample_channel", lambda scen, rng: c)
+
+    def parks_user_1(d, nr, hp):
+        alloc, why = tdma_mod.block_slots(d, nr, hp)
+        assert not any(why)
+        return replace(alloc, tau=np.tile([1.0, 0.0], (len(d), 1))), why
+
+    monkeypatch.setattr(harness_mod, "block_slots", parks_user_1)
+    outcomes = {o.name: o for o in invariant_suite(ScenarioConfig(K=2, M_r=1), n_trials=2)}
+    assert not outcomes["tdma_slackness"].passed
+    assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_slackness"]
+
+
 def _count_trials(counts, monkeypatch, modules, names):
     """Count the trials each named function is called on: a stack or a block
     counts its leading axis, a single matrix or realization one."""
@@ -455,7 +477,7 @@ def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count, any_r
     harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
     assert spans == [(0, 8)]
     # 15 items in blocks of 2: eight blocks, four to a group
-    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 3 * 2 * 2)
+    monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 2 * harness_mod._trial_bytes(3, 2))
     spans.clear()
     harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
     assert spans == [(0, 2), (2, 4), (4, 6), (6, 8)]

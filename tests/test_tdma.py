@@ -24,7 +24,7 @@ from marcsim import (
 from marcsim import tdma
 from marcsim.channel import sample_block, user_snrs
 from marcsim.errors import ValidationError
-from marcsim.harness import _BLOCK_ENTRIES, db_to_linear
+from marcsim.harness import _BLOCK_BYTES, _trial_bytes, db_to_linear
 from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_slots
 
 
@@ -345,13 +345,38 @@ def test_parked_users_meet_complementary_slackness(K, lo, hi):
     assert not np.any(parked & (_marginal_at_zero(d, nr, hp[:, None]) > nu))
 
 
+# SNRs d, nr and hp of a trial on which an earlier Newton loop parked user 1
+# although its marginal rate at a vanishing slot, ln(1 + hp) = 1.14e-7 nats,
+# is above the level nu = 1.65e-8 nats of user 0: a sum rate 3 % below the
+# optimum, tau = (0.0203, 0.9797).
+PLANTED = np.array([[2.43e-6, 0.0]]), np.array([[0.615, 5.02e11]]), np.array([[1.14e-7]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_slot_check_rejects_a_planted_wrong_allocation(scale):
+    # The spread of a slot 1 % off the optimum (3e-10 bits) lies below the
+    # absolute 1e-8 bits, and so does the slackness (1.4e-10 bits) at scale
+    # 1e-3 of d and hp: only the bound relative to nu sees them.
+    d, nr, hp = PLANTED[0] * scale, PLANTED[1], PLANTED[2] * scale
+    alloc, why = block_slots(d, nr, hp[:, 0])
+    assert why[0] == "" and 0.0 < alloc.tau[0, 0] < 0.03
+    off = alloc.tau * [[1.01, 1.0]]
+    off[0, 1] = 1.0 - off[0, 0]
+    for tau, name, absolute_sees in ((np.array([[1.0, 0.0]]), "slackness", scale == 1.0),
+                                     (off, "spread", False)):
+        _, why = tdma._checked_allocation(d, nr, hp, tau)
+        assert why[0].startswith(f"KKT {name} "), why
+        spread, slack, _ = tdma._kkt_gaps(d, nr, hp, tau)
+        assert (max(spread[0], slack[0]) > tdma._KKT_ATOL) == absolute_sees
+
+
 def test_newton_steps_on_criterion_8_draws(monkeypatch):
     # The criterion-8 draws in the blocks a one-worker sweep makes: each
     # block's Newton steps and its final KKT spread call _slot_derivs once.
     base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=8)
     scens = [replace(base, alpha=a, P_r=db_to_linear(db))
              for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
-    n, size = 1000, _BLOCK_ENTRIES // (base.K * base.M_r)
+    n, size = 1000, _BLOCK_BYTES // _trial_bytes(base.K, base.M_r)
     calls = []
     monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
     for lo in range(0, len(scens) * n, size):
