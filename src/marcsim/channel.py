@@ -21,9 +21,11 @@ whole, and the same code serves a single realization.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from .errors import ValidationError
 
@@ -139,15 +141,15 @@ class ChannelAggregates:
     hp: float
 
 
-def trial_rng(seed: int, trial_index: int, retry: int = 0) -> np.random.Generator:
+def trial_rng(seed: int, trial_index: int, retry: int = 0) -> Generator:
     """Independent, reproducible substream for one Monte Carlo trial.
 
     Streams are keyed on (seed, trial_index, retry), so trials can run in
     any order or in parallel and still produce identical draws. retry > 0
     gives a flagged replacement stream after a numerical failure.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index), int(retry)))
-    return np.random.default_rng(ss)
+    ss = SeedSequence(entropy=int(seed), spawn_key=(int(trial_index), int(retry)))
+    return default_rng(ss)
 
 
 def _hash_steps(init: int, mult: int, n: int) -> list:
@@ -168,9 +170,9 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _substream_states(seeds, trials, retry: int) -> list[dict]:
+def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
     """The PCG64 state of ``trial_rng(seed, t, retry)`` for each (seed, t)
-    pair, computed for all pairs at once.
+    pair, hashed for all pairs at once and yielded one dict at a time.
 
     SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]
     here as uint32 array arithmetic, and PCG64's two seeding steps run on
@@ -201,13 +203,11 @@ def _substream_states(seeds, trials, retry: int) -> list[dict]:
     out = [hashmix(pool[i % 4], step).astype(np.uint64) for i, step in enumerate(_OUT_STEPS)]
     # little-endian uint32 pairs -> uint64: state high, state low, seq high, seq low
     hi_lo = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
-    states = []
     for s_hi, s_lo, q_hi, q_lo in zip(*hi_lo):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def _coefficients(z: np.ndarray, alpha, K: int, M: int):
@@ -226,7 +226,7 @@ def _coefficients(z: np.ndarray, alpha, K: int, M: int):
     return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), h_d
 
 
-def _draw(rng: np.random.Generator, z: np.ndarray, u: np.ndarray) -> None:
+def _draw(rng: Generator, z: np.ndarray, u: np.ndarray) -> None:
     """Fill one draw's normals z (see _coefficients) and then the uniforms u
     on [0, 1) that scale to its powers. u * P_max equals
     ``rng.uniform(0.0, P_max)`` bit for bit on the same stream state."""
@@ -234,7 +234,7 @@ def _draw(rng: np.random.Generator, z: np.ndarray, u: np.ndarray) -> None:
     rng.random(out=u)
 
 
-def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
+def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
     """Draw one realization: the coefficients and then P, uniform on
     [0, P_max], so a given stream state always yields the same realization."""
     K, M = cfg.K, cfg.M_r
@@ -255,8 +255,8 @@ def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
                               "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
     z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
-    bitgen = np.random.PCG64()  # every draw sets its own state first
-    rng = np.random.Generator(bitgen)
+    bitgen = PCG64()  # every draw sets its own state first
+    rng = Generator(bitgen)
     for i, state in enumerate(_substream_states([int(c.seed) for c in cfgs], trials, retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])

@@ -11,10 +11,10 @@ cells, in sorted (alpha, dB) order, form one flat list, and a block is a
 slice of it, so a block can span cells. A run is split into n process
 groups: W, at most the CPU count, but no more than leave every process the
 work that pays for its start, _MIN_PROCESS_WORK, a trial weighing
-sqrt(K * M_r); a smaller run is one group, computed here. A block holds
-about 1/n of the run, up to a byte budget on its memory, at a footprint per
-trial fitted in K and M_r. The blocks, in order, form n contiguous groups,
-or one per block when there are fewer. The calling process computes the
+sqrt(K * M_r); a smaller run is one group, computed here. Each group is a
+contiguous run of the same number of equal blocks, as few as keep a block
+within a byte budget on its memory, at a footprint per trial fitted in K
+and M_r. The calling process computes the
 first group; with more groups, one process pool, of one process per
 further group, computes the others at the same time. Every trial draws
 from a substream keyed on (seed, trial index), seeded in bulk for a block,
@@ -28,7 +28,6 @@ the table reads the blocks joined into one (cells, trials, ...) array.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from math import sqrt
@@ -60,10 +59,10 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 
 _MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
-# Work, in trials times sqrt(K * M_r), that pays for starting a pool process:
-# a trial's cost grows about as that root, and at W = 2 a run of twice this
-# work is as fast on two processes as on one (tools/fanout_breakeven.py).
-_MIN_PROCESS_WORK = 2750
+# Work, in trials times sqrt(K * M_r), that pays for importing the pool and
+# starting a process: at W = 2 a run of twice this work is about as fast on
+# two processes as on one (tools/fanout_breakeven.py).
+_MIN_PROCESS_WORK = 9250
 
 
 def _trial_bytes(K: int, M_r: int) -> int:
@@ -231,6 +230,12 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
                          f"resamples: {why[failed][0]}")
 
 
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802  (stands in for the class it returns)
+    """A concurrent.futures process pool, imported by the first run that forks."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _run_blocks(tasks) -> list:
     """The (values, redraws) of each of a group's blocks, in order."""
     return [_trial_block(*task) for task in tasks]
@@ -238,23 +243,25 @@ def _run_blocks(tasks) -> list:
 
 def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int):
     """``evaluate``d values of trials t < n_trials of every cell, as one
-    (cells, n_trials, ...) array, and the total number of redraws. workers is
-    an upper bound: it is capped at the CPU count, as a pool starts all its
-    processes at once, and at one process per _MIN_PROCESS_WORK of the run's
-    work, items * sqrt(K * M_r), which gives n groups; W = 1 and a run of
-    less than twice that work are one group. Each block holds ceil(items / n)
-    of the items, up to the _BLOCK_BYTES // _trial_bytes(K, M_r) that fit
-    its memory budget; a block of many small trials as of a few large ones,
-    as every block pays the kernels' fixed cost per call again. The blocks,
-    in order, form min(n, blocks) contiguous groups. With more than one
-    group, one pool of a process per group after the first takes those
-    groups while this process computes the first; the groups are joined in
-    order."""
+    (cells, n_trials, ...) array, and the total number of redraws. workers
+    is an upper bound: it is capped at the CPU count, as a pool starts all
+    its processes at once, and at one process per _MIN_PROCESS_WORK of the
+    run's work, items * sqrt(K * M_r), which gives n groups; W = 1 and a run
+    of less than twice that work are one group. Each group gets the same
+    number of blocks of about equal size, as few as keep a block within the
+    _BLOCK_BYTES // _trial_bytes(K, M_r) trials that fit its memory budget,
+    so that the groups finish together; a block of many small trials as of a
+    few large ones, as every block pays the kernels' fixed cost per call
+    again. The blocks, in order, form min(n, blocks) contiguous groups. With
+    more than one group, one pool of a process per group after the first
+    takes those groups while this process computes the first; the groups are
+    joined in order."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     items, K, M_r = len(scens) * n_trials, scens[0].K, scens[0].M_r
     n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(K * M_r) // _MIN_PROCESS_WORK)))
-    size = max(1, min(-(-items // n), _BLOCK_BYTES // _trial_bytes(K, M_r)))
+    per_group = -(-items // (n * max(1, _BLOCK_BYTES // _trial_bytes(K, M_r))))
+    size = -(-items // (n * per_group))
     tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
              for lo in range(0, items, size)]
     n = min(n, len(tasks))
@@ -262,8 +269,6 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
     if n == 1:
         blocks = _run_blocks(tasks)
     else:
-        import numpy.random  # noqa: F401  (loaded once here; the forked workers inherit it)
-
         with ProcessPoolExecutor(max_workers=n - 1) as pool:
             rest = pool.map(_run_blocks, groups[1:])
             blocks = _run_blocks(groups[0])

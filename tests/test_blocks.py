@@ -102,11 +102,13 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
         assert spans == list(zip(ends, ends[1:])), workers
+    # a budget of 7 trials: each of the W groups gets as few blocks as keep
+    # them within it, 7, 4 or 3, and all of those blocks split the run evenly
     monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._trial_bytes(3, 2))
-    for workers in (1, 2, 3):
+    for workers, size in ((1, 7), (2, 6), (3, 5)):
         spans.clear()
         harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
-        assert spans == [(lo, min(lo + 7, items)) for lo in range(0, items, 7)], workers
+        assert spans == [(lo, min(lo + size, items)) for lo in range(0, items, size)], workers
     assert inline_pool == [1, 2, 1, 2]
 
 

@@ -86,7 +86,7 @@ def test_bulk_seeding_matches_seed_sequence(seed, retry):
     trials = list(range(5000))
     seeds = [seed] * 4999 + [8]
     got = _substream_states(seeds, trials, retry)
-    for s, t, state in zip(seeds, trials, got):
+    for s, t, state in zip(seeds, trials, got, strict=True):
         assert state == PCG64(SeedSequence(s, spawn_key=(t, retry))).state, (s, t)
 
 

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import marcsim
 from marcsim import evaluate_realization, realization_from_json
 from marcsim.cli import _build_parser, _parse_grid, main
 from marcsim.errors import ValidationError
@@ -144,6 +148,37 @@ def test_sweep_csv_deterministic_across_workers(tmp_path, capsys, any_run_forks)
     lines = p1.read_text().splitlines()
     assert lines[0] == "alpha,pr_db,metric,mean,stderr,n_trials,seed"
     assert len(lines) == 1 + 2 * 2 * 5
+
+
+# A fresh interpreter: imports marcsim.cli, runs one sweep at W = 1 and at a
+# forced W = 2 on two CPUs, and prints which of numpy.random and the pool
+# modules are loaded at each step.
+_STARTUP_CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import marcsim.cli
+from marcsim import harness
+MODULES = ("numpy.random", "multiprocessing", "concurrent.futures.process")
+loaded = [[m for m in MODULES if m in sys.modules]]
+os.cpu_count = lambda: 2
+harness._MIN_PROCESS_WORK = 1
+for w in ("1", "2"):
+    assert marcsim.cli.main([*sys.argv[3:], "--workers", w, "--out", sys.argv[2] + w]) == 0
+    loaded.append([m for m in MODULES if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_run_that_forks_imports_the_pool(tmp_path):
+    src = Path(marcsim.__file__).resolve().parents[1]
+    args = ["sweep", "--users", "3", "--antennas", "2", "--alpha", "0.5", "--alpha", "1.0",
+            "--pr-db", "0:10:10", "--trials", "5", "--seed", "9"]
+    out = subprocess.run([sys.executable, "-c", _STARTUP_CHILD, str(src), str(tmp_path / "w"),
+                          *args], capture_output=True, text=True, check=True).stdout
+    after_import, after_serial, after_fork = json.loads(out)
+    assert after_import == after_serial == ["numpy.random"]
+    assert after_fork == ["numpy.random", "multiprocessing", "concurrent.futures.process"]
+    assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
 
 
 def test_sweep_negative_start_range_needs_equals_form(tmp_path, capsys):

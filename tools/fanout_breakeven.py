@@ -4,8 +4,9 @@ work at which a parallel run starts pool processes (_MIN_PROCESS_WORK).
     python3 tools/fanout_breakeven.py [--reps 7] [--shapes small,crit8,k50m8]
 
 Each timing is one fresh interpreter, with one BLAS thread, that imports
-``numpy.random`` and ``marcsim.cli`` and then times one
-``marcsim.cli.main(argv)`` call writing a new CSV in a temporary directory.
+``marcsim.cli`` and then times one ``marcsim.cli.main(argv)`` call writing a
+new CSV in a temporary directory, so a W = 2 timing includes the import of
+the process pool, as a user's run that forks pays it.
 For the W = 2 timings the interpreter sets ``harness._MIN_PROCESS_WORK`` to
 1, so the pool starts at every size. The W = 1 and W = 2 interpreters
 alternate, and take turns at going first. The shapes are the commands of
@@ -40,17 +41,16 @@ ONE_BLAS_THREAD = {name: "1" for name in (
 # name: (argv without --trials/--workers/--out, K * M_r, cells, ladder of trials per cell)
 SHAPES = {
     "small": ("sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
-              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 10, 20, 30, 40, 50, 60, 100)),
+              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 60, 80, 90, 100, 110, 120, 150, 200)),
     "crit8": ("sweep --users 10 --antennas 4 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 "
-              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 40, 60, 80, 90, 100, 150, 1000)),
+              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 150, 200, 225, 250, 275, 300, 400, 1000)),
     "k50m8": ("prob --users 50 --antennas 8 --alpha 0.1 --alpha 0.3 --alpha 1.0 "
-              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 20, 25, 30, 40, 50, 100, 200)),
+              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 50, 75, 90, 100, 110, 125, 150, 400)),
 }
 
 CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
-import numpy.random
 from marcsim import cli, harness
 if sys.argv[2] == "2":
     harness._MIN_PROCESS_WORK = 1
