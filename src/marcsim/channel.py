@@ -211,13 +211,19 @@ def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
 
 
 def _coefficients(z: np.ndarray, alpha, K: int, M: int):
-    """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
-    row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn, h_d
-    scaled by alpha. ValidationError when alpha * CN overflows, the one
-    realization check a draw can fail."""
+    """(h_r, h, h_d) from the finite normals z (..., 2 (K M + M + K)) of one
+    draw per row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in
+    turn, h_d scaled by alpha. ValidationError when alpha * CN overflows, the
+    one realization check a draw can fail."""
 
     def cn(lo: int, n: int) -> np.ndarray:
-        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
+        re, im = z[..., lo : lo + n], z[..., lo + n : lo + 2 * n]
+        if not (re.all() and im.all()):  # a zero part: numpy's division signs it apart
+            return (re + 1j * im) / np.sqrt(2.0)
+        out = np.empty(re.shape, complex)  # else that division is x * (1 / sqrt(2))
+        np.multiply(re, 1.0 / np.sqrt(2.0), out=out.real)
+        np.multiply(im, 1.0 / np.sqrt(2.0), out=out.imag)
+        return out
 
     with np.errstate(over="ignore"):
         h_d = alpha * cn(2 * (K * M + M), K)
@@ -281,8 +287,8 @@ def user_snrs(c):
     """Each user's direct-link SNR d = |h_d^(k)|^2 P^(k) and relay-hop SNR
     nr = ||h_r^(k)||^2 P^(k) (last axis), and the relay-to-receiver SNR
     hp = ||h||^2 P_r, of a realization or a ChannelBlock."""
-    sq = np.abs(c.h_r) ** 2, np.abs(c.h) ** 2
-    return np.abs(c.h_d) ** 2 * c.P, sq[0].sum(axis=-1) * c.P, sq[1].sum(axis=-1) * c.P_r
+    d, r, h = (np.square(a, out=a) for a in map(np.abs, (c.h_d, c.h_r, c.h)))  # x ** 2
+    return np.multiply(d, c.P, out=d), r.sum(axis=-1) * c.P, h.sum(axis=-1) * c.P_r
 
 
 def compute_aggregates(c) -> ChannelAggregates:
@@ -307,7 +313,8 @@ def compute_aggregates(c) -> ChannelAggregates:
         raise ValidationError("channel SNRs overflow a float: "
                               f"s = {np.ravel(s)[i]:.3e}, tr R = {np.ravel(tr_R)[i]:.3e}")
     G = np.swapaxes(h_r, -1, -2)
-    R = (G * P[..., None, :]) @ h_r.conj()
+    A, B = G * P[..., None, :], h_r.conj()  # work arrays, reused below through out=
+    R = A @ B
     # C order, so that a block's matrix products take one path at any stack
     # size and a trial's values do not depend on its block.
     R = np.ascontiguousarray(0.5 * (R + np.swapaxes(R, -1, -2).conj()))
@@ -315,11 +322,11 @@ def compute_aggregates(c) -> ChannelAggregates:
     T = u[..., :, None] * u.conj()[..., None, :]
     gram = (s > 0.0) & (np.count_nonzero(P, axis=-1) >= 2)
     root_P, root_s = np.sqrt(P)[..., None, :], np.sqrt(np.where(gram, s, 1.0))[..., None, None]
-    Y, ud = G * root_P, u[..., :, None] * (root_P * h_d[..., None, :])
+    Y = np.multiply(G, root_P, out=A)
+    ud = np.multiply(u[..., :, None], root_P * h_d[..., None, :], out=B.reshape(G.shape))
     Y *= root_s
-    ud /= root_s
-    Y -= ud
-    W = np.where(gram[..., None, None], Y @ np.swapaxes(Y, -1, -2).conj(), 0.0)
+    Y -= np.divide(ud, root_s, out=ud)
+    W = np.where(gram[..., None, None], Y @ np.conjugate(np.swapaxes(Y, -1, -2), out=B), 0.0)
     return ChannelAggregates(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp)
 
 

@@ -58,9 +58,9 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 
 def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: int = 0):
-    """Add the named flags to subcommand p. The power axis named by swept
-    takes a range spec and, with it, --alpha may repeat; every other axis
-    takes one value."""
+    """Add the named arguments to the parser p of one subcommand: realization
+    as a positional, the rest as flags. The power axis named by swept takes a
+    range spec and, with it, --alpha may repeat; every other axis one value."""
     specs = {
         "users": dict(type=int, default=3, metavar="K", help="number of users"),
         "antennas": dict(type=int, default=2, metavar="M", help="relay antennas"),
@@ -74,36 +74,40 @@ def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: 
         "workers": dict(type=int, default=1, metavar="W",
                         help="most worker processes; a run too small to pay for starting "
                              "them stays in this process (results identical for any W)"),
+        "realization": dict(help="path to a realization JSON ('-' for stdin)"),
     }
     if swept:
         specs[swept].update(metavar="LO:HI:STEP", help=specs[swept]["help"] + ", or a range")
         specs["alpha"]["help"] += "; repeatable"
     for name in names.split():
-        p.add_argument("--" + name, **specs[name])
+        p.add_argument(name if name == "realization" else "--" + name, **specs[name])
+
+
+_SCENARIO = "users antennas alpha pr-db pmax-db seed out"
+_SUBCOMMANDS = {  # name: (help in the overview, flags, swept power axis, default trials)
+    "sample": ("emit one channel realization as JSON", _SCENARIO, "", 0),
+    "sweep": ("alpha x P_r metric grid -> CSV", _SCENARIO + " trials workers", "pr-db", 1000),
+    "prob": ("alpha x P_max superiority probabilities -> CSV",
+             "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
+    "check": ("invariant suite on random instances", _SCENARIO + " trials", "", 100),
+    "eval": ("metrics for a JSON realization", "realization out", "", 0),
+}
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand; given a command, only that subcommand
-    gets its flags, as only its own are parsed or shown."""
-    parser = _Parser(prog="marcsim", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    scenario = "users antennas alpha pr-db pmax-db seed out"
-    for name, help_, flags, swept, trials in (
-        ("sample", "emit one channel realization as JSON", scenario, "", 0),
-        ("sweep", "alpha x P_r metric grid -> CSV",
-         scenario + " trials workers", "pr-db", 1000),
-        ("prob", "alpha x P_max superiority probabilities -> CSV",
-         "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
-        ("check", "invariant suite on random instances", scenario + " trials", "", 100),
-    ):
-        p = sub.add_parser(name, help=help_)
-        if command in (None, name):
-            _add_flags(p, flags, swept, trials)
-    p = sub.add_parser("eval", help="metrics for a JSON realization")
-    if command in (None, "eval"):
-        p.add_argument("realization", help="path to a realization JSON ('-' for stdin)")
-        _add_flags(p, "out")
+    """The parser of subcommand command alone, ``marcsim <command>``; without
+    one, the overview parser, which lists the subcommands but not their flags."""
+    if command is None:
+        parser = _Parser(prog="marcsim", description=__doc__,
+                         formatter_class=argparse.RawDescriptionHelpFormatter)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_, *_) in _SUBCOMMANDS.items():
+            sub.add_parser(name, help=help_)
+        return parser
+    _, flags, swept, trials = _SUBCOMMANDS[command]
+    parser = _Parser(prog="marcsim " + command)
+    parser.set_defaults(command=command)
+    _add_flags(parser, flags, swept, trials)
     return parser
 
 
@@ -189,10 +193,10 @@ _COMMANDS = {"sample": _cmd_sample, "eval": _cmd_eval, "sweep": _cmd_table, "pro
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the first argument that is not an option names the subcommand
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    # a first argument that names a subcommand gets that subcommand's parser only
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv[1:] if command else argv)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

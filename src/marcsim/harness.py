@@ -112,11 +112,6 @@ class RealizationMetrics:
     tdma: TdmaAllocation
     asymptotic: AsymptoticResult
 
-    @property
-    def joint_beats_tdma(self) -> bool:
-        """The superiority predicate: joint relaying beats TDMA as P_r grows."""
-        return bool(self.asymptotic.joint_wins)
-
     def metric_values(self) -> dict[str, float]:
         return dict(zip(METRICS, _metrics(self.bounds, self.tdma)))
 
@@ -128,7 +123,7 @@ class RealizationMetrics:
             "joint": plain(self.bounds, "r_lower r_up1 r_up2 r_up_min gamma"),
             "tdma": plain(self.tdma, "tau per_user_rate sum_rate kkt_spread"),
             "asymptotic": plain(self.asymptotic, "tau_inf rate_inf joint_rate_inf joint_wins"),
-            "joint_beats_tdma_asymptotic": self.joint_beats_tdma,
+            "joint_beats_tdma_asymptotic": bool(self.asymptotic.joint_wins),
         }
 
 

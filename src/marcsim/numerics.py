@@ -1,8 +1,8 @@
 """Minimal dense complex linear algebra used by the rate formulas.
 
 Only what the sum-rate expressions need: Hermitian validation, quadratic
-forms, and the dominant eigenpair of a Hermitian positive-semidefinite matrix,
-or of each matrix of a stack, by LAPACK ``eigh``.
+forms, and the dominant eigenpair (LAPACK ``eigh``) or eigenvalue (``eigvalsh``)
+of a Hermitian positive-semidefinite matrix, or of each matrix of a stack.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["is_hermitian", "quadratic_form", "dominant_eigenpair"]
+__all__ = ["is_hermitian", "quadratic_form", "dominant_eigenpair", "dominant_eigenvalue"]
 
 HERMITIAN_RTOL = 1e-12
 _PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
@@ -59,17 +59,26 @@ def quadratic_form(x: np.ndarray, A: np.ndarray) -> float:
     return val.real
 
 
+def _dominant(A: np.ndarray, vectors: bool):
+    A = _check_hermitian(A)
+    eigvals, eigvecs = np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
+    lam = eigvals[..., -1]
+    if np.any(lam < 0.0) and np.any(
+            lam < -_PSD_RTOL * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))):
+        raise ValidationError(
+            f"matrix is not positive semidefinite (lambda_max = {np.min(lam):.3e})")
+    return np.maximum(lam, 0.0), eigvecs[..., -1] if vectors else None
+
+
 def dominant_eigenpair(A: np.ndarray):
     """Largest eigenvalue and a unit eigenvector of a Hermitian PSD matrix, or
     of each matrix of a stack A (N, n, n) as arrays (N,) and (N, n), by LAPACK
     ``eigh``. ValidationError is raised when A is not finite and Hermitian or
     some lambda_max < -1e-12 * max(1, ||A||_F); a lambda_max within that slack
     is returned as 0."""
-    A = _check_hermitian(A)
-    eigvals, eigvecs = np.linalg.eigh(A)
-    lam = eigvals[..., -1]
-    if np.any(lam < 0.0) and np.any(
-            lam < -_PSD_RTOL * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))):
-        raise ValidationError(
-            f"matrix is not positive semidefinite (lambda_max = {np.min(lam):.3e})")
-    return np.maximum(lam, 0.0), eigvecs[..., -1]
+    return _dominant(A, vectors=True)
+
+
+def dominant_eigenvalue(A: np.ndarray):
+    """lambda_max of :func:`dominant_eigenpair`, with its checks, by ``eigvalsh``."""
+    return _dominant(A, vectors=False)[0]

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ChannelAggregates, ChannelRealization, compute_aggregates, user_snrs
 from .errors import NumericalError, ValidationError
 from .joint import RelayMatrix
-from .numerics import dominant_eigenpair
+from .numerics import dominant_eigenpair, dominant_eigenvalue  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
     "TdmaAllocation", "AsymptoticResult", "single_user_relay_matrix", "single_user_rate",
@@ -311,7 +311,7 @@ def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:
 def block_asymptotic(agg: ChannelAggregates) -> AsymptoticResult:
     """:func:`asymptotic_allocation` for each trial of a block, or for one
     realization, from its aggregates."""
-    lam, _ = dominant_eigenpair(agg.R + agg.W)
+    lam = dominant_eigenvalue(agg.R + agg.W)
     relay_sum = agg.nr.sum(axis=-1)  # tr R
     weights = agg.d + agg.nr
     total = weights.sum(axis=-1)

@@ -18,7 +18,7 @@ from marcsim import (
     sample_channel,
     trial_rng,
 )
-from marcsim.channel import _substream_states
+from marcsim.channel import _coefficients, _substream_states
 from marcsim.errors import ValidationError
 from marcsim.numerics import is_hermitian, quadratic_form
 
@@ -76,6 +76,54 @@ def test_sample_overflowing_direct_links_rejected():
         sample_channel(cfg, trial_rng(0, 0))
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
         sample_block([ScenarioConfig(K=50, M_r=8, seed=0), cfg], [1, 0])
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def coefficients_reference(z, alpha, K, M):
+    """The complex division _coefficients stands for: each CN part divided
+    by sqrt(2) as a whole."""
+
+    def cn(lo, n):
+        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
+
+    with np.errstate(over="ignore"):
+        h_d = alpha * cn(2 * (K * M + M), K)
+    return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), h_d
+
+
+@pytest.mark.parametrize("zeros", ["none", "h only", "every part"])
+def test_coefficients_are_numpys_complex_division_bit_for_bit(rng, zeros):
+    # Normals with near-overflow entries and, in some parts, +0 and -0: a
+    # part with a zero takes the division itself, as a zero's sign depends
+    # on the other half of its complex number there.
+    K, M = 4, 3
+    lo_h, lo_hd = 2 * K * M, 2 * (K * M + M)
+    z = rng.standard_normal((60, 2 * (K * M + M + K)))
+    z[rng.random(z.shape) < 0.1] = 1.7e308
+    z[rng.random(z.shape) < 0.1] = -1.7e308
+    zero_cols = {"none": slice(0, 0), "h only": slice(lo_h, lo_hd), "every part": slice(None)}
+    mask = np.zeros(z.shape, bool)
+    mask[:, zero_cols[zeros]] = rng.random(z[:, zero_cols[zeros]].shape) < 0.3
+    z[mask] = np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+    assert (z.size - np.count_nonzero(z) > 0) == (zeros != "none")
+    alpha = rng.uniform(0.0, 1.0, (60, 1))
+    alpha[::7] = 0.0
+    for zs, alphas in ((z, alpha), (z[5], 0.3)):  # a block, and one draw as sample_channel's
+        got, want = _coefficients(zs, alphas, K, M), coefficients_reference(zs, alphas, K, M)
+        for name, g, w in zip(("h_r", "h", "h_d"), got, want):
+            assert same_bits(g, w), (zeros, name)
+
+
+def test_coefficients_reject_overflowing_direct_links():
+    # alpha * 10 / sqrt(2) overflows at alpha = 1e308, not at 1e307
+    z = np.full((3, 2 * (2 * 2 + 2 + 2)), 10.0)
+    with pytest.raises(ValidationError, match="h_d has non-finite entries"):
+        _coefficients(z, np.array([[1.0], [1e308], [1.0]]), 2, 2)
+    assert np.isfinite(_coefficients(z, np.array([[1e307]] * 3), 2, 2)[2]).all()
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
@@ -225,6 +273,55 @@ def test_w_matches_pair_loop(make_channel, K, M_r):
                                       P=np.where(np.arange(K) == K // 2, c.P, 0.0), P_r=c.P_r)
             assert np.all(_pair_loop_w(lone) == 0)
             assert np.all(compute_aggregates(lone).W == 0)
+
+
+def aggregates_reference(c) -> dict:
+    """compute_aggregates' values as its earlier expressions formed them, a
+    fresh array for every step."""
+    h_r, h_d, P = c.h_r, c.h_d, c.P
+    sq = np.abs(c.h_r) ** 2, np.abs(c.h) ** 2
+    d, nr, hp = np.abs(c.h_d) ** 2 * c.P, sq[0].sum(axis=-1) * c.P, sq[1].sum(axis=-1) * c.P_r
+    s = d.sum(axis=-1)
+    G = np.swapaxes(h_r, -1, -2)
+    R = (G * P[..., None, :]) @ h_r.conj()
+    R = np.ascontiguousarray(0.5 * (R + np.swapaxes(R, -1, -2).conj()))
+    u = ((P * h_d.conj())[..., None, :] @ h_r)[..., 0, :]
+    T = u[..., :, None] * u.conj()[..., None, :]
+    gram = (s > 0.0) & (np.count_nonzero(P, axis=-1) >= 2)
+    root_P, root_s = np.sqrt(P)[..., None, :], np.sqrt(np.where(gram, s, 1.0))[..., None, None]
+    Y, ud = G * root_P, u[..., :, None] * (root_P * h_d[..., None, :])
+    Y *= root_s
+    ud /= root_s
+    Y -= ud
+    W = np.where(gram[..., None, None], Y @ np.swapaxes(Y, -1, -2).conj(), 0.0)
+    return dict(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp, gram=gram)
+
+
+@pytest.mark.parametrize("K", [1, 3, 50])
+@pytest.mark.parametrize("M_r", [1, 2, 8])
+def test_aggregates_match_the_reference_expressions_bit_for_bit(K, M_r):
+    # a block and its single realizations, with trials where no user or one
+    # user has power, so that the Gram factor is skipped, and where one user
+    # is silent
+    scens = [ScenarioConfig(K=K, M_r=M_r, alpha=a, P_max=10.0, P_r=3.0, seed=7)
+             for a in (0.0, 0.1, 1.0)]
+    blk = sample_block(scens * 8, list(range(24)))
+    P = blk.P.copy()
+    P[::4] = 0.0
+    P[1::4, 1:] = 0.0
+    P[2::4, 0] = 0.0
+    blk = replace(blk, P=P)
+    want = aggregates_reference(blk)
+    assert not want.pop("gram").all()
+    got = compute_aggregates(blk)
+    for name, ref in want.items():
+        assert same_bits(getattr(got, name), ref), name
+    for i in range(len(P)):
+        c = ChannelRealization(h_r=blk.h_r[i], h_d=blk.h_d[i], h=blk.h[i], P=P[i],
+                               P_r=float(blk.P_r[i]))
+        got, want = compute_aggregates(c), aggregates_reference(c)
+        for name in "s R T W d nr hp".split():
+            assert same_bits(getattr(got, name), want[name]), (i, name)
 
 
 def test_aggregates_memory_is_gram_sized(make_channel):

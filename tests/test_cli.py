@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,8 @@ import pytest
 
 import marcsim
 from marcsim import evaluate_realization, realization_from_json
-from marcsim.cli import _build_parser, _parse_grid, main
+from marcsim import cli as cli_mod
+from marcsim.cli import _parse_grid, main
 from marcsim.errors import ValidationError
 
 
@@ -32,19 +34,44 @@ def test_parse_grid_single_and_range():
             _parse_grid(spec)
 
 
+SCENARIO_FLAGS = {"--users", "--antennas", "--alpha", "--pr-db", "--pmax-db", "--seed", "--out"}
+OWN_FLAGS = {  # every flag a subcommand's --help shows, beside --help
+    None: set(),
+    "sample": SCENARIO_FLAGS,
+    "eval": {"--out"},
+    "sweep": SCENARIO_FLAGS | {"--trials", "--workers"},
+    "prob": SCENARIO_FLAGS - {"--pr-db"} | {"--trials", "--workers"},
+    "check": SCENARIO_FLAGS | {"--trials"},
+}
+
+
 @pytest.mark.parametrize("command", [None, "sample", "eval", "sweep", "prob", "check"])
-def test_help_is_that_of_the_parser_with_every_flag(capsys, command):
-    # main builds the flags of the named subcommand only; its --help, and
-    # the top-level one, read as from the parser of every subcommand's flags
-    argv = [command, "--help"] if command else ["--help"]
-    shown = []
-    for show in (main, _build_parser().parse_args):
-        with pytest.raises(SystemExit) as exited:
-            show(argv)
-        assert exited.value.code == 0
-        shown.append(capsys.readouterr().out)
-    assert shown[0] == shown[1]
-    assert shown[0].startswith(f"usage: marcsim {command or ''}".rstrip())
+def test_help_is_that_of_the_parser_with_every_flag(capsys, monkeypatch, command):
+    # A first argument that names a subcommand builds that subcommand's
+    # parser alone, whose --help shows exactly its own flags; any other
+    # builds the overview, which lists the five subcommands and no flag.
+    built = []
+
+    class Counted(cli_mod._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "_Parser", Counted)
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"] if command else ["--help"])
+    assert exited.value.code == 0
+    shown = capsys.readouterr().out
+    assert shown.startswith(f"usage: marcsim {command} " if command else "usage: marcsim ")
+    assert set(re.findall(r"--[a-z-]+", shown)) == OWN_FLAGS[command] | {"--help"}
+    if command:
+        assert built == [f"marcsim {command}"]
+        assert ("realization" in shown) == (command == "eval")
+    else:
+        assert built[0] == "marcsim" and len(built) == 6  # the overview and its five entries
+        assert "{sample,sweep,prob,check,eval}" in shown
+        for name in OWN_FLAGS:
+            assert name is None or f"\n    {name} " in shown, name
 
 
 def test_sample_emits_valid_deterministic_json(capsys):

@@ -74,7 +74,8 @@ def test_evaluate_record_invariants(make_channel):
             min(vals["joint_up1"], vals["joint_up2"])
         )
         assert m.tdma.kkt_spread <= 1e-8
-        assert m.joint_beats_tdma == m.asymptotic.joint_wins
+        # the eval JSON's superiority predicate is the asymptotic comparison's
+        assert m.to_json_dict()["joint_beats_tdma_asymptotic"] is bool(m.asymptotic.joint_wins)
 
 
 def test_sweep_single_trial_equals_direct_evaluation():
@@ -298,17 +299,17 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build and the eigenpairs of R and
-    # R + W; a superiority trial one build and the eigenpair of R + W
+    # R + W; a superiority trial one build and the top eigenvalue of R + W
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
-                  ("compute_aggregates", "dominant_eigenpair"))
+                  ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
     counts.clear()
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 5}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 5}
 
 
 def test_check_builds_aggregates_at_most_twice_per_trial(monkeypatch):

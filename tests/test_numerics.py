@@ -5,7 +5,9 @@ from marcsim import (
     ScenarioConfig,
     compute_aggregates,
     dominant_eigenpair,
+    dominant_eigenvalue,
     quadratic_form,
+    sample_block,
     sample_channel,
     trial_rng,
 )
@@ -142,6 +144,41 @@ def test_many_users_two_antennas_matches_jacobi_oracle():
         lam_ref = jacobi_oracle_eigvals(A)[-1]
         assert abs(lam - lam_ref) <= 1e-12 * lam_ref
         assert np.linalg.norm(A @ v - lam * v) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_dominant_eigenvalue_matches_the_eigenpair(rng):
+    # the value-only lambda_max is the eigenpair's to a few ulps of ||A||:
+    # single matrices, rank-deficient and zero ones, a random stack and the
+    # R + W stack of a K=50, M_r=8 block
+    blk = sample_block([ScenarioConfig(K=50, M_r=8, seed=5)] * 40, list(range(40)))
+    agg = compute_aggregates(blk)
+    cases = [random_psd(rng, n) for n in (1, 2, 4, 8) for _ in range(5)]
+    cases += [np.zeros((3, 3)), np.outer([1.0, 2j, 0.5], [1.0, -2j, 0.5]),
+              np.stack([random_psd(rng, 4) for _ in range(30)]), agg.R + agg.W]
+    for A in cases:
+        lam = dominant_eigenvalue(A)
+        ref, _ = dominant_eigenpair(A)
+        assert lam.shape == ref.shape and lam.dtype == ref.dtype
+        tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+        assert np.all(np.abs(lam - ref) <= tol)
+        assert np.all(lam >= 0.0)
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf]]),
+    np.array([[1.0, 2.0], [0.0, 1.0]]),
+    -np.eye(3),
+    np.stack([np.eye(2), np.diag([-1e-3, -2.0])]),
+    np.ones((2, 3)),
+])
+def test_dominant_eigenvalue_raises_as_the_eigenpair(A):
+    messages = []
+    for top in (dominant_eigenpair, dominant_eigenvalue):
+        with pytest.raises(ValidationError) as err:
+            top(A)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_quadratic_form_trivial_cases():

@@ -10,8 +10,10 @@ on trials 0..N-1 of the workload's first cell is traced with
 ``tracemalloc``: its peak above the memory held before the call, over N, is
 the per-trial peak. The same block is then timed untraced, ``--reps`` times;
 the median over N is the time per trial, which falls as a block's fixed cost
-is shared by more trials. The row "budget" is the block the budget gives a
-run of that shape.
+is shared by more trials, and the minor page faults of those calls
+(``getrusage``'s ``ru_minflt``) over their trials are the faults per trial:
+the pages a block's arrays take fresh from the system. The row "budget" is
+the block the budget gives a run of that shape.
 
 With ``--grid`` it then prints, for K in 1-50 and M_r in 1-8 and both
 tables, the traced per-trial peak of a block of the budget's size over
@@ -28,6 +30,7 @@ ONE_BLAS_THREAD = {name: "1" for name in (
 os.environ.update(ONE_BLAS_THREAD)  # before numpy is first imported
 
 import argparse  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -59,13 +62,17 @@ def traced_peak(table: str, scen: ScenarioConfig, n: int) -> int:
         tracemalloc.stop()
 
 
-def us_per_trial(table: str, scen: ScenarioConfig, n: int, reps: int) -> float:
+def timed(table: str, scen: ScenarioConfig, n: int, reps: int) -> tuple[float, float]:
+    """The median time per trial of reps untraced calls on a block of n
+    trials, in us, and the minor page faults per trial over all of them."""
     walls = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
         t = time.perf_counter()
         harness._trial_block(getattr(harness, table), [scen], n, 0, n)
         walls.append(time.perf_counter() - t)
-    return 1e6 * statistics.median(walls) / n
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return 1e6 * statistics.median(walls) / n, faults / (reps * n)
 
 
 def budget_size(scen: ScenarioConfig) -> int:
@@ -82,18 +89,18 @@ def main(argv=None) -> int:
     print(f"_BLOCK_BYTES = {harness._BLOCK_BYTES}, one BLAS thread, "
           f"median of {args.reps} calls per size")
     print("| shape | K, M_r | trials per block | peak B per trial | _trial_bytes "
-          "| block peak MB | us per trial |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+          "| block peak MB | us per trial | minor faults per trial |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for name, (table, scen) in SHAPES.items():
         fit = harness._trial_bytes(scen.K, scen.M_r)
-        us_per_trial(table, scen, 2, 1)  # first use: imports and caches
+        timed(table, scen, 2, 1)  # first use: imports and caches
         sizes = sorted({*map(int, args.sizes.split(",")), budget_size(scen)})
         for n in sizes:
             peak = traced_peak(table, scen, n)
             label = f"{n} (budget)" if n == budget_size(scen) else str(n)
+            us, faults = timed(table, scen, n, args.reps)
             print(f"| {name} | {scen.K}, {scen.M_r} | {label} | {peak / n:,.0f} | {fit:,} | "
-                  f"{peak / 1e6:.2f} | {us_per_trial(table, scen, n, args.reps):.1f} |",
-                  flush=True)
+                  f"{peak / 1e6:.2f} | {us:.1f} | {faults:.2f} |", flush=True)
     if args.grid:
         largest = 0
         print("\npeak per trial / _trial_bytes at the budget's block size (sweep, prob)")
