@@ -211,19 +211,13 @@ def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
 
 
 def _coefficients(z: np.ndarray, alpha, K: int, M: int):
-    """(h_r, h, h_d) from the finite normals z (..., 2 (K M + M + K)) of one
-    draw per row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in
-    turn, h_d scaled by alpha. ValidationError when alpha * CN overflows, the
-    one realization check a draw can fail."""
+    """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
+    row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn, h_d
+    scaled by alpha. ValidationError when alpha * CN overflows, the one
+    realization check a draw can fail."""
 
     def cn(lo: int, n: int) -> np.ndarray:
-        re, im = z[..., lo : lo + n], z[..., lo + n : lo + 2 * n]
-        if not (re.all() and im.all()):  # a zero part: numpy's division signs it apart
-            return (re + 1j * im) / np.sqrt(2.0)
-        out = np.empty(re.shape, complex)  # else that division is x * (1 / sqrt(2))
-        np.multiply(re, 1.0 / np.sqrt(2.0), out=out.real)
-        np.multiply(im, 1.0 / np.sqrt(2.0), out=out.imag)
-        return out
+        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
 
     with np.errstate(over="ignore"):
         h_d = alpha * cn(2 * (K * M + M), K)

@@ -83,17 +83,6 @@ def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: 
         p.add_argument(name if name == "realization" else "--" + name, **specs[name])
 
 
-_SCENARIO = "users antennas alpha pr-db pmax-db seed out"
-_SUBCOMMANDS = {  # name: (help in the overview, flags, swept power axis, default trials)
-    "sample": ("emit one channel realization as JSON", _SCENARIO, "", 0),
-    "sweep": ("alpha x P_r metric grid -> CSV", _SCENARIO + " trials workers", "pr-db", 1000),
-    "prob": ("alpha x P_max superiority probabilities -> CSV",
-             "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
-    "check": ("invariant suite on random instances", _SCENARIO + " trials", "", 100),
-    "eval": ("metrics for a JSON realization", "realization out", "", 0),
-}
-
-
 def _build_parser(command: str | None = None) -> _Parser:
     """The parser of subcommand command alone, ``marcsim <command>``; without
     one, the overview parser, which lists the subcommands but not their flags."""
@@ -101,10 +90,10 @@ def _build_parser(command: str | None = None) -> _Parser:
         parser = _Parser(prog="marcsim", description=__doc__,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
         sub = parser.add_subparsers(dest="command", required=True)
-        for name, (help_, *_) in _SUBCOMMANDS.items():
+        for name, (_, help_, *_) in _SUBCOMMANDS.items():
             sub.add_parser(name, help=help_)
         return parser
-    _, flags, swept, trials = _SUBCOMMANDS[command]
+    _, _, flags, swept, trials = _SUBCOMMANDS[command]
     parser = _Parser(prog="marcsim " + command)
     parser.set_defaults(command=command)
     _add_flags(parser, flags, swept, trials)
@@ -187,17 +176,25 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_COMMANDS = {"sample": _cmd_sample, "eval": _cmd_eval, "sweep": _cmd_table, "prob": _cmd_table,
-             "check": _cmd_check}
+_SCENARIO = "users antennas alpha pr-db pmax-db seed out"
+_SUBCOMMANDS = {  # name: (handler, help in the overview, flags, swept power axis, default trials)
+    "sample": (_cmd_sample, "emit one channel realization as JSON", _SCENARIO, "", 0),
+    "sweep": (_cmd_table, "alpha x P_r metric grid -> CSV", _SCENARIO + " trials workers",
+              "pr-db", 1000),
+    "prob": (_cmd_table, "alpha x P_max superiority probabilities -> CSV",
+             "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
+    "check": (_cmd_check, "invariant suite on random instances", _SCENARIO + " trials", "", 100),
+    "eval": (_cmd_eval, "metrics for a JSON realization", "realization out", "", 0),
+}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first argument that names a subcommand gets that subcommand's parser only
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
         args = _build_parser(command).parse_args(argv[1:] if command else argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

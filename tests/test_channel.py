@@ -97,9 +97,9 @@ def coefficients_reference(z, alpha, K, M):
 
 @pytest.mark.parametrize("zeros", ["none", "h only", "every part"])
 def test_coefficients_are_numpys_complex_division_bit_for_bit(rng, zeros):
-    # Normals with near-overflow entries and, in some parts, +0 and -0: a
-    # part with a zero takes the division itself, as a zero's sign depends
-    # on the other half of its complex number there.
+    # Normals with near-overflow entries and, in some parts, +0 and -0, where
+    # the division gives a zero a sign that depends on the other half of its
+    # complex number, so that a rewrite as real products would differ.
     K, M = 4, 3
     lo_h, lo_hd = 2 * K * M, 2 * (K * M + M)
     z = rng.standard_normal((60, 2 * (K * M + M + K)))
