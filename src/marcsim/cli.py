@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -192,6 +193,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first argument that names a subcommand gets that subcommand's parser only
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # Move every object alive now (mostly the imports') to the permanent
+    # generation, so that collections during the command scan only its own;
+    # unfreeze on the way out unless the caller had frozen objects itself.
+    caller_froze = gc.get_freeze_count()
+    gc.freeze()
     try:
         args = _build_parser(command).parse_args(argv[1:] if command else argv)
         return _SUBCOMMANDS[args.command][0](args)
@@ -204,6 +210,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if not caller_froze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.5-1.25 times it for K 1-50 and M_r 1-8
+    blocks, which lie within 0.45-1.08 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 

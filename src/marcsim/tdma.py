@@ -324,7 +324,7 @@ def block_asymptotic(agg: ChannelAggregates) -> AsymptoticResult:
         # lam_max(R + W) > sum_k ||h_r^(k)||^2 P^(k), strictly and with a
         # relative guard so exact ties (e.g. K = 1, where lam equals the
         # sum) resolve to TDMA under float noise.
-        joint_wins=lam > relay_sum + _TIE_RTOL * np.maximum(1.0, relay_sum),
+        joint_wins=lam > relay_sum + _TIE_RTOL * relay_sum,
     )
 
 

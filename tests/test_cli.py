@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ import marcsim
 from marcsim import evaluate_realization, realization_from_json
 from marcsim import cli as cli_mod
 from marcsim.cli import _parse_grid, main
-from marcsim.errors import ValidationError
+from marcsim.errors import NumericalError, ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,47 @@ def test_only_a_run_that_forks_imports_the_pool(tmp_path):
     assert after_import == after_serial == ["numpy.random"]
     assert after_fork == ["numpy.random", "multiprocessing", "concurrent.futures.process"]
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
+
+
+def test_main_freezes_the_heap_only_while_the_command_runs(tmp_path, capsys, monkeypatch):
+    # main moves the objects alive at its start to the permanent generation,
+    # so the command's collections skip them, and returns the collector as
+    # it found it on every exit path.
+    frozen_inside, real_run_sweep = [], cli_mod.run_sweep
+
+    def recording(*args, **kwargs):
+        frozen_inside.append(gc.get_freeze_count())
+        if fail:
+            raise NumericalError("forced")
+        return real_run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_sweep", recording)
+    sweep = ["sweep", "--trials", "2", "--pr-db", "0:10:10"]
+    cases = [(0, False, [*sweep, "--out", str(tmp_path / "a.csv")]),
+             (1, False, ["sweep", "--users", "not-a-number"]),
+             (2, True, sweep),
+             (3, False, [*sweep, "--out", "/nonexistent-dir/out.csv"])]
+    assert gc.get_freeze_count() == 0
+    for code, fail, argv in cases:
+        assert run_cli(capsys, *argv)[0] == code, argv
+        assert gc.get_freeze_count() == 0, argv
+    assert len(frozen_inside) == 3 and min(frozen_inside) > 0
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert gc.get_freeze_count() == 0
+    # A caller that froze its own heap keeps it frozen. The count alone cannot
+    # show it, as a frozen object that dies by reference count leaves it, so
+    # a marker the caller froze must stay out of the tracked generations.
+    fail, marker = False, ["frozen by the caller"]
+    gc.freeze()
+    try:
+        assert run_cli(capsys, *sweep, "--out", str(tmp_path / "b.csv"))[0] == 0
+        assert gc.get_freeze_count() > 0
+        assert not any(obj is marker for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert any(obj is marker for obj in gc.get_objects())
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_sweep_negative_start_range_needs_equals_form(tmp_path, capsys):

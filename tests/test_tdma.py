@@ -7,7 +7,9 @@ import pytest
 from marcsim import (
     ChannelRealization,
     ScenarioConfig,
+    SweepConfig,
     asymptotic_allocation,
+    estimate_superiority_probability,
     joint_beats_tdma_asymptotic,
     kkt_slackness,
     lower_bound,
@@ -289,6 +291,24 @@ def test_allocation_invariants(make_channel):
         assert kkt_slackness(c, alloc.tau) <= 1e-8, case
 
 
+def test_slot_rates_match_a_single_user_logdet_reference():
+    # A slot of length tau_k is user k alone at power P_k / tau_k with P_r
+    # unchanged, for tau_k of the time: its rate is tau_k times the log-det
+    # rate of that user's own optimal relay matrix, evaluated by the log-det
+    # formula rather than the closed form _slot_rate the optimizer reports.
+    cfg = ScenarioConfig(K=10, M_r=4, alpha=0.3, P_r=db_to_linear(20.0), seed=21)
+    worst = 0.0
+    for t in range(300):
+        c = sample_channel(cfg, trial_rng(cfg.seed, t))
+        alloc = optimize_slots(c)
+        for k in np.flatnonzero(alloc.tau > 0.0):
+            alone = ChannelRealization(h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h,
+                                       P=c.P[k : k + 1] / alloc.tau[k], P_r=c.P_r)
+            ref = alloc.tau[k] * sum_rate_logdet(single_user_relay_matrix(alone, 0), alone)
+            worst = max(worst, abs(ref - alloc.per_user_rate[k]) / ref)
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("K, M_r", [(1, 1), (3, 2), (10, 4), (50, 1)])
 def test_kkt_spread_far_inside_its_fixed_threshold(K, M_r):
     # The KKT check fails a trial above 1e-8 bits. Over the extremes (P_r = 0
@@ -520,6 +540,20 @@ def test_predicate_agrees_with_rate_comparison(make_channel):
         if abs(gap) > 1e-9:
             disagreements += joint_beats_tdma_asymptotic(c) != (gap > 0)
     assert disagreements == 0
+
+
+def test_one_relay_antenna_joint_wins_with_two_users():
+    # At M_r = 1, lam_max(R + W) - tr R = W = sR - T, a sum of P_j P_k |w_jk|^2
+    # terms, so joint relaying wins whenever two users transmit. The tie
+    # guard must be relative only: an absolute floor called draws with
+    # tr R ~ 4e-4 and W up to 8.6e-13 ties (14 of 2,000 at K = 2, alpha = 0.01,
+    # P_max = -20 dB), although no rounding can make W that large.
+    for K in (2, 3, 10, 50):
+        base = ScenarioConfig(K=K, M_r=1, seed=3)
+        cfg = SweepConfig(base, (-20.0, 0.0, 10.0, 40.0), alpha_values=(0.01, 0.1, 1.0),
+                          n_trials=2000)
+        rows = estimate_superiority_probability(cfg).rows
+        assert [r.probability for r in rows] == [1.0] * 12, K
 
 
 def test_asymptotic_all_zero_weights():
