@@ -210,20 +210,21 @@ def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _coefficients(z: np.ndarray, alpha, K: int, M: int):
+def _coefficients(z: np.ndarray, alpha, K: int, M: int, rows=...):
     """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
-    row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn, h_d
-    scaled by alpha. ValidationError when alpha * CN overflows, the one
-    realization check a draw can fail."""
+    row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn,
+    formed once per row of z, then gathered as z[rows], h_d scaled by alpha.
+    ValidationError when alpha * CN overflows, the one realization check a
+    draw can fail."""
 
     def cn(lo: int, n: int) -> np.ndarray:
-        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
+        return ((z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0))[rows]
 
     with np.errstate(over="ignore"):
         h_d = alpha * cn(2 * (K * M + M), K)
     if not np.all(np.isfinite(h_d)):
         raise ValidationError("h_d has non-finite entries")
-    return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), h_d
+    return cn(0, K * M).reshape(*h_d.shape[:-1], K, M), cn(2 * K * M, M), h_d
 
 
 def _draw(rng: Generator, z: np.ndarray, u: np.ndarray) -> None:
@@ -247,21 +248,25 @@ def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
 def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
     """One realization per (scenario, trial index) pair, all of one (K, M_r)
     shape: the draw :func:`sample_channel` makes from
-    ``trial_rng(cfg.seed, t, retry)``, as a block. The substreams are seeded
-    in bulk (_substream_states) and drawn in turn by one generator."""
+    ``trial_rng(cfg.seed, t, retry)``, as a block. Each distinct (seed, t)
+    key is seeded (in bulk, by _substream_states), drawn by one generator
+    and formed into CN coefficients once; its rows then take each pair's
+    alpha, P_max and P_r."""
     if (not cfgs or len(cfgs) != len(trials) or len({(c.K, c.M_r) for c in cfgs}) > 1
             or min(trials) < 0 or max(trials) >= 2**32 or not 0 <= retry < 2**32):
         raise ValidationError("a block needs scenarios of one (K, M_r), at least one, each "
                               "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
-    z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
+    keys = {}  # (seed, t): its draw's row
+    rows = [keys.setdefault((int(c.seed), t), len(keys)) for c, t in zip(cfgs, trials)]
+    z, P = np.empty((len(keys), 2 * (K * M + M + K))), np.empty((len(keys), K))
     bitgen = PCG64()  # every draw sets its own state first
     rng = Generator(bitgen)
-    for i, state in enumerate(_substream_states([int(c.seed) for c in cfgs], trials, retry)):
+    for i, state in enumerate(_substream_states(*zip(*keys), retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
-    P *= np.array([[cfg.P_max] for cfg in cfgs])
-    h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M)
+    P = P[rows] * np.array([[cfg.P_max] for cfg in cfgs])
+    h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M, rows)
     return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
 
 

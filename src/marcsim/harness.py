@@ -6,23 +6,24 @@ over P_r; estimate_superiority_probability estimates over P_max the
 probability that joint relaying wins as the relay power grows without bound.
 
 One pipeline serves both tables; they differ only in the swept power, the
-block evaluator and how a cell's values become rows. The trials of the
-cells, in sorted (alpha, dB) order, form one flat list, and a block is a
-slice of it, so a block can span cells. A run is split into n process
-groups: W, at most the CPU count, but no more than leave every process the
-work that pays for its start, _MIN_PROCESS_WORK, a trial weighing
-sqrt(K * M_r); a smaller run is one group, computed here. Each group is a
-contiguous run of the same number of equal blocks, as few as keep a block
-within a byte budget on its memory, at a footprint per trial fitted in K
-and M_r. The calling process computes the
-first group; with more groups, one process pool, of one process per
-further group, computes the others at the same time. Every trial draws
-from a substream keyed on (seed, trial index), seeded in bulk for a block,
-and no trial's values depend on the rest of its block, as the kernels take
-C-ordered stacks, so results are byte-identical for any W >= 1. A failed
-draw is redrawn on a flagged substream, in a smaller block, by one loop. A
-block returns its values, with a leading trial axis, and its redraw count;
-the table reads the blocks joined into one (cells, trials, ...) array.
+block evaluator and how a cell's values become rows. The run's trials, each
+over every cell in sorted (alpha, dB) order, form one flat list, and a
+block is a slice of it: a range of trials across every cell. A run is split
+into n process groups: W, at most the CPU count, but no more than leave
+every process the work that pays for its start, _MIN_PROCESS_WORK, a trial
+weighing sqrt(K * M_r); a smaller run is one group, computed here. Each
+group is a contiguous run of the same number of equal blocks, as few as
+keep a block within a byte budget on its memory, at a footprint per trial
+fitted in K and M_r. The calling process computes the first group; with
+more groups, one process pool, of one process per further group, computes
+the others at the same time. Every trial draws from a substream keyed on
+(seed, trial index), seeded in bulk and drawn once for all the cells of a
+block, which only scale the draw by their alpha and power, and no trial's
+values depend on the rest of its block, as the kernels take C-ordered
+stacks, so results are byte-identical for any W >= 1. A failed draw is
+redrawn on a flagged substream, in a smaller block, by one loop. A block
+returns its values, with a leading trial axis, and its redraw count; the
+table reads the blocks joined into one (cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .joint import (
 from .numerics import quadratic_form
 from .tdma import (
     _KKT_ATOL, _SIMPLEX_ATOL, AsymptoticResult, TdmaAllocation, _kkt_gaps, _kkt_tolerance,
-    asymptotic_allocation, block_asymptotic, block_slots, optimize_slots,
+    asymptotic_allocation, block_asymptotic, block_slots, optimize_slots, single_user_relay_matrix,
 )
 
 __all__ = [
@@ -60,16 +61,17 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 _MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for importing the pool and
-# starting a process: at W = 2 a run of twice this work is about as fast on
-# two processes as on one (tools/fanout_breakeven.py).
-_MIN_PROCESS_WORK = 9250
+# starting a process: at W = 2 two processes overtake one from about 0.8
+# times twice this work at K=3, M_r=2 and K=10, M_r=4, and from about 1.3
+# times it at K=50, M_r=8 (tools/fanout_breakeven.py).
+_MIN_PROCESS_WORK = 13000
 
 
 def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.45-1.08 times it for K 1-50 and M_r 1-8
+    blocks, which lie within 0.47-1.08 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
@@ -203,15 +205,16 @@ def _prob_block(blk: ChannelBlock):
 
 
 def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int):
-    """The values of items lo <= i < hi of the flat (cell, trial) list,
-    i = cell * n_trials + trial, evaluated as one block with a leading item
-    axis, and the number of redraws behind them. Draws that fail a check are
-    redrawn as a block on their next flagged substreams, over their rows."""
-    rows, resampled = np.arange(hi - lo), 0  # the rows still to draw
+    """The values of items lo <= i < hi of the flat (trial, cell) list of
+    n_trials * cells items, i = trial * cells + cell, evaluated as one block with a leading item
+    axis, and the number of redraws behind them; the cells of a trial share
+    its draw. Draws that fail a check are redrawn as a block on their next
+    flagged substreams, over their rows."""
+    rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
         items = (rows + lo).tolist()
-        got, why = evaluate(sample_block([scens[i // n_trials] for i in items],
-                                         [i % n_trials for i in items], retry))
+        got, why = evaluate(sample_block([scens[i % cells] for i in items],
+                                         [i // cells for i in items], retry))
         if retry:
             values[rows] = got
             resampled += len(rows)
@@ -221,7 +224,7 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, 
         if not failed.any():
             return values, resampled
         rows = rows[failed]
-    raise NumericalError(f"trial {(rows[0] + lo) % n_trials} failed after {_MAX_RESAMPLES} "
+    raise NumericalError(f"trial {(rows[0] + lo) // cells} failed after {_MAX_RESAMPLES} "
                          f"resamples: {why[failed][0]}")
 
 
@@ -270,7 +273,8 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
             for group in rest:
                 blocks += group
     values, counts = zip(*blocks)
-    return np.concatenate(values).reshape(len(scens), n_trials, *values[0].shape[1:]), sum(counts)
+    values = np.concatenate(values).reshape(n_trials, len(scens), *values[0].shape[1:])
+    return values.swapaxes(0, 1), sum(counts)
 
 
 def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
@@ -316,6 +320,19 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 
 
+def _slot_logdet_error(c: ChannelRealization, tau: np.ndarray, rates: np.ndarray) -> float:
+    """The largest relative gap, over the open slots of a trial, between a
+    slot's rate and tau_k times the log-det rate of user k alone at power
+    P_k / tau_k, P_r unchanged, with its own optimal relay matrix."""
+    worst = 0.0
+    for k in np.flatnonzero(tau > 0.0):
+        alone = ChannelRealization(h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h,
+                                   P=c.P[k : k + 1] / tau[k], P_r=c.P_r)
+        ref = tau[k] * sum_rate_logdet(single_user_relay_matrix(alone, 0), alone)
+        worst = max(worst, abs(ref - rates[k]) / max(ref, np.finfo(float).tiny))
+    return worst
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     name: str
@@ -358,8 +375,9 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
             abs(sum_rate_logdet(F, c) - sum_rate_closed(F, c)),
             abs(b.r_lower[i] - sum_rate_logdet(f, c)),
             abs(f.tx_power - c.P_r) / max(1.0, c.P_r),
+            _slot_logdet_error(c, alloc.tau[i], alloc.per_user_rate[i]),
         ))
-    psd, formulas, logdet, power = np.array(rows).T
+    psd, formulas, logdet, power, slot_rates = np.array(rows).T
     _, slack, nu = _kkt_gaps(agg.d, agg.nr, agg.hp[:, None], alloc.tau)
     # The KKT gaps in bits times _KKT_ATOL / min(_KKT_ATOL, _KKT_RTOL * nu):
     # each is within its threshold _KKT_ATOL iff it is within its tolerance.
@@ -376,6 +394,7 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
         "tdma_kkt_spread": (alloc.kkt_spread * kkt_scale, _KKT_ATOL),
         "tdma_slackness": (slack * kkt_scale, _KKT_ATOL),
         "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), _SIMPLEX_ATOL),
+        "tdma_rates_logdet": (slot_rates, 1e-10),
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),
     }

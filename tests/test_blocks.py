@@ -4,7 +4,8 @@ A trial's five sweep metrics and its superiority predicate must be
 bit-identical whether it is evaluated alone, in its own cell's block, in a
 block that mixes cells of other alpha and P_r, or through the pooled run at
 any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
-K = 1 and M_r = 1.
+K = 1 and M_r = 1. A block lists trials across cells, and each distinct
+(seed, trial) substream in it is drawn once for all the cells that use it.
 """
 
 import tracemalloc
@@ -13,10 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import marcsim.channel as channel_mod
 import marcsim.harness as harness_mod
-from marcsim import ChannelBlock, ScenarioConfig, sample_channel, trial_rng
+from marcsim import (
+    ChannelBlock, ScenarioConfig, SweepConfig, estimate_superiority_probability, run_sweep,
+    sample_channel, trial_rng,
+)
 from marcsim.channel import sample_block
-from marcsim.errors import NumericalError
+from marcsim.errors import NumericalError, ValidationError
 
 N_TRIALS = 5
 ALPHAS = (0.0, 0.1, 1.0)
@@ -183,8 +188,8 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
     values, resampled = harness_mod._trial_block(flaky, scens, N_TRIALS, lo, hi)
     assert passes == [5, 2, 1]
     assert type(resampled) is int and resampled == 3
-    expected = [harness_mod._sweep_block(sample_block([scens[i // N_TRIALS]], [i % N_TRIALS],
-                                                      retry))[0][0]
+    expected = [harness_mod._sweep_block(sample_block([scens[i % len(scens)]],
+                                                      [i // len(scens)], retry))[0][0]
                 for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
     assert np.array_equal(values, expected)
 
@@ -203,5 +208,96 @@ def test_exhausted_resamples_report_the_whole_last_message():
     with pytest.raises(NumericalError) as err:
         harness_mod._trial_block(failing, _cells(3, 2), N_TRIALS, 7, 9)
     assert len(passes) == 100
-    assert str(err.value) == ("trial 2 failed after 100 resamples: "
+    assert str(err.value) == ("trial 0 failed after 100 resamples: "
                               "pass 100 failed for a longer reason")
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    """Counts the substream draws sample_block makes."""
+    draws = []
+    real = channel_mod._draw
+    monkeypatch.setattr(channel_mod, "_draw", lambda *a: draws.append(1) or real(*a))
+    return draws
+
+
+def test_a_block_draws_each_key_once_and_matches_sample_channel(count_draws):
+    # each (seed, t) key under several alpha, P_max and P_r, in a shuffled
+    # block of two seeds on a retry: 12 draws for 72 rows, every row the
+    # realization sample_channel makes from the key's own stream
+    base = ScenarioConfig(K=4, M_r=3, seed=0)
+    cfgs = [replace(base, seed=seed, alpha=a, P_max=p_max, P_r=p_r)
+            for seed in (21, 2**32 + 5) for a in (0.0, 0.3, 1.0)
+            for p_max, p_r in ((1.0, 0.0), (10.0, 1e8))]
+    pairs = [(cfg, t) for cfg in cfgs for t in range(6)]
+    order = np.random.default_rng(3).permutation(len(pairs))
+    pairs = [pairs[i] for i in order]
+    blk = sample_block([cfg for cfg, _ in pairs], [t for _, t in pairs], 3)
+    assert len(count_draws) == 2 * 6
+    for i, (cfg, t) in enumerate(pairs):
+        want = sample_channel(cfg, trial_rng(cfg.seed, t, 3))
+        for name in ("h_r", "h_d", "h", "P"):
+            got, ref = getattr(blk, name)[i], getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), (name, cfg, t)
+            assert not ref.flags.writeable, name
+        assert blk.P_r[i] == want.P_r
+
+
+def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
+    # the draw of trial 0 at K=50, M_r=8, seed 0 overflows at alpha = 1e308
+    ok = ScenarioConfig(K=50, M_r=8, alpha=1.0, seed=0)
+    for big, raises in ((1e308, True), (1e307, False)):
+        cfgs = [ok, replace(ok, alpha=big), ok, replace(ok, alpha=big, P_r=0.0)]
+        if raises:
+            with pytest.raises(ValidationError, match="^h_d has non-finite entries$"):
+                sample_block(cfgs, [0, 0, 1, 1])
+        else:
+            assert np.isfinite(sample_block(cfgs, [0, 0, 1, 1]).h_d).all()
+    assert len(count_draws) == 2 * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_cell_tables_equal_their_one_cell_runs(pin_cpu_count, any_run_forks, workers):
+    pin_cpu_count(2)
+    base = ScenarioConfig(K=3, M_r=2, P_max=10.0, P_r=10.0, seed=17)
+    alphas, grid = (0.1, 1.0), (0.0, 20.0, 80.0)
+    for run in (run_sweep, estimate_superiority_probability):
+        whole = run(SweepConfig(base, grid, alphas, n_trials=7), workers=workers)
+        alone = [run(SweepConfig(base, (db,), (a,), n_trials=7), workers=workers)
+                 for a in alphas for db in grid]
+        assert whole.rows == tuple(row for cell in alone for row in cell.rows), run.__name__
+        assert whole.resampled_trials == 0
+
+
+@pytest.mark.parametrize("failing_cells", [[4], [4, 6]])
+def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells):
+    # trial 2 fails in some cells on its first draw: only those items are
+    # redrawn, on one shared retry-1 draw, and the trial's other cells keep
+    # their retry-0 values
+    scens = _cells(3, 2)
+    calls = []
+    real = harness_mod.sample_block
+
+    def recorded(cfgs, trials, retry):
+        calls.append((list(cfgs), list(trials), retry))
+        return real(cfgs, trials, retry)
+
+    def flaky(blk):
+        values, why = harness_mod._sweep_block(blk)
+        why = why.astype(object)
+        if len(calls) == 1:
+            why[[2 * len(scens) + c for c in failing_cells]] = "injected failure"
+        return values, why
+
+    monkeypatch.setattr(harness_mod, "sample_block", recorded)
+    values, resampled = harness_mod._run_cells(flaky, scens, N_TRIALS, 1)
+    assert resampled == len(failing_cells)
+    assert [retry for *_, retry in calls] == [0, 1]
+    assert calls[1][:2] == ([scens[c] for c in failing_cells], [2] * len(failing_cells))
+    assert len(count_draws) == N_TRIALS + 1
+    for c, scen in enumerate(scens):
+        for t in range(N_TRIALS):
+            retry = int(t == 2 and c in failing_cells)
+            want = harness_mod._sweep_block(real([scen], [t], retry))[0][0]
+            assert np.array_equal(values[c, t], want), (c, t)

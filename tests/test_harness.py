@@ -256,6 +256,7 @@ def test_invariant_suite_clean_on_random_scenarios():
         "bound_ordering",
         "tdma_kkt_spread",
         "tdma_slackness",
+        "tdma_rates_logdet",
         "asymptotic_predicate",
     }
 
@@ -263,21 +264,37 @@ def test_invariant_suite_clean_on_random_scenarios():
 @pytest.mark.parametrize("scale", [1.0, 1e-3])
 def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
     # The channel of tests/test_tdma.py's PLANTED SNRs (d and hp scaled), with
-    # user 1 parked by a slot optimizer that reports no failure: the
-    # slackness row must fail, also where the absolute 1e-8 bits cannot see it.
+    # user 1 parked by a slot optimizer that reports no failure, and the
+    # rates of its parked slots: the slackness row must fail, also where the
+    # absolute 1e-8 bits cannot see it.
     c = ChannelRealization(h_r=np.sqrt([[0.615], [5.02e11]]), h_d=np.sqrt([2.43e-6 * scale, 0.0]),
                            h=np.sqrt([1.14e-7 * scale]), P=[1.0, 1.0], P_r=1.0)
     monkeypatch.setattr(harness_mod, "sample_channel", lambda scen, rng: c)
 
     def parks_user_1(d, nr, hp):
-        alloc, why = tdma_mod.block_slots(d, nr, hp)
+        _, why = tdma_mod.block_slots(d, nr, hp)
         assert not any(why)
-        return replace(alloc, tau=np.tile([1.0, 0.0], (len(d), 1))), why
+        tau = np.tile([1.0, 0.0], (len(d), 1))
+        return tdma_mod._checked_allocation(d, nr, hp[:, None], tau)[0], why
 
     monkeypatch.setattr(harness_mod, "block_slots", parks_user_1)
     outcomes = {o.name: o for o in invariant_suite(ScenarioConfig(K=2, M_r=1), n_trials=2)}
     assert not outcomes["tdma_slackness"].passed
     assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_slackness"]
+
+
+def test_check_rejects_slot_rates_off_their_logdet_reference(monkeypatch):
+    # a slot optimizer that reports every rate 1e-9 too high, with passing
+    # KKT gaps: only the log-det slot-rate row sees it
+    def inflated(d, nr, hp):
+        alloc, why = tdma_mod.block_slots(d, nr, hp)
+        return replace(alloc, per_user_rate=alloc.per_user_rate * (1.0 + 1e-9)), why
+
+    monkeypatch.setattr(harness_mod, "block_slots", inflated)
+    scen = ScenarioConfig(K=4, M_r=3, P_max=10.0, P_r=10.0, alpha=0.5, seed=11)
+    outcomes = {o.name: o for o in invariant_suite(scen, n_trials=10)}
+    assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_rates_logdet"]
+    assert 0.99e-9 < outcomes["tdma_rates_logdet"].worst < 1.01e-9
 
 
 def _count_trials(counts, monkeypatch, modules, names):

@@ -401,7 +401,7 @@ def test_newton_steps_on_criterion_8_draws(monkeypatch):
     monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
     for lo in range(0, len(scens) * n, size):
         items = range(lo, min(lo + size, len(scens) * n))
-        blk = sample_block([scens[i // n] for i in items], [i % n for i in items])
+        blk = sample_block([scens[i % len(scens)] for i in items], [i // len(scens) for i in items])
         assert not any(block_slots(*user_snrs(blk))[1])
     assert len(calls) <= 600
 

@@ -41,11 +41,11 @@ ONE_BLAS_THREAD = {name: "1" for name in (
 # name: (argv without --trials/--workers/--out, K * M_r, cells, ladder of trials per cell)
 SHAPES = {
     "small": ("sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
-              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 60, 80, 90, 100, 110, 120, 150, 200)),
+              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 150, 200, 225, 250, 275, 300, 400, 500)),
     "crit8": ("sweep --users 10 --antennas 4 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 "
-              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 150, 200, 225, 250, 275, 300, 400, 1000)),
+              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 300, 350, 400, 450, 500, 600, 800, 1000)),
     "k50m8": ("prob --users 50 --antennas 8 --alpha 0.1 --alpha 0.3 --alpha 1.0 "
-              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 50, 75, 90, 100, 110, 125, 150, 400)),
+              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 100, 125, 140, 150, 175, 200, 300, 400)),
 }
 
 CHILD = """
