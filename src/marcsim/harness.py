@@ -61,9 +61,9 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 _MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for importing the pool and
-# starting a process: at W = 2 two processes overtake one from about 0.8
-# times twice this work at K=3, M_r=2 and K=10, M_r=4, and from about 1.3
-# times it at K=50, M_r=8 (tools/fanout_breakeven.py).
+# starting a process. At W = 2 two processes overtake one from about 0.75-1
+# times twice this work at K=3, M_r=2 and K=10, M_r=4, and from 1.2-2 times
+# it at K=50, M_r=8, so it sits between them (tools/fanout_breakeven.py).
 _MIN_PROCESS_WORK = 13000
 
 
@@ -206,10 +206,10 @@ def _prob_block(blk: ChannelBlock):
 
 def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int):
     """The values of items lo <= i < hi of the flat (trial, cell) list of
-    n_trials * cells items, i = trial * cells + cell, evaluated as one block with a leading item
-    axis, and the number of redraws behind them; the cells of a trial share
-    its draw. Draws that fail a check are redrawn as a block on their next
-    flagged substreams, over their rows."""
+    n_trials * cells items, i = trial * cells + cell, evaluated as one block
+    with a leading item axis, and the number of redraws behind them; the
+    cells of a trial share its draw. Draws that fail a check are redrawn as
+    a block on their next flagged substreams, over their rows."""
     rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
         items = (rows + lo).tolist()
