@@ -204,12 +204,12 @@ def _prob_block(blk: ChannelBlock):
     return wins, np.full(wins.shape, "")
 
 
-def _trial_block(evaluate, scens: list[ScenarioConfig], n_trials: int, lo: int, hi: int):
-    """The values of items lo <= i < hi of the flat (trial, cell) list of
-    n_trials * cells items, i = trial * cells + cell, evaluated as one block
-    with a leading item axis, and the number of redraws behind them; the
-    cells of a trial share its draw. Draws that fail a check are redrawn as
-    a block on their next flagged substreams, over their rows."""
+def _trial_block(evaluate, scens: list[ScenarioConfig], lo: int, hi: int):
+    """The values of items lo <= i < hi of the flat (trial, cell) list,
+    i = trial * cells + cell, evaluated as one block with a leading item
+    axis, and the number of redraws behind them; the cells of a trial share
+    its draw. Draws that fail a check are redrawn as a block on their next
+    flagged substreams, over their rows."""
     rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
         items = (rows + lo).tolist()
@@ -260,8 +260,7 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
     n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(K * M_r) // _MIN_PROCESS_WORK)))
     per_group = -(-items // (n * max(1, _BLOCK_BYTES // _trial_bytes(K, M_r))))
     size = -(-items // (n * per_group))
-    tasks = [(evaluate, scens, n_trials, lo, min(lo + size, items))
-             for lo in range(0, items, size)]
+    tasks = [(evaluate, scens, lo, min(lo + size, items)) for lo in range(0, items, size)]
     n = min(n, len(tasks))
     groups = [tasks[g * len(tasks) // n:(g + 1) * len(tasks) // n] for g in range(n)]
     if n == 1:

@@ -87,9 +87,9 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
     spans = []
     real = harness_mod._trial_block
 
-    def recorded(evaluate, scens, n_trials, lo, hi):
+    def recorded(evaluate, scens, lo, hi):
         spans.append((lo, hi))
-        return real(evaluate, scens, n_trials, lo, hi)
+        return real(evaluate, scens, lo, hi)
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
     evaluate = harness_mod._prob_block
@@ -127,10 +127,10 @@ def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
     peaks = []
     real = harness_mod._trial_block
 
-    def traced(evaluate, scens, n_trials, lo, hi):
+    def traced(evaluate, scens, lo, hi):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        out = real(evaluate, scens, n_trials, lo, hi)
+        out = real(evaluate, scens, lo, hi)
         peaks.append((tracemalloc.get_traced_memory()[1] - held, hi - lo))
         return out
 
@@ -160,8 +160,8 @@ def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu
     returned = []
     real = harness_mod._trial_block
 
-    def recorded(evaluate, scens, n_trials, lo, hi):
-        returned.append((hi - lo, real(evaluate, scens, n_trials, lo, hi)))
+    def recorded(evaluate, scens, lo, hi):
+        returned.append((hi - lo, real(evaluate, scens, lo, hi)))
         return returned[-1][1]
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
@@ -185,7 +185,7 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
         why[{1: [0, 2], 2: [0]}.get(len(passes), [])] = "injected failure"
         return values, why
 
-    values, resampled = harness_mod._trial_block(flaky, scens, N_TRIALS, lo, hi)
+    values, resampled = harness_mod._trial_block(flaky, scens, lo, hi)
     assert passes == [5, 2, 1]
     assert type(resampled) is int and resampled == 3
     expected = [harness_mod._sweep_block(sample_block([scens[i % len(scens)]],
@@ -206,7 +206,7 @@ def test_exhausted_resamples_report_the_whole_last_message():
         return values, np.full(why.shape, message)
 
     with pytest.raises(NumericalError) as err:
-        harness_mod._trial_block(failing, _cells(3, 2), N_TRIALS, 7, 9)
+        harness_mod._trial_block(failing, _cells(3, 2), 7, 9)
     assert len(passes) == 100
     assert str(err.value) == ("trial 0 failed after 100 resamples: "
                               "pass 100 failed for a longer reason")
@@ -240,7 +240,9 @@ def test_a_block_draws_each_key_once_and_matches_sample_channel(count_draws):
             got, ref = getattr(blk, name)[i], getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), (name, cfg, t)
-            assert not ref.flags.writeable, name
+            # a realization is frozen; a block's arrays are writeable, as at
+            # one draw per row, not read-only broadcasts of a shared draw
+            assert not ref.flags.writeable and getattr(blk, name).flags.writeable, name
         assert blk.P_r[i] == want.P_r
 
 

@@ -446,12 +446,12 @@ def _always_fail(name, blk):
 _REAL_TRIAL_BLOCK = harness_mod._trial_block
 
 
-def _recorded_block(spans, fail_from, evaluate, scens, n_trials, lo, hi):
+def _recorded_block(spans, fail_from, evaluate, scens, lo, hi):
     # a sweep's draws of items from fail_from on always fail; the spans a
     # process evaluated land in its own copy of spans
     if lo >= fail_from:
         evaluate = partial(_always_fail, "_sweep_block")
-    result = _REAL_TRIAL_BLOCK(evaluate, scens, n_trials, lo, hi)
+    result = _REAL_TRIAL_BLOCK(evaluate, scens, lo, hi)
     spans.append((lo, hi))
     return result
 

@@ -16,8 +16,8 @@ def _fake_runs(monkeypatch, walls: dict[str, list[float]], csv_of):
     walls[side][rep]. Returns the calls made."""
     calls = []
 
-    def time_main(checkout, argv):
-        side = checkout.name
+    def time_main(src, argv):
+        side = src.parent.name
         out = Path(argv[argv.index("--out") + 1])
         rep = sum(s == side for s, _ in calls) % len(walls[side])
         calls.append((side, out))
@@ -28,12 +28,18 @@ def _fake_runs(monkeypatch, walls: dict[str, list[float]], csv_of):
     return calls
 
 
+def _commands(monkeypatch, *names):
+    """Run only the named commands."""
+    monkeypatch.setattr(paper_scale, "COMMANDS", {n: paper_scale.COMMANDS[n] for n in names})
+
+
 def test_alternates_the_sides_and_summarizes_the_pairs(monkeypatch, tmp_path):
+    _commands(monkeypatch, "crit8-w1")
     walls = {"parent": [100.0, 110.0, 90.0, 105.0], "change": [80.0, 85.0, 95.0, 70.0]}
     calls = _fake_runs(monkeypatch, walls, lambda side, rep: "a,b\n1,2\n")
     out = tmp_path / "BENCH.json"
     assert paper_scale.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--reps", "4",
-                             "--commands", "crit8-w1", "--out", str(out)]) == 0
+                             "--out", str(out)]) == 0
     assert [side for side, _ in calls] == ["parent", "change", "change", "parent"] * 2
     assert len({path for _, path in calls}) == 8  # a new CSV per run
     r = json.loads(out.read_text())["commands"]["crit8-w1"]
@@ -47,11 +53,12 @@ def test_alternates_the_sides_and_summarizes_the_pairs(monkeypatch, tmp_path):
 
 
 def test_a_differing_csv_fails_the_run(monkeypatch, tmp_path):
+    _commands(monkeypatch, "k3m2-sweep-w1", "crit8-w2")
     walls = {"parent": [1.0, 1.0], "change": [1.0, 1.0]}
     _fake_runs(monkeypatch, walls, lambda side, rep: f"x\n{int(side == 'change' and rep == 1)}\n")
     out = tmp_path / "BENCH.json"
     assert paper_scale.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--reps", "2",
-                             "--commands", "k3m2-sweep-w1,crit8-w2", "--out", str(out)]) == 1
+                             "--out", str(out)]) == 1
     commands = json.loads(out.read_text())["commands"]
     assert [r["csv_identical"] for r in commands.values()] == [False, False]
     assert commands["k3m2-sweep-w1"]["won"] == 0

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import os
 
-ONE_BLAS_THREAD = {name: "1" for name in (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS")}
+from fresh_main import ONE_BLAS_THREAD
+
 os.environ.update(ONE_BLAS_THREAD)  # before numpy is first imported
 
 import argparse  # noqa: E402
@@ -56,7 +55,7 @@ def traced_peak(table: str, scen: ScenarioConfig, n: int) -> int:
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        harness._trial_block(getattr(harness, table), [scen], n, 0, n)
+        harness._trial_block(getattr(harness, table), [scen], 0, n)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -69,7 +68,7 @@ def timed(table: str, scen: ScenarioConfig, n: int, reps: int) -> tuple[float, f
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
         t = time.perf_counter()
-        harness._trial_block(getattr(harness, table), [scen], n, 0, n)
+        harness._trial_block(getattr(harness, table), [scen], 0, n)
         walls.append(time.perf_counter() - t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return 1e6 * statistics.median(walls) / n, faults / (reps * n)

@@ -23,50 +23,26 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from math import sqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
+from fresh_main import time_main  # noqa: E402
 from marcsim import harness  # noqa: E402
-
-ONE_BLAS_THREAD = {name: "1" for name in (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS")}
 
 # name: (argv without --trials/--workers/--out, K * M_r, cells, ladder of trials per cell)
 SHAPES = {
     "small": ("sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
-              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 150, 200, 225, 250, 275, 300, 400, 500)),
+              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 150, 175, 200, 225, 250, 275, 300, 500)),
     "crit8": ("sweep --users 10 --antennas 4 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 "
-              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 300, 350, 400, 450, 500, 600, 800, 1000)),
+              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 250, 275, 300, 325, 350, 400, 450, 1000)),
     "k50m8": ("prob --users 50 --antennas 8 --alpha 0.1 --alpha 0.3 --alpha 1.0 "
-              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 100, 125, 140, 150, 175, 200, 300, 400)),
+              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 90, 100, 110, 125, 150, 200, 300, 400)),
 }
-
-CHILD = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-from marcsim import cli, harness
-if sys.argv[2] == "2":
-    harness._MIN_PROCESS_WORK = 1
-t = time.perf_counter()
-code = cli.main(sys.argv[3:])
-print(time.perf_counter() - t if code == 0 else "nan")
-"""
-
-
-def time_main(argv: list[str], workers: int, out_csv: str) -> float:
-    """The wall of one main(argv) call in a fresh interpreter, in ms."""
-    argv = [*argv, "--workers", str(workers), "--out", out_csv]
-    out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "src"), str(workers), *argv],
-                         env={**os.environ, **ONE_BLAS_THREAD}, capture_output=True, text=True,
-                         check=True)
-    return 1e3 * float(out.stdout.split()[-1])
 
 
 def main(argv=None) -> int:
@@ -89,7 +65,10 @@ def main(argv=None) -> int:
                     for workers in (1, 2) if rep % 2 == 0 else (2, 1):
                         # a new file each time: truncating one can stall for tens of ms
                         out_csv = f"{tmp}/{name}-{per_cell}-{rep}-{workers}.csv"
-                        walls[workers].append(time_main(base, workers, out_csv))
+                        argv = [*base, "--workers", str(workers), "--out", out_csv]
+                        # at W = 2 the pool starts at every size
+                        setup = "harness._MIN_PROCESS_WORK = 1" * (workers == 2)
+                        walls[workers].append(time_main(ROOT / "src", argv, setup))
                 ms = {w: statistics.median(v) for w, v in walls.items()}
                 items = cells * per_cell
                 chosen = 2 if items * sqrt(entries) // threshold >= 2 else 1

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -32,10 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_pairs import summary  # noqa: E402
-
-ONE_BLAS_THREAD = {name: "1" for name in (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS")}
+from fresh_main import time_main  # noqa: E402
 
 _CRIT8 = ("sweep --users 10 --antennas 4 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 --pmax-db 10 "
           "--seed 8")
@@ -48,25 +44,6 @@ COMMANDS = {
     "k3m2-sweep-w1": "sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
                      "--pmax-db 10 --seed 10 --trials 1000 --workers 1",
 }
-
-CHILD = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-from marcsim import cli
-t = time.perf_counter()
-code = cli.main(sys.argv[2:])
-print(time.perf_counter() - t)
-sys.exit(code)
-"""
-
-
-def time_main(checkout: Path, argv: list[str]) -> float:
-    """The wall of one main(argv) call in a fresh interpreter, in ms;
-    CalledProcessError if the command fails."""
-    out = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"), *argv],
-                         env={**os.environ, **ONE_BLAS_THREAD}, capture_output=True, text=True,
-                         check=True)
-    return 1e3 * float(out.stdout.split()[-1])
 
 
 def compare(parent_ms: list[float], change_ms: list[float], csvs: list[bytes]) -> dict:
@@ -89,7 +66,6 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--reps", type=int, default=5, help="interpreters per side and command")
-    p.add_argument("--commands", default=",".join(COMMANDS), help="comma-separated names")
     p.add_argument("--out", type=Path, required=True, help="BENCH JSON file to write")
     args = p.parse_args(argv)
     if args.reps < 2:
@@ -97,16 +73,16 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.commands.split(","):
+        for name, command in COMMANDS.items():
             walls, csvs = {side: [] for side in sides}, []
             for rep in range(args.reps):
                 for side in sides if rep % 2 == 0 else reversed(sides):
                     out_csv = Path(tmp) / f"{name}-{side}-{rep}.csv"
-                    walls[side].append(time_main(sides[side],
-                                                 [*COMMANDS[name].split(), "--out", str(out_csv)]))
+                    walls[side].append(time_main(sides[side] / "src",
+                                                 [*command.split(), "--out", str(out_csv)]))
                     csvs.append(out_csv.read_bytes())
-            results[name] = {"argv": COMMANDS[name], **compare(walls["parent"], walls["change"],
-                                                              csvs)}
+            results[name] = {"argv": command,
+                             **compare(walls["parent"], walls["change"], csvs)}
             r = results[name]
             print(f"{name}: {r['parent']['median']:.1f} -> {r['change']['median']:.1f} ms "
                   f"({100 * r['median_change_ratio']:+.1f} %), won {r['won']}/{r['pairs']}, "
