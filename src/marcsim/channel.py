@@ -265,6 +265,7 @@ def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
     for i, state in enumerate(_substream_states(*zip(*keys), retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
+    rows = ... if len(keys) == len(rows) else rows  # every key once: no identity gather
     P = P[rows] * np.array([[cfg.P_max] for cfg in cfgs])
     h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M, rows)
     return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))

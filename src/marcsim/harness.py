@@ -18,12 +18,15 @@ fitted in K and M_r. The calling process computes the first group; with
 more groups, one process pool, of one process per further group, computes
 the others at the same time. Every trial draws from a substream keyed on
 (seed, trial index), seeded in bulk and drawn once for all the cells of a
-block, which only scale the draw by their alpha and power, and no trial's
-values depend on the rest of its block, as the kernels take C-ordered
-stacks, so results are byte-identical for any W >= 1. A failed draw is
-redrawn on a flagged substream, in a smaller block, by one loop. A block
-returns its values, with a leading trial axis, and its redraw count; the
-table reads the blocks joined into one (cells, trials, ...) array.
+block, which only scale the draw by their alpha and power. A trial's cells
+of one alpha, adjacent in a block, differ only in P_r: the sweep builds
+their realization's aggregates and eigenpairs once, and hp, the bounds and
+the slots per cell. No trial's values depend on the rest of its block, as
+the kernels take C-ordered stacks, so results are byte-identical for any
+W >= 1. A failed draw is redrawn on a flagged substream, in a smaller
+block, by one loop. A block returns its values, with a leading trial axis,
+and its redraw count; the table reads the blocks joined into one (cells,
+trials, ...) array.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 _MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for importing the pool and
-# starting a process. At W = 2 two processes overtake one from about 0.75-1
-# times twice this work at K=3, M_r=2 and K=10, M_r=4, and from 1.2-2 times
-# it at K=50, M_r=8, so it sits between them (tools/fanout_breakeven.py).
+# starting a process. At W = 2 two processes overtake one from about 1.0-1.4
+# times twice this work at K=3, M_r=2, K=10, M_r=4 and K=50, M_r=8; forking
+# from twice it took at most 1.11 times one process (tools/fanout_breakeven.py).
 _MIN_PROCESS_WORK = 13000
 
 
@@ -189,11 +192,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _realization_runs(blk: ChannelBlock):
+    """The first item of each run of adjacent items of a block with bit-equal
+    h_r, h_d, h and P (a trial's cells of one alpha in a trial-major block,
+    which differ only in P_r) and each item's run; ... for both if no run
+    holds two items."""
+    new = np.arange(len(blk.P)) == 0
+    for a in (blk.h_r, blk.h_d, blk.h, blk.P):
+        bits = a.reshape(len(a), -1).view(np.int64)  # == would equate -0.0 and 0.0
+        new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+    return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
+
+
 def _sweep_block(blk: ChannelBlock):
     """The METRICS of each trial of a block, (N, 5), and a failure message per
-    trial ("" when it passed every check)."""
-    agg = compute_aggregates(blk)
-    b, _, why = block_bounds(blk, agg)
+    trial ("" when it passed every check); the aggregates and eigenpairs
+    once per run of one realization."""
+    first, run = _realization_runs(blk)
+    # built at unit P_r: agg.hp is ||h||^2, and ||h||^2 * P_r each trial's hp, bit for bit
+    agg = compute_aggregates(ChannelBlock(blk.h_r[first], blk.h_d[first], blk.h[first],
+                                          blk.P[first], np.ones_like(blk.P_r[first])))
+    agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * blk.P_r)
+    b, _, why = block_bounds(blk, agg, run)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 

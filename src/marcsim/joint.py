@@ -112,15 +112,18 @@ def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:
     return RelayMatrix.beamformer(c, v_r, np.sqrt(c.P_r / (1.0 + lam_r)))
 
 
-def block_bounds(blk, agg: ChannelAggregates):
+def block_bounds(blk, agg: ChannelAggregates, run=...):
     """The bounds of :func:`lower_bound` for each trial of a ChannelBlock, or
     for one realization, from its aggregates: the JointRateBounds, the
     directions v of R + W that f_lower beamforms, and a failure message per
     trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound
-    by more than 1e-9."""
+    by more than 1e-9. The eigenpairs of R and R + W, which do not depend on
+    P_r, are found per realization, agg's matrices holding each once and run
+    giving a trial's row of them; the rates per trial, from its P_r, s and hp."""
     lam_r, _ = dominant_eigenpair(agg.R)
     lam_rw, v = dominant_eigenpair(agg.R + agg.W)
     vRv = np.sum(v.conj() * (agg.R @ v[..., None])[..., 0], axis=-1).real
+    lam_r, lam_rw, v, vRv = lam_r[run], lam_rw[run], v[run], vRv[run]
     gamma = np.sqrt(blk.P_r / (1.0 + vRv))
     g = agg.hp / (1.0 + vRv)  # ||h||^2 gamma^2
     b = JointRateBounds(

@@ -16,6 +16,7 @@ import pytest
 
 import marcsim.channel as channel_mod
 import marcsim.harness as harness_mod
+import marcsim.joint as joint_mod
 from marcsim import (
     ChannelBlock, ScenarioConfig, SweepConfig, estimate_superiority_probability, run_sweep,
     sample_channel, trial_rng,
@@ -58,6 +59,57 @@ def test_trial_values_do_not_depend_on_the_block(K, M_r, table):
     alone, blocks = _alone_and_in_blocks(getattr(harness_mod, table), _cells(K, M_r))
     for values in blocks:
         assert values.dtype == alone.dtype and np.array_equal(values, alone)
+
+
+@pytest.mark.parametrize("K, M_r", [(1, 1), (10, 4), (6, 1)])
+def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M_r):
+    # Trial-major blocks, as _trial_block builds them: items 0-12 and 13-44 of
+    # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14),
+    # and in the first block a redraw of cells 4 and 5 of trial 0 and cell 0
+    # of trial 1. Every item's values are its values alone, and the
+    # aggregates and both eigenpairs take one row per (trial, alpha).
+    scens, cells = _cells(K, M_r), 9
+    alone = {(i, retry): harness_mod._sweep_block(
+        sample_block([scens[i % cells]], [i // cells], retry))[0][0]
+        for i in range(N_TRIALS * cells) for retry in (0, 1)}
+    rows = {"aggregates": [], "eigenpairs": []}
+    real_agg, real_eig = harness_mod.compute_aggregates, joint_mod.dominant_eigenpair
+    monkeypatch.setattr(harness_mod, "compute_aggregates",
+                        lambda c: rows["aggregates"].append(len(c.P)) or real_agg(c))
+    monkeypatch.setattr(joint_mod, "dominant_eigenpair",
+                        lambda A: rows["eigenpairs"].append(len(A)) or real_eig(A))
+    passes = []
+
+    def flaky(blk):
+        values, why = harness_mod._sweep_block(blk)
+        passes.append(len(why))
+        if len(passes) == 1:
+            why = why.astype(object)
+            why[[4, 5, 9]] = "injected failure"
+        return values, why
+
+    first, _ = harness_mod._trial_block(flaky, scens, 0, 13)
+    second, _ = harness_mod._trial_block(flaky, scens, 13, N_TRIALS * cells)
+    assert passes == [13, 3, 32]
+    # (trial, alpha) runs: items 0-12 hold 5, the redraw 2 and items 13-44 11
+    assert rows == {"aggregates": [5, 2, 11], "eigenpairs": [5, 5, 2, 2, 11, 11]}
+    values = np.concatenate([first, second])
+    for i, got in enumerate(values):
+        want = alone[i, int(i in (4, 5, 9))]
+        assert got.tobytes() == want.tobytes(), (K, M_r, i)
+
+
+def test_realization_runs_compare_bits():
+    # a direct link of -0.0 and one of +0.0 are equal under == but are
+    # different realizations; bit-equal adjacent rows form one run
+    blk = sample_block([ScenarioConfig(K=2, M_r=2, alpha=0.0, seed=4)] * 3, [0, 0, 1])
+    assert [r.tolist() for r in harness_mod._realization_runs(blk)] == [[0, 2], [0, 0, 1]]
+    h_d = blk.h_d[[0, 0]]
+    h_d[1] = -h_d[1]
+    assert np.array_equal(h_d[0], h_d[1]) and h_d[0].tobytes() != h_d[1].tobytes()
+    flipped = replace(blk, **{f: getattr(blk, f)[[0, 0]] for f in ("h_r", "h", "P", "P_r")},
+                      h_d=h_d)
+    assert harness_mod._realization_runs(flipped) == (..., ...)
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
