@@ -5,7 +5,9 @@ bit-identical whether it is evaluated alone, in its own cell's block, in a
 block that mixes cells of other alpha and P_r, or through the pooled run at
 any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
 K = 1 and M_r = 1. A block lists trials across cells, and each distinct
-(seed, trial) substream in it is drawn once for all the cells that use it.
+(seed, trial) substream in it is drawn once for all the cells that use it;
+in a sweep block a trial's adjacent cells of one alpha share one build of
+the aggregates and eigenpairs.
 """
 
 import tracemalloc
