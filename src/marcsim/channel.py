@@ -31,8 +31,8 @@ from .errors import ValidationError
 
 __all__ = [
     "ScenarioConfig", "ChannelRealization", "ChannelBlock", "ChannelAggregates", "trial_rng",
-    "sample_channel", "sample_block", "relay_tx_power", "compute_aggregates", "effective_channel",
-    "realization_to_json", "realization_from_json",
+    "sample_channel", "sample_block", "relay_tx_power", "compute_aggregates", "scale_aggregates",
+    "effective_channel", "realization_to_json", "realization_from_json",
 ]
 
 
@@ -220,11 +220,19 @@ def _coefficients(z: np.ndarray, alpha, K: int, M: int, rows=...):
     def cn(lo: int, n: int) -> np.ndarray:
         return ((z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0))[rows]
 
+    h_d = direct_links(alpha, cn(2 * (K * M + M), K))
+    return cn(0, K * M).reshape(*h_d.shape[:-1], K, M), cn(2 * K * M, M), h_d
+
+
+def direct_links(alpha, h_d: np.ndarray) -> np.ndarray:
+    """The direct links alpha * h_d of a draw whose links at alpha = 1 are
+    h_d. ValidationError when the product overflows, the one realization
+    check a draw can fail."""
     with np.errstate(over="ignore"):
-        h_d = alpha * cn(2 * (K * M + M), K)
+        h_d = alpha * h_d
     if not np.all(np.isfinite(h_d)):
         raise ValidationError("h_d has non-finite entries")
-    return cn(0, K * M).reshape(*h_d.shape[:-1], K, M), cn(2 * K * M, M), h_d
+    return h_d
 
 
 def _draw(rng: Generator, z: np.ndarray, u: np.ndarray) -> None:
@@ -245,29 +253,41 @@ def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
     return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P * cfg.P_max, P_r=cfg.P_r)
 
 
+def draw_keys(cfgs, trials):
+    """The distinct (seed, trial index) keys of a block's items (cfgs[i],
+    trials[i]), as an (n, 2) uint64 array, and each item's row in it; the
+    items' own keys and ... when no key repeats."""
+    keys = np.empty((len(cfgs), 2), np.uint64)
+    keys[:, 0], keys[:, 1] = [c.seed for c in cfgs], trials
+    # one 16-byte item per key, which np.unique sorts with less set-up than
+    # it takes for axis=0
+    whole = keys.view(np.dtype((np.void, keys.itemsize * 2))).ravel()
+    _, first, rows = np.unique(whole, return_index=True, return_inverse=True)
+    return (keys, ...) if len(first) == len(keys) else (keys[first], rows)
+
+
 def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
     """One realization per (scenario, trial index) pair, all of one (K, M_r)
     shape: the draw :func:`sample_channel` makes from
     ``trial_rng(cfg.seed, t, retry)``, as a block. Each distinct (seed, t)
-    key is seeded (in bulk, by _substream_states), drawn by one generator
-    and formed into CN coefficients once; its rows then take each pair's
-    alpha, P_max and P_r."""
+    key (:func:`draw_keys`) is seeded (in bulk, by _substream_states), drawn
+    by one generator and formed into CN coefficients once; its rows then take
+    each pair's alpha, P_max and P_r."""
+    trials = np.asarray(trials)
     if (not cfgs or len(cfgs) != len(trials) or len({(c.K, c.M_r) for c in cfgs}) > 1
-            or min(trials) < 0 or max(trials) >= 2**32 or not 0 <= retry < 2**32):
+            or trials.min() < 0 or trials.max() >= 2**32 or not 0 <= retry < 2**32):
         raise ValidationError("a block needs scenarios of one (K, M_r), at least one, each "
                               "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
-    keys = {}  # (seed, t): its draw's row
-    rows = [keys.setdefault((int(c.seed), t), len(keys)) for c, t in zip(cfgs, trials)]
+    keys, rows = draw_keys(cfgs, trials)
     z, P = np.empty((len(keys), 2 * (K * M + M + K))), np.empty((len(keys), K))
     bitgen = PCG64()  # every draw sets its own state first
     rng = Generator(bitgen)
-    for i, state in enumerate(_substream_states(*zip(*keys), retry)):
+    for i, state in enumerate(_substream_states(*keys.T, retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
-    rows = ... if len(keys) == len(rows) else rows  # every key once: no identity gather
-    P = P[rows] * np.array([[cfg.P_max] for cfg in cfgs])
-    h_r, h, h_d = _coefficients(z, np.array([[cfg.alpha] for cfg in cfgs]), K, M, rows)
+    P = P[rows] * np.array([cfg.P_max for cfg in cfgs])[:, None]
+    h_r, h, h_d = _coefficients(z, np.array([cfg.alpha for cfg in cfgs])[:, None], K, M, rows)
     return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
 
 
@@ -291,6 +311,20 @@ def user_snrs(c):
     return np.multiply(d, c.P, out=d), r.sum(axis=-1) * c.P, h.sum(axis=-1) * c.P_r
 
 
+def sum_snrs(d: np.ndarray, nr: np.ndarray):
+    """s = sum d of each trial. ValidationError, naming the first such
+    trial's s and tr R = sum nr, when s * tr R, which bounds T and W,
+    overflows a float in any trial."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, tr_R = d.sum(axis=-1), nr.sum(axis=-1)
+        fits = np.isfinite(s * tr_R)
+    if not fits.all():
+        i = np.argmin(fits)
+        raise ValidationError("channel SNRs overflow a float: "
+                              f"s = {np.ravel(s)[i]:.3e}, tr R = {np.ravel(tr_R)[i]:.3e}")
+    return s
+
+
 def compute_aggregates(c) -> ChannelAggregates:
     """Build (s, R, T, W, d, nr, hp) from a realization or, with a leading
     trial axis, from a ChannelBlock.
@@ -306,12 +340,7 @@ def compute_aggregates(c) -> ChannelAggregates:
     h_r, h_d, P = c.h_r, c.h_d, c.P
     with np.errstate(over="ignore", invalid="ignore"):
         d, nr, hp = user_snrs(c)
-        s, tr_R = d.sum(axis=-1), nr.sum(axis=-1)
-        fits = np.isfinite(s * tr_R)
-    if not fits.all():
-        i = np.argmin(fits)
-        raise ValidationError("channel SNRs overflow a float: "
-                              f"s = {np.ravel(s)[i]:.3e}, tr R = {np.ravel(tr_R)[i]:.3e}")
+    s = sum_snrs(d, nr)
     G = np.swapaxes(h_r, -1, -2)
     A, B = G * P[..., None, :], h_r.conj()  # work arrays, reused below through out=
     R = A @ B
@@ -328,6 +357,23 @@ def compute_aggregates(c) -> ChannelAggregates:
     Y -= np.divide(ud, root_s, out=ud)
     W = np.where(gram[..., None, None], Y @ np.conjugate(np.swapaxes(Y, -1, -2), out=B), 0.0)
     return ChannelAggregates(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp)
+
+
+def scale_aggregates(agg: ChannelAggregates, alpha, t) -> ChannelAggregates:
+    """The aggregates of a draw at direct-link scale alpha and user power
+    scale t, from its aggregates ``agg`` at alpha = t = 1, with no rebuild:
+    s and d scale as alpha^2 t, R and nr as t, T and W as (alpha t)^2, and hp
+    not at all. alpha and t are numbers, or arrays over a block's trial
+    axis. The values equal compute_aggregates' of the scaled draw to
+    rounding. T and W are multiplied by alpha t twice, not by its square,
+    which overflows first."""
+    alpha, t = np.asarray(alpha, dtype=float), np.asarray(t, dtype=float)
+    a2t, at = alpha * alpha * t, (alpha * t)[..., None, None]
+    T, W = agg.T * at, agg.W * at
+    T *= at
+    W *= at
+    return ChannelAggregates(s=agg.s * a2t, R=agg.R * t[..., None, None], T=T, W=W,
+                             d=agg.d * a2t[..., None], nr=agg.nr * t[..., None], hp=agg.hp)
 
 
 def effective_channel(F: np.ndarray, c: ChannelRealization, k: int) -> np.ndarray:

@@ -18,15 +18,18 @@ fitted in K and M_r. The calling process computes the first group; with
 more groups, one process pool, of one process per further group, computes
 the others at the same time. Every trial draws from a substream keyed on
 (seed, trial index), seeded in bulk and drawn once for all the cells of a
-block, which only scale the draw by their alpha and power. A trial's cells
-of one alpha, adjacent in a block, differ only in P_r: the sweep builds
-their realization's aggregates and eigenpairs once, and hp, the bounds and
-the slots per cell. No trial's values depend on the rest of its block, as
-the kernels take C-ordered stacks, so results are byte-identical for any
-W >= 1. A failed draw is redrawn on a flagged substream, in a smaller
-block, by one loop. A block returns its values, with a leading trial axis,
-and its redraw count; the table reads the blocks joined into one (cells,
-trials, ...) array.
+block, which only scale the draw by their alpha and power; a block's
+evaluator takes the items' scenarios, trial indices and redraw number and
+samples them itself. A trial's cells of one alpha, adjacent in a block,
+differ only in P_r: the sweep builds their realization's aggregates and
+eigenpairs once, and hp, the bounds and the slots per cell. The superiority
+table builds each draw's aggregates once, at alpha = P_max = 1, and scales
+their R and W to each of its cells; a cell's SNRs are its own. No trial's
+values depend on the rest of its block, as the kernels take C-ordered
+stacks, so results are byte-identical for any W >= 1. A failed draw is
+redrawn on a flagged substream, in a smaller block, by one loop. A block
+returns its values, with a leading trial axis, and its redraw count; the
+table reads the blocks joined into one (cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from math import sqrt
 import numpy as np
 
 from .channel import (
-    ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates, sample_block,
-    sample_channel, trial_rng,
+    ChannelAggregates, ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates,
+    direct_links, draw_keys, sample_block, sample_channel, scale_aggregates, sum_snrs, trial_rng,
 )
 from .errors import NumericalError, ValidationError
 from .joint import (
@@ -64,17 +67,18 @@ METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_ra
 _MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for importing the pool and
-# starting a process. At W = 2 two processes overtake one from about 1.0-1.4
-# times twice this work at K=3, M_r=2, K=10, M_r=4 and K=50, M_r=8; forking
-# from twice it took at most 1.11 times one process (tools/fanout_breakeven.py).
-_MIN_PROCESS_WORK = 13000
+# starting a process. At W = 2 two processes overtake one from about 0.6-1.3
+# times twice this work on the K=3, M_r=2 and K=10, M_r=4 sweeps and 1.1-1.6
+# times on the K=50, M_r=8 superiority table; forking from twice it took at
+# most 1.18 times the faster choice (tools/fanout_breakeven.py).
+_MIN_PROCESS_WORK = 20000
 
 
 def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.47-1.08 times it for K 1-50 and M_r 1-8
+    blocks, which lie within 0.49-1.08 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
@@ -204,10 +208,12 @@ def _realization_runs(blk: ChannelBlock):
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _sweep_block(blk: ChannelBlock):
-    """The METRICS of each trial of a block, (N, 5), and a failure message per
-    trial ("" when it passed every check); the aggregates and eigenpairs
-    once per run of one realization."""
+def _sweep_block(cfgs, trials, retry: int):
+    """The METRICS of each item (cfgs[i], trials[i]) of a block, (N, 5), and
+    a failure message per item ("" when it passed every check), from the
+    items' draws on substream retry; the aggregates and eigenpairs once per
+    run of one realization."""
+    blk = sample_block(cfgs, trials, retry)
     first, run = _realization_runs(blk)
     # built at unit P_r: agg.hp is ||h||^2, and ||h||^2 * P_r each trial's hp, bit for bit
     agg = compute_aggregates(ChannelBlock(blk.h_r[first], blk.h_d[first], blk.h[first],
@@ -218,9 +224,29 @@ def _sweep_block(blk: ChannelBlock):
     return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 
 
-def _prob_block(blk: ChannelBlock):
-    """The superiority predicate of each trial of a block; no check can fail."""
-    wins = block_asymptotic(compute_aggregates(blk)).joint_wins
+def _prob_block(cfgs, trials, retry: int):
+    """The superiority predicate of each item (cfgs[i], trials[i]) of a
+    block, from the items' draws on substream retry; no check can fail. Each
+    distinct (seed, trial) draw is sampled and its aggregates built once, at
+    unit alpha and P_max. An item forms its own direct links alpha h_d,
+    powers P_max P and from them d, nr and s, as sample_block and
+    compute_aggregates do, with their checks in their order; the R and W of
+    its lambda_max(R + W) are its draw's, scaled by scale_aggregates."""
+    keys, rows = draw_keys(cfgs, trials)
+    seeds = keys[:, 0].tolist()
+    unit = {s: replace(cfgs[0], alpha=1.0, P_max=1.0, seed=s) for s in set(seeds)}
+    blk = sample_block([unit[s] for s in seeds], keys[:, 1], retry)
+    agg = compute_aggregates(blk)  # no check can fail at unit scale
+    alpha, p_max = (np.array([getattr(c, name) for c in cfgs]) for name in ("alpha", "P_max"))
+    P = blk.P[rows] * p_max[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # user_snrs' d and nr
+        d = np.square(np.abs(direct_links(alpha[:, None], blk.h_d[rows]))) * P
+        gains = np.abs(blk.h_r)
+        nr = np.square(gains, out=gains).sum(axis=-1)[rows] * P
+    s = sum_snrs(d, nr)
+    agg = scale_aggregates(ChannelAggregates(*(getattr(agg, f.name)[rows] for f in fields(agg))),
+                           alpha, p_max)
+    wins = block_asymptotic(replace(agg, s=s, d=d, nr=nr)).joint_wins
     return wins, np.full(wins.shape, "")
 
 
@@ -232,9 +258,8 @@ def _trial_block(evaluate, scens: list[ScenarioConfig], lo: int, hi: int):
     flagged substreams, over their rows."""
     rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
-        items = (rows + lo).tolist()
-        got, why = evaluate(sample_block([scens[i % cells] for i in items],
-                                         [i // cells for i in items], retry))
+        items = rows + lo
+        got, why = evaluate([scens[c] for c in (items % cells).tolist()], items // cells, retry)
         if retry:
             values[rows] = got
             resampled += len(rows)

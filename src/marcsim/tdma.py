@@ -42,7 +42,9 @@ _NU_ULPS = 16  # ulps of nu within which a slot's marginal rate has converged
 _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
 _KKT_ATOL = 1e-8  # KKT spread and slackness in bits an allocation may show
 _KKT_RTOL = 1e-10  # ... and relative to the water level nu, where that is smaller
-_TIE_RTOL = 1e-12  # relative guard breaking asymptotic ties toward TDMA
+# ulps of tr R by which lambda_max(R + W) must pass it for joint relaying to
+# win; a K = 1 tie, lambda_max(R) = tr R, errs by at most 12.
+_TIE_ULPS = 64
 # n = 2..24 in the series of _log_excess: at t = 1/5 its last term is below
 # 1e-16 of the sum, and the tail after it below 1e-17.
 _SERIES_N = np.arange(2.0, 25.0)
@@ -322,9 +324,9 @@ def block_asymptotic(agg: ChannelAggregates) -> AsymptoticResult:
         rate_inf=np.log1p(total) / _LN2,
         joint_rate_inf=np.log1p(agg.s + lam) / _LN2,
         # lam_max(R + W) > sum_k ||h_r^(k)||^2 P^(k), strictly and with a
-        # relative guard so exact ties (e.g. K = 1, where lam equals the
+        # guard of _TIE_ULPS so exact ties (e.g. K = 1, where lam equals the
         # sum) resolve to TDMA under float noise.
-        joint_wins=lam > relay_sum + _TIE_RTOL * relay_sum,
+        joint_wins=lam > relay_sum + _TIE_ULPS * np.spacing(relay_sum),
     )
 
 

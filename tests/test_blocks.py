@@ -7,7 +7,8 @@ any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
 K = 1 and M_r = 1. A block lists trials across cells, and each distinct
 (seed, trial) substream in it is drawn once for all the cells that use it;
 in a sweep block a trial's adjacent cells of one alpha share one build of
-the aggregates and eigenpairs.
+the aggregates and eigenpairs, and a superiority block builds each draw's
+aggregates once and scales them to every cell of the draw.
 """
 
 import tracemalloc
@@ -20,11 +21,14 @@ import marcsim.channel as channel_mod
 import marcsim.harness as harness_mod
 import marcsim.joint as joint_mod
 from marcsim import (
-    ChannelBlock, ScenarioConfig, SweepConfig, estimate_superiority_probability, run_sweep,
+    ScenarioConfig, SweepConfig, estimate_superiority_probability, run_sweep,
     sample_channel, trial_rng,
 )
-from marcsim.channel import sample_block
+from marcsim.channel import compute_aggregates, sample_block
 from marcsim.errors import NumericalError, ValidationError
+from marcsim.harness import db_to_linear
+from marcsim.numerics import dominant_eigenvalue
+from marcsim.tdma import block_asymptotic
 
 N_TRIALS = 5
 ALPHAS = (0.0, 0.1, 1.0)
@@ -37,7 +41,7 @@ def _cells(K, M_r):
 
 
 def _evaluate(evaluate, draws):
-    values, why = evaluate(ChannelBlock.stack(draws))
+    values, why = evaluate([scen for scen, _ in draws], [t for _, t in draws], 0)
     assert not any(why), why
     return np.asarray(values)
 
@@ -45,7 +49,7 @@ def _evaluate(evaluate, draws):
 def _alone_and_in_blocks(evaluate, scens):
     """Every trial's values evaluated alone, then in its own cell's block,
     in one block of all cells and in one block of all cells shuffled."""
-    draws = [[sample_channel(s, trial_rng(s.seed, t)) for t in range(N_TRIALS)] for s in scens]
+    draws = [[(s, t) for t in range(N_TRIALS)] for s in scens]
     flat = [c for cell in draws for c in cell]
     alone = np.array([_evaluate(evaluate, [c])[0] for c in flat])
     order = np.random.default_rng(0).permutation(len(flat))
@@ -71,9 +75,8 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
     # of trial 1. Every item's values are its values alone, and the
     # aggregates and both eigenpairs take one row per (trial, alpha).
     scens, cells = _cells(K, M_r), 9
-    alone = {(i, retry): harness_mod._sweep_block(
-        sample_block([scens[i % cells]], [i // cells], retry))[0][0]
-        for i in range(N_TRIALS * cells) for retry in (0, 1)}
+    alone = {(i, retry): harness_mod._sweep_block([scens[i % cells]], [i // cells], retry)[0][0]
+             for i in range(N_TRIALS * cells) for retry in (0, 1)}
     rows = {"aggregates": [], "eigenpairs": []}
     real_agg, real_eig = harness_mod.compute_aggregates, joint_mod.dominant_eigenpair
     monkeypatch.setattr(harness_mod, "compute_aggregates",
@@ -82,8 +85,8 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
                         lambda A: rows["eigenpairs"].append(len(A)) or real_eig(A))
     passes = []
 
-    def flaky(blk):
-        values, why = harness_mod._sweep_block(blk)
+    def flaky(*draws):
+        values, why = harness_mod._sweep_block(*draws)
         passes.append(len(why))
         if len(passes) == 1:
             why = why.astype(object)
@@ -99,6 +102,28 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
     for i, got in enumerate(values):
         want = alone[i, int(i in (4, 5, 9))]
         assert got.tobytes() == want.tobytes(), (K, M_r, i)
+
+
+def test_the_scaled_predicate_equals_the_per_item_one():
+    # _prob_block builds each draw's aggregates once, at unit alpha and
+    # P_max, and scales R and W to each of its cells. Outside near-ties,
+    # |lambda_max(R + W) - tr R| <= 1e-10 tr R, its predicate is the one of
+    # the aggregates built at each item's own alpha and P_max.
+    compared = items = 0
+    for K, M_r in ((1, 1), (1, 8), (2, 1), (5, 3), (10, 4), (50, 1), (50, 8)):
+        base = ScenarioConfig(K=K, M_r=M_r, seed=13)
+        cells = [replace(base, alpha=a, P_max=db_to_linear(db)) for a in (0.0, 1e-3, 0.1, 1.0)
+                 for db in (-40.0, -20.0, 0.0, 20.0, 40.0, 80.0)]
+        item = np.arange(20 * len(cells))
+        cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)
+        wins, why = harness_mod._prob_block(cfgs, trials, 0)
+        agg = compute_aggregates(sample_block(cfgs, trials))
+        lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
+        clear = np.abs(lam - tr_R) > 1e-10 * tr_R
+        assert not any(why)
+        assert np.array_equal(wins[clear], block_asymptotic(agg).joint_wins[clear]), (K, M_r)
+        compared, items = compared + clear.sum(), items + len(item)
+    assert compared >= 0.5 * items, (compared, items)
 
 
 def test_realization_runs_compare_bits():
@@ -232,8 +257,8 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
     scens, lo, hi = _cells(3, 2), 3, 8
     passes = []
 
-    def flaky(blk):
-        values, why = harness_mod._sweep_block(blk)
+    def flaky(*draws):
+        values, why = harness_mod._sweep_block(*draws)
         passes.append(len(why))
         why = why.astype(object)
         why[{1: [0, 2], 2: [0]}.get(len(passes), [])] = "injected failure"
@@ -242,8 +267,7 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
     values, resampled = harness_mod._trial_block(flaky, scens, lo, hi)
     assert passes == [5, 2, 1]
     assert type(resampled) is int and resampled == 3
-    expected = [harness_mod._sweep_block(sample_block([scens[i % len(scens)]],
-                                                      [i // len(scens)], retry))[0][0]
+    expected = [harness_mod._sweep_block([scens[i % len(scens)]], [i // len(scens)], retry)[0][0]
                 for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
     assert np.array_equal(values, expected)
 
@@ -253,8 +277,8 @@ def test_exhausted_resamples_report_the_whole_last_message():
     # empty ones are; the later passes fail with a longer message.
     passes = []
 
-    def failing(blk):
-        values, why = harness_mod._prob_block(blk)
+    def failing(*draws):
+        values, why = harness_mod._prob_block(*draws)
         passes.append(1)
         message = "x" if len(passes) == 1 else f"pass {len(passes)} failed for a longer reason"
         return values, np.full(why.shape, message)
@@ -311,6 +335,17 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
         else:
             assert np.isfinite(sample_block(cfgs, [0, 0, 1, 1]).h_d).all()
     assert len(count_draws) == 2 * 2
+    # _prob_block draws at unit alpha and P_max and scales each item: it
+    # raises the message that drawing at the items' own alpha and P_max and
+    # building their aggregates raises first
+    for big in (1e308, 1e200):
+        cfgs = [ok, replace(ok, alpha=1e200, P_max=3.0), replace(ok, alpha=big)]
+        with pytest.raises(ValidationError) as want:
+            compute_aggregates(sample_block(cfgs, [0, 1, 1]))
+        with pytest.raises(ValidationError) as got:
+            harness_mod._prob_block(cfgs, np.array([0, 1, 1]), 0)
+        assert str(got.value) == str(want.value), big
+    assert str(want.value).startswith("channel SNRs overflow a float: s = inf, tr R = ")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -339,8 +374,8 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
         calls.append((list(cfgs), list(trials), retry))
         return real(cfgs, trials, retry)
 
-    def flaky(blk):
-        values, why = harness_mod._sweep_block(blk)
+    def flaky(*draws):
+        values, why = harness_mod._sweep_block(*draws)
         why = why.astype(object)
         if len(calls) == 1:
             why[[2 * len(scens) + c for c in failing_cells]] = "injected failure"
@@ -355,5 +390,5 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
     for c, scen in enumerate(scens):
         for t in range(N_TRIALS):
             retry = int(t == 2 and c in failing_cells)
-            want = harness_mod._sweep_block(real([scen], [t], retry))[0][0]
+            want = harness_mod._sweep_block([scen], [t], retry)[0][0]
             assert np.array_equal(values[c, t], want), (c, t)

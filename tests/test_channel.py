@@ -16,9 +16,10 @@ from marcsim import (
     relay_tx_power,
     sample_block,
     sample_channel,
+    scale_aggregates,
     trial_rng,
 )
-from marcsim.channel import _coefficients, _substream_states
+from marcsim.channel import _coefficients, _substream_states, draw_keys
 from marcsim.errors import ValidationError
 from marcsim.numerics import is_hermitian, quadratic_form
 
@@ -149,6 +150,42 @@ def test_sample_block_rejects_malformed_blocks():
                          ([cfg, replace(cfg, M_r=3)], [0, 1])):
         with pytest.raises(ValidationError, match="block"):
             sample_block(cfgs, trials)
+
+
+@pytest.mark.parametrize("K, M_r", [(1, 1), (2, 3), (10, 4), (50, 8)])
+def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
+    # Aggregates built once at alpha = P_max = 1 and scaled to a cell equal
+    # those built from the draw at the cell's alpha and P_max, to 1e-13 of
+    # each trial's largest entry, at every alpha and power a table can take.
+    base = ScenarioConfig(K=K, M_r=M_r, P_r=3.0, seed=6)
+    trials = list(range(40))
+    unit = compute_aggregates(sample_block([replace(base, alpha=1.0, P_max=1.0)] * 40, trials))
+    for alpha in (0.0, 1e-3, 0.3, 1.0, 7.0):
+        for t in (1e-4, 1.0, 10.0, 1e8):
+            got = scale_aggregates(unit, alpha, t)
+            want = compute_aggregates(sample_block([replace(base, alpha=alpha, P_max=t)] * 40,
+                                                   trials))
+            for name in ("s", "R", "T", "W", "d", "nr", "hp"):
+                g, w = (np.reshape(getattr(a, name), (40, -1)) for a in (got, want))
+                scale = np.abs(w).max(axis=1, keepdims=True)
+                assert np.all(np.abs(g - w) <= 1e-13 * scale), (name, alpha, t)
+    # one realization's aggregates, with no trial axis, scale as its block row
+    c = sample_channel(replace(base, alpha=1.0, P_max=1.0), trial_rng(6, 0))
+    one, row = scale_aggregates(compute_aggregates(c), 0.3, 10.0), scale_aggregates(unit, 0.3, 10.0)
+    for name in ("s", "R", "T", "W", "d", "nr", "hp"):
+        assert np.array_equal(getattr(one, name), getattr(row, name)[0]), name
+
+
+def test_draw_keys_list_each_seed_and_trial_once():
+    # two seeds past 2**63 and trials keyed in any order; the rows map every
+    # item to its own key, and a block of distinct keys keeps its items' own
+    cfgs = [ScenarioConfig(seed=s) for s in (2**64 - 1, 2**63, 2**64 - 1, 5, 2**63, 5)]
+    trials = [3, 3, 3, 0, 3, 2**32 - 1]
+    keys, rows = draw_keys(cfgs, trials)
+    assert len(keys) == 4 and keys.dtype == np.uint64
+    assert keys[rows].tolist() == [[c.seed, t] for c, t in zip(cfgs, trials)]
+    keys, rows = draw_keys(cfgs[:2] + cfgs[3:4], trials[:2] + trials[3:4])
+    assert rows is ... and keys.tolist() == [[2**64 - 1, 3], [2**63, 3], [5, 0]]
 
 
 def test_different_trials_differ():

@@ -22,6 +22,7 @@ from marcsim import (
     evaluate_realization,
     invariant_suite,
     run_sweep,
+    sample_block,
     sample_channel,
     trial_rng,
 )
@@ -316,7 +317,8 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build and the eigenpairs of R and
-    # R + W; a superiority trial one build and the top eigenvalue of R + W
+    # R + W; a superiority trial one build for all its (alpha, P_max) cells,
+    # and the top eigenvalue of R + W in each cell
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
@@ -324,9 +326,9 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
     assert run_sweep(cfg).resampled_trials == 0
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
     counts.clear()
-    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
+    cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 5}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 45}
 
 
 def test_check_builds_aggregates_at_most_twice_per_trial(monkeypatch):
@@ -432,14 +434,15 @@ def test_pool_starts_only_when_each_process_gets_its_work(monkeypatch, pin_cpu_c
 _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
 
-def _fail_on_weak_first_link(name, blk):
+def _fail_on_weak_first_link(name, *draws):
     # deterministic in the draw, so forked workers resample the same trials
-    values, why = _REAL_EVALUATORS[name](blk)
-    return values, np.where(np.abs(blk.h_r[:, 0, 0]) < 1.0, "injected failure", why)
+    values, why = _REAL_EVALUATORS[name](*draws)
+    weak = np.abs(sample_block(*draws).h_r[:, 0, 0]) < 1.0
+    return values, np.where(weak, "injected failure", why)
 
 
-def _always_fail(name, blk):
-    values, why = _REAL_EVALUATORS[name](blk)
+def _always_fail(name, *draws):
+    values, why = _REAL_EVALUATORS[name](*draws)
     return values, np.full(len(why), "injected failure")
 
 

@@ -556,6 +556,26 @@ def test_one_relay_antenna_joint_wins_with_two_users():
         assert [r.probability for r in rows] == [1.0] * 12, K
 
 
+def test_the_tie_guard_is_tens_of_ulps_wide():
+    # lambda_max(R + W) must pass tr R by 64 ulps for joint relaying to win.
+    # A K = 1 tie, W = 0, errs by at most 12 ulps, and stays TDMA's at every
+    # shape and power; at M_r = 1 and K = 2 a W of 1e-13 tr R (450 ulps) is a
+    # win. A guard of 1e-12 tr R (about 4,500 ulps) called that draw a tie,
+    # and 130 of the 2,000 seed-3 draws at alpha = 0.001, P_max = -40 dB,
+    # although W > 0 on every one.
+    one = ChannelRealization(h_r=[[1.0]], h_d=[0.0], h=[1.0], P=[2.0], P_r=1.0)
+    two = ChannelRealization(h_r=[[1.0], [1.0]], h_d=[0.0, np.sqrt(2e-13)], h=[1.0],
+                             P=[1.0, 1.0], P_r=1.0)
+    assert not asymptotic_allocation(one).joint_wins and asymptotic_allocation(two).joint_wins
+    base = ScenarioConfig(K=2, M_r=1, seed=3)
+    cfg = SweepConfig(base, (-40.0,), alpha_values=(0.001,), n_trials=2000)
+    assert estimate_superiority_probability(cfg).rows[0].probability >= 0.998
+    for M_r in (1, 2, 4, 8):
+        cfg = SweepConfig(replace(base, K=1, M_r=M_r), (-40.0, 0.0, 40.0, 80.0),
+                          alpha_values=(0.0, 0.001, 1.0), n_trials=500)
+        assert {r.probability for r in estimate_superiority_probability(cfg).rows} == {0.0}
+
+
 def test_asymptotic_all_zero_weights():
     c = ChannelRealization(
         h_r=np.zeros((2, 1)), h_d=np.zeros(2), h=np.ones(1), P=[1.0, 1.0], P_r=1.0

@@ -37,11 +37,11 @@ from marcsim import harness  # noqa: E402
 # name: (argv without --trials/--workers/--out, K * M_r, cells, ladder of trials per cell)
 SHAPES = {
     "small": ("sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
-              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 150, 200, 250, 300, 350, 400, 450, 500)),
+              "--pmax-db 10 --seed 10", 3 * 2, 42, (2, 200, 250, 300, 350, 400, 450, 500, 600)),
     "crit8": ("sweep --users 10 --antennas 4 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 "
-              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 300, 350, 400, 450, 500, 550, 600, 1000)),
+              "--pmax-db 10 --seed 8", 10 * 4, 10, (8, 350, 400, 450, 500, 600, 700, 800, 1000)),
     "k50m8": ("prob --users 50 --antennas 8 --alpha 0.1 --alpha 0.3 --alpha 1.0 "
-              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 90, 100, 110, 125, 150, 200, 300, 400)),
+              "--pmax-db 0:20:10 --seed 9", 50 * 8, 9, (10, 150, 200, 250, 300, 350, 400, 500, 600)),
 }
 
 

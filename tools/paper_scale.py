@@ -12,10 +12,10 @@ old file, which can stall a run for tens of milliseconds.
 
 The commands are the paper's tables at 1,000 trials per cell: the
 criterion-8 sweep (K=10, M_r=4) at W = 1 and W = 2, the K=50, M_r=8
-superiority table and the K=3, M_r=2 sweep. For each one the file records
-each side's main() walls in ms, their median and quartiles, the pairs the
-change won, and whether every CSV of both sides has the same bytes. The exit
-code is 1 if any CSV differs.
+superiority table, one cell of it, where no two cells share a draw, and the
+K=3, M_r=2 sweep. For each one the file records each side's main() walls in
+ms, their median and quartiles, the pairs the change won, and whether every
+CSV of both sides has the same bytes. The exit code is 1 if any CSV differs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ COMMANDS = {
     "crit8-w2": f"{_CRIT8} --trials 1000 --workers 2",
     "k50m8-prob-w1": "prob --users 50 --antennas 8 --alpha 0.1 --alpha 0.3 --alpha 1.0 "
                      "--pmax-db 0:20:10 --seed 9 --trials 1000 --workers 1",
+    "k50m8-prob-1cell-w1": "prob --users 50 --antennas 8 --alpha 0.1 --pmax-db 10 --seed 9 "
+                           "--trials 1000 --workers 1",
     "k3m2-sweep-w1": "sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
                      "--pmax-db 10 --seed 10 --trials 1000 --workers 1",
 }
