@@ -210,15 +210,14 @@ def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _coefficients(z: np.ndarray, alpha, K: int, M: int, rows=...):
+def _coefficients(z: np.ndarray, alpha, K: int, M: int):
     """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
     row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn,
-    formed once per row of z, then gathered as z[rows], h_d scaled by alpha.
-    ValidationError when alpha * CN overflows, the one realization check a
-    draw can fail."""
+    h_d scaled by alpha. ValidationError when alpha * CN overflows, the one
+    realization check a draw can fail."""
 
     def cn(lo: int, n: int) -> np.ndarray:
-        return ((z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0))[rows]
+        return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
 
     h_d = direct_links(alpha, cn(2 * (K * M + M), K))
     return cn(0, K * M).reshape(*h_d.shape[:-1], K, M), cn(2 * K * M, M), h_d
@@ -253,41 +252,25 @@ def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
     return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P * cfg.P_max, P_r=cfg.P_r)
 
 
-def draw_keys(cfgs, trials):
-    """The distinct (seed, trial index) keys of a block's items (cfgs[i],
-    trials[i]), as an (n, 2) uint64 array, and each item's row in it; the
-    items' own keys and ... when no key repeats."""
-    keys = np.empty((len(cfgs), 2), np.uint64)
-    keys[:, 0], keys[:, 1] = [c.seed for c in cfgs], trials
-    # one 16-byte item per key, which np.unique sorts with less set-up than
-    # it takes for axis=0
-    whole = keys.view(np.dtype((np.void, keys.itemsize * 2))).ravel()
-    _, first, rows = np.unique(whole, return_index=True, return_inverse=True)
-    return (keys, ...) if len(first) == len(keys) else (keys[first], rows)
-
-
 def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
     """One realization per (scenario, trial index) pair, all of one (K, M_r)
     shape: the draw :func:`sample_channel` makes from
-    ``trial_rng(cfg.seed, t, retry)``, as a block. Each distinct (seed, t)
-    key (:func:`draw_keys`) is seeded (in bulk, by _substream_states), drawn
-    by one generator and formed into CN coefficients once; its rows then take
-    each pair's alpha, P_max and P_r."""
+    ``trial_rng(cfg.seed, t, retry)``, as a block. The pairs' substreams are
+    seeded in bulk, by _substream_states, and each pair draws its own row."""
     trials = np.asarray(trials)
     if (not cfgs or len(cfgs) != len(trials) or len({(c.K, c.M_r) for c in cfgs}) > 1
             or trials.min() < 0 or trials.max() >= 2**32 or not 0 <= retry < 2**32):
         raise ValidationError("a block needs scenarios of one (K, M_r), at least one, each "
                               "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
     K, M = cfgs[0].K, cfgs[0].M_r
-    keys, rows = draw_keys(cfgs, trials)
-    z, P = np.empty((len(keys), 2 * (K * M + M + K))), np.empty((len(keys), K))
+    z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
     bitgen = PCG64()  # every draw sets its own state first
     rng = Generator(bitgen)
-    for i, state in enumerate(_substream_states(*keys.T, retry)):
+    for i, state in enumerate(_substream_states([c.seed for c in cfgs], trials, retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
-    P = P[rows] * np.array([cfg.P_max for cfg in cfgs])[:, None]
-    h_r, h, h_d = _coefficients(z, np.array([cfg.alpha for cfg in cfgs])[:, None], K, M, rows)
+    P *= np.array([cfg.P_max for cfg in cfgs])[:, None]
+    h_r, h, h_d = _coefficients(z, np.array([cfg.alpha for cfg in cfgs])[:, None], K, M)
     return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
 
 

@@ -17,19 +17,20 @@ keep a block within a byte budget on its memory, at a footprint per trial
 fitted in K and M_r. The calling process computes the first group; with
 more groups, one process pool, of one process per further group, computes
 the others at the same time. Every trial draws from a substream keyed on
-(seed, trial index), seeded in bulk and drawn once for all the cells of a
-block, which only scale the draw by their alpha and power; a block's
-evaluator takes the items' scenarios, trial indices and redraw number and
-samples them itself. A trial's cells of one alpha, adjacent in a block,
-differ only in P_r: the sweep builds their realization's aggregates and
-eigenpairs once, and hp, the bounds and the slots per cell. The superiority
-table builds each draw's aggregates once, at alpha = P_max = 1, and scales
-their R and W to each of its cells; a cell's SNRs are its own. No trial's
-values depend on the rest of its block, as the kernels take C-ordered
-stacks, so results are byte-identical for any W >= 1. A failed draw is
-redrawn on a flagged substream, in a smaller block, by one loop. A block
-returns its values, with a leading trial axis, and its redraw count; the
-table reads the blocks joined into one (cells, trials, ...) array.
+(seed, trial index), seeded in bulk. A block's evaluator takes the table's
+cells, each item's trial and cell index and the redraw number, and samples
+the draws itself; _runs, on those integer indices, is what decides which
+items share work. Each trial is drawn once, at alpha = P_max = P_r = 1, and
+its cells only scale that draw by their alpha and powers. A trial's cells of
+one alpha, adjacent in a block, differ only in P_r: the sweep builds their
+realization's aggregates and eigenpairs once, and hp, the bounds and the
+slots per cell. The superiority table builds each draw's aggregates once and
+scales their R and W to each of its cells; a cell's SNRs are its own. No
+trial's values depend on the rest of its block, as the kernels take
+C-ordered stacks, so results are byte-identical for any W >= 1. A failed
+draw is redrawn on a flagged substream, in a smaller block, by one loop. A
+block returns its values, with a leading trial axis, and its redraw count;
+the table reads the blocks joined into one (cells, trials, ...) array.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .channel import (
     ChannelAggregates, ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates,
-    direct_links, draw_keys, sample_block, sample_channel, scale_aggregates, sum_snrs, trial_rng,
+    direct_links, sample_block, sample_channel, scale_aggregates, sum_snrs, trial_rng,
 )
 from .errors import NumericalError, ValidationError
 from .joint import (
@@ -78,7 +79,7 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.49-1.08 times it for K 1-50 and M_r 1-8
+    blocks, which lie within 0.46-1.08 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
@@ -196,55 +197,66 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _realization_runs(blk: ChannelBlock):
-    """The first item of each run of adjacent items of a block with bit-equal
-    h_r, h_d, h and P (a trial's cells of one alpha in a trial-major block,
-    which differ only in P_r) and each item's run; ... for both if no run
-    holds two items."""
-    new = np.arange(len(blk.P)) == 0
-    for a in (blk.h_r, blk.h_d, blk.h, blk.P):
-        bits = a.reshape(len(a), -1).view(np.int64)  # == would equate -0.0 and 0.0
-        new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+def _runs(*keys):
+    """The first item of each run of adjacent items equal in every integer
+    array of keys, and each item's run; ... for both when no run holds two
+    items. Right for items in any order; a trial-major block shares most."""
+    new = np.arange(len(keys[0])) == 0
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _sweep_block(cfgs, trials, retry: int):
-    """The METRICS of each item (cfgs[i], trials[i]) of a block, (N, 5), and
-    a failure message per item ("" when it passed every check), from the
-    items' draws on substream retry; the aggregates and eigenpairs once per
-    run of one realization."""
-    blk = sample_block(cfgs, trials, retry)
-    first, run = _realization_runs(blk)
+def _unit_draws(scens, trials, retry: int):
+    """The draws of a block's trials at alpha = P_max = P_r = 1, one per run
+    of items of one trial, and each item's row of them."""
+    first, row = _runs(trials)
+    drawn = trials[first]
+    unit = replace(scens[0], alpha=1.0, P_max=1.0, P_r=1.0)
+    return sample_block([unit] * len(drawn), drawn, retry), row
+
+
+def _sweep_block(scens, trials, cells, retry: int):
+    """The METRICS of each item of a block, trial trials[i] of cell
+    scens[cells[i]], (N, 5), and a failure message per item ("" when it
+    passed every check), from the items' draws on substream retry. A run of
+    items of one trial, alpha and P_max, which differ only in P_r, forms its
+    direct links alpha h_d and powers P_max P, as sample_block does, and
+    builds its aggregates and eigenpairs once."""
+    blk, row = _unit_draws(scens, trials, retry)
+    alpha, p_max, p_r = (np.array([getattr(c, name) for c in scens])[cells]
+                         for name in ("alpha", "P_max", "P_r"))
+    first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
+    at = first if row is ... else row[first]
     # built at unit P_r: agg.hp is ||h||^2, and ||h||^2 * P_r each trial's hp, bit for bit
-    agg = compute_aggregates(ChannelBlock(blk.h_r[first], blk.h_d[first], blk.h[first],
-                                          blk.P[first], np.ones_like(blk.P_r[first])))
-    agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * blk.P_r)
-    b, _, why = block_bounds(blk, agg, run)
+    agg = compute_aggregates(ChannelBlock(
+        blk.h_r[at], direct_links(alpha[first, None], blk.h_d[at]), blk.h[at],
+        blk.P[at] * p_max[first, None], blk.P_r[at]))
+    agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
+    b, _, why = block_bounds(p_r, agg, run)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 
 
-def _prob_block(cfgs, trials, retry: int):
-    """The superiority predicate of each item (cfgs[i], trials[i]) of a
-    block, from the items' draws on substream retry; no check can fail. Each
-    distinct (seed, trial) draw is sampled and its aggregates built once, at
-    unit alpha and P_max. An item forms its own direct links alpha h_d,
-    powers P_max P and from them d, nr and s, as sample_block and
-    compute_aggregates do, with their checks in their order; the R and W of
-    its lambda_max(R + W) are its draw's, scaled by scale_aggregates."""
-    keys, rows = draw_keys(cfgs, trials)
-    seeds = keys[:, 0].tolist()
-    unit = {s: replace(cfgs[0], alpha=1.0, P_max=1.0, seed=s) for s in set(seeds)}
-    blk = sample_block([unit[s] for s in seeds], keys[:, 1], retry)
+def _prob_block(scens, trials, cells, retry: int):
+    """The superiority predicate of each item of a block, trial trials[i] of
+    cell scens[cells[i]], from the items' draws on substream retry; no check
+    can fail. Each trial's draw has its aggregates built once, at unit alpha
+    and P_max. An item forms its own direct links alpha h_d, powers P_max P
+    and from them d, nr and s, as sample_block and compute_aggregates do,
+    with their checks in their order; the R and W of its lambda_max(R + W)
+    are its draw's, scaled by scale_aggregates."""
+    blk, row = _unit_draws(scens, trials, retry)
     agg = compute_aggregates(blk)  # no check can fail at unit scale
-    alpha, p_max = (np.array([getattr(c, name) for c in cfgs]) for name in ("alpha", "P_max"))
-    P = blk.P[rows] * p_max[:, None]
+    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells]
+                    for name in ("alpha", "P_max"))
+    P = blk.P[row] * p_max[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # user_snrs' d and nr
-        d = np.square(np.abs(direct_links(alpha[:, None], blk.h_d[rows]))) * P
+        d = np.square(np.abs(direct_links(alpha[:, None], blk.h_d[row]))) * P
         gains = np.abs(blk.h_r)
-        nr = np.square(gains, out=gains).sum(axis=-1)[rows] * P
+        nr = np.square(gains, out=gains).sum(axis=-1)[row] * P
     s = sum_snrs(d, nr)
-    agg = scale_aggregates(ChannelAggregates(*(getattr(agg, f.name)[rows] for f in fields(agg))),
+    agg = scale_aggregates(ChannelAggregates(*(getattr(agg, f.name)[row] for f in fields(agg))),
                            alpha, p_max)
     wins = block_asymptotic(replace(agg, s=s, d=d, nr=nr)).joint_wins
     return wins, np.full(wins.shape, "")
@@ -253,13 +265,14 @@ def _prob_block(cfgs, trials, retry: int):
 def _trial_block(evaluate, scens: list[ScenarioConfig], lo: int, hi: int):
     """The values of items lo <= i < hi of the flat (trial, cell) list,
     i = trial * cells + cell, evaluated as one block with a leading item
-    axis, and the number of redraws behind them; the cells of a trial share
-    its draw. Draws that fail a check are redrawn as a block on their next
-    flagged substreams, over their rows."""
+    axis, and the number of redraws behind them. ``evaluate`` takes the
+    table's cells and each item's trial and cell index, in this trial-major
+    order. Draws that fail a check are redrawn as a block on their next
+    flagged substreams, over their rows, in the same order."""
     rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
         items = rows + lo
-        got, why = evaluate([scens[c] for c in (items % cells).tolist()], items // cells, retry)
+        got, why = evaluate(scens, items // cells, items % cells, retry)
         if retry:
             values[rows] = got
             resampled += len(rows)
@@ -404,7 +417,7 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
                        for s in (M, M, M, (M, M))])
     blk = ChannelBlock.stack(draws)
     agg = compute_aggregates(blk)
-    b, v, why = block_bounds(blk, agg)
+    b, v, why = block_bounds(blk.P_r, agg)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     asym = block_asymptotic(agg)
     for message in np.concatenate([why, why_slots]):

@@ -112,19 +112,19 @@ def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:
     return RelayMatrix.beamformer(c, v_r, np.sqrt(c.P_r / (1.0 + lam_r)))
 
 
-def block_bounds(blk, agg: ChannelAggregates, run=...):
-    """The bounds of :func:`lower_bound` for each trial of a ChannelBlock, or
-    for one realization, from its aggregates: the JointRateBounds, the
-    directions v of R + W that f_lower beamforms, and a failure message per
-    trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound
-    by more than 1e-9. The eigenpairs of R and R + W, which do not depend on
-    P_r, are found per realization, agg's matrices holding each once and run
-    giving a trial's row of them; the rates per trial, from its P_r, s and hp."""
+def block_bounds(P_r, agg: ChannelAggregates, run=...):
+    """The bounds of :func:`lower_bound` for each trial of a block, or for one
+    realization, from its relay power P_r and aggregates: the JointRateBounds,
+    the directions v of R + W that f_lower beamforms, and a failure message per
+    trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound by
+    more than 1e-9. The eigenpairs of R and R + W, which do not depend on P_r,
+    are found per realization, agg's matrices holding each once and run giving
+    a trial's row of them; the rates per trial, from its P_r, s and hp."""
     lam_r, _ = dominant_eigenpair(agg.R)
     lam_rw, v = dominant_eigenpair(agg.R + agg.W)
     vRv = np.sum(v.conj() * (agg.R @ v[..., None])[..., 0], axis=-1).real
     lam_r, lam_rw, v, vRv = lam_r[run], lam_rw[run], v[run], vRv[run]
-    gamma = np.sqrt(blk.P_r / (1.0 + vRv))
+    gamma = np.sqrt(P_r / (1.0 + vRv))
     g = agg.hp / (1.0 + vRv)  # ||h||^2 gamma^2
     b = JointRateBounds(
         r_up1=(np.log1p(agg.s) + np.log1p(lam_r * agg.hp / (1.0 + agg.hp + lam_r))) / _LN2,
@@ -152,7 +152,7 @@ def lower_bound(c: ChannelRealization) -> JointRateBounds:
     When h = 0, f_lower is 0 and r_lower = r_up1 = log2(1 + s). NumericalError
     is raised when the rates are out of order or negative.
     """
-    b, v, why = block_bounds(c, compute_aggregates(c))
+    b, v, why = block_bounds(c.P_r, compute_aggregates(c))
     if why:
         raise NumericalError(str(why))
     return replace(b, f_lower=RelayMatrix.beamformer(c, v, b.gamma))

@@ -47,7 +47,7 @@ def _block_bounds(cfgs, trials):
     (K, M_r), evaluated as one block. No draw may fail a check, as
     lower_bound raises on any failure."""
     blk = sample_block(cfgs, trials)
-    b, _, why = block_bounds(blk, compute_aggregates(blk))
+    b, _, why = block_bounds(blk.P_r, compute_aggregates(blk))
     assert not any(why), [m for m in why if m]
     return b
 

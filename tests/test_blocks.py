@@ -4,15 +4,16 @@ A trial's five sweep metrics and its superiority predicate must be
 bit-identical whether it is evaluated alone, in its own cell's block, in a
 block that mixes cells of other alpha and P_r, or through the pooled run at
 any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
-K = 1 and M_r = 1. A block lists trials across cells, and each distinct
-(seed, trial) substream in it is drawn once for all the cells that use it;
-in a sweep block a trial's adjacent cells of one alpha share one build of
-the aggregates and eigenpairs, and a superiority block builds each draw's
+K = 1 and M_r = 1. A block lists trials across cells, and each trial's
+substream in it is drawn once for all of the trial's adjacent cells; in a
+sweep block a trial's adjacent cells of one alpha share one build of the
+aggregates and eigenpairs, and a superiority block builds each draw's
 aggregates once and scales them to every cell of the draw.
 """
 
 import tracemalloc
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -40,23 +41,33 @@ def _cells(K, M_r):
     return [replace(base, alpha=a, P_r=p) for a in ALPHAS for p in RELAY_POWERS]
 
 
-def _evaluate(evaluate, draws):
-    values, why = evaluate([scen for scen, _ in draws], [t for _, t in draws], 0)
+def _evaluate(evaluate, scens, items):
+    """The values of the (cell, trial) items of the table scens, evaluated
+    as one block."""
+    cells, trials = map(np.array, zip(*items))
+    values, why = evaluate(scens, trials, cells, 0)
     assert not any(why), why
     return np.asarray(values)
 
 
+def _item(evaluate, scens, i, retry):
+    """The values of item i of the flat (trial, cell) list evaluated alone."""
+    return evaluate(scens, np.array([i // len(scens)]), np.array([i % len(scens)]), retry)[0][0]
+
+
 def _alone_and_in_blocks(evaluate, scens):
     """Every trial's values evaluated alone, then in its own cell's block,
-    in one block of all cells and in one block of all cells shuffled."""
-    draws = [[(s, t) for t in range(N_TRIALS)] for s in scens]
-    flat = [c for cell in draws for c in cell]
-    alone = np.array([_evaluate(evaluate, [c])[0] for c in flat])
+    in one block of all cells, cell by cell, trial by trial and shuffled."""
+    draws = [[(c, t) for t in range(N_TRIALS)] for c in range(len(scens))]
+    flat = [d for cell in draws for d in cell]
+    alone = np.array([_evaluate(evaluate, scens, [d])[0] for d in flat])
+    trial_major, shuffled = np.empty_like(alone), np.empty_like(alone)
+    order = sorted(range(len(flat)), key=lambda i: flat[i][1])
+    trial_major[order] = _evaluate(evaluate, scens, [flat[i] for i in order])
     order = np.random.default_rng(0).permutation(len(flat))
-    shuffled = np.empty_like(alone)
-    shuffled[order] = _evaluate(evaluate, [flat[i] for i in order])
-    own_cell = np.concatenate([_evaluate(evaluate, cell) for cell in draws])
-    return alone, (own_cell, _evaluate(evaluate, flat), shuffled)
+    shuffled[order] = _evaluate(evaluate, scens, [flat[i] for i in order])
+    own_cell = np.concatenate([_evaluate(evaluate, scens, cell) for cell in draws])
+    return alone, (own_cell, _evaluate(evaluate, scens, flat), trial_major, shuffled)
 
 
 @pytest.mark.parametrize("K, M_r", [(10, 4), (3, 2), (1, 1), (1, 3), (6, 1)])
@@ -67,6 +78,15 @@ def test_trial_values_do_not_depend_on_the_block(K, M_r, table):
         assert values.dtype == alone.dtype and np.array_equal(values, alone)
 
 
+def test_a_sweep_shares_a_realization_only_within_one_p_max():
+    # cells of one alpha and three P_r at P_max 1, then the same at P_max 10:
+    # a trial's adjacent cells of another P_max are another realization
+    scens = [replace(c, P_max=p_max) for p_max in (1.0, 10.0) for c in _cells(3, 2)[:3]]
+    alone, blocks = _alone_and_in_blocks(harness_mod._sweep_block, scens)
+    for values in blocks:
+        assert np.array_equal(values, alone)
+
+
 @pytest.mark.parametrize("K, M_r", [(1, 1), (10, 4), (6, 1)])
 def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M_r):
     # Trial-major blocks, as _trial_block builds them: items 0-12 and 13-44 of
@@ -75,7 +95,7 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
     # of trial 1. Every item's values are its values alone, and the
     # aggregates and both eigenpairs take one row per (trial, alpha).
     scens, cells = _cells(K, M_r), 9
-    alone = {(i, retry): harness_mod._sweep_block([scens[i % cells]], [i // cells], retry)[0][0]
+    alone = {(i, retry): _item(harness_mod._sweep_block, scens, i, retry)
              for i in range(N_TRIALS * cells) for retry in (0, 1)}
     rows = {"aggregates": [], "eigenpairs": []}
     real_agg, real_eig = harness_mod.compute_aggregates, joint_mod.dominant_eigenpair
@@ -104,6 +124,29 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
         assert got.tobytes() == want.tobytes(), (K, M_r, i)
 
 
+@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
+def test_each_pass_draws_each_trial_once(count_draws, table):
+    # The blocks of items 0-12 and 13-44 of 9 cells, trial-major as
+    # _trial_block lists them, and in the first a redraw of items 4, 5 and 9,
+    # of trials 0, 0 and 1: each pass draws each trial of its items once.
+    scens, cells = _cells(3, 2), 9
+    real = getattr(harness_mod, table)
+    passes = []
+
+    def flaky(scens, trials, cells, retry):
+        drawn = len(count_draws)
+        values, why = real(scens, trials, cells, retry)
+        passes.append((len(trials), len(count_draws) - drawn))
+        if len(passes) == 1:
+            why = why.astype(object)
+            why[[4, 5, 9]] = "injected failure"
+        return values, why
+
+    harness_mod._trial_block(flaky, scens, 0, 13)
+    harness_mod._trial_block(flaky, scens, 13, N_TRIALS * cells)
+    assert passes == [(13, 2), (3, 2), (32, 4)]
+
+
 def test_the_scaled_predicate_equals_the_per_item_one():
     # _prob_block builds each draw's aggregates once, at unit alpha and
     # P_max, and scales R and W to each of its cells. Outside near-ties,
@@ -116,7 +159,7 @@ def test_the_scaled_predicate_equals_the_per_item_one():
                  for db in (-40.0, -20.0, 0.0, 20.0, 40.0, 80.0)]
         item = np.arange(20 * len(cells))
         cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)
-        wins, why = harness_mod._prob_block(cfgs, trials, 0)
+        wins, why = harness_mod._prob_block(cells, trials, item % len(cells), 0)
         agg = compute_aggregates(sample_block(cfgs, trials))
         lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
         clear = np.abs(lam - tr_R) > 1e-10 * tr_R
@@ -124,19 +167,6 @@ def test_the_scaled_predicate_equals_the_per_item_one():
         assert np.array_equal(wins[clear], block_asymptotic(agg).joint_wins[clear]), (K, M_r)
         compared, items = compared + clear.sum(), items + len(item)
     assert compared >= 0.5 * items, (compared, items)
-
-
-def test_realization_runs_compare_bits():
-    # a direct link of -0.0 and one of +0.0 are equal under == but are
-    # different realizations; bit-equal adjacent rows form one run
-    blk = sample_block([ScenarioConfig(K=2, M_r=2, alpha=0.0, seed=4)] * 3, [0, 0, 1])
-    assert [r.tolist() for r in harness_mod._realization_runs(blk)] == [[0, 2], [0, 0, 1]]
-    h_d = blk.h_d[[0, 0]]
-    h_d[1] = -h_d[1]
-    assert np.array_equal(h_d[0], h_d[1]) and h_d[0].tobytes() != h_d[1].tobytes()
-    flipped = replace(blk, **{f: getattr(blk, f)[[0, 0]] for f in ("h_r", "h", "P", "P_r")},
-                      h_d=h_d)
-    assert harness_mod._realization_runs(flipped) == (..., ...)
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
@@ -267,7 +297,7 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
     values, resampled = harness_mod._trial_block(flaky, scens, lo, hi)
     assert passes == [5, 2, 1]
     assert type(resampled) is int and resampled == 3
-    expected = [harness_mod._sweep_block([scens[i % len(scens)]], [i // len(scens)], retry)[0][0]
+    expected = [_item(harness_mod._sweep_block, scens, i, retry)
                 for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
     assert np.array_equal(values, expected)
 
@@ -299,9 +329,9 @@ def count_draws(monkeypatch):
     return draws
 
 
-def test_a_block_draws_each_key_once_and_matches_sample_channel(count_draws):
+def test_a_block_matches_sample_channel_row_for_row(count_draws):
     # each (seed, t) key under several alpha, P_max and P_r, in a shuffled
-    # block of two seeds on a retry: 12 draws for 72 rows, every row the
+    # block of two seeds on a retry: one draw per row, every row the
     # realization sample_channel makes from the key's own stream
     base = ScenarioConfig(K=4, M_r=3, seed=0)
     cfgs = [replace(base, seed=seed, alpha=a, P_max=p_max, P_r=p_r)
@@ -311,7 +341,7 @@ def test_a_block_draws_each_key_once_and_matches_sample_channel(count_draws):
     order = np.random.default_rng(3).permutation(len(pairs))
     pairs = [pairs[i] for i in order]
     blk = sample_block([cfg for cfg, _ in pairs], [t for _, t in pairs], 3)
-    assert len(count_draws) == 2 * 6
+    assert len(count_draws) == len(pairs)
     for i, (cfg, t) in enumerate(pairs):
         want = sample_channel(cfg, trial_rng(cfg.seed, t, 3))
         for name in ("h_r", "h_d", "h", "P"):
@@ -334,7 +364,7 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
                 sample_block(cfgs, [0, 0, 1, 1])
         else:
             assert np.isfinite(sample_block(cfgs, [0, 0, 1, 1]).h_d).all()
-    assert len(count_draws) == 2 * 2
+    assert len(count_draws) == 2 * 4  # one draw per item
     # _prob_block draws at unit alpha and P_max and scales each item: it
     # raises the message that drawing at the items' own alpha and P_max and
     # building their aggregates raises first
@@ -343,7 +373,7 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
         with pytest.raises(ValidationError) as want:
             compute_aggregates(sample_block(cfgs, [0, 1, 1]))
         with pytest.raises(ValidationError) as got:
-            harness_mod._prob_block(cfgs, np.array([0, 1, 1]), 0)
+            harness_mod._prob_block(cfgs, np.array([0, 1, 1]), np.arange(3), 0)
         assert str(got.value) == str(want.value), big
     assert str(want.value).startswith("channel SNRs overflow a float: s = inf, tr R = ")
 
@@ -352,12 +382,16 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
 def test_multi_cell_tables_equal_their_one_cell_runs(pin_cpu_count, any_run_forks, workers):
     pin_cpu_count(2)
     base = ScenarioConfig(K=3, M_r=2, P_max=10.0, P_r=10.0, seed=17)
-    alphas, grid = (0.1, 1.0), (0.0, 20.0, 80.0)
-    for run in (run_sweep, estimate_superiority_probability):
+    alphas, grid = (0.1, 1.0, 0.0, -0.0), (0.0, 20.0, 80.0)
+    # each table's row order; -0.0 sorts as 0.0, so its rows follow those of 0.0
+    for run, order in ((run_sweep, attrgetter("alpha", "pr_db", "metric")),
+                       (estimate_superiority_probability, attrgetter("alpha", "pmax_db"))):
         whole = run(SweepConfig(base, grid, alphas, n_trials=7), workers=workers)
         alone = [run(SweepConfig(base, (db,), (a,), n_trials=7), workers=workers)
                  for a in alphas for db in grid]
-        assert whole.rows == tuple(row for cell in alone for row in cell.rows), run.__name__
+        expected = tuple(sorted((row for cell in alone for row in cell.rows), key=order))
+        assert whole.rows == expected, run.__name__
+        assert repr(whole.rows) == repr(expected), run.__name__  # and -0.0 stays -0.0
         assert whole.resampled_trials == 0
 
 
@@ -374,6 +408,8 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
         calls.append((list(cfgs), list(trials), retry))
         return real(cfgs, trials, retry)
 
+    unit = replace(scens[0], alpha=1.0, P_max=1.0, P_r=1.0)
+
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
         why = why.astype(object)
@@ -385,10 +421,11 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
     values, resampled = harness_mod._run_cells(flaky, scens, N_TRIALS, 1)
     assert resampled == len(failing_cells)
     assert [retry for *_, retry in calls] == [0, 1]
-    assert calls[1][:2] == ([scens[c] for c in failing_cells], [2] * len(failing_cells))
+    assert calls[0][:2] == ([unit] * N_TRIALS, list(range(N_TRIALS)))
+    assert calls[1][:2] == ([unit], [2])
     assert len(count_draws) == N_TRIALS + 1
     for c, scen in enumerate(scens):
         for t in range(N_TRIALS):
             retry = int(t == 2 and c in failing_cells)
-            want = harness_mod._sweep_block([scen], [t], retry)[0][0]
+            want = _item(harness_mod._sweep_block, scens, t * len(scens) + c, retry)
             assert np.array_equal(values[c, t], want), (c, t)

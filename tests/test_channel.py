@@ -19,7 +19,7 @@ from marcsim import (
     scale_aggregates,
     trial_rng,
 )
-from marcsim.channel import _coefficients, _substream_states, draw_keys
+from marcsim.channel import _coefficients, _substream_states
 from marcsim.errors import ValidationError
 from marcsim.numerics import is_hermitian, quadratic_form
 
@@ -174,18 +174,6 @@ def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
     one, row = scale_aggregates(compute_aggregates(c), 0.3, 10.0), scale_aggregates(unit, 0.3, 10.0)
     for name in ("s", "R", "T", "W", "d", "nr", "hp"):
         assert np.array_equal(getattr(one, name), getattr(row, name)[0]), name
-
-
-def test_draw_keys_list_each_seed_and_trial_once():
-    # two seeds past 2**63 and trials keyed in any order; the rows map every
-    # item to its own key, and a block of distinct keys keeps its items' own
-    cfgs = [ScenarioConfig(seed=s) for s in (2**64 - 1, 2**63, 2**64 - 1, 5, 2**63, 5)]
-    trials = [3, 3, 3, 0, 3, 2**32 - 1]
-    keys, rows = draw_keys(cfgs, trials)
-    assert len(keys) == 4 and keys.dtype == np.uint64
-    assert keys[rows].tolist() == [[c.seed, t] for c, t in zip(cfgs, trials)]
-    keys, rows = draw_keys(cfgs[:2] + cfgs[3:4], trials[:2] + trials[3:4])
-    assert rows is ... and keys.tolist() == [[2**64 - 1, 3], [2**63, 3], [5, 0]]
 
 
 def test_different_trials_differ():

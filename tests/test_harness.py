@@ -434,10 +434,10 @@ def test_pool_starts_only_when_each_process_gets_its_work(monkeypatch, pin_cpu_c
 _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
 
-def _fail_on_weak_first_link(name, *draws):
+def _fail_on_weak_first_link(name, scens, trials, cells, retry):
     # deterministic in the draw, so forked workers resample the same trials
-    values, why = _REAL_EVALUATORS[name](*draws)
-    weak = np.abs(sample_block(*draws).h_r[:, 0, 0]) < 1.0
+    values, why = _REAL_EVALUATORS[name](scens, trials, cells, retry)
+    weak = np.abs(sample_block([scens[c] for c in cells], trials, retry).h_r[:, 0, 0]) < 1.0
     return values, np.where(weak, "injected failure", why)
 
 
