@@ -10,19 +10,23 @@ noise variance N0 is folded to unit noise when it is parsed.
 Fading model used by :func:`sample_channel`: every entry of h_r and h is
 circularly-symmetric complex Gaussian with unit variance, the direct links
 are CN(0, alpha^2), and the per-user powers are uniform on [0, P_max].
+:func:`sample_block` draws many trials of one scenario's (K, M_r) and seed
+on the same substreams, at alpha = P_max = P_r = 1; its callers scale the
+draws by their own alpha (through :func:`direct_links`) and powers.
 
 The cross-difference matrix W of :func:`compute_aggregates` is defined as a
 sum over user pairs but formed from its Gram factor, in O(K M_r^2). A
 :class:`ChannelBlock` stacks realizations of one shape on a leading trial
-axis; the aggregates and the block kernels of ``joint`` and ``tdma`` take it
-whole, and the same code serves a single realization.
+axis; the aggregates, the per-F kernels (with a stack of F) and the block
+kernels of ``joint`` and ``tdma`` take it whole, and the same code serves a
+single realization.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
@@ -115,11 +119,6 @@ class ChannelBlock:
     P: np.ndarray
     P_r: np.ndarray
 
-    @classmethod
-    def stack(cls, realizations) -> "ChannelBlock":
-        cs = tuple(realizations)
-        return cls(*(np.array([getattr(c, f.name) for c in cs]) for f in fields(cls)))
-
 
 @dataclass(frozen=True)
 class ChannelAggregates:
@@ -170,16 +169,16 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
-    """The PCG64 state of ``trial_rng(seed, t, retry)`` for each (seed, t)
-    pair, hashed for all pairs at once and yielded one dict at a time.
+def _substream_states(seed: int, trials, retry: int) -> Iterator[dict]:
+    """The PCG64 state of ``trial_rng(seed, t, retry)`` for each trial t,
+    hashed for all trials at once and yielded one dict at a time.
 
     SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]
     here as uint32 array arithmetic, and PCG64's two seeding steps run on
-    Python ints. Every t and retry must be below 2**32 and every seed below
+    Python ints. Every t and retry must be below 2**32 and the seed below
     2**64, so that each key has exactly these six words."""
-    seeds, n = np.array(seeds, dtype=np.uint64), len(trials)
-    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32),
+    seed, n = int(seed), len(trials)
+    words = [np.full(n, seed & 0xFFFFFFFF, np.uint32), np.full(n, seed >> 32, np.uint32),
              np.zeros(n, np.uint32), np.zeros(n, np.uint32),
              np.array(trials, dtype=np.uint32), np.full(n, retry, np.uint32)]
     steps = iter(_MIX_STEPS)
@@ -210,17 +209,15 @@ def _substream_states(seeds, trials, retry: int) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-def _coefficients(z: np.ndarray, alpha, K: int, M: int):
+def _coefficients(z: np.ndarray, K: int, M: int):
     """(h_r, h, h_d) from the normals z (..., 2 (K M + M + K)) of one draw per
     row: real and then imaginary parts of CN(0, 1) h_r, h and h_d in turn,
-    h_d scaled by alpha. ValidationError when alpha * CN overflows, the one
-    realization check a draw can fail."""
+    h_d at alpha = 1."""
 
     def cn(lo: int, n: int) -> np.ndarray:
         return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
 
-    h_d = direct_links(alpha, cn(2 * (K * M + M), K))
-    return cn(0, K * M).reshape(*h_d.shape[:-1], K, M), cn(2 * K * M, M), h_d
+    return cn(0, K * M).reshape(*z.shape[:-1], K, M), cn(2 * K * M, M), cn(2 * (K * M + M), K)
 
 
 def direct_links(alpha, h_d: np.ndarray) -> np.ndarray:
@@ -248,42 +245,50 @@ def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
     K, M = cfg.K, cfg.M_r
     z, P = np.empty(2 * (K * M + M + K)), np.empty(K)
     _draw(rng, z, P)
-    h_r, h, h_d = _coefficients(z, cfg.alpha, K, M)
-    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P * cfg.P_max, P_r=cfg.P_r)
+    h_r, h, h_d = _coefficients(z, K, M)
+    return ChannelRealization(h_r=h_r, h_d=direct_links(cfg.alpha, h_d), h=h, P=P * cfg.P_max,
+                              P_r=cfg.P_r)
 
 
-def sample_block(cfgs, trials, retry: int = 0) -> ChannelBlock:
-    """One realization per (scenario, trial index) pair, all of one (K, M_r)
-    shape: the draw :func:`sample_channel` makes from
-    ``trial_rng(cfg.seed, t, retry)``, as a block. The pairs' substreams are
-    seeded in bulk, by _substream_states, and each pair draws its own row."""
+def sample_block(scen: ScenarioConfig, trials, retry: int = 0) -> ChannelBlock:
+    """The unit draws of scen's (K, M_r) and seed, one row per trial index
+    t: the draw :func:`sample_channel` makes from
+    ``trial_rng(scen.seed, t, retry)`` at alpha = P_max = P_r = 1, whatever
+    scen's alpha and powers. A caller scales h_d by its alpha, through
+    :func:`direct_links`, P by its P_max and P_r by its P_r. The substreams
+    are seeded in bulk, by _substream_states."""
     trials = np.asarray(trials)
-    if (not cfgs or len(cfgs) != len(trials) or len({(c.K, c.M_r) for c in cfgs}) > 1
-            or trials.min() < 0 or trials.max() >= 2**32 or not 0 <= retry < 2**32):
-        raise ValidationError("a block needs scenarios of one (K, M_r), at least one, each "
-                              "with a trial index in [0, 2**32), and a retry in [0, 2**32)")
-    K, M = cfgs[0].K, cfgs[0].M_r
-    z, P = np.empty((len(cfgs), 2 * (K * M + M + K))), np.empty((len(cfgs), K))
+    if not trials.size or trials.min() < 0 or trials.max() >= 2**32 or not 0 <= retry < 2**32:
+        raise ValidationError("a block needs at least one trial index, each in [0, 2**32), "
+                              "and a retry in [0, 2**32)")
+    K, M = scen.K, scen.M_r
+    z, P = np.empty((len(trials), 2 * (K * M + M + K))), np.empty((len(trials), K))
     bitgen = PCG64()  # every draw sets its own state first
     rng = Generator(bitgen)
-    for i, state in enumerate(_substream_states([c.seed for c in cfgs], trials, retry)):
+    for i, state in enumerate(_substream_states(scen.seed, trials, retry)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
-    P *= np.array([cfg.P_max for cfg in cfgs])[:, None]
-    h_r, h, h_d = _coefficients(z, np.array([cfg.alpha for cfg in cfgs])[:, None], K, M)
-    return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.array([cfg.P_r for cfg in cfgs]))
+    h_r, h, h_d = _coefficients(z, K, M)
+    return ChannelBlock(h_r=h_r, h_d=h_d, h=h, P=P, P_r=np.ones(len(trials)))
 
 
-def relay_tx_power(F: np.ndarray, c: ChannelRealization) -> float:
-    """Average transmit power of the relay for amplification matrix F:
-    trace(F (I + sum_k h_r^(k) P^(k) h_r^(k)^H) F^H)."""
+def _relay_matrix(F, c) -> np.ndarray:
+    """F as a complex array; ValidationError unless it holds one M_r x M_r
+    matrix for each trial of c, a realization or a ChannelBlock."""
     F = np.asarray(F, dtype=complex)
-    if F.shape != (c.M_r, c.M_r):
-        raise ValidationError(
-            f"F must be {c.M_r}x{c.M_r}, got shape {F.shape}"
-        )
-    G = np.eye(c.M_r) + (c.h_r.T * c.P) @ c.h_r.conj()
-    return float(np.trace(F @ G @ F.conj().T).real)
+    M = c.h.shape[-1]
+    if F.shape != c.h.shape[:-1] + (M, M):
+        raise ValidationError(f"F must be {M}x{M} per trial, got shape {F.shape}")
+    return F
+
+
+def relay_tx_power(F: np.ndarray, c):
+    """Average transmit power of the relay for amplification matrix F:
+    trace(F (I + sum_k h_r^(k) P^(k) h_r^(k)^H) F^H), of a realization, or of
+    each trial of a ChannelBlock with a stack F (N, M_r, M_r)."""
+    F = _relay_matrix(F, c)
+    G = np.eye(c.h.shape[-1]) + (np.swapaxes(c.h_r, -1, -2) * c.P[..., None, :]) @ c.h_r.conj()
+    return np.trace(F @ G @ np.swapaxes(F, -1, -2).conj(), axis1=-2, axis2=-1).real
 
 
 def user_snrs(c):
@@ -359,19 +364,16 @@ def scale_aggregates(agg: ChannelAggregates, alpha, t) -> ChannelAggregates:
                              d=agg.d * a2t[..., None], nr=agg.nr * t[..., None], hp=agg.hp)
 
 
-def effective_channel(F: np.ndarray, c: ChannelRealization, k: int) -> np.ndarray:
-    """Two-component stacked channel of user k (relayed path, direct path)
-    after normalizing the relayed path's noise:
-    [r^(-1/2) h^H F h_r^(k), h_d^(k)] with r = 1 + h^H F F^H h."""
-    F = np.asarray(F, dtype=complex)
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
-    if F.shape != (c.M_r, c.M_r):
-        raise ValidationError(f"F must be {c.M_r}x{c.M_r}, got shape {F.shape}")
-    fh = F.conj().T @ c.h
-    r = 1.0 + float(np.real(fh.conj() @ fh))
-    relayed = (c.h.conj() @ F @ c.h_r[k]) / np.sqrt(r)
-    return np.array([relayed, c.h_d[k]])
+def effective_channel(F: np.ndarray, c) -> np.ndarray:
+    """Every user's two-component stacked channel (relayed path, direct path)
+    after normalizing the relayed path's noise, (..., K, 2):
+    [r^(-1/2) h^H F h_r^(k), h_d^(k)] with r = 1 + h^H F F^H h, of a
+    realization, or of each trial of a ChannelBlock with a stack F."""
+    F = _relay_matrix(F, c)
+    hF = c.h.conj()[..., None, :] @ F  # h^H F as a row, the conjugate of F^H h
+    r = 1.0 + (hF.conj() * hF).real.sum(axis=(-2, -1))
+    relayed = (hF @ np.swapaxes(c.h_r, -1, -2))[..., 0, :] / np.sqrt(r)[..., None]
+    return np.stack([relayed, c.h_d], axis=-1)
 
 
 def realization_to_json(c: ChannelRealization) -> str:

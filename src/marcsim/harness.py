@@ -20,17 +20,19 @@ the others at the same time. Every trial draws from a substream keyed on
 (seed, trial index), seeded in bulk. A block's evaluator takes the table's
 cells, each item's trial and cell index and the redraw number, and samples
 the draws itself; _runs, on those integer indices, is what decides which
-items share work. Each trial is drawn once, at alpha = P_max = P_r = 1, and
-its cells only scale that draw by their alpha and powers. A trial's cells of
-one alpha, adjacent in a block, differ only in P_r: the sweep builds their
-realization's aggregates and eigenpairs once, and hp, the bounds and the
-slots per cell. The superiority table builds each draw's aggregates once and
-scales their R and W to each of its cells; a cell's SNRs are its own. No
-trial's values depend on the rest of its block, as the kernels take
-C-ordered stacks, so results are byte-identical for any W >= 1. A failed
-draw is redrawn on a flagged substream, in a smaller block, by one loop. A
-block returns its values, with a leading trial axis, and its redraw count;
-the table reads the blocks joined into one (cells, trials, ...) array.
+items share work. Each trial is drawn once, by sample_block at unit alpha,
+P_max and P_r, and its cells only scale that draw by their alpha and powers.
+A trial's cells of one alpha, adjacent in a block, differ only in P_r: the
+sweep builds their realization's aggregates and eigenpairs once, and hp, the
+bounds and the slots per cell. The superiority table builds each draw's
+aggregates once and scales their R and W to each of its cells; a cell's SNRs
+are its own. No trial's values depend on the rest of its block, as the
+kernels take C-ordered stacks, so results are byte-identical for any W >= 1.
+A failed draw is redrawn on a flagged substream, in a smaller block, by one
+loop. A block returns its values, with a leading trial axis, and its redraw
+count; the table reads the blocks joined into one (cells, trials, ...)
+array. The invariant suite of ``marcsim check`` draws by sample_block too,
+and evaluates its trials as one block.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ import numpy as np
 
 from .channel import (
     ChannelAggregates, ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates,
-    direct_links, sample_block, sample_channel, scale_aggregates, sum_snrs, trial_rng,
+    direct_links, sample_block, scale_aggregates, sum_snrs, trial_rng,
 )
+from .channel import sample_channel  # noqa: F401 (perfbench wraps it)
 from .errors import NumericalError, ValidationError
 from .joint import (
     _ORDER_SLACK, JointRateBounds, RelayMatrix, block_bounds, lower_bound, sum_rate_closed,
@@ -211,9 +214,7 @@ def _unit_draws(scens, trials, retry: int):
     """The draws of a block's trials at alpha = P_max = P_r = 1, one per run
     of items of one trial, and each item's row of them."""
     first, row = _runs(trials)
-    drawn = trials[first]
-    unit = replace(scens[0], alpha=1.0, P_max=1.0, P_r=1.0)
-    return sample_block([unit] * len(drawn), drawn, retry), row
+    return sample_block(scens[0], trials[first], retry), row
 
 
 def _sweep_block(scens, trials, cells, retry: int):
@@ -221,7 +222,7 @@ def _sweep_block(scens, trials, cells, retry: int):
     scens[cells[i]], (N, 5), and a failure message per item ("" when it
     passed every check), from the items' draws on substream retry. A run of
     items of one trial, alpha and P_max, which differ only in P_r, forms its
-    direct links alpha h_d and powers P_max P, as sample_block does, and
+    direct links alpha h_d and powers P_max P, as sample_channel does, and
     builds its aggregates and eigenpairs once."""
     blk, row = _unit_draws(scens, trials, retry)
     alpha, p_max, p_r = (np.array([getattr(c, name) for c in scens])[cells]
@@ -243,7 +244,7 @@ def _prob_block(scens, trials, cells, retry: int):
     cell scens[cells[i]], from the items' draws on substream retry; no check
     can fail. Each trial's draw has its aggregates built once, at unit alpha
     and P_max. An item forms its own direct links alpha h_d, powers P_max P
-    and from them d, nr and s, as sample_block and compute_aggregates do,
+    and from them d, nr and s, as sample_channel and compute_aggregates do,
     with their checks in their order; the R and W of its lambda_max(R + W)
     are its draw's, scaled by scale_aggregates."""
     blk, row = _unit_draws(scens, trials, retry)
@@ -377,17 +378,16 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     return ProbResult(rows=tuple(rows), resampled_trials=resampled)
 
 
-def _slot_logdet_error(c: ChannelRealization, tau: np.ndarray, rates: np.ndarray) -> float:
-    """The largest relative gap, over the open slots of a trial, between a
+def _slot_logdet_error(c: ChannelBlock, tau: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The relative gap, for each open slot of a block's trials, between the
     slot's rate and tau_k times the log-det rate of user k alone at power
-    P_k / tau_k, P_r unchanged, with its own optimal relay matrix."""
-    worst = 0.0
-    for k in np.flatnonzero(tau > 0.0):
-        alone = ChannelRealization(h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h,
-                                   P=c.P[k : k + 1] / tau[k], P_r=c.P_r)
-        ref = tau[k] * sum_rate_logdet(single_user_relay_matrix(alone, 0), alone)
-        worst = max(worst, abs(ref - rates[k]) / max(ref, np.finfo(float).tiny))
-    return worst
+    P_k / tau_k, P_r unchanged, with its own optimal relay matrix; the open
+    slots are evaluated as one K = 1 block."""
+    i, k = np.nonzero(tau > 0.0)
+    alone = ChannelBlock(h_r=c.h_r[i, k, None], h_d=c.h_d[i, k, None], h=c.h[i],
+                         P=(c.P[i, k] / tau[i, k])[:, None], P_r=c.P_r[i])
+    ref = tau[i, k] * sum_rate_logdet(single_user_relay_matrix(alone, 0), alone)
+    return np.abs(ref - rates[i, k]) / np.maximum(ref, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -399,23 +399,23 @@ class CheckOutcome:
 
 
 def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutcome]:
-    """Exercise the cross-formula invariants on random realizations.
-
-    The draws are evaluated as one block by the kernels the sweeps run; only
-    sum_rate_closed, the independent closed form, builds a trial's aggregates
+    """Exercise the cross-formula invariants on random realizations: trial t
+    is sample_channel(scen, trial_rng(scen.seed, t)), scaled from one
+    sample_block draw, and the probes, three vectors x and a relay matrix F
+    per trial, come from trial_rng(scen.seed, 2**32 - 1), which no trial
+    reaches. All are evaluated as one block by the kernels the sweeps run;
+    only sum_rate_closed, the independent closed form, builds the aggregates
     again. Returns one outcome per invariant with the worst violation seen;
-    used by the CLI ``check`` subcommand. ValidationError unless n_trials >= 1.
-    """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    draws, probes = [], []
-    for t in range(n_trials):
-        rng = trial_rng(scen.seed, t)
-        draws.append(sample_channel(scen, rng))
-        M = scen.M_r  # three PSD probes x, then a relay matrix F
-        probes.append([rng.standard_normal(s) + 1j * rng.standard_normal(s)
-                       for s in (M, M, M, (M, M))])
-    blk = ChannelBlock.stack(draws)
+    used by the CLI ``check`` subcommand. ValidationError, before any draw,
+    unless 1 <= n_trials < 2**32."""
+    if not 1 <= n_trials < 2**32:
+        raise ValidationError(f"n_trials must be in [1, 2**32), got {n_trials}")
+    unit = sample_block(scen, range(n_trials))
+    blk = replace(unit, h_d=direct_links(scen.alpha, unit.h_d), P=unit.P * scen.P_max,
+                  P_r=unit.P_r * scen.P_r)
+    M = scen.M_r  # per trial, rows 0-2 are the probes x and rows 3.. the relay matrix F
+    z = trial_rng(scen.seed, 2**32 - 1).standard_normal((2, n_trials, 3 + M, M))
+    probes = z[0] + 1j * z[1]
     agg = compute_aggregates(blk)
     b, v, why = block_bounds(blk.P_r, agg)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
@@ -424,34 +424,25 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
         if message:
             raise NumericalError(message)
     scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(agg.T).max(axis=(1, 2))))
-    rows = []
-    for i, (c, (*xs, F)) in enumerate(zip(draws, probes)):
-        f = RelayMatrix.beamformer(c, v[i], b.gamma[i])
-        rows.append((
-            max(-quadratic_form(x, A[i]) for x, A in zip(xs, (agg.R, agg.T, agg.W))) / scale[i],
-            abs(sum_rate_logdet(F, c) - sum_rate_closed(F, c)),
-            abs(b.r_lower[i] - sum_rate_logdet(f, c)),
-            abs(f.tx_power - c.P_r) / max(1.0, c.P_r),
-            _slot_logdet_error(c, alloc.tau[i], alloc.per_user_rate[i]),
-        ))
-    psd, formulas, logdet, power, slot_rates = np.array(rows).T
+    psd = -quadratic_form(probes[:, :3], np.stack([agg.R, agg.T, agg.W], axis=1))
+    F, f = probes[:, 3:], RelayMatrix.beamformer(blk, v, b.gamma)
     _, slack, nu = _kkt_gaps(agg.d, agg.nr, agg.hp[:, None], alloc.tau)
     # The KKT gaps in bits times _KKT_ATOL / min(_KKT_ATOL, _KKT_RTOL * nu):
     # each is within its threshold _KKT_ATOL iff it is within its tolerance.
     kkt_scale = _KKT_ATOL / np.maximum(_kkt_tolerance(nu), np.finfo(float).tiny)
     gap = asym.joint_rate_inf - asym.rate_inf
-    checks = {  # name: (violation measure per trial, threshold)
+    checks = {  # name: (violation measure per trial or slot, threshold)
         "aggregates_identity": (
             abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
-        "aggregates_psd": (psd, 1e-10),
-        "rate_formula_equivalence": (formulas, 1e-10),
+        "aggregates_psd": (psd.max(axis=1) / scale, 1e-10),
+        "rate_formula_equivalence": (abs(sum_rate_logdet(F, blk) - sum_rate_closed(F, blk)), 1e-10),
         "bound_ordering": (b.r_lower - b.r_up_min, _ORDER_SLACK),
-        "lower_matches_logdet": (logdet, 1e-9),
-        "relay_power_equality": (power, 1e-8),
+        "lower_matches_logdet": (abs(b.r_lower - sum_rate_logdet(f, blk)), 1e-9),
+        "relay_power_equality": (abs(f.tx_power - blk.P_r) / np.maximum(1.0, blk.P_r), 1e-8),
         "tdma_kkt_spread": (alloc.kkt_spread * kkt_scale, _KKT_ATOL),
         "tdma_slackness": (slack * kkt_scale, _KKT_ATOL),
         "tau_simplex": (abs(alloc.tau.sum(axis=1) - 1.0), _SIMPLEX_ATOL),
-        "tdma_rates_logdet": (slot_rates, 1e-10),
+        "tdma_rates_logdet": (_slot_logdet_error(blk, alloc.tau, alloc.per_user_rate), 1e-10),
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),
     }

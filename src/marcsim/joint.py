@@ -23,7 +23,8 @@ from math import log
 import numpy as np
 
 from .channel import (
-    ChannelAggregates, ChannelRealization, compute_aggregates, effective_channel, relay_tx_power,
+    ChannelAggregates, ChannelRealization, _relay_matrix, compute_aggregates, effective_channel,
+    relay_tx_power,
 )
 from .errors import NumericalError
 from .numerics import dominant_eigenpair, quadratic_form
@@ -45,15 +46,14 @@ class RelayMatrix:
     tx_power: float
 
     @classmethod
-    def beamformer(cls, c: ChannelRealization, v: np.ndarray, gain: float) -> "RelayMatrix":
+    def beamformer(cls, c, v: np.ndarray, gain) -> "RelayMatrix":
         """Rank-one relay matrix gain * h v^H / ||h||, with its transmit power
-        charged to the users of c. F = 0 when h = 0: there is no
-        relay-to-receiver link to beamform onto."""
-        hn = float(np.linalg.norm(c.h))
-        if hn == 0.0:
-            F = np.zeros((c.M_r, c.M_r), dtype=complex)
-        else:
-            F = gain * np.outer(c.h / hn, v.conj())
+        charged to the users of c, a realization, or each trial of a
+        ChannelBlock with v (N, M_r) and gain (N,). F = 0 when h = 0: there is
+        no relay-to-receiver link to beamform onto."""
+        hn = np.linalg.norm(c.h, axis=-1)[..., None]
+        u = np.divide(c.h, hn, out=np.zeros_like(c.h), where=hn > 0.0)
+        F = np.asarray(gain)[..., None, None] * (u[..., :, None] * v.conj()[..., None, :])
         return cls(F=F, tx_power=relay_tx_power(F, c))
 
 
@@ -77,31 +77,33 @@ def _as_matrix(F) -> np.ndarray:
     return F.F if isinstance(F, RelayMatrix) else np.asarray(F, dtype=complex)
 
 
-def sum_rate_logdet(F, c: ChannelRealization) -> float:
+def sum_rate_logdet(F, c):
     """Ground-truth sum rate log2 det(I + sum_k P^(k) h_eff h_eff^H),
-    evaluated as a closed-form 2x2 determinant."""
-    F = _as_matrix(F)
-    heff = np.array([effective_channel(F, c, k) for k in range(c.K)])
-    a, b = heff[:, 0], heff[:, 1]
-    saa = float(np.sum(c.P * np.abs(a) ** 2))
-    sbb = float(np.sum(c.P * np.abs(b) ** 2))
+    evaluated as a closed-form 2x2 determinant, of a realization, or of each
+    trial of a ChannelBlock with a stack F."""
+    heff = effective_channel(_as_matrix(F), c)
+    a, b, P = heff[..., 0], heff[..., 1], c.P
+    saa = np.sum(P * np.abs(a) ** 2, axis=-1)
+    sbb = np.sum(P * np.abs(b) ** 2, axis=-1)
     # det(I + sum) = 1 + saa + sbb + (saa*sbb - |m12|^2), the Gram term taken
     # by the Lagrange identity as sum_{j<k} P_j P_k |a_j b_k - a_k b_j|^2:
     # saa*sbb - |m12|^2 cancels when one user dominates, and at K = 1 exactly
-    minors = np.abs(np.outer(a, b) - np.outer(b, a)) ** 2
-    x = saa + sbb + float(c.P @ minors @ c.P) / 2.0
-    return float(np.log1p(x) / _LN2)
+    ab = a[..., :, None] * b[..., None, :]
+    minors = np.abs(ab - np.swapaxes(ab, -1, -2)) ** 2
+    x = saa + sbb + (P[..., None, :] @ minors @ P[..., :, None])[..., 0, 0] / 2.0
+    return np.log1p(x) / _LN2
 
 
-def sum_rate_closed(F, c: ChannelRealization) -> float:
+def sum_rate_closed(F, c):
     """Same sum rate via the aggregate form
-    log2(1 + s + h^H F (R + W) F^H h / r), r = 1 + h^H F F^H h."""
-    F = _as_matrix(F)
+    log2(1 + s + h^H F (R + W) F^H h / r), r = 1 + h^H F F^H h, of a
+    realization, or of each trial of a ChannelBlock with a stack F."""
+    F = _relay_matrix(_as_matrix(F), c)
     agg = compute_aggregates(c)
-    fh = F.conj().T @ c.h
-    r = 1.0 + float(np.real(fh.conj() @ fh))
+    fh = (np.swapaxes(F, -1, -2).conj() @ c.h[..., None])[..., 0]
+    r = 1.0 + (fh.conj() * fh).real.sum(axis=-1)
     x = agg.s + quadratic_form(fh, agg.R + agg.W) / r
-    return float(np.log1p(max(x, 0.0)) / _LN2)
+    return np.log1p(np.maximum(x, 0.0)) / _LN2
 
 
 def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:

@@ -39,23 +39,22 @@ def _check_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def quadratic_form(x: np.ndarray, A: np.ndarray) -> float:
-    """Evaluate x^H A x for Hermitian A and return it as a real number.
+def quadratic_form(x: np.ndarray, A: np.ndarray):
+    """Evaluate x^H A x for Hermitian A and return it as a real number, or for
+    each pair of a stack x (..., n), A (..., n, n) as an array.
 
     The imaginary part must be negligible (below 1e-10 relative to the
     result); anything larger indicates a non-Hermitian A or corrupted input.
     """
     x = np.asarray(x, dtype=complex)
     A = np.asarray(A, dtype=complex)
-    if x.ndim != 1 or A.ndim != 2 or A.shape != (x.size, x.size):
+    if x.ndim < 1 or A.shape != x.shape + x.shape[-1:]:
+        raise ValidationError(f"dimension mismatch: x has shape {x.shape}, A has shape {A.shape}")
+    val = (x.conj()[..., None, :] @ A @ x[..., None])[..., 0, 0]
+    imag = np.where(np.abs(val.imag) > 1e-10 * np.maximum(1.0, np.abs(val)), val.imag, 0.0)
+    if imag.any():
         raise ValidationError(
-            f"dimension mismatch: x has shape {x.shape}, A has shape {A.shape}"
-        )
-    val = complex(x.conj() @ A @ x)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise ValidationError(
-            f"quadratic form has a structural imaginary part ({val.imag:.3e})"
-        )
+            f"quadratic form has a structural imaginary part ({imag[imag != 0.0][0]:.3e})")
     return val.real
 
 

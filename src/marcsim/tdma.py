@@ -19,8 +19,8 @@ channel block at once; the single-realization functions run them on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import log, sqrt
+from dataclasses import dataclass, replace
+from math import log
 
 import numpy as np
 
@@ -71,13 +71,14 @@ class AsymptoticResult:
     joint_wins: bool
 
 
-def _user_consts(c: ChannelRealization, k: int):
-    """The slot constants (d, nr, hp) of user k of a realization;
-    ValidationError unless 0 <= k < K."""
-    if not 0 <= k < c.K:
-        raise ValidationError(f"user index {k} out of range for K={c.K}")
+def _user_consts(c, k: int):
+    """The slot constants (d, nr, hp) of user k of a realization, or of each
+    trial of a ChannelBlock; ValidationError unless 0 <= k < K."""
+    K = c.h_r.shape[-2]
+    if not 0 <= k < K:
+        raise ValidationError(f"user index {k} out of range for K={K}")
     d, nr, hp = user_snrs(c)
-    return d[k], nr[k], hp
+    return d[..., k], nr[..., k], hp
 
 
 def _slot_rate(d, nr, hp, tau: np.ndarray) -> np.ndarray:
@@ -131,18 +132,19 @@ def _marginal_at_zero(d, nr, hp):
     return np.where(d > 0.0, np.inf, np.where(nr > 0.0, np.log1p(hp), 0.0))
 
 
-def single_user_relay_matrix(c: ChannelRealization, k: int) -> RelayMatrix:
+def single_user_relay_matrix(c, k: int) -> RelayMatrix:
     """Optimal relay matrix when user k is alone on the channel:
     sqrt(P_r / (1 + ||h_r||^2 P)) * h h_r^H / (||h|| ||h_r||), with its
-    transmit power charged to user k alone. A zero channel on either hop
-    yields F = 0 (the rate falls back to the direct link)."""
+    transmit power charged to user k alone, of a realization, or of each
+    trial of a ChannelBlock. A zero channel on either hop yields F = 0 (the
+    rate falls back to the direct link)."""
     _, nr, _ = _user_consts(c, k)
-    alone = ChannelRealization(
-        h_r=c.h_r[k : k + 1], h_d=c.h_d[k : k + 1], h=c.h, P=c.P[k : k + 1], P_r=c.P_r
-    )
-    hrn = float(np.linalg.norm(c.h_r[k]))
-    v = c.h_r[k] / hrn if hrn else c.h_r[k]  # a zero h_r keeps F = 0
-    return RelayMatrix.beamformer(alone, v, sqrt(c.P_r / (1.0 + nr)))
+    one = slice(k, k + 1)
+    alone = replace(c, h_r=c.h_r[..., one, :], h_d=c.h_d[..., one], P=c.P[..., one])
+    h_r = c.h_r[..., k, :]
+    hrn = np.linalg.norm(h_r, axis=-1)[..., None]
+    v = np.divide(h_r, hrn, out=np.zeros_like(h_r), where=hrn > 0.0)  # a zero h_r keeps F = 0
+    return RelayMatrix.beamformer(alone, v, np.sqrt(c.P_r / (1.0 + nr)))
 
 
 def single_user_rate(c: ChannelRealization, k: int) -> float:

@@ -4,7 +4,26 @@ import numpy as np
 import pytest
 
 import marcsim.harness as harness_mod
-from marcsim import ChannelRealization, ScenarioConfig, sample_channel, trial_rng
+from marcsim import ChannelBlock, ChannelRealization, ScenarioConfig, sample_channel, trial_rng
+from marcsim.channel import direct_links, sample_block
+
+
+def scaled_block(scens, trials, retry=0) -> ChannelBlock:
+    """The block whose row i is sample_channel(scens[i], trial_rng(scens[i].seed,
+    trials[i], retry)), for scenarios of one (K, M_r): sample_block's unit
+    draws, one call per seed, with each row's direct links scaled by its
+    alpha, its powers by its P_max and its relay power set to its P_r."""
+    trials, groups = np.asarray(trials), {}
+    for i, scen in enumerate(scens):
+        groups.setdefault(scen.seed, []).append(i)
+    units = [sample_block(scens[rows[0]], trials[rows], retry) for rows in groups.values()]
+    at = np.argsort(np.concatenate(list(groups.values())))  # each item's row of the units
+    h_r, h_d, h, P = (np.concatenate([getattr(u, name) for u in units])[at]
+                      for name in ("h_r", "h_d", "h", "P"))
+    alpha, P_max, P_r = (np.array([getattr(s, name) for s in scens])
+                         for name in ("alpha", "P_max", "P_r"))
+    return ChannelBlock(h_r=h_r, h_d=direct_links(alpha[:, None], h_d), h=h,
+                        P=P * P_max[:, None], P_r=P_r)
 
 
 @pytest.fixture

@@ -26,9 +26,10 @@ from marcsim import (
     user_rate,
     user_rate_derivative,
 )
-from marcsim.channel import sample_block
 from marcsim.joint import block_bounds
 from marcsim.tdma import block_asymptotic
+
+from conftest import scaled_block
 
 K_MIX = (1, 2, 3, 5, 10)
 MR_MIX = (1, 2, 4)
@@ -46,7 +47,7 @@ def _block_bounds(cfgs, trials):
     """The bounds of the draws _mk makes for (scenario, trial) pairs of one
     (K, M_r), evaluated as one block. No draw may fail a check, as
     lower_bound raises on any failure."""
-    blk = sample_block(cfgs, trials)
+    blk = scaled_block(cfgs, trials)
     b, _, why = block_bounds(blk.P_r, compute_aggregates(blk))
     assert not any(why), [m for m in why if m]
     return b
@@ -55,7 +56,7 @@ def _block_bounds(cfgs, trials):
 def _block_asymptotic(cfg, trials):
     """The asymptotic comparison of the draws _mk makes of cfg for the given
     trials, evaluated as one block."""
-    return block_asymptotic(compute_aggregates(sample_block([cfg] * len(trials), trials)))
+    return block_asymptotic(compute_aggregates(scaled_block([cfg] * len(trials), trials)))
 
 
 def _report(num, name, ok, detail):
@@ -70,16 +71,19 @@ def test_criterion_01_formula_equivalence():
     n = 10_000
     max_rate_gap = 0.0
     max_identity_gap = 0.0
-    for i in range(n):
-        K, M_r = K_MIX[i % 5], MR_MIX[i % 3]
-        c = _mk(seed=1, K=K, M_r=M_r, trial=i)
-        agg = compute_aggregates(c)
-        scale = max(1.0, np.max(np.abs(agg.W)), np.max(np.abs(agg.T)))
-        gap = np.max(np.abs(agg.s * agg.R - agg.T - agg.W)) / scale
-        max_identity_gap = max(max_identity_gap, gap)
-        F = rng.standard_normal((M_r, M_r)) + 1j * rng.standard_normal((M_r, M_r))
-        r1, r2 = sum_rate_logdet(F, c), sum_rate_closed(F, c)
-        max_rate_gap = max(max_rate_gap, abs(r1 - r2) / max(1.0, r1))
+    for r in range(15):  # the draws i = r mod 15 share (K, M_r)
+        trials = range(r, n, 15)
+        K, M_r = K_MIX[r % 5], MR_MIX[r % 3]
+        blk = scaled_block([_cfg(1, K, M_r)] * len(trials), trials)
+        agg = compute_aggregates(blk)
+        scale = np.maximum(1.0, np.maximum(np.abs(agg.W).max(axis=(1, 2)),
+                                           np.abs(agg.T).max(axis=(1, 2))))
+        gap = np.abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale
+        max_identity_gap = max(max_identity_gap, gap.max())
+        F = rng.standard_normal((len(trials), M_r, M_r)) + 1j * rng.standard_normal(
+            (len(trials), M_r, M_r))
+        r1, r2 = sum_rate_logdet(F, blk), sum_rate_closed(F, blk)
+        max_rate_gap = max(max_rate_gap, (np.abs(r1 - r2) / np.maximum(1.0, r1)).max())
     elapsed = time.monotonic() - t0
     ok = max_rate_gap <= 1e-10 and max_identity_gap <= 1e-10 and elapsed < 30.0
     _report(

@@ -22,14 +22,17 @@ import marcsim.channel as channel_mod
 import marcsim.harness as harness_mod
 import marcsim.joint as joint_mod
 from marcsim import (
-    ScenarioConfig, SweepConfig, estimate_superiority_probability, run_sweep,
-    sample_channel, trial_rng,
+    ChannelRealization, RelayMatrix, ScenarioConfig, SweepConfig, effective_channel,
+    estimate_superiority_probability, quadratic_form, relay_tx_power, run_sweep, sample_channel,
+    single_user_relay_matrix, sum_rate_closed, sum_rate_logdet, trial_rng,
 )
 from marcsim.channel import compute_aggregates, sample_block
 from marcsim.errors import NumericalError, ValidationError
 from marcsim.harness import db_to_linear
 from marcsim.numerics import dominant_eigenvalue
 from marcsim.tdma import block_asymptotic
+
+from conftest import scaled_block
 
 N_TRIALS = 5
 ALPHAS = (0.0, 0.1, 1.0)
@@ -85,6 +88,57 @@ def test_a_sweep_shares_a_realization_only_within_one_p_max():
     alone, blocks = _alone_and_in_blocks(harness_mod._sweep_block, scens)
     for values in blocks:
         assert np.array_equal(values, alone)
+
+
+def _kernel_values(c, F, x, A, v, gain, k) -> dict:
+    """The values of every per-F kernel on c, a realization or a block, with
+    its relay matrices F, quadratic-form pairs (x, A), beamformer directions
+    v and gains, and user k for the single-user matrix."""
+    bf, alone = RelayMatrix.beamformer(c, v, gain), single_user_relay_matrix(c, k)
+    return {
+        "relay_tx_power": relay_tx_power(F, c),
+        "effective_channel": effective_channel(F, c),
+        "sum_rate_logdet": sum_rate_logdet(F, c),
+        "sum_rate_closed": sum_rate_closed(F, c),
+        "quadratic_form": quadratic_form(x, A),
+        "beamformer": bf.F,
+        "beamformer power": bf.tx_power,
+        "single_user_relay_matrix": alone.F,
+        "single-user power": alone.tx_power,
+    }
+
+
+@pytest.mark.parametrize("K, M_r", [(1, 1), (3, 2), (10, 4), (50, 8)])
+def test_stacked_kernels_equal_their_per_realization_calls(K, M_r):
+    # Every per-F kernel on a block with a stack of F, row for row bit for
+    # bit its call on the row's realization and matrix, over draws at
+    # alpha = 0 and 1, P_r = 0 and 80 dB, with h = 0 in one row, h_r = 0 for
+    # one user in another and a zero F in a third.
+    scens = [ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=p_r, alpha=a, seed=4)
+             for a in (0.0, 1.0) for p_r in (0.0, 10.0, 1e8)]
+    blk = scaled_block(scens * 2, range(12))
+    h_r, h = blk.h_r.copy(), blk.h.copy()
+    h[1], h_r[2, K // 2] = 0.0, 0.0
+    blk = replace(blk, h_r=h_r, h=h)
+    rng = np.random.default_rng(K * M_r)
+    F, v, x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for shape in ((12, M_r, M_r), (12, M_r), (12, M_r)))
+    F[3] = 0.0
+    gain = rng.uniform(0.0, 3.0, 12)
+    agg = compute_aggregates(blk)
+    A = agg.R + agg.W
+    stacked = _kernel_values(blk, F, x, A, v, gain, K // 2)
+    for i in range(12):
+        c = ChannelRealization(h_r=blk.h_r[i], h_d=blk.h_d[i], h=blk.h[i], P=blk.P[i],
+                               P_r=float(blk.P_r[i]))
+        for name, want in _kernel_values(c, F[i], x[i], A[i], v[i], gain[i], K // 2).items():
+            got = np.asarray(stacked[name][i])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, i)
+    # h = 0 and h_r = 0 leave no relayed path and no beamformer
+    assert np.all(stacked["effective_channel"][1, :, 0] == 0)
+    assert stacked["effective_channel"][2, K // 2, 0] == 0
+    assert np.all(stacked["beamformer"][1] == 0)
+    assert np.all(stacked["single_user_relay_matrix"][[1, 2]] == 0)
 
 
 @pytest.mark.parametrize("K, M_r", [(1, 1), (10, 4), (6, 1)])
@@ -160,7 +214,7 @@ def test_the_scaled_predicate_equals_the_per_item_one():
         item = np.arange(20 * len(cells))
         cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)
         wins, why = harness_mod._prob_block(cells, trials, item % len(cells), 0)
-        agg = compute_aggregates(sample_block(cfgs, trials))
+        agg = compute_aggregates(scaled_block(cfgs, trials))
         lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
         clear = np.abs(lam - tr_R) > 1e-10 * tr_R
         assert not any(why)
@@ -330,17 +384,32 @@ def count_draws(monkeypatch):
 
 
 def test_a_block_matches_sample_channel_row_for_row(count_draws):
+    # each seed's shuffled trials on a retry, whatever the scenario's alpha
+    # and powers: one draw per row, every row the realization sample_channel
+    # makes from the trial's own stream at alpha = P_max = P_r = 1
+    base = ScenarioConfig(K=4, M_r=3, alpha=0.3, P_max=10.0, P_r=1e8, seed=0)
+    order = np.random.default_rng(3).permutation(12)
+    for seed in (21, 2**32 + 5):
+        count_draws.clear()
+        blk = sample_block(replace(base, seed=seed), order, 3)
+        assert len(count_draws) == len(order)
+        unit = replace(base, seed=seed, alpha=1.0, P_max=1.0, P_r=1.0)
+        for i, t in enumerate(order):
+            want = sample_channel(unit, trial_rng(seed, t, 3))
+            for name in ("h_r", "h_d", "h", "P", "P_r"):
+                assert np.asarray(getattr(blk, name)[i]).tobytes() == np.asarray(
+                    getattr(want, name)).tobytes(), (name, seed, t)
     # each (seed, t) key under several alpha, P_max and P_r, in a shuffled
-    # block of two seeds on a retry: one draw per row, every row the
-    # realization sample_channel makes from the key's own stream
-    base = ScenarioConfig(K=4, M_r=3, seed=0)
+    # block of two seeds on a retry, unit draws scaled per item as the tests'
+    # scaled_block does: every row the realization sample_channel makes
     cfgs = [replace(base, seed=seed, alpha=a, P_max=p_max, P_r=p_r)
             for seed in (21, 2**32 + 5) for a in (0.0, 0.3, 1.0)
             for p_max, p_r in ((1.0, 0.0), (10.0, 1e8))]
     pairs = [(cfg, t) for cfg in cfgs for t in range(6)]
     order = np.random.default_rng(3).permutation(len(pairs))
     pairs = [pairs[i] for i in order]
-    blk = sample_block([cfg for cfg, _ in pairs], [t for _, t in pairs], 3)
+    count_draws.clear()
+    blk = scaled_block([cfg for cfg, _ in pairs], [t for _, t in pairs], 3)
     assert len(count_draws) == len(pairs)
     for i, (cfg, t) in enumerate(pairs):
         want = sample_channel(cfg, trial_rng(cfg.seed, t, 3))
@@ -361,9 +430,9 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
         cfgs = [ok, replace(ok, alpha=big), ok, replace(ok, alpha=big, P_r=0.0)]
         if raises:
             with pytest.raises(ValidationError, match="^h_d has non-finite entries$"):
-                sample_block(cfgs, [0, 0, 1, 1])
+                scaled_block(cfgs, [0, 0, 1, 1])
         else:
-            assert np.isfinite(sample_block(cfgs, [0, 0, 1, 1]).h_d).all()
+            assert np.isfinite(scaled_block(cfgs, [0, 0, 1, 1]).h_d).all()
     assert len(count_draws) == 2 * 4  # one draw per item
     # _prob_block draws at unit alpha and P_max and scales each item: it
     # raises the message that drawing at the items' own alpha and P_max and
@@ -371,7 +440,7 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
     for big in (1e308, 1e200):
         cfgs = [ok, replace(ok, alpha=1e200, P_max=3.0), replace(ok, alpha=big)]
         with pytest.raises(ValidationError) as want:
-            compute_aggregates(sample_block(cfgs, [0, 1, 1]))
+            compute_aggregates(scaled_block(cfgs, [0, 1, 1]))
         with pytest.raises(ValidationError) as got:
             harness_mod._prob_block(cfgs, np.array([0, 1, 1]), np.arange(3), 0)
         assert str(got.value) == str(want.value), big
@@ -404,11 +473,9 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
     calls = []
     real = harness_mod.sample_block
 
-    def recorded(cfgs, trials, retry):
-        calls.append((list(cfgs), list(trials), retry))
-        return real(cfgs, trials, retry)
-
-    unit = replace(scens[0], alpha=1.0, P_max=1.0, P_r=1.0)
+    def recorded(scen, trials, retry):
+        calls.append((scen, list(trials), retry))
+        return real(scen, trials, retry)
 
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
@@ -420,9 +487,7 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
     monkeypatch.setattr(harness_mod, "sample_block", recorded)
     values, resampled = harness_mod._run_cells(flaky, scens, N_TRIALS, 1)
     assert resampled == len(failing_cells)
-    assert [retry for *_, retry in calls] == [0, 1]
-    assert calls[0][:2] == ([unit] * N_TRIALS, list(range(N_TRIALS)))
-    assert calls[1][:2] == ([unit], [2])
+    assert calls == [(scens[0], list(range(N_TRIALS)), 0), (scens[0], [2], 1)]
     assert len(count_draws) == N_TRIALS + 1
     for c, scen in enumerate(scens):
         for t in range(N_TRIALS):

@@ -19,9 +19,12 @@ from marcsim import (
     scale_aggregates,
     trial_rng,
 )
-from marcsim.channel import _coefficients, _substream_states
+from marcsim.channel import _coefficients, _substream_states, direct_links
 from marcsim.errors import ValidationError
+from marcsim.harness import invariant_suite
 from marcsim.numerics import is_hermitian, quadratic_form
+
+from conftest import scaled_block
 
 
 def test_zero_alpha_kills_direct_links(make_channel):
@@ -43,13 +46,14 @@ def test_same_seed_bit_identical():
 def test_sample_matches_public_construction(K, M_r, alpha):
     # The sampler skips the constructor's checks and draws all normals in one
     # call; on the same streams it must build the realizations the public
-    # constructor builds from one call per real or imaginary part, alone and
-    # as a block seeded in bulk, whatever order the block lists its trials in,
-    # also for a two-word seed and a retry.
+    # constructor builds from one call per real or imaginary part, alone and,
+    # at alpha = P_max = P_r = 1, as a block seeded in bulk, whatever order
+    # the block lists its trials in, also for a two-word seed and a retry.
     for seed, retry in ((4, 0), (2**32 + 5, 2)):
         cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=seed)
         order = np.random.default_rng(K).permutation(50)
-        blk = sample_block([cfg] * 50, order.tolist(), retry)
+        blk = sample_block(cfg, order.tolist(), retry)
+        unit = {"h_r": blk.h_r, "h_d": direct_links(alpha, blk.h_d), "h": blk.h, "P": blk.P * 5.0}
         for i, t in enumerate(order):
             c = sample_channel(cfg, trial_rng(seed, t, retry))
             rng = trial_rng(seed, t, retry)
@@ -64,9 +68,9 @@ def test_sample_matches_public_construction(K, M_r, alpha):
                 got, want = getattr(c, name), getattr(ref, name)
                 assert np.array_equal(got, want) and got.dtype == want.dtype, name
                 assert got.shape == want.shape and not got.flags.writeable, name
-                assert np.array_equal(getattr(blk, name)[i], want), name
+                assert np.array_equal(unit[name][i], want), name
             assert c.P_r == ref.P_r and type(c.P_r) is type(ref.P_r)
-        assert np.array_equal(blk.P_r, np.full(50, 2.0))
+        assert np.array_equal(blk.P_r, np.ones(50))
 
 
 def test_sample_overflowing_direct_links_rejected():
@@ -76,7 +80,7 @@ def test_sample_overflowing_direct_links_rejected():
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
         sample_channel(cfg, trial_rng(0, 0))
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
-        sample_block([ScenarioConfig(K=50, M_r=8, seed=0), cfg], [1, 0])
+        invariant_suite(cfg, n_trials=2)
 
 
 def same_bits(got, want) -> bool:
@@ -86,7 +90,7 @@ def same_bits(got, want) -> bool:
 
 def coefficients_reference(z, alpha, K, M):
     """The complex division _coefficients stands for: each CN part divided
-    by sqrt(2) as a whole."""
+    by sqrt(2) as a whole; h_d then scaled by alpha, as direct_links does."""
 
     def cn(lo, n):
         return (z[..., lo : lo + n] + 1j * z[..., lo + n : lo + 2 * n]) / np.sqrt(2.0)
@@ -114,42 +118,39 @@ def test_coefficients_are_numpys_complex_division_bit_for_bit(rng, zeros):
     alpha = rng.uniform(0.0, 1.0, (60, 1))
     alpha[::7] = 0.0
     for zs, alphas in ((z, alpha), (z[5], 0.3)):  # a block, and one draw as sample_channel's
-        got, want = _coefficients(zs, alphas, K, M), coefficients_reference(zs, alphas, K, M)
+        h_r, h, h_d = _coefficients(zs, K, M)
+        got, want = (h_r, h, direct_links(alphas, h_d)), coefficients_reference(zs, alphas, K, M)
         for name, g, w in zip(("h_r", "h", "h_d"), got, want):
             assert same_bits(g, w), (zeros, name)
 
 
-def test_coefficients_reject_overflowing_direct_links():
-    # alpha * 10 / sqrt(2) overflows at alpha = 1e308, not at 1e307
-    z = np.full((3, 2 * (2 * 2 + 2 + 2)), 10.0)
+def test_direct_links_reject_overflow():
+    # alpha * 10 / sqrt(2) overflows at alpha = 1e308, not at 1e307, in a
+    # block's rows and in one draw, as sample_channel scales it
+    h_d = np.full((3, 2), 10.0 / np.sqrt(2.0) + 0j)
     with pytest.raises(ValidationError, match="h_d has non-finite entries"):
-        _coefficients(z, np.array([[1.0], [1e308], [1.0]]), 2, 2)
-    assert np.isfinite(_coefficients(z, np.array([[1e307]] * 3), 2, 2)[2]).all()
+        direct_links(np.array([[1.0], [1e308], [1.0]]), h_d)
+    assert np.isfinite(direct_links(np.array([[1e307]] * 3), h_d)).all()
+    with pytest.raises(ValidationError, match="h_d has non-finite entries"):
+        direct_links(1e308, h_d[0])
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("retry", [0, 3])
 def test_bulk_seeding_matches_seed_sequence(seed, retry):
     # numpy's own SeedSequence and PCG64 are the oracle for every key the
-    # harness can form; the block also mixes in a second seed
-    trials = list(range(5000))
-    seeds = [seed] * 4999 + [8]
-    got = _substream_states(seeds, trials, retry)
-    for s, t, state in zip(seeds, trials, got, strict=True):
-        assert state == PCG64(SeedSequence(s, spawn_key=(t, retry))).state, (s, t)
+    # harness can form, also the top trial index, which check's probes take
+    trials = list(range(4999)) + [2**32 - 1]
+    got = _substream_states(seed, trials, retry)
+    for t, state in zip(trials, got, strict=True):
+        assert state == PCG64(SeedSequence(seed, spawn_key=(t, retry))).state, t
 
 
 def test_sample_block_rejects_malformed_blocks():
     cfg = ScenarioConfig(K=2, M_r=2, seed=5)
-    for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32)):
-        with pytest.raises(ValidationError, match="2\\*\\*32"):
-            sample_block([cfg] * len(trials), trials, retry)
-    # empty, one trial index short or over, and mixed (K, M_r)
-    for cfgs, trials in (([], []), ([cfg] * 3, [5]), ([cfg], [0, 1, 2]),
-                         ([replace(cfg, K=3), replace(cfg, K=4)], [0, 1]),
-                         ([cfg, replace(cfg, M_r=3)], [0, 1])):
-        with pytest.raises(ValidationError, match="block"):
-            sample_block(cfgs, trials)
+    for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32), ([], 0), (range(0), 0)):
+        with pytest.raises(ValidationError, match="a block needs at least one trial index"):
+            sample_block(cfg, trials, retry)
 
 
 @pytest.mark.parametrize("K, M_r", [(1, 1), (2, 3), (10, 4), (50, 8)])
@@ -159,11 +160,11 @@ def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
     # each trial's largest entry, at every alpha and power a table can take.
     base = ScenarioConfig(K=K, M_r=M_r, P_r=3.0, seed=6)
     trials = list(range(40))
-    unit = compute_aggregates(sample_block([replace(base, alpha=1.0, P_max=1.0)] * 40, trials))
+    unit = compute_aggregates(scaled_block([replace(base, alpha=1.0, P_max=1.0)] * 40, trials))
     for alpha in (0.0, 1e-3, 0.3, 1.0, 7.0):
         for t in (1e-4, 1.0, 10.0, 1e8):
             got = scale_aggregates(unit, alpha, t)
-            want = compute_aggregates(sample_block([replace(base, alpha=alpha, P_max=t)] * 40,
+            want = compute_aggregates(scaled_block([replace(base, alpha=alpha, P_max=t)] * 40,
                                                    trials))
             for name in ("s", "R", "T", "W", "d", "nr", "hp"):
                 g, w = (np.reshape(getattr(a, name), (40, -1)) for a in (got, want))
@@ -330,7 +331,7 @@ def test_aggregates_match_the_reference_expressions_bit_for_bit(K, M_r):
     # is silent
     scens = [ScenarioConfig(K=K, M_r=M_r, alpha=a, P_max=10.0, P_r=3.0, seed=7)
              for a in (0.0, 0.1, 1.0)]
-    blk = sample_block(scens * 8, list(range(24)))
+    blk = scaled_block(scens * 8, list(range(24)))
     P = blk.P.copy()
     P[::4] = 0.0
     P[1::4, 1:] = 0.0
@@ -384,14 +385,15 @@ def test_aggregates_hermitian_psd(make_channel, rng):
 
 def test_effective_channel_zero_relay(make_channel):
     c = make_channel(K=2, M_r=2)
-    he = effective_channel(np.zeros((2, 2)), c, 1)
-    assert he[0] == 0
-    assert he[1] == c.h_d[1]
+    he = effective_channel(np.zeros((2, 2)), c)
+    assert he.shape == (2, 2)
+    assert he[1, 0] == 0
+    assert he[1, 1] == c.h_d[1]
 
 
 def test_effective_channel_scalar_hand_case():
     c = ChannelRealization(h_r=[[1.0]], h_d=[0.3 + 0.4j], h=[1.0], P=[1.0], P_r=1.0)
-    he = effective_channel(np.array([[1.0]]), c, 0)
+    he = effective_channel(np.array([[1.0]]), c)[0]
     assert he[0] == pytest.approx(1 / np.sqrt(2))
     assert he[1] == 0.3 + 0.4j
 
@@ -401,16 +403,17 @@ def test_effective_channel_cauchy_schwarz(make_channel, rng):
         c = make_channel(seed=seed, K=3, M_r=3)
         F = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         r = 1.0 + np.linalg.norm(F.conj().T @ c.h) ** 2
+        heff = effective_channel(F, c)
         for k in range(c.K):
-            he = effective_channel(F, c, k)
+            he = heff[k]
             bound = np.linalg.norm(F.conj().T @ c.h) * np.linalg.norm(c.h_r[k])
             assert abs(he[0]) <= bound / np.sqrt(r) + 1e-12
 
 
-def test_effective_channel_index_validation(make_channel):
+def test_effective_channel_shape_validation(make_channel):
     c = make_channel(K=2)
     with pytest.raises(ValidationError):
-        effective_channel(np.zeros((2, 2)), c, 2)
+        effective_channel(np.zeros((3, 3)), c)
 
 
 def test_json_roundtrip(make_channel):

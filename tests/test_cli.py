@@ -317,7 +317,9 @@ def test_bad_flags_exit_one(capsys):
                  ["sweep", "--pmax-db", "0:20:10"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), (argv, err)
-    for trials in ("0", "-3"):  # the invariant suite needs one draw
+    # the invariant suite needs one draw, and its trial indices stay below
+    # 2**32, which it checks before drawing anything
+    for trials in ("0", "-3", "4294967296"):
         code, _, err = run_cli(capsys, "check", "--trials", trials)
         assert code == 1 and err.startswith("error:"), (trials, err)
 

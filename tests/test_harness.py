@@ -262,6 +262,23 @@ def test_invariant_suite_clean_on_random_scenarios():
     }
 
 
+@pytest.mark.parametrize("alpha, P_max, P_r", [(0.3, 10.0, 10.0), (0.0, 1e8, 0.0), (1.0, 1.0, 1e8)])
+def test_check_evaluates_the_sampled_channels(monkeypatch, alpha, P_max, P_r):
+    # the block check evaluates is, row for row and bit for bit, the
+    # realizations sample_channel draws from trial_rng(seed, t)
+    seen = []
+    real = harness_mod.compute_aggregates
+    monkeypatch.setattr(harness_mod, "compute_aggregates", lambda c: seen.append(c) or real(c))
+    scen = ScenarioConfig(K=5, M_r=3, P_max=P_max, P_r=P_r, alpha=alpha, seed=2**32 + 7)
+    assert all(o.passed for o in invariant_suite(scen, n_trials=25))
+    (blk,) = seen
+    for t in range(25):
+        want = sample_channel(scen, trial_rng(scen.seed, t))
+        for name in ("h_r", "h_d", "h", "P", "P_r"):
+            got, ref = np.asarray(getattr(blk, name)[t]), np.asarray(getattr(want, name))
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, t)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-3])
 def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
     # The channel of tests/test_tdma.py's PLANTED SNRs (d and hp scaled), with
@@ -270,7 +287,15 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
     # absolute 1e-8 bits cannot see it.
     c = ChannelRealization(h_r=np.sqrt([[0.615], [5.02e11]]), h_d=np.sqrt([2.43e-6 * scale, 0.0]),
                            h=np.sqrt([1.14e-7 * scale]), P=[1.0, 1.0], P_r=1.0)
-    monkeypatch.setattr(harness_mod, "sample_channel", lambda scen, rng: c)
+
+    drawn = []
+
+    def planted(scen, trials, retry=0):  # c in every row, at alpha = P_max = P_r = 1
+        drawn.append(len(trials))
+        return ChannelBlock(*(np.array([getattr(c, name)] * len(trials))
+                              for name in ("h_r", "h_d", "h", "P", "P_r")))
+
+    monkeypatch.setattr(harness_mod, "sample_block", planted)
 
     def parks_user_1(d, nr, hp):
         _, why = tdma_mod.block_slots(d, nr, hp)
@@ -279,7 +304,9 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
         return tdma_mod._checked_allocation(d, nr, hp[:, None], tau)[0], why
 
     monkeypatch.setattr(harness_mod, "block_slots", parks_user_1)
-    outcomes = {o.name: o for o in invariant_suite(ScenarioConfig(K=2, M_r=1), n_trials=2)}
+    scen = ScenarioConfig(K=2, M_r=1, P_max=1.0, P_r=1.0)
+    outcomes = {o.name: o for o in invariant_suite(scen, n_trials=2)}
+    assert drawn == [2]  # the check evaluated the planted channel
     assert not outcomes["tdma_slackness"].passed
     assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_slackness"]
 
@@ -332,8 +359,8 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
 
 
 def test_check_builds_aggregates_at_most_twice_per_trial(monkeypatch):
-    # one build for the block the kernels evaluate, and one per trial inside
-    # sum_rate_closed, the independent closed form
+    # one build for the block the kernels evaluate, and one more of the same
+    # block inside sum_rate_closed, the independent closed form
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod), ("compute_aggregates",))
     scen = ScenarioConfig(K=10, M_r=4, seed=3)
@@ -437,7 +464,7 @@ _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block"
 def _fail_on_weak_first_link(name, scens, trials, cells, retry):
     # deterministic in the draw, so forked workers resample the same trials
     values, why = _REAL_EVALUATORS[name](scens, trials, cells, retry)
-    weak = np.abs(sample_block([scens[c] for c in cells], trials, retry).h_r[:, 0, 0]) < 1.0
+    weak = np.abs(sample_block(scens[0], trials, retry).h_r[:, 0, 0]) < 1.0
     return values, np.where(weak, "injected failure", why)
 
 

@@ -7,11 +7,12 @@ from marcsim import (
     dominant_eigenpair,
     dominant_eigenvalue,
     quadratic_form,
-    sample_block,
     sample_channel,
     trial_rng,
 )
 from marcsim.errors import ValidationError
+
+from conftest import scaled_block
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_dominant_eigenvalue_matches_the_eigenpair(rng):
     # the value-only lambda_max is the eigenpair's to a few ulps of ||A||:
     # single matrices, rank-deficient and zero ones, a random stack and the
     # R + W stack of a K=50, M_r=8 block
-    blk = sample_block([ScenarioConfig(K=50, M_r=8, seed=5)] * 40, list(range(40)))
+    blk = scaled_block([ScenarioConfig(K=50, M_r=8, seed=5)] * 40, list(range(40)))
     agg = compute_aggregates(blk)
     cases = [random_psd(rng, n) for n in (1, 2, 4, 8) for _ in range(5)]
     cases += [np.zeros((3, 3)), np.outer([1.0, 2j, 0.5], [1.0, -2j, 0.5]),

@@ -24,10 +24,12 @@ from marcsim import (
     user_rate_derivative,
 )
 from marcsim import tdma
-from marcsim.channel import sample_block, user_snrs
+from marcsim.channel import user_snrs
 from marcsim.errors import ValidationError
 from marcsim.harness import _BLOCK_BYTES, _trial_bytes, db_to_linear
 from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_slots
+
+from conftest import scaled_block
 
 
 def single_user(seed=0, M_r=2, alpha=1.0, P_max=10.0, P_r=10.0):
@@ -317,7 +319,7 @@ def test_kkt_spread_far_inside_its_fixed_threshold(K, M_r):
     cfgs = [ScenarioConfig(K=K, M_r=M_r, P_max=p_max, P_r=p_r, alpha=alpha, seed=12)
             for alpha, p_r, p_max in product((0.0, 0.1, 1.0, 10.0), (0.0, 1.0, 1e4, 1e8),
                                              (1.0, 10.0, 1e3))]
-    blk = sample_block([cfg for cfg in cfgs for _ in range(5)], list(range(5 * len(cfgs))))
+    blk = scaled_block([cfg for cfg in cfgs for _ in range(5)], list(range(5 * len(cfgs))))
     alloc, why = block_slots(*user_snrs(blk))
     assert not any(why), sorted(set(why))
     assert np.max(alloc.kkt_spread) <= 1e-12
@@ -328,7 +330,7 @@ def test_failing_trial_fails_alone(monkeypatch):
     # at the whole frame; odd rows have three. The last row's rates all
     # underflow: every R'' reads 0, so no slot steps and the uniform start
     # stays.
-    blk = sample_block([ScenarioConfig(K=3, M_r=2, seed=5)] * 6, range(6))
+    blk = scaled_block([ScenarioConfig(K=3, M_r=2, seed=5)] * 6, range(6))
     d, nr, hp = user_snrs(blk)
     d[::2, 1:] = nr[::2, 1:] = 0.0
     d, nr, hp = np.vstack([d, [0.0] * 3]), np.vstack([nr, [1e-200] * 3]), np.append(hp, 1e-200)
@@ -401,7 +403,7 @@ def test_newton_steps_on_criterion_8_draws(monkeypatch):
     monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
     for lo in range(0, len(scens) * n, size):
         items = range(lo, min(lo + size, len(scens) * n))
-        blk = sample_block([scens[i % len(scens)] for i in items], [i // len(scens) for i in items])
+        blk = scaled_block([scens[i % len(scens)] for i in items], [i // len(scens) for i in items])
         assert not any(block_slots(*user_snrs(blk))[1])
     assert len(calls) <= 600
 
