@@ -1,22 +1,25 @@
-"""Command-line front end.
+"""Command-line front end of marcsim.
 
 Subcommands:
-  sample  draw one channel realization and emit it as JSON
-  eval    compute all metrics for a JSON realization
-  sweep   average metrics over an (alpha, P_r) grid -> CSV
-  prob    joint-beats-TDMA probability over an (alpha, P_max) grid -> CSV
-  check   run the cross-formula invariant suite on random instances
+    sample   draw one channel realization and emit it as JSON
+    eval     compute all metrics for a JSON realization ('-' reads stdin)
+    sweep    average metrics over an (alpha, P_r) grid -> CSV
+    prob     joint-beats-TDMA probability over an (alpha, P_max) grid -> CSV
+    check    run the cross-formula invariant suite on random instances
+
+A subcommand takes only the flags its --help lists; a unique prefix names a flag.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+import getopt
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .channel import (
     ScenarioConfig, realization_from_json, realization_to_json, sample_channel, trial_rng,
@@ -26,11 +29,6 @@ from .harness import (
     SweepConfig, db_to_linear, estimate_superiority_probability, evaluate_realization,
     invariant_suite, run_sweep,
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # bad flags are validation errors (exit 1)
-        raise ValidationError(message)
 
 
 _MAX_GRID_POINTS = 10_000  # more points is a mistyped spec, not a feasible run
@@ -58,47 +56,46 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(count))
 
 
-def _add_flags(p: argparse.ArgumentParser, names: str, swept: str = "", trials: int = 0):
-    """Add the named arguments to the parser p of one subcommand: realization
-    as a positional, the rest as flags. The power axis named by swept takes a
-    range spec and, with it, --alpha may repeat; every other axis one value."""
-    specs = {
-        "users": dict(type=int, default=3, metavar="K", help="number of users"),
-        "antennas": dict(type=int, default=2, metavar="M", help="relay antennas"),
-        "alpha": dict(type=float, action="append", metavar="A",
-                      help="direct-link strength multiplier (default 1.0)"),
-        "pr-db": dict(default="10", metavar="DB", help="relay power, dB over the noise"),
-        "pmax-db": dict(default="10", metavar="DB", help="peak user power, dB over the noise"),
-        "trials": dict(type=int, default=trials, metavar="N"),
-        "seed": dict(type=int, default=0, metavar="S"),
-        "out": dict(default="", metavar="PATH", help="output path (default stdout)"),
-        "workers": dict(type=int, default=1, metavar="W",
-                        help="most worker processes; a run too small to pay for starting "
-                             "them stays in this process (results identical for any W)"),
-        "realization": dict(help="path to a realization JSON ('-' for stdin)"),
-    }
-    if swept:
-        specs[swept].update(metavar="LO:HI:STEP", help=specs[swept]["help"] + ", or a range")
-        specs["alpha"]["help"] += "; repeatable"
-    for name in names.split():
-        p.add_argument(name if name == "realization" else "--" + name, **specs[name])
-
-
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of subcommand command alone, ``marcsim <command>``; without
-    one, the overview parser, which lists the subcommands but not their flags."""
+def _help(command: str | None) -> str:
+    """The --help text of a subcommand, from the flag table, or else the docstring."""
     if command is None:
-        parser = _Parser(prog="marcsim", description=__doc__,
-                         formatter_class=argparse.RawDescriptionHelpFormatter)
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, (_, help_, *_) in _SUBCOMMANDS.items():
-            sub.add_parser(name, help=help_)
-        return parser
-    _, _, flags, swept, trials = _SUBCOMMANDS[command]
-    parser = _Parser(prog="marcsim " + command)
-    parser.set_defaults(command=command)
-    _add_flags(parser, flags, swept, trials)
-    return parser
+        return f"usage: marcsim [-h] {{{','.join(_SUBCOMMANDS)}}} ...\n\n{__doc__}"
+    names = _SUBCOMMANDS[command][1].split()
+    return (f"usage: marcsim {command} [options]{' realization' * (command == 'eval')}\n\n"
+            "  -h, --help      show this help and exit\n"
+            + "".join(f"  {f'--{n} {_FLAGS[n][2]}':16s}{_FLAGS[n][3]}\n" for n in names))
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv, a subcommand and its arguments, parsed by getopt against the
+    flags it reads, as an attribute per flag (- read as _) and eval's path.
+    -h or --help prints the help and raises SystemExit(0)."""
+    args = SimpleNamespace(**{name.replace("-", "_"): default
+                              for name, (_, default, _, _) in _FLAGS.items()})
+    args.command = command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    _, flags, args.trials = _SUBCOMMANDS[command] if command else (None, "", 0)
+    try:
+        opts, rest = getopt.gnu_getopt(argv[1:] if command else argv, "h",
+                                       ["help", *(name + "=" for name in flags.split())])
+    except getopt.GetoptError as exc:
+        raise ValidationError(exc.msg) from None
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        try:
+            if value.startswith("--"):  # the next flag, not a value
+                raise ValueError
+            value = _FLAGS[opt[2:]][0](value)
+        except ValueError:
+            raise ValidationError(f"invalid value for {opt}: {value!r}") from None
+        if opt == "--alpha":  # repeatable; every other flag keeps its last value
+            value = (*args.alpha, value)
+        setattr(args, opt[2:].replace("-", "_"), value)
+    if command is None or len(rest) != (command == "eval"):  # eval reads one realization path
+        raise ValidationError(f"{_help(command).splitlines()[0]}; got {rest}")
+    args.alpha, args.realization = args.alpha or (1.0,), rest[0] if rest else None
+    return args
 
 
 def _write_text(path: str, text: str):
@@ -107,10 +104,6 @@ def _write_text(path: str, text: str):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _alphas(args) -> tuple[float, ...]:
-    return tuple(args.alpha) if args.alpha else (1.0,)
 
 
 def _scenario(args, **axes) -> ScenarioConfig:
@@ -126,10 +119,10 @@ def _one_power(spec: str, flag: str) -> float:
 
 def _single_scenario(args) -> ScenarioConfig:
     """The one scenario of sample and check, where every axis takes one value."""
-    if len(_alphas(args)) > 1:
+    if len(args.alpha) > 1:
         raise ValidationError("--alpha takes one value here")
     return _scenario(args, P_max=_one_power(args.pmax_db, "--pmax-db"),
-                     P_r=_one_power(args.pr_db, "--pr-db"), alpha=_alphas(args)[0])
+                     P_r=_one_power(args.pr_db, "--pr-db"), alpha=args.alpha[0])
 
 
 def _cmd_sample(args) -> int:
@@ -159,7 +152,7 @@ def _cmd_table(args) -> int:
     else:
         run, swept = estimate_superiority_probability, args.pmax_db
         base = _scenario(args)
-    cfg = SweepConfig(base, _parse_grid(swept), alpha_values=_alphas(args), n_trials=args.trials)
+    cfg = SweepConfig(base, _parse_grid(swept), alpha_values=args.alpha, n_trials=args.trials)
     result = run(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
     if result.resampled_trials:
@@ -177,29 +170,36 @@ def _cmd_check(args) -> int:
     return 0
 
 
+_FLAGS = {  # name: (type, default, metavar, help); trials defaults per subcommand
+    "users": (int, 3, "K", "number of users"),
+    "antennas": (int, 2, "M", "relay antennas"),
+    "alpha": (float, (), "A", "direct-link strength (default 1.0); sweep and prob take several"),
+    "pr-db": (str, "10", "DB", "relay power, dB over the noise; sweep takes a range LO:HI:STEP"),
+    "pmax-db": (str, "10", "DB", "peak user power, dB over the noise; prob takes a range"),
+    "trials": (int, 0, "N", "Monte Carlo trials"),
+    "seed": (int, 0, "S", "seed of the trials' random substreams"),
+    "out": (str, "", "PATH", "output path (default stdout)"),
+    "workers": (int, 1, "W", "most worker processes; results are identical for any W"),
+}
 _SCENARIO = "users antennas alpha pr-db pmax-db seed out"
-_SUBCOMMANDS = {  # name: (handler, help in the overview, flags, swept power axis, default trials)
-    "sample": (_cmd_sample, "emit one channel realization as JSON", _SCENARIO, "", 0),
-    "sweep": (_cmd_table, "alpha x P_r metric grid -> CSV", _SCENARIO + " trials workers",
-              "pr-db", 1000),
-    "prob": (_cmd_table, "alpha x P_max superiority probabilities -> CSV",
-             "users antennas alpha pmax-db seed out trials workers", "pmax-db", 1000),
-    "check": (_cmd_check, "invariant suite on random instances", _SCENARIO + " trials", "", 100),
-    "eval": (_cmd_eval, "metrics for a JSON realization", "realization out", "", 0),
+_SUBCOMMANDS = {  # name: (handler, flags, default trials), in the order --help lists them
+    "sample": (_cmd_sample, _SCENARIO, 0),
+    "sweep": (_cmd_table, _SCENARIO + " trials workers", 1000),
+    "prob": (_cmd_table, "users antennas alpha pmax-db seed out trials workers", 1000),
+    "check": (_cmd_check, _SCENARIO + " trials", 100),
+    "eval": (_cmd_eval, "out", 0),
 }
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a first argument that names a subcommand gets that subcommand's parser only
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     # Move every object alive now (mostly the imports') to the permanent
     # generation, so that collections during the command scan only its own;
     # unfreeze on the way out unless the caller had frozen objects itself.
     caller_froze = gc.get_freeze_count()
     gc.freeze()
     try:
-        args = _build_parser(command).parse_args(argv[1:] if command else argv)
+        args = _parse(argv)
         return _SUBCOMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

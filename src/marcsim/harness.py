@@ -32,7 +32,8 @@ A failed draw is redrawn on a flagged substream, in a smaller block, by one
 loop. A block returns its values, with a leading trial axis, and its redraw
 count; the table reads the blocks joined into one (cells, trials, ...)
 array. The invariant suite of ``marcsim check`` draws by sample_block too,
-and evaluates its trials as one block.
+and evaluates its trials in chunks that keep within the same byte budget, at
+a footprint per trial of its own.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ def _trial_bytes(K: int, M_r: int) -> int:
     blocks, which lie within 0.46-1.08 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
+
+
+def _check_bytes(K: int, M_r: int) -> int:
+    """Bytes a trial of K users and M_r relay antennas adds to the peak
+    memory of a chunk of the invariant suite: its open slots' single-user
+    relay matrices grow it as K * M_r^2, the log-det rate's K x K minors as
+    K^2. A fit to the traced peaks of chunks of the budget's size, which lie
+    within 0.61-1.01 times it for K 1-50 and M_r 1-8 (tools/block_footprint.py
+    --grid)."""
+    return 40 * K * (2 * M_r * (M_r + 1) + K) + 120 * M_r * M_r + 900
 
 
 def db_to_linear(db: float) -> float:
@@ -398,24 +409,14 @@ class CheckOutcome:
     threshold: float
 
 
-def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutcome]:
-    """Exercise the cross-formula invariants on random realizations: trial t
-    is sample_channel(scen, trial_rng(scen.seed, t)), scaled from one
-    sample_block draw, and the probes, three vectors x and a relay matrix F
-    per trial, come from trial_rng(scen.seed, 2**32 - 1), which no trial
-    reaches. All are evaluated as one block by the kernels the sweeps run;
-    only sum_rate_closed, the independent closed form, builds the aggregates
-    again. Returns one outcome per invariant with the worst violation seen;
-    used by the CLI ``check`` subcommand. ValidationError, before any draw,
-    unless 1 <= n_trials < 2**32."""
-    if not 1 <= n_trials < 2**32:
-        raise ValidationError(f"n_trials must be in [1, 2**32), got {n_trials}")
-    unit = sample_block(scen, range(n_trials))
+def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict:
+    """Every invariant's violation measure, per trial or open slot, and its
+    threshold, on trials ``trials`` of scen, drawn as one block by
+    sample_block and scaled to scen, with their probes: three vectors x and
+    a relay matrix F per trial."""
+    unit = sample_block(scen, trials)
     blk = replace(unit, h_d=direct_links(scen.alpha, unit.h_d), P=unit.P * scen.P_max,
                   P_r=unit.P_r * scen.P_r)
-    M = scen.M_r  # per trial, rows 0-2 are the probes x and rows 3.. the relay matrix F
-    z = trial_rng(scen.seed, 2**32 - 1).standard_normal((2, n_trials, 3 + M, M))
-    probes = z[0] + 1j * z[1]
     agg = compute_aggregates(blk)
     b, v, why = block_bounds(blk.P_r, agg)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
@@ -431,7 +432,7 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
     # each is within its threshold _KKT_ATOL iff it is within its tolerance.
     kkt_scale = _KKT_ATOL / np.maximum(_kkt_tolerance(nu), np.finfo(float).tiny)
     gap = asym.joint_rate_inf - asym.rate_inf
-    checks = {  # name: (violation measure per trial or slot, threshold)
+    return {  # name: (violation measure per trial or slot, threshold)
         "aggregates_identity": (
             abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
         "aggregates_psd": (psd.max(axis=1) / scale, 1e-10),
@@ -446,6 +447,31 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
         # any disagreement counts as 1.0
         "asymptotic_predicate": ((abs(gap) > 1e-9) & (asym.joint_wins != (gap > 0.0)), 0.5),
     }
-    worst = {name: max(0.0, float(np.max(m))) for name, (m, _) in checks.items()}
+
+
+def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutcome]:
+    """Exercise the cross-formula invariants on random realizations: trial t
+    is sample_channel(scen, trial_rng(scen.seed, t)), scaled from a
+    sample_block draw, and the probes, three vectors x and a relay matrix F
+    per trial, come from trial_rng(scen.seed, 2**32 - 1), which no trial
+    reaches. The trials are evaluated in chunks of as many as keep within
+    _BLOCK_BYTES at _check_bytes per trial, each as one block by the kernels
+    the sweeps run; only sum_rate_closed, the independent closed form,
+    builds the aggregates again. Returns one outcome per invariant with the
+    worst violation seen over all chunks; used by the CLI ``check``
+    subcommand. ValidationError, before any draw, unless
+    1 <= n_trials < 2**32."""
+    if not 1 <= n_trials < 2**32:
+        raise ValidationError(f"n_trials must be in [1, 2**32), got {n_trials}")
+    M = scen.M_r  # per trial, rows 0-2 are the probes x and rows 3.. the relay matrix F
+    z = trial_rng(scen.seed, 2**32 - 1).standard_normal((2, n_trials, 3 + M, M))
+    probes = z[0] + 1j * z[1]
+    size = max(1, _BLOCK_BYTES // _check_bytes(scen.K, M))
+    maxima = {}  # name: each chunk's largest violation measure
+    for lo in range(0, n_trials, size):
+        chunk = _check_rows(scen, range(lo, min(lo + size, n_trials)), probes[lo:lo + size])
+        for name, (m, _) in chunk.items():
+            maxima.setdefault(name, []).append(np.max(m))
+    worst = {name: max(0.0, float(np.max(m))) for name, m in maxima.items()}
     return [CheckOutcome(name, worst[name] <= limit, worst[name], limit)
-            for name, (_, limit) in checks.items()]
+            for name, (_, limit) in chunk.items()]

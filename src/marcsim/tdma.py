@@ -294,15 +294,20 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     return TdmaAllocation(*(field[0] for field in vars(alloc).values()))
 
 
-def kkt_slackness(c: ChannelRealization, tau) -> float:
+def kkt_slackness(c, tau):
     """Complementary-slackness violation of slot durations tau: the largest
     excess of R_k'(0) over nu, the largest marginal rate among users with a
-    slot, over users with tau_k = 0 (0.0 when none exceeds nu). tau must hold
-    K durations in [0, 1], at least one of them positive."""
+    slot, over users with tau_k = 0 (0.0 when none exceeds nu). For a
+    realization, tau holds its K durations; for a ChannelBlock, one row of K
+    per trial, and the result has one value per trial. Every duration lies
+    in [0, 1], and each row has a positive one."""
     tau = np.asarray(tau, dtype=float)
-    if tau.shape != (c.K,) or not np.all((tau >= 0) & (tau <= 1)) or not np.any(tau > 0):
-        raise ValidationError(f"need {c.K} slot durations in [0, 1], not all zero, got {tau}")
-    return float(_kkt_gaps(*user_snrs(c), tau)[1])
+    if (tau.shape != c.h_r.shape[:-1] or not np.all((tau >= 0) & (tau <= 1))
+            or not np.all(np.any(tau > 0, axis=-1))):
+        raise ValidationError(f"need slot durations of shape {c.h_r.shape[:-1]} in [0, 1], "
+                              f"each row not all zero, got {tau}")
+    d, nr, hp = user_snrs(c)
+    return _kkt_gaps(d, nr, np.asarray(hp)[..., None], tau)[1]
 
 
 def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:

@@ -30,7 +30,7 @@ from marcsim.channel import compute_aggregates, sample_block
 from marcsim.errors import NumericalError, ValidationError
 from marcsim.harness import db_to_linear
 from marcsim.numerics import dominant_eigenvalue
-from marcsim.tdma import block_asymptotic
+from marcsim.tdma import block_asymptotic, kkt_slackness
 
 from conftest import scaled_block
 
@@ -90,10 +90,11 @@ def test_a_sweep_shares_a_realization_only_within_one_p_max():
         assert np.array_equal(values, alone)
 
 
-def _kernel_values(c, F, x, A, v, gain, k) -> dict:
+def _kernel_values(c, F, x, A, v, gain, k, tau) -> dict:
     """The values of every per-F kernel on c, a realization or a block, with
     its relay matrices F, quadratic-form pairs (x, A), beamformer directions
-    v and gains, and user k for the single-user matrix."""
+    v and gains, user k for the single-user matrix, and slot durations tau
+    for the slackness."""
     bf, alone = RelayMatrix.beamformer(c, v, gain), single_user_relay_matrix(c, k)
     return {
         "relay_tx_power": relay_tx_power(F, c),
@@ -105,6 +106,7 @@ def _kernel_values(c, F, x, A, v, gain, k) -> dict:
         "beamformer power": bf.tx_power,
         "single_user_relay_matrix": alone.F,
         "single-user power": alone.tx_power,
+        "kkt_slackness": kkt_slackness(c, tau),
     }
 
 
@@ -113,7 +115,8 @@ def test_stacked_kernels_equal_their_per_realization_calls(K, M_r):
     # Every per-F kernel on a block with a stack of F, row for row bit for
     # bit its call on the row's realization and matrix, over draws at
     # alpha = 0 and 1, P_r = 0 and 80 dB, with h = 0 in one row, h_r = 0 for
-    # one user in another and a zero F in a third.
+    # one user in another and a zero F in a third; every other row's slots
+    # park all users but the last.
     scens = [ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=p_r, alpha=a, seed=4)
              for a in (0.0, 1.0) for p_r in (0.0, 10.0, 1e8)]
     blk = scaled_block(scens * 2, range(12))
@@ -125,13 +128,16 @@ def test_stacked_kernels_equal_their_per_realization_calls(K, M_r):
                for shape in ((12, M_r, M_r), (12, M_r), (12, M_r)))
     F[3] = 0.0
     gain = rng.uniform(0.0, 3.0, 12)
+    tau = rng.uniform(0.1, 1.0, (12, K))
+    tau[::2, :-1] = 0.0
     agg = compute_aggregates(blk)
     A = agg.R + agg.W
-    stacked = _kernel_values(blk, F, x, A, v, gain, K // 2)
+    stacked = _kernel_values(blk, F, x, A, v, gain, K // 2, tau)
     for i in range(12):
         c = ChannelRealization(h_r=blk.h_r[i], h_d=blk.h_d[i], h=blk.h[i], P=blk.P[i],
                                P_r=float(blk.P_r[i]))
-        for name, want in _kernel_values(c, F[i], x[i], A[i], v[i], gain[i], K // 2).items():
+        for name, want in _kernel_values(c, F[i], x[i], A[i], v[i], gain[i], K // 2,
+                                         tau[i]).items():
             got = np.asarray(stacked[name][i])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, i)
     # h = 0 and h_r = 0 leave no relayed path and no beamformer

@@ -47,18 +47,10 @@ OWN_FLAGS = {  # every flag a subcommand's --help shows, beside --help
 
 
 @pytest.mark.parametrize("command", [None, "sample", "eval", "sweep", "prob", "check"])
-def test_help_is_that_of_the_parser_with_every_flag(capsys, monkeypatch, command):
-    # A first argument that names a subcommand builds that subcommand's
-    # parser alone, whose --help shows exactly its own flags; any other
-    # builds the overview, which lists the five subcommands and no flag.
-    built = []
-
-    class Counted(cli_mod._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cli_mod, "_Parser", Counted)
+def test_help_is_that_of_the_parser_with_every_flag(capsys, command):
+    # A first argument that names a subcommand gets that subcommand's help,
+    # which shows exactly its own flags; any other gets the overview, which
+    # lists the five subcommands and no flag.
     with pytest.raises(SystemExit) as exited:
         main([command, "--help"] if command else ["--help"])
     assert exited.value.code == 0
@@ -66,13 +58,71 @@ def test_help_is_that_of_the_parser_with_every_flag(capsys, monkeypatch, command
     assert shown.startswith(f"usage: marcsim {command} " if command else "usage: marcsim ")
     assert set(re.findall(r"--[a-z-]+", shown)) == OWN_FLAGS[command] | {"--help"}
     if command:
-        assert built == [f"marcsim {command}"]
         assert ("realization" in shown) == (command == "eval")
     else:
-        assert built[0] == "marcsim" and len(built) == 6  # the overview and its five entries
         assert "{sample,sweep,prob,check,eval}" in shown
         for name in OWN_FLAGS:
             assert name is None or f"\n    {name} " in shown, name
+
+
+DEFAULTS = dict(users=3, antennas=2, alpha=(1.0,), pr_db="10", pmax_db="10", seed=0, out="",
+                workers=1)
+# argv: the attributes its parse gives the handler
+PARSED = [
+    (["sweep"], dict(DEFAULTS, command="sweep", trials=1000)),
+    (["prob"], dict(DEFAULTS, command="prob", trials=1000)),
+    (["check"], dict(DEFAULTS, command="check", trials=100)),
+    (["sample"], dict(DEFAULTS, command="sample")),
+    (["sweep", "--users", "4", "--antennas=3"], dict(users=4, antennas=3)),
+    (["sweep", "--us", "4", "--ant=3", "--tr", "7"], dict(users=4, antennas=3, trials=7)),
+    (["sweep", "--users", "4", "--users", "5", "--out", "a", "--out=b"], dict(users=5, out="b")),
+    (["sweep", "--alpha", "0.1", "--alpha=1", "--al", "-2"], dict(alpha=(0.1, 1.0, -2.0))),
+    (["sample", "--alpha", "0.5"], dict(alpha=(0.5,))),
+    (["sweep", "--pr-db", "-10:0:10"], dict(pr_db="-10:0:10")),
+    (["prob", "--pmax-db=-40:80:20"], dict(pmax_db="-40:80:20")),
+    (["sweep", "--out", "-"], dict(out="-")),
+    (["eval", "-"], dict(command="eval", realization="-", out="")),
+    (["eval", "--out", "m.json", "r.json"], dict(realization="r.json", out="m.json")),
+    (["eval", "r.json", "--out", "-"], dict(realization="r.json", out="-")),
+    (["eval", "--", "--r.json"], dict(realization="--r.json")),
+]
+# argv of every kind of argument a subcommand rejects: no subcommand or an
+# unknown one, an unknown, ambiguous or unread flag, a missing or malformed
+# value, and a stray or missing positional
+REJECTED = [
+    [], ["nonsense"], ["--users", "3"], ["-x"], ["sweep", "--p", "1"], ["sweep", "--epsilon", "1"],
+    ["sample", "--workers", "2"], ["prob", "--pr-db", "10"], ["eval", "-", "--trials", "2"],
+    ["sweep", "--users"], ["sweep", "--out"], ["sweep", "--trials", "2", "--out", "--seed"],
+    ["sweep", "--users", "x"], ["sweep", "--users", "2.5"], ["sweep", "--alpha", "y"],
+    ["check", "--seed", "1e3"], ["sweep", "--help=1"], ["sweep", "stray"],
+    ["sample", "--seed", "1", "stray"], ["eval"], ["eval", "a.json", "b.json"],
+]
+
+
+def _recorded_handlers(monkeypatch) -> list:
+    """Replace every subcommand's handler by one that records its arguments
+    and returns 0; the list it records into."""
+    seen = []
+    for name, entry in cli_mod._SUBCOMMANDS.items():
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, name, (lambda args: seen.append(args) or 0,
+                                                         *entry[1:]))
+    return seen
+
+
+@pytest.mark.parametrize("argv, parsed", PARSED, ids=[" ".join(argv) for argv, _ in PARSED])
+def test_arguments_parse_to_the_handlers_values(capsys, monkeypatch, argv, parsed):
+    seen = _recorded_handlers(monkeypatch)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    (args,) = seen
+    assert {name: getattr(args, name) for name in parsed} == parsed, argv
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=[" ".join(argv) or "none" for argv in REJECTED])
+def test_rejected_arguments_exit_one(capsys, monkeypatch, argv):
+    seen = _recorded_handlers(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert seen == []
 
 
 def test_sample_emits_valid_deterministic_json(capsys):
@@ -179,14 +229,14 @@ def test_sweep_csv_deterministic_across_workers(tmp_path, capsys, any_run_forks)
 
 
 # A fresh interpreter: imports marcsim.cli, runs one sweep at W = 1 and at a
-# forced W = 2 on two CPUs, and prints which of numpy.random and the pool
-# modules are loaded at each step.
+# forced W = 2 on two CPUs, and prints which of numpy.random, the pool
+# modules, argparse and locale are loaded at each step.
 _STARTUP_CHILD = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import marcsim.cli
 from marcsim import harness
-MODULES = ("numpy.random", "multiprocessing", "concurrent.futures.process")
+MODULES = ("numpy.random", "multiprocessing", "concurrent.futures.process", "argparse", "locale")
 loaded = [[m for m in MODULES if m in sys.modules]]
 os.cpu_count = lambda: 2
 harness._MIN_PROCESS_WORK = 1
@@ -205,8 +255,36 @@ def test_only_a_run_that_forks_imports_the_pool(tmp_path):
                           *args], capture_output=True, text=True, check=True).stdout
     after_import, after_serial, after_fork = json.loads(out)
     assert after_import == after_serial == ["numpy.random"]
-    assert after_fork == ["numpy.random", "multiprocessing", "concurrent.futures.process"]
+    # locale comes with the pool, by multiprocessing's import of subprocess
+    assert after_fork == ["numpy.random", "multiprocessing", "concurrent.futures.process",
+                          "locale"]
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
+
+
+# A fresh interpreter: imports marcsim.cli, runs every subcommand once and
+# prints which of argparse and locale are loaded.
+_SUBCOMMANDS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import marcsim.cli
+out = sys.argv[2]
+for argv in (["sample", "--out", out], ["eval", out, "--out", out + ".eval"],
+             ["check", "--trials", "2", "--out", out + ".check"],
+             ["sweep", "--trials", "2", "--out", out + ".sweep"],
+             ["prob", "--trials", "2", "--out", out + ".prob"]):
+    assert marcsim.cli.main(argv) == 0, argv
+print([m for m in ("argparse", "locale") if m in sys.modules])
+"""
+
+
+def test_no_subcommand_loads_argparse_or_locale(tmp_path):
+    # parsing builds no parser object, and gettext, which would import
+    # locale, runs only to word a getopt error
+    src = Path(marcsim.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _SUBCOMMANDS_CHILD, str(src),
+                          str(tmp_path / "r.json")], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["[]"]
 
 
 def test_main_freezes_the_heap_only_while_the_command_runs(tmp_path, capsys, monkeypatch):
@@ -250,14 +328,14 @@ def test_main_freezes_the_heap_only_while_the_command_runs(tmp_path, capsys, mon
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_sweep_negative_start_range_needs_equals_form(tmp_path, capsys):
-    # argparse reads a separate "-10:0:10" as an option; the "=" form passes it
-    path = tmp_path / "neg.csv"
-    code, _, _ = run_cli(capsys, "sweep", "--pr-db=-10:0:10", "--trials", "2",
-                         "--out", str(path))
-    assert code == 0
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert sorted({float(r[1]) for r in rows}) == [-10.0, 0.0]
+def test_sweep_takes_a_negative_start_range_in_either_form(tmp_path, capsys):
+    for i, form in enumerate((["--pr-db=-10:0:10"], ["--pr-db", "-10:0:10"])):
+        path = tmp_path / f"neg{i}.csv"
+        code, _, _ = run_cli(capsys, "sweep", *form, "--trials", "2", "--out", str(path))
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert sorted({float(r[1]) for r in rows}) == [-10.0, 0.0]
+    assert (tmp_path / "neg0.csv").read_bytes() == (tmp_path / "neg1.csv").read_bytes()
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import multiprocessing
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -309,6 +310,33 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
     assert drawn == [2]  # the check evaluated the planted channel
     assert not outcomes["tdma_slackness"].passed
     assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_slackness"]
+
+
+def test_check_chunks_change_no_outcome(monkeypatch):
+    # trials drawn chunk by chunk, each row's worst value the largest over
+    # the chunks: the outcomes of one block of every trial, bit for bit
+    scen = ScenarioConfig(K=4, M_r=3, P_max=10.0, P_r=10.0, alpha=0.5, seed=11)
+    drawn, real = [], harness_mod.sample_block
+    monkeypatch.setattr(harness_mod, "sample_block",
+                        lambda scen, trials, retry=0: drawn.append(trials) or real(scen, trials))
+    whole = invariant_suite(scen, n_trials=25)
+    assert drawn == [range(25)]
+    drawn.clear()
+    monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._check_bytes(4, 3))
+    assert invariant_suite(scen, n_trials=25) == whole
+    assert drawn == [range(lo, min(lo + 7, 25)) for lo in range(0, 25, 7)]
+
+
+def test_check_stays_within_the_byte_budget():
+    # 400 trials at K=50, M_r=8 held every trial's work at once, 117 MiB
+    scen = ScenarioConfig(K=50, M_r=8, seed=3)
+    tracemalloc.start()
+    try:
+        assert all(o.passed for o in invariant_suite(scen, n_trials=400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * harness_mod._BLOCK_BYTES, peak
 
 
 def test_check_rejects_slot_rates_off_their_logdet_reference(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marcsim import (
+    ChannelBlock,
     ChannelRealization,
     ScenarioConfig,
     SweepConfig,
@@ -438,6 +439,19 @@ def test_kkt_slackness_flags_a_starved_user():
 def test_kkt_slackness_validates_tau(make_channel, tau):
     with pytest.raises(ValidationError):
         kkt_slackness(make_channel(K=3), tau)
+
+
+def test_kkt_slackness_validates_a_blocks_tau(make_channel):
+    # a block takes one row of K durations per trial, each with a slot open
+    c = [make_channel(seed=s, K=3) for s in (1, 2)]
+    blk = ChannelBlock(*(np.stack([getattr(r, name) for r in c])
+                         for name in ("h_r", "h_d", "h", "P", "P_r")))
+    tau = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+    assert kkt_slackness(blk, tau).shape == (2,)
+    for bad in (tau[0], tau[:1], tau[:, :2], [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
+                [[0.5, 0.5, 0.0], [0.5, 1.5, 0.0]]):
+        with pytest.raises(ValidationError):
+            kkt_slackness(blk, bad)
 
 
 def test_sum_rate_invariant_to_user_relabeling(make_channel):

@@ -1,6 +1,7 @@
 """Measure the memory and the time of a trial block against its size, to set
-the block budget (harness._BLOCK_BYTES) and the per-trial footprint it is
-spent in (harness._trial_bytes).
+the block budget (harness._BLOCK_BYTES) and the per-trial footprints it is
+spent in (harness._trial_bytes for the tables, harness._check_bytes for the
+invariant suite's chunks).
 
     python3 tools/block_footprint.py [--reps 5] [--sizes 10,20,50,...] [--grid]
 
@@ -15,9 +16,11 @@ is shared by more trials, and the minor page faults of those calls
 the pages a block's arrays take fresh from the system. The row "budget" is
 the block the budget gives a run of that shape.
 
-With ``--grid`` it then prints, for K in 1-50 and M_r in 1-8 and both
-tables, the traced per-trial peak of a block of the budget's size over
-``_trial_bytes(K, M_r)``, and the largest traced block peak in MB.
+With ``--grid`` it then prints, for K in 1-50 and M_r in 1-8, the traced
+per-trial peak of a block of the budget's size over its footprint: for both
+tables a block over ``_trial_bytes(K, M_r)``, and for ``marcsim check`` an
+``invariant_suite`` call on one chunk's trials over ``_check_bytes(K, M_r)``;
+and the largest traced block peak in MB.
 """
 
 from __future__ import annotations
@@ -50,12 +53,15 @@ SHAPES = {
 
 
 def traced_peak(table: str, scen: ScenarioConfig, n: int) -> int:
-    """The traced peak of one block of n trials, in bytes above the memory
-    held before it."""
+    """The traced peak of one block of n trials, or of the invariant suite
+    on n trials for table "check", in bytes above the memory held before it."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        harness._trial_block(getattr(harness, table), [scen], 0, n)
+        if table == "check":
+            harness.invariant_suite(scen, n)
+        else:
+            harness._trial_block(getattr(harness, table), [scen], 0, n)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -74,8 +80,14 @@ def timed(table: str, scen: ScenarioConfig, n: int, reps: int) -> tuple[float, f
     return 1e6 * statistics.median(walls) / n, faults / (reps * n)
 
 
-def budget_size(scen: ScenarioConfig) -> int:
-    return max(1, harness._BLOCK_BYTES // harness._trial_bytes(scen.K, scen.M_r))
+def footprint(table: str, scen: ScenarioConfig) -> int:
+    """The fitted bytes per trial of a table's blocks, or of check's chunks."""
+    fit = harness._check_bytes if table == "check" else harness._trial_bytes
+    return fit(scen.K, scen.M_r)
+
+
+def budget_size(table: str, scen: ScenarioConfig) -> int:
+    return max(1, harness._BLOCK_BYTES // footprint(table, scen))
 
 
 def main(argv=None) -> int:
@@ -93,25 +105,25 @@ def main(argv=None) -> int:
     for name, (table, scen) in SHAPES.items():
         fit = harness._trial_bytes(scen.K, scen.M_r)
         timed(table, scen, 2, 1)  # first use: imports and caches
-        sizes = sorted({*map(int, args.sizes.split(",")), budget_size(scen)})
+        sizes = sorted({*map(int, args.sizes.split(",")), budget_size(table, scen)})
         for n in sizes:
             peak = traced_peak(table, scen, n)
-            label = f"{n} (budget)" if n == budget_size(scen) else str(n)
+            label = f"{n} (budget)" if n == budget_size(table, scen) else str(n)
             us, faults = timed(table, scen, n, args.reps)
             print(f"| {name} | {scen.K}, {scen.M_r} | {label} | {peak / n:,.0f} | {fit:,} | "
                   f"{peak / 1e6:.2f} | {us:.1f} | {faults:.2f} |", flush=True)
     if args.grid:
         largest = 0
-        print("\npeak per trial / _trial_bytes at the budget's block size (sweep, prob)")
+        print("\npeak per trial / footprint at the budget's block size (sweep, prob, check)")
         print("| K \\ M_r | 1 | 2 | 4 | 8 |")
         print("| --- | --- | --- | --- | --- |")
         for K in (1, 2, 3, 5, 10, 20, 50):
             cells = []
             for M_r in (1, 2, 4, 8):
                 scen = ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=10.0, seed=3)
-                n, fit = budget_size(scen), harness._trial_bytes(K, M_r)
                 ratios = []
-                for table in ("_sweep_block", "_prob_block"):
+                for table in ("_sweep_block", "_prob_block", "check"):
+                    n, fit = budget_size(table, scen), footprint(table, scen)
                     peak = traced_peak(table, scen, n)
                     largest = max(largest, peak)
                     ratios.append(f"{peak / (n * fit):.2f}")
