@@ -12,7 +12,8 @@ circularly-symmetric complex Gaussian with unit variance, the direct links
 are CN(0, alpha^2), and the per-user powers are uniform on [0, P_max].
 :func:`sample_block` draws many trials of one scenario's (K, M_r) and seed
 on the same substreams, at alpha = P_max = P_r = 1; its callers scale the
-draws by their own alpha (through :func:`direct_links`) and powers.
+draws by their own alpha (through :func:`direct_links`) and powers, or
+scale the draws' aggregates to them by :func:`scale_aggregates`.
 
 The cross-difference matrix W of :func:`compute_aggregates` is defined as a
 sum over user pairs but formed from its Gram factor, in O(K M_r^2). A
@@ -347,21 +348,27 @@ def compute_aggregates(c) -> ChannelAggregates:
     return ChannelAggregates(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp)
 
 
-def scale_aggregates(agg: ChannelAggregates, alpha, t) -> ChannelAggregates:
-    """The aggregates of a draw at direct-link scale alpha and user power
-    scale t, from its aggregates ``agg`` at alpha = t = 1, with no rebuild:
-    s and d scale as alpha^2 t, R and nr as t, T and W as (alpha t)^2, and hp
-    not at all. alpha and t are numbers, or arrays over a block's trial
-    axis. The values equal compute_aggregates' of the scaled draw to
-    rounding. T and W are multiplied by alpha t twice, not by its square,
-    which overflows first."""
+def scale_aggregates(c, agg: ChannelAggregates, rows, alpha, t) -> ChannelAggregates:
+    """The aggregates of rows ``rows`` (... for all) of the unit draws c, a
+    block or a realization at alpha = P_max = 1 with aggregates ``agg``, at
+    direct-link scale alpha and user power scale t, numbers or arrays over
+    the rows. d, nr and s are formed from the scaled draw, alpha h_d through
+    direct_links and P times t, with compute_aggregates' checks in its order:
+    they and the error messages are bit for bit a build's at the scaled draw.
+    R scales as t, and T and W as (alpha t)^2, by alpha t twice, as its
+    square overflows first: a build's to rounding. hp does not scale."""
     alpha, t = np.asarray(alpha, dtype=float), np.asarray(t, dtype=float)
-    a2t, at = alpha * alpha * t, (alpha * t)[..., None, None]
-    T, W = agg.T * at, agg.W * at
+    h_d, P = direct_links(alpha[..., None], c.h_d[rows]), c.P[rows] * t[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # user_snrs' d and nr
+        d = np.square(np.abs(h_d)) * P
+        gains = np.abs(c.h_r)
+        nr = np.square(gains, out=gains).sum(axis=-1)[rows] * P
+    s, at = sum_snrs(d, nr), (alpha * t)[..., None, None]
+    T, W = agg.T[rows] * at, agg.W[rows] * at
     T *= at
     W *= at
-    return ChannelAggregates(s=agg.s * a2t, R=agg.R * t[..., None, None], T=T, W=W,
-                             d=agg.d * a2t[..., None], nr=agg.nr * t[..., None], hp=agg.hp)
+    return ChannelAggregates(s=s, R=agg.R[rows] * t[..., None, None], T=T, W=W,
+                             d=d, nr=nr, hp=agg.hp[rows])
 
 
 def effective_channel(F: np.ndarray, c) -> np.ndarray:

@@ -20,14 +20,13 @@ the others at the same time. Every trial draws from a substream keyed on
 (seed, trial index), seeded in bulk. A block's evaluator takes the table's
 cells, each item's trial and cell index and the redraw number, and samples
 the draws itself; _runs, on those integer indices, is what decides which
-items share work. Each trial is drawn once, by sample_block at unit alpha,
-P_max and P_r, and its cells only scale that draw by their alpha and powers.
-A trial's cells of one alpha, adjacent in a block, differ only in P_r: the
-sweep builds their realization's aggregates and eigenpairs once, and hp, the
-bounds and the slots per cell. The superiority table builds each draw's
-aggregates once and scales their R and W to each of its cells; a cell's SNRs
-are its own. No trial's values depend on the rest of its block, as the
-kernels take C-ordered stacks, so results are byte-identical for any W >= 1.
+items share work. Both tables draw each trial once, by sample_block at unit
+alpha, P_max and P_r, build its aggregates once and scale them to its cells
+by scale_aggregates. A trial's cells of one alpha, adjacent in a sweep
+block, differ only in P_r: they share one scaling and one build of the
+eigenpairs, and hp, the bounds and the slots are each cell's. No trial's
+values depend on the rest of its block, as the kernels take C-ordered
+stacks, so results are byte-identical for any W >= 1.
 A failed draw is redrawn on a flagged substream, in a smaller block, by one
 loop. A block returns its values, with a leading trial axis, and its redraw
 count; the table reads the blocks joined into one (cells, trials, ...)
@@ -46,8 +45,8 @@ from math import sqrt
 import numpy as np
 
 from .channel import (
-    ChannelAggregates, ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates,
-    direct_links, sample_block, scale_aggregates, sum_snrs, trial_rng,
+    ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates, direct_links,
+    sample_block, scale_aggregates, trial_rng,
 )
 from .channel import sample_channel  # noqa: F401 (perfbench wraps it)
 from .errors import NumericalError, ValidationError
@@ -83,7 +82,7 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.46-1.08 times it for K 1-50 and M_r 1-8
+    blocks, which lie within 0.45-1.04 times it for K 1-50 and M_r 1-8
     (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
@@ -221,29 +220,32 @@ def _runs(*keys):
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _unit_draws(scens, trials, retry: int):
-    """The draws of a block's trials at alpha = P_max = P_r = 1, one per run
-    of items of one trial, and each item's row of them."""
+def _cell_aggregates(scens, trials, cells, retry: int, items=...):
+    """The aggregates of items ``items`` of a block, trial trials[i] of cell
+    scens[cells[i]], from their draws on substream retry: each trial drawn
+    once, by sample_block at alpha = P_max = P_r = 1, its aggregates built
+    once and scaled to each item's alpha and P_max by scale_aggregates; hp is
+    ||h||^2, at unit P_r."""
     first, row = _runs(trials)
-    return sample_block(scens[0], trials[first], retry), row
+    blk = sample_block(scens[0], trials[first], retry)
+    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells[items]]
+                    for name in ("alpha", "P_max"))
+    return scale_aggregates(blk, compute_aggregates(blk), items if row is ... else row[items],
+                            alpha, p_max)
 
 
 def _sweep_block(scens, trials, cells, retry: int):
     """The METRICS of each item of a block, trial trials[i] of cell
     scens[cells[i]], (N, 5), and a failure message per item ("" when it
     passed every check), from the items' draws on substream retry. A run of
-    items of one trial, alpha and P_max, which differ only in P_r, forms its
-    direct links alpha h_d and powers P_max P, as sample_channel does, and
-    builds its aggregates and eigenpairs once."""
-    blk, row = _unit_draws(scens, trials, retry)
+    items of one trial, alpha and P_max, which differ only in P_r, takes its
+    first item's aggregates and builds its eigenpairs once; hp, the bounds
+    and the slots are each item's."""
     alpha, p_max, p_r = (np.array([getattr(c, name) for c in scens])[cells]
                          for name in ("alpha", "P_max", "P_r"))
     first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
-    at = first if row is ... else row[first]
-    # built at unit P_r: agg.hp is ||h||^2, and ||h||^2 * P_r each trial's hp, bit for bit
-    agg = compute_aggregates(ChannelBlock(
-        blk.h_r[at], direct_links(alpha[first, None], blk.h_d[at]), blk.h[at],
-        blk.P[at] * p_max[first, None], blk.P_r[at]))
+    agg = _cell_aggregates(scens, trials, cells, retry, first)
+    # agg.hp is ||h||^2, and ||h||^2 * P_r each item's hp, bit for bit
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
@@ -252,25 +254,9 @@ def _sweep_block(scens, trials, cells, retry: int):
 
 def _prob_block(scens, trials, cells, retry: int):
     """The superiority predicate of each item of a block, trial trials[i] of
-    cell scens[cells[i]], from the items' draws on substream retry; no check
-    can fail. Each trial's draw has its aggregates built once, at unit alpha
-    and P_max. An item forms its own direct links alpha h_d, powers P_max P
-    and from them d, nr and s, as sample_channel and compute_aggregates do,
-    with their checks in their order; the R and W of its lambda_max(R + W)
-    are its draw's, scaled by scale_aggregates."""
-    blk, row = _unit_draws(scens, trials, retry)
-    agg = compute_aggregates(blk)  # no check can fail at unit scale
-    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells]
-                    for name in ("alpha", "P_max"))
-    P = blk.P[row] * p_max[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # user_snrs' d and nr
-        d = np.square(np.abs(direct_links(alpha[:, None], blk.h_d[row]))) * P
-        gains = np.abs(blk.h_r)
-        nr = np.square(gains, out=gains).sum(axis=-1)[row] * P
-    s = sum_snrs(d, nr)
-    agg = scale_aggregates(ChannelAggregates(*(getattr(agg, f.name)[row] for f in fields(agg))),
-                           alpha, p_max)
-    wins = block_asymptotic(replace(agg, s=s, d=d, nr=nr)).joint_wins
+    cell scens[cells[i]], from its draw on substream retry; no check can
+    fail."""
+    wins = block_asymptotic(_cell_aggregates(scens, trials, cells, retry)).joint_wins
     return wins, np.full(wins.shape, "")
 
 
@@ -472,6 +458,7 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
         chunk = _check_rows(scen, range(lo, min(lo + size, n_trials)), probes[lo:lo + size])
         for name, (m, _) in chunk.items():
             maxima.setdefault(name, []).append(np.max(m))
-    worst = {name: max(0.0, float(np.max(m))) for name, m in maxima.items()}
+    worst = {name: float(np.max(m)) for name, m in maxima.items()}
+    worst = {name: w if np.isnan(w) else max(0.0, w) for name, w in worst.items()}  # NaN fails
     return [CheckOutcome(name, worst[name] <= limit, worst[name], limit)
             for name, (_, limit) in chunk.items()]

@@ -5,10 +5,9 @@ bit-identical whether it is evaluated alone, in its own cell's block, in a
 block that mixes cells of other alpha and P_r, or through the pooled run at
 any worker count, including at the extremes P_r = 0, alpha = 0, 80 dB,
 K = 1 and M_r = 1. A block lists trials across cells, and each trial's
-substream in it is drawn once for all of the trial's adjacent cells; in a
-sweep block a trial's adjacent cells of one alpha share one build of the
-aggregates and eigenpairs, and a superiority block builds each draw's
-aggregates once and scales them to every cell of the draw.
+substream in it is drawn once for all of the trial's adjacent cells, and
+its aggregates are built once and scaled to every cell; in a sweep block a
+trial's adjacent cells of one alpha also share one build of the eigenpairs.
 """
 
 import tracemalloc
@@ -148,12 +147,13 @@ def test_stacked_kernels_equal_their_per_realization_calls(K, M_r):
 
 
 @pytest.mark.parametrize("K, M_r", [(1, 1), (10, 4), (6, 1)])
-def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M_r):
+def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r):
     # Trial-major blocks, as _trial_block builds them: items 0-12 and 13-44 of
     # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14),
     # and in the first block a redraw of cells 4 and 5 of trial 0 and cell 0
-    # of trial 1. Every item's values are its values alone, and the
-    # aggregates and both eigenpairs take one row per (trial, alpha).
+    # of trial 1. Every item's values are its values alone; the aggregates
+    # take one row per trial of each pass, and both eigenpairs one row per
+    # (trial, alpha).
     scens, cells = _cells(K, M_r), 9
     alone = {(i, retry): _item(harness_mod._sweep_block, scens, i, retry)
              for i in range(N_TRIALS * cells) for retry in (0, 1)}
@@ -176,8 +176,9 @@ def test_a_trials_cells_of_one_alpha_share_one_aggregate_build(monkeypatch, K, M
     first, _ = harness_mod._trial_block(flaky, scens, 0, 13)
     second, _ = harness_mod._trial_block(flaky, scens, 13, N_TRIALS * cells)
     assert passes == [13, 3, 32]
-    # (trial, alpha) runs: items 0-12 hold 5, the redraw 2 and items 13-44 11
-    assert rows == {"aggregates": [5, 2, 11], "eigenpairs": [5, 5, 2, 2, 11, 11]}
+    # items 0-12 hold trials 0-1, the redraw 0-1 and items 13-44 1-4, and
+    # (trial, alpha) runs 5, 2 and 11
+    assert rows == {"aggregates": [2, 2, 4], "eigenpairs": [5, 5, 2, 2, 11, 11]}
     values = np.concatenate([first, second])
     for i, got in enumerate(values):
         want = alone[i, int(i in (4, 5, 9))]

@@ -155,26 +155,35 @@ def test_sample_block_rejects_malformed_blocks():
 
 @pytest.mark.parametrize("K, M_r", [(1, 1), (2, 3), (10, 4), (50, 8)])
 def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
-    # Aggregates built once at alpha = P_max = 1 and scaled to a cell equal
-    # those built from the draw at the cell's alpha and P_max, to 1e-13 of
-    # each trial's largest entry, at every alpha and power a table can take.
+    # Aggregates built once at alpha = P_max = 1 and scaled to a cell, for
+    # every draw or for rows picked with repeats, equal those built from the
+    # draws at the cell's alpha and P_max: s, d, nr and hp bit for bit, and
+    # R, T and W to 1e-13 of each trial's largest entry, at every alpha and
+    # power a table can take.
     base = ScenarioConfig(K=K, M_r=M_r, P_r=3.0, seed=6)
-    trials = list(range(40))
-    unit = compute_aggregates(scaled_block([replace(base, alpha=1.0, P_max=1.0)] * 40, trials))
-    for alpha in (0.0, 1e-3, 0.3, 1.0, 7.0):
-        for t in (1e-4, 1.0, 10.0, 1e8):
-            got = scale_aggregates(unit, alpha, t)
-            want = compute_aggregates(scaled_block([replace(base, alpha=alpha, P_max=t)] * 40,
-                                                   trials))
-            for name in ("s", "R", "T", "W", "d", "nr", "hp"):
-                g, w = (np.reshape(getattr(a, name), (40, -1)) for a in (got, want))
-                scale = np.abs(w).max(axis=1, keepdims=True)
-                assert np.all(np.abs(g - w) <= 1e-13 * scale), (name, alpha, t)
-    # one realization's aggregates, with no trial axis, scale as its block row
-    c = sample_channel(replace(base, alpha=1.0, P_max=1.0), trial_rng(6, 0))
-    one, row = scale_aggregates(compute_aggregates(c), 0.3, 10.0), scale_aggregates(unit, 0.3, 10.0)
+    trials = np.arange(40)
+    c = scaled_block([replace(base, alpha=1.0, P_max=1.0)] * 40, trials)
+    unit = compute_aggregates(c)
+    for rows in (..., np.array([5, 0, 5, 39, 17])):
+        drawn = trials[rows]
+        for alpha in (0.0, 1e-3, 0.3, 1.0, 7.0):
+            for t in (1e-4, 1.0, 10.0, 1e8):
+                got = scale_aggregates(c, unit, rows, alpha, t)
+                want = compute_aggregates(
+                    scaled_block([replace(base, alpha=alpha, P_max=t)] * len(drawn), drawn))
+                for name in ("s", "d", "nr", "hp"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, alpha, t)
+                for name in ("R", "T", "W"):
+                    g, w = (np.reshape(getattr(a, name), (len(drawn), -1)) for a in (got, want))
+                    scale = np.abs(w).max(axis=1, keepdims=True)
+                    assert np.all(np.abs(g - w) <= 1e-13 * scale), (name, alpha, t)
+    # one realization, with no trial axis, scales as its block row
+    one = sample_channel(replace(base, alpha=1.0, P_max=1.0), trial_rng(6, 0))
+    got = scale_aggregates(one, compute_aggregates(one), ..., 0.3, 10.0)
+    row = scale_aggregates(c, unit, ..., 0.3, 10.0)
     for name in ("s", "R", "T", "W", "d", "nr", "hp"):
-        assert np.array_equal(getattr(one, name), getattr(row, name)[0]), name
+        assert np.array_equal(getattr(got, name), getattr(row, name)[0]), name
 
 
 def test_different_trials_differ():

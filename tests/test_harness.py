@@ -27,6 +27,7 @@ from marcsim import (
     sample_channel,
     trial_rng,
 )
+from marcsim.cli import main
 from marcsim.errors import NumericalError, ValidationError
 from marcsim.harness import METRICS
 
@@ -353,6 +354,27 @@ def test_check_rejects_slot_rates_off_their_logdet_reference(monkeypatch):
     assert 0.99e-9 < outcomes["tdma_rates_logdet"].worst < 1.01e-9
 
 
+def test_check_fails_a_row_with_a_nan(monkeypatch, capsys):
+    # one slot rate planted as NaN: its row fails with worst NaN, as a NaN
+    # compares false with every threshold, and the row prints worst=nan
+    def planted(d, nr, hp):
+        alloc, why = tdma_mod.block_slots(d, nr, hp)
+        rates = alloc.per_user_rate.copy()
+        rates[0, np.argmax(alloc.tau[0])] = np.nan
+        return replace(alloc, per_user_rate=rates), why
+
+    monkeypatch.setattr(harness_mod, "block_slots", planted)
+    scen = ScenarioConfig(K=4, M_r=3, P_max=10.0, P_r=10.0, alpha=0.5, seed=11)
+    outcomes = {o.name: o for o in invariant_suite(scen, n_trials=10)}
+    assert [name for name, o in outcomes.items() if not o.passed] == ["tdma_rates_logdet"]
+    assert math.isnan(outcomes["tdma_rates_logdet"].worst)
+    argv = ["check", "--users", "4", "--antennas", "3", "--trials", "10", "--seed", "11"]
+    assert main(argv) == 2  # a failed invariant
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and "tdma_rates_logdet" in failed[0], failed
+    assert " worst=nan " in failed[0], failed
+
+
 def _count_trials(counts, monkeypatch, modules, names):
     """Count the trials each named function is called on: a stack or a block
     counts its leading axis, a single matrix or realization one."""
@@ -371,15 +393,15 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
-    # a sweep trial needs one aggregate build and the eigenpairs of R and
-    # R + W; a superiority trial one build for all its (alpha, P_max) cells,
-    # and the top eigenvalue of R + W in each cell
+    # a sweep trial needs one aggregate build for all its cells and, in each
+    # alpha, the eigenpairs of R and R + W; a superiority trial one build for
+    # all its (alpha, P_max) cells, and the top eigenvalue of R + W in each
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
-    cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=5)
+    cfg = small_cfg(alpha_values=(0.5, 1.0), grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 10}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 2 * 10}
     counts.clear()
     cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
