@@ -41,6 +41,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from math import sqrt
+from operator import attrgetter
 
 import numpy as np
 
@@ -192,22 +193,17 @@ class TableResult:
 
     def to_csv(self) -> str:
         """Header from the row fields, then one line per row; floats at 10
-        significant digits; empty without rows."""
+        significant digits; empty without rows. Every row takes the format of
+        the first, whose float fields read %.10g and the rest %s."""
         if not self.rows:
             return ""
         names = [f.name for f in fields(self.rows[0])]
-        lines = [",".join(names)]
-        for r in self.rows:
-            values = (getattr(r, n) for n in names)
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
-        return "\n".join(lines) + "\n"
+        values = attrgetter(*names)
+        line = ",".join("%.10g" if isinstance(v, float) else "%s" for v in values(self.rows[0]))
+        return "\n".join([",".join(names), *(line % values(r) for r in self.rows)]) + "\n"
 
 
 SweepResult = ProbResult = TableResult
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def _runs(*keys):

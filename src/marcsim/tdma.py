@@ -182,16 +182,25 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     :func:`optimize_slots`. Every pass takes one Newton step on each live
     trial; a trial stops once every slot has moved by at most _TAU_RTOL of
     itself or has a marginal rate within _NU_ULPS ulps of nu, and keeps its
-    values, so no result depends on the rest of the block."""
+    values. A trial's start, steps and stop use its own row alone, so no
+    result depends on the rest of the block."""
     K = d.shape[1]
     hp = hp[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g0 = _marginal_at_zero(d, nr, hp)
         act = g0 > 0.0
-        # Start at the optimum for unbounded relay power, tau_k ~ d_k + nr_k.
+        # Start at the optimum for unbounded relay power, tau_k ~ d_k + nr_k,
+        # then take two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k
+        # + nr_k), each user's SNR at this relay power over its own slot:
+        # exact at hp = 0, where tau ~ d. A row whose sum underflows to 0
+        # keeps its tau.
         t = np.where(act, d + nr, 0.0)
         some = act.any(axis=1)
         t /= np.where(some, t.sum(axis=1), 1.0)[:, None]
+        for _ in range(2):
+            snr = np.where(act, d + nr * (hp * t / ((hp + 1.0) * t + nr)), 0.0)
+            total = snr.sum(axis=1, keepdims=True)
+            t = np.where((total > 0.0) & (total < np.inf), snr / total, t)
         live = some.copy()
         for _ in range(_MAX_ITER):
             L = np.flatnonzero(live)
@@ -216,11 +225,17 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
                 / inv.sum(axis=1, keepdims=True)
             nu = ref + rise
             tol = _NU_ULPS * np.spacing(np.abs(nu))
-            nxt = np.where(step, tau + move + rise * inv, tau)
-            # A step that would close a slot halves it; a slot whose marginal
-            # rate at 0 is below nu by more than tol is parked at 0 for good
-            # (one at nu to rounding, as a flat R' gives, keeps its slot).
-            nxt = np.where(nxt > 0.0, nxt, 0.5 * tau)
+            delta = move + rise * inv
+            # A slot with a direct link, whose R' grows as -ln tau near 0,
+            # steps in ln tau, by delta/tau clipped to +-2; a relay-only slot
+            # steps linearly, and a step that would close it halves it. A slot
+            # whose marginal rate at 0 is below nu by more than tol is parked
+            # at 0 for good (one at nu to rounding, as a flat R' gives, keeps
+            # its slot).
+            lin = tau + delta
+            nxt = np.where(d[L] > 0.0, tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0)),
+                           np.where(lin > 0.0, lin, 0.5 * tau))
+            nxt = np.where(step, nxt, tau)
             nxt[~open_ | (g0[L] < nu - tol)] = 0.0
             t[L] = nxt
             done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)
@@ -273,12 +288,18 @@ def _checked_allocation(d, nr, hp, tau):
 def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
-    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1,
-    from the unbounded-relay-power optimum tau_k ~ d_k + nr_k. Each step
-    linearizes every open slot as tau_k + (nu - g_k)/h_k, with g_k and h_k
-    its R' and R'', and takes nu in closed form so that these sum to one. A
-    slot the step would close is halved instead, and a slot whose marginal
-    rate at 0 is below nu by more than 16 ulps of nu gets tau = 0 for good.
+    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1.
+    It starts from the unbounded-relay-power optimum tau_k ~ d_k + nr_k and
+    takes two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k + nr_k),
+    each user's SNR over its own slot at this relay power; the start is the
+    optimum at P_r = 0, tau ~ d, and as P_r grows without bound. Each step
+    linearizes every open slot as tau_k + delta_k, delta_k = (nu - g_k)/h_k
+    with g_k and h_k its R' and R'', and takes nu in closed form so that
+    these sum to one. A slot with a direct link, whose R' grows as -ln tau
+    near 0, moves to tau_k*exp(delta_k/tau_k), the exponent clipped to
+    +-2; a relay-only slot moves to tau_k + delta_k, or is halved where
+    that would close it. A slot whose marginal rate at 0 is below nu by
+    more than 16 ulps of nu gets tau = 0 for good.
     Users whose rate is identically zero get tau = 0; when no user carries
     rate the split is uniform. NumericalError is raised if the steps exceed
     their cap, the marginal rates of the users with a slot differ by more

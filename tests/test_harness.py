@@ -153,6 +153,21 @@ def test_one_result_class_writes_both_tables():
     assert harness_mod.SweepResult(rows=()).to_csv() == ""
 
 
+def test_csv_rows_format_each_field_alone():
+    # every row is written by one template; each field must read as it would
+    # formatted alone, floats at 10 significant digits, -0.0, inf and nan too
+    rows = tuple(harness_mod.SweepRow(alpha=a, pr_db=-0.0, metric="r_lower", mean=m,
+                                      stderr=np.float64(s), n_trials=3, seed=-1)
+                 for a, m, s in ((0.1, -0.0, 1 / 3), (1.0, np.inf, np.nan),
+                                 (1e-300, -np.inf, 12345678901.5), (0.5, np.nan, 0.0)))
+    lines = harness_mod.SweepResult(rows=rows).to_csv().splitlines()
+    assert lines[0] == "alpha,pr_db,metric,mean,stderr,n_trials,seed"
+    for r, line in zip(rows, lines[1:]):
+        assert line == ",".join(format(float(v), ".10g") if isinstance(v, float) else str(v)
+                                for v in vars(r).values())
+    assert lines[1:3] == ["0.1,-0,r_lower,-0,0.3333333333,3,-1", "1,-0,r_lower,inf,nan,3,-1"]
+
+
 def test_sweep_aggregated_bound_ordering():
     cfg = small_cfg(n_trials=20)
     rows = {(r.alpha, r.pr_db, r.metric): r.mean for r in run_sweep(cfg).rows}

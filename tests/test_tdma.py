@@ -349,11 +349,14 @@ def test_failing_trial_fails_alone(monkeypatch):
 
 @pytest.mark.parametrize("K, lo, hi", [pytest.param(K, -6.0, 8.0, id=str(K)) for K in (2, 3, 6)]
                          + [pytest.param(K, -12.0, 12.0, id=f"{K}-24-decades") for K in (2, 3, 6)])
-def test_parked_users_meet_complementary_slackness(K, lo, hi):
+def test_parked_users_meet_complementary_slackness(monkeypatch, K, lo, hi):
     # SNRs log-uniform on [10^lo, 10^hi], 40 % of users without a direct
     # link: a parked user's marginal rate at a vanishing slot must not exceed
     # the level of the users that kept a slot. Over 24 decades some levels
     # fall below 1e-12 nats, where the absolute 1e-8-bit KKT checks are blind.
+    # Direct-link slots step in ln tau, so no trial takes a long approach
+    # from a slot decades off its optimum: each ends within 40 passes.
+    monkeypatch.setattr(tdma, "_MAX_ITER", 40)
     rng = np.random.default_rng(K)
     N = 2000
     d, nr = 10.0 ** rng.uniform(lo, hi, (2, N, K))
@@ -406,20 +409,44 @@ def test_newton_steps_on_criterion_8_draws(monkeypatch):
         items = range(lo, min(lo + size, len(scens) * n))
         blk = scaled_block([scens[i % len(scens)] for i in items], [i // len(scens) for i in items])
         assert not any(block_slots(*user_snrs(blk))[1])
-    assert len(calls) <= 600
+    assert len(calls) <= 120
+
+
+def test_a_block_row_solved_alone_is_bit_identical():
+    # a trial's start, steps and stop use its own row alone, so each row of
+    # a K = 10 block (whose row sums are pairwise) equals its solution as a
+    # block of one
+    base = ScenarioConfig(K=10, M_r=4, P_max=10.0, alpha=1.0, seed=8)
+    scens = [replace(base, alpha=a, P_r=db_to_linear(db))
+             for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
+    blk = scaled_block(scens * 10, [i // len(scens) for i in range(10 * len(scens))])
+    d, nr, hp = user_snrs(blk)
+    alloc, why = block_slots(d, nr, hp)
+    assert not any(why)
+    for j in range(len(hp)):
+        one, why_one = block_slots(d[j : j + 1], nr[j : j + 1], hp[j : j + 1])
+        assert not why_one[0]
+        for name, field in vars(one).items():
+            assert np.array_equal(field[0], getattr(alloc, name)[j]), (j, name)
 
 
 @pytest.mark.parametrize("alpha, P_max", [(1.0, 10.0), (1e-6, 1e-6)])
-def test_zero_relay_power_slots_proportional_to_direct_snr(alpha, P_max):
+def test_zero_relay_power_slots_proportional_to_direct_snr(monkeypatch, alpha, P_max):
     # with P_r = 0 user k's rate is tau*log2(1 + d_k/tau), so equal marginal
     # rates mean equal d_k/tau_k: tau_k = d_k / sum(d). At -60 dB every rate
-    # is ~1e-19 bits and the marginal rates ~1e-38.
+    # is ~1e-19 bits and the marginal rates ~1e-38. That is the start, so a
+    # block of these trials ends in one pass.
     scen = ScenarioConfig(K=10, M_r=4, alpha=alpha, P_max=P_max, P_r=0.0, seed=77)
     for t in range(200):
         c = sample_channel(scen, trial_rng(77, t))
         d = np.abs(c.h_d) ** 2 * c.P
         tau = optimize_slots(c).tau
         assert np.max(np.abs(tau - d / d.sum())) <= 1e-12, t
+    d, nr, hp = user_snrs(scaled_block([scen] * 200, range(200)))
+    monkeypatch.setattr(tdma, "_MAX_ITER", 1)
+    alloc, why = block_slots(d, nr, hp)
+    assert not any(why), sorted(set(why))
+    assert np.max(np.abs(alloc.tau - d / d.sum(axis=1, keepdims=True))) <= 1e-12
 
 
 def test_kkt_slackness_flags_a_starved_user():
