@@ -409,7 +409,7 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(agg.T).max(axis=(1, 2))))
     psd = -quadratic_form(probes[:, :3], np.stack([agg.R, agg.T, agg.W], axis=1))
     F, f = probes[:, 3:], RelayMatrix.beamformer(blk, v, b.gamma)
-    _, slack, nu = _kkt_gaps(agg.d, agg.nr, agg.hp[:, None], alloc.tau)
+    _, slack, nu = _kkt_gaps(agg.d.T, agg.nr.T, agg.hp, alloc.tau.T)
     # The KKT gaps in bits times _KKT_ATOL / min(_KKT_ATOL, _KKT_RTOL * nu):
     # each is within its threshold _KKT_ATOL iff it is within its tolerance.
     kkt_scale = _KKT_ATOL / np.maximum(_kkt_tolerance(nu), np.finfo(float).tiny)

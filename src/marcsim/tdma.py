@@ -37,7 +37,7 @@ __all__ = [
 
 _LN2 = log(2.0)
 _MAX_ITER = 200  # cap on the Newton steps of the slot optimizer
-_TAU_RTOL = 1e-10  # relative move of a slot that has converged
+_TAU_RTOL = 1e-8  # relative move of a slot that has converged
 _NU_ULPS = 16  # ulps of nu within which a slot's marginal rate has converged
 _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
 _KKT_ATOL = 1e-8  # KKT spread and slackness in bits an allocation may show
@@ -149,8 +149,7 @@ def single_user_relay_matrix(c, k: int) -> RelayMatrix:
 
 def single_user_rate(c: ChannelRealization, k: int) -> float:
     """Rate of user k alone with the matched relay matrix:
-    log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P)).
-    """
+    log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P))."""
     return float(_slot_rate(*_user_consts(c, k), np.ones(1))[0])
 
 
@@ -175,89 +174,90 @@ def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     return float(_slot_derivs(*consts, np.array([float(tau)]))[0][0] / _LN2)
 
 
+def _user_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by pairwise halving, x[:h] + x[h:2h] with an odd last
+    row added to the last entry: an order set by K alone, not by x's shape."""
+    while len(x) > 1:
+        h = len(x) // 2
+        y = x[:h] + x[h : 2 * h]
+        if len(x) % 2:
+            y[-1] += x[-1]
+        x = y
+    return x[0]
+
+
 def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     """:func:`optimize_slots` for each trial of a block, from its SNRs d, nr
-    (N, K) and hp (N,). Returns the TdmaAllocation of the block and one
-    failure message per trial, "" when it passed every check of
-    :func:`optimize_slots`. Every pass takes one Newton step on each live
-    trial; a trial stops once every slot has moved by at most _TAU_RTOL of
-    itself or has a marginal rate within _NU_ULPS ulps of nu, and keeps its
-    values. A trial's start, steps and stop use its own row alone, so no
-    result depends on the rest of the block."""
-    K = d.shape[1]
-    hp = hp[:, None]
+    (N, K) and hp (N,): its TdmaAllocation and one failure message per trial,
+    "" when it passed every check. The loop and its check hold users first,
+    (K, N), so each reduction over users is one contiguous pass over the
+    trials; live trials are gathered anew only after a pass on which some
+    trial stops. A trial's start, steps and stop use its own column alone,
+    and sums over users the fixed order of _user_sum: no result depends on
+    the rest of the block."""
+    d, nr = d.T.copy(), nr.T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g0 = _marginal_at_zero(d, nr, hp)
         act = g0 > 0.0
-        # Start at the optimum for unbounded relay power, tau_k ~ d_k + nr_k,
-        # then take two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k
-        # + nr_k), each user's SNR at this relay power over its own slot:
-        # exact at hp = 0, where tau ~ d. A row whose sum underflows to 0
-        # keeps its tau.
+        # The start; a trial whose sum underflows to 0 keeps its tau.
         t = np.where(act, d + nr, 0.0)
-        some = act.any(axis=1)
-        t /= np.where(some, t.sum(axis=1), 1.0)[:, None]
+        some = act.any(axis=0)
+        t /= np.where(some, _user_sum(t), 1.0)
         for _ in range(2):
             snr = np.where(act, d + nr * (hp * t / ((hp + 1.0) * t + nr)), 0.0)
-            total = snr.sum(axis=1, keepdims=True)
+            total = _user_sum(snr)
             t = np.where((total > 0.0) & (total < np.inf), snr / total, t)
-        live = some.copy()
+        # A trial with no user to serve stops on its first pass.
+        L, tau, dL, nrL, hpL, g0L = np.arange(len(hp)), t, d, nr, hp, g0
         for _ in range(_MAX_ITER):
-            L = np.flatnonzero(live)
             if not L.size:
                 break
-            tau = t[L]
             open_ = tau > 0.0
-            g, h = _slot_derivs(d[L], nr[L], hp[L], np.where(open_, tau, 1.0))
-            # Newton step on R_k'(tau_k) = nu, sum_k tau_k = 1: each open slot
-            # moves to tau_k + (nu - g_k)/h_k, and nu makes these sum to one.
-            # nu is found as ref + rise, ref the g of the flattest slot, whose
-            # tau moves most per ulp of nu: rise and the (ref - g_k)/h_k are
-            # then small and exact. A slot whose 1/R'' is not finite, as R''
-            # underflowed, takes no step.
+            g, h = _slot_derivs(dL, nrL, hpL, np.where(open_, tau, 1.0))
+            # nu = ref + rise, ref the g of the flattest slot, whose tau moves
+            # most per ulp of nu: rise and the (ref - g_k)/h_k are then small
+            # and exact. A slot whose 1/R'' is not finite takes no step.
             inv = 1.0 / h
             step = open_ & (inv < 0.0) & (inv > -np.inf)
             inv[~step] = 0.0
-            flattest = step & (inv == inv.min(axis=1, keepdims=True))
-            ref = np.where(flattest, g, -np.inf).max(axis=1, keepdims=True)
+            flattest = step & (inv == inv.min(axis=0))
+            ref = np.where(flattest, g, -np.inf).max(axis=0)
             move = np.where(step, (ref - g) * inv, 0.0)
-            rise = (1.0 - tau.sum(axis=1, keepdims=True) - move.sum(axis=1, keepdims=True)) \
-                / inv.sum(axis=1, keepdims=True)
+            rise = (1.0 - _user_sum(tau) - _user_sum(move)) / _user_sum(inv)
             nu = ref + rise
             tol = _NU_ULPS * np.spacing(np.abs(nu))
             delta = move + rise * inv
-            # A slot with a direct link, whose R' grows as -ln tau near 0,
-            # steps in ln tau, by delta/tau clipped to +-2; a relay-only slot
-            # steps linearly, and a step that would close it halves it. A slot
-            # whose marginal rate at 0 is below nu by more than tol is parked
-            # at 0 for good (one at nu to rounding, as a flat R' gives, keeps
-            # its slot).
             lin = tau + delta
-            nxt = np.where(d[L] > 0.0, tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0)),
+            nxt = np.where(dL > 0.0, tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0)),
                            np.where(lin > 0.0, lin, 0.5 * tau))
             nxt = np.where(step, nxt, tau)
-            nxt[~open_ | (g0[L] < nu - tol)] = 0.0
-            t[L] = nxt
-            done = (np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)
-            live[L] = ~done.all(axis=1)
-    alloc, why = _checked_allocation(d, nr, hp, np.where(some[:, None], t, 1.0 / K))
-    why[live] = f"water level not found in {_MAX_ITER} steps"
+            nxt[~open_ | (g0L < nu - tol)] = 0.0
+            stop = ((np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)).all(axis=0)
+            tau = nxt
+            if stop.any():
+                t[:, L] = tau
+                keep = np.flatnonzero(~stop)
+                L, tau, dL, nrL, hpL, g0L = (x.take(keep, -1) for x in (L, tau, dL, nrL, hpL, g0L))
+        t[:, L] = tau
+        # A slot stopped by the nu test may step far in ln tau: rescale to sum 1.
+        t = np.where(some, t / _user_sum(t), 1.0 / len(d))
+    alloc, why = _checked_allocation(d, nr, hp, t)
+    why[L] = f"water level not found in {_MAX_ITER} steps"
     return alloc, why
 
 
 def _kkt_gaps(d, nr, hp, tau):
-    """(spread, slack, nu) in bits of slot durations tau, for one user set
-    or each trial of a block (leading axes, hp broadcast against tau): the
-    spread of the marginal rates over the open slots, the largest excess of
-    a parked user's marginal rate at a vanishing slot over nu (0.0 when
-    none exceeds it), and nu, the largest marginal rate of an open slot."""
+    """(spread, slack, nu) in bits of slot durations tau, users first, (K,) or
+    (K, N): the spread of the marginal rates over the open slots, the largest
+    excess of a parked user's marginal rate at a vanishing slot over nu (0.0
+    when none exceeds it), and nu, the largest marginal rate of an open slot."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         open_ = tau > 0.0
         g, _ = _slot_derivs(d, nr, hp, np.where(open_, tau, 1.0))
-        nu = np.where(open_, g, -np.inf).max(axis=-1)
-        spread = np.where(open_.any(axis=-1), nu - np.where(open_, g, np.inf).min(axis=-1), 0.0)
-        excess = np.where(open_, -np.inf, _marginal_at_zero(d, nr, hp) - nu[..., None])
-        slack = np.maximum(excess.max(axis=-1), 0.0)
+        nu = np.where(open_, g, -np.inf).max(axis=0)
+        spread = np.where(open_.any(axis=0), nu - np.where(open_, g, np.inf).min(axis=0), 0.0)
+        excess = np.where(open_, -np.inf, _marginal_at_zero(d, nr, hp) - nu)
+        slack = np.maximum(excess.max(axis=0), 0.0)
     return spread / _LN2, slack / _LN2, nu / _LN2
 
 
@@ -269,45 +269,45 @@ def _kkt_tolerance(nu):
 
 
 def _checked_allocation(d, nr, hp, tau):
-    """The TdmaAllocation of a block's slot durations tau (N, K), hp (N, 1),
-    and one failure message per trial: a KKT spread or slackness over
-    _kkt_tolerance, or durations off the simplex; "" when it passes."""
+    """The TdmaAllocation of durations tau (K, N), tau and per_user_rate as
+    (N, K) copies, and per trial "" or its failure: a KKT spread or slackness
+    over _kkt_tolerance, or durations off the simplex."""
     spread, slack, nu = _kkt_gaps(d, nr, hp, tau)
     tol = _kkt_tolerance(nu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rates = _slot_rate(d, nr, hp, tau)
-    why = np.full(len(tau), "", dtype=object)
+    why = np.full(tau.shape[1], "", dtype=object)
     for name, gap in (("spread", spread), ("slackness", slack)):
         for j in np.flatnonzero((why == "") & ~(gap <= tol)):
             why[j] = f"KKT {name} {gap[j]:.3e} > {tol[j]:.3e}"
-    simplex = np.all(tau >= 0.0, axis=1) & (np.abs(tau.sum(axis=1) - 1.0) <= _SIMPLEX_ATOL)
+    simplex = np.all(tau >= 0.0, axis=0) & (np.abs(_user_sum(tau) - 1.0) <= _SIMPLEX_ATOL)
     why[(why == "") & ~simplex] = "slot durations off the simplex"
-    return TdmaAllocation(tau, rates, rates.sum(axis=1), spread), why
+    return TdmaAllocation(tau.T.copy(), rates.T.copy(), _user_sum(rates), spread), why
 
 
 def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
-    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1.
-    It starts from the unbounded-relay-power optimum tau_k ~ d_k + nr_k and
-    takes two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k + nr_k),
-    each user's SNR over its own slot at this relay power; the start is the
-    optimum at P_r = 0, tau ~ d, and as P_r grows without bound. Each step
-    linearizes every open slot as tau_k + delta_k, delta_k = (nu - g_k)/h_k
-    with g_k and h_k its R' and R'', and takes nu in closed form so that
-    these sum to one. A slot with a direct link, whose R' grows as -ln tau
-    near 0, moves to tau_k*exp(delta_k/tau_k), the exponent clipped to
-    +-2; a relay-only slot moves to tau_k + delta_k, or is halved where
-    that would close it. A slot whose marginal rate at 0 is below nu by
-    more than 16 ulps of nu gets tau = 0 for good.
-    Users whose rate is identically zero get tau = 0; when no user carries
-    rate the split is uniform. NumericalError is raised if the steps exceed
-    their cap, the marginal rates of the users with a slot differ by more
-    than 1e-8 bits or 1e-10 of nu, where that is smaller, a user without a
-    slot has a marginal rate at 0 above nu by as much (fixed checks; the
-    steps stop on far tighter tolerances of their own), or the durations
-    leave the simplex by more than 1e-9.
-    """
+    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1. It
+    starts from the unbounded-relay-power optimum tau_k ~ d_k + nr_k and takes
+    two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k + nr_k), each
+    user's SNR over its own slot at this relay power: exact at P_r = 0, tau ~ d,
+    and as P_r grows without bound. Each step linearizes every open slot as
+    tau_k + delta_k, delta_k = (nu - g_k)/h_k with g_k and h_k its R' and R'',
+    and takes nu in closed form so that these sum to one. A slot with a direct
+    link, whose R' grows as -ln tau near 0, moves to tau_k*exp(delta_k/tau_k),
+    the exponent clipped to +-2; a relay-only slot moves to tau_k + delta_k, or
+    is halved where that would close it. A slot whose marginal rate at 0 is
+    below nu by more than 16 ulps of nu gets tau = 0 for good. The steps stop
+    once each slot has moved by at most 1e-8 of itself, near rounding as Newton
+    converges quadratically, or has its marginal rate within 16 ulps of nu; then
+    the durations are rescaled to sum to one. Sums over users take one pairwise
+    order for any trial count. Users whose rate is identically zero get tau = 0;
+    when no user carries rate the split is uniform. NumericalError is raised if
+    the steps exceed their cap, the marginal rates of the users with a slot
+    differ by more than 1e-8 bits or 1e-10 of nu, where that is smaller, a user
+    without a slot has a marginal rate at 0 above nu by as much, or the
+    durations leave the simplex by more than 1e-9."""
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))
     if why[0]:
@@ -328,7 +328,7 @@ def kkt_slackness(c, tau):
         raise ValidationError(f"need slot durations of shape {c.h_r.shape[:-1]} in [0, 1], "
                               f"each row not all zero, got {tau}")
     d, nr, hp = user_snrs(c)
-    return _kkt_gaps(d, nr, np.asarray(hp)[..., None], tau)[1]
+    return _kkt_gaps(d.T, nr.T, hp, tau.T)[1]
 
 
 def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:

@@ -230,17 +230,22 @@ def test_the_scaled_predicate_equals_the_per_item_one():
     assert compared >= 0.5 * items, (compared, items)
 
 
-@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
-def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, any_run_forks):
-    pin_cpu_count(3)
-    evaluate = getattr(harness_mod, table)
-    scens = _cells(10, 4)
+def _assert_worker_count_free(evaluate, scens):
+    """The pooled run of scens at 1, 2 and 3 workers gives each trial's
+    values alone."""
     alone, _ = _alone_and_in_blocks(evaluate, scens)
     for workers in (1, 2, 3):
         values, resampled = harness_mod._run_cells(evaluate, scens, N_TRIALS, workers)
         assert values.shape == (len(scens), N_TRIALS, *alone.shape[1:]), workers
         assert np.array_equal(values.reshape(alone.shape), alone), workers
         assert resampled == 0
+
+
+@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
+def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, any_run_forks):
+    pin_cpu_count(3)
+    evaluate = getattr(harness_mod, table)
+    _assert_worker_count_free(evaluate, _cells(10, 4))
     # one cell of 1,024 trials at K=2, M_r=4: one block, then blocks of 512
     # and 342, whose stacked matrix products must not change a trial's values
     one_cell = [ScenarioConfig(K=2, M_r=4, P_max=10.0, P_r=10.0, seed=5)]
@@ -248,6 +253,13 @@ def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, an
     for workers in (2, 3):
         values, _ = harness_mod._run_cells(evaluate, one_cell, 1024, workers)
         assert np.array_equal(values, whole), workers
+
+
+def test_k16_sweep_values_do_not_depend_on_the_worker_count(pin_cpu_count, any_run_forks):
+    # at K = 16 the slot optimizer's sums over users span two of numpy's
+    # 8-wide pairwise blocks, so their order must not follow the block size
+    pin_cpu_count(3)
+    _assert_worker_count_free(harness_mod._sweep_block, _cells(16, 4))
 
 
 def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_count):

@@ -318,7 +318,7 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
         _, why = tdma_mod.block_slots(d, nr, hp)
         assert not any(why)
         tau = np.tile([1.0, 0.0], (len(d), 1))
-        return tdma_mod._checked_allocation(d, nr, hp[:, None], tau)[0], why
+        return tdma_mod._checked_allocation(d.T, nr.T, hp, tau.T)[0], why
 
     monkeypatch.setattr(harness_mod, "block_slots", parks_user_1)
     scen = ScenarioConfig(K=2, M_r=1, P_max=1.0, P_r=1.0)

@@ -41,4 +41,9 @@ def test_main_prints_every_set(slot_passes, capsys):
     out = capsys.readouterr().out
     for name in ("crit8", "24-decades", "pr0"):
         assert f"| {name} | 0 |" in out
+    rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| pr0 | ")]
+    assert len(rows) == 3 and all(float(row[4]) > 0.0 for row in rows[:2])  # each block's ms
+    assert ("| crit8 | 12 | 92 | 2: 1189, 3: 4141, 4: 3681, 5: 812, 6: 138, 7: 24, 8: 12, "
+            "9: 3 |") in out
+    assert "| 24-decades | 3 | 82 |" in out
     assert "| pr0 | 2 | 2 | 1: 400 |" in out

@@ -347,6 +347,16 @@ def test_failing_trial_fails_alone(monkeypatch):
     assert np.array_equal(alloc.tau[-1], np.full(3, 1.0 / 3.0))
 
 
+def _log_uniform_draws(K, lo, hi, N=2000):
+    """SNRs (d, nr, hp) of N trials, log-uniform on [10^lo, 10^hi], 40 % of
+    users without a direct link."""
+    rng = np.random.default_rng(K)
+    d, nr = 10.0 ** rng.uniform(lo, hi, (2, N, K))
+    hp = 10.0 ** rng.uniform(lo, hi, N)
+    d[rng.random((N, K)) < 0.4] = 0.0
+    return d, nr, hp
+
+
 @pytest.mark.parametrize("K, lo, hi", [pytest.param(K, -6.0, 8.0, id=str(K)) for K in (2, 3, 6)]
                          + [pytest.param(K, -12.0, 12.0, id=f"{K}-24-decades") for K in (2, 3, 6)])
 def test_parked_users_meet_complementary_slackness(monkeypatch, K, lo, hi):
@@ -357,11 +367,8 @@ def test_parked_users_meet_complementary_slackness(monkeypatch, K, lo, hi):
     # Direct-link slots step in ln tau, so no trial takes a long approach
     # from a slot decades off its optimum: each ends within 40 passes.
     monkeypatch.setattr(tdma, "_MAX_ITER", 40)
-    rng = np.random.default_rng(K)
     N = 2000
-    d, nr = 10.0 ** rng.uniform(lo, hi, (2, N, K))
-    hp = 10.0 ** rng.uniform(lo, hi, N)
-    d[rng.random((N, K)) < 0.4] = 0.0
+    d, nr, hp = _log_uniform_draws(K, lo, hi, N)
     alloc, why = block_slots(d, nr, hp)
     assert not any(why), sorted(set(why))
     parked = alloc.tau == 0.0
@@ -390,44 +397,73 @@ def test_slot_check_rejects_a_planted_wrong_allocation(scale):
     off[0, 1] = 1.0 - off[0, 0]
     for tau, name, absolute_sees in ((np.array([[1.0, 0.0]]), "slackness", scale == 1.0),
                                      (off, "spread", False)):
-        _, why = tdma._checked_allocation(d, nr, hp, tau)
+        _, why = tdma._checked_allocation(d.T, nr.T, hp[:, 0], tau.T)
         assert why[0].startswith(f"KKT {name} "), why
-        spread, slack, _ = tdma._kkt_gaps(d, nr, hp, tau)
+        spread, slack, _ = tdma._kkt_gaps(d.T, nr.T, hp[:, 0], tau.T)
         assert (max(spread[0], slack[0]) > tdma._KKT_ATOL) == absolute_sees
 
 
-def test_newton_steps_on_criterion_8_draws(monkeypatch):
-    # The criterion-8 draws in the blocks a one-worker sweep makes: each
-    # block's Newton steps and its final KKT spread call _slot_derivs once.
+def _criterion_8_blocks():
+    """The SNRs (d, nr, hp) of the criterion-8 draws (K=10, M_r=4, 1,000
+    trials per cell, seed 8), in the blocks a one-worker sweep makes."""
     base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=8)
     scens = [replace(base, alpha=a, P_r=db_to_linear(db))
              for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
     n, size = 1000, _BLOCK_BYTES // _trial_bytes(base.K, base.M_r)
-    calls = []
-    monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
     for lo in range(0, len(scens) * n, size):
         items = range(lo, min(lo + size, len(scens) * n))
-        blk = scaled_block([scens[i % len(scens)] for i in items], [i // len(scens) for i in items])
-        assert not any(block_slots(*user_snrs(blk))[1])
-    assert len(calls) <= 120
+        yield user_snrs(scaled_block([scens[i % len(scens)] for i in items],
+                                     [i // len(scens) for i in items]))
+
+
+def test_newton_steps_on_criterion_8_draws(monkeypatch):
+    # each block's Newton steps and its final KKT spread call _slot_derivs
+    # once: 92 passes and 12 checks
+    calls = []
+    monkeypatch.setattr(tdma, "_slot_derivs", lambda *a: calls.append(1) or _slot_derivs(*a))
+    for snrs in _criterion_8_blocks():
+        assert not any(block_slots(*snrs)[1])
+    assert len(calls) <= 110
+
+
+def test_the_newton_stop_moves_sum_rates_by_rounding_only(monkeypatch):
+    # A pass stops a slot that moved by at most _TAU_RTOL = 1e-8 of itself:
+    # Newton converges quadratically, so the next step would be near
+    # rounding. Solving on to 1e-12 moves no sum rate by more than 4 ulps.
+    # The durations sum to one to rounding: without their final rescaling a
+    # K = 2 trial of the 24 decades ends 8e-10 off the simplex.
+    draws = [*_criterion_8_blocks(), *(_log_uniform_draws(K, -12.0, 12.0) for K in (2, 3, 6))]
+    stopped = [block_slots(*snrs) for snrs in draws]
+    monkeypatch.setattr(tdma, "_TAU_RTOL", 1e-12)
+    for (alloc, why), snrs in zip(stopped, draws):
+        ref, ref_why = block_slots(*snrs)
+        assert not any(why) and not any(ref_why)
+        ulps = np.abs(alloc.sum_rate - ref.sum_rate) / np.spacing(np.abs(ref.sum_rate))
+        assert np.max(ulps) <= 4.0
+        assert np.max(np.abs(alloc.tau.sum(axis=1) - 1.0)) <= 1e-15
 
 
 def test_a_block_row_solved_alone_is_bit_identical():
-    # a trial's start, steps and stop use its own row alone, so each row of
-    # a K = 10 block (whose row sums are pairwise) equals its solution as a
-    # block of one
-    base = ScenarioConfig(K=10, M_r=4, P_max=10.0, alpha=1.0, seed=8)
-    scens = [replace(base, alpha=a, P_r=db_to_linear(db))
-             for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
-    blk = scaled_block(scens * 10, [i // len(scens) for i in range(10 * len(scens))])
-    d, nr, hp = user_snrs(blk)
-    alloc, why = block_slots(d, nr, hp)
-    assert not any(why)
-    for j in range(len(hp)):
-        one, why_one = block_slots(d[j : j + 1], nr[j : j + 1], hp[j : j + 1])
-        assert not why_one[0]
-        for name, field in vars(one).items():
-            assert np.array_equal(field[0], getattr(alloc, name)[j]), (j, name)
+    # a trial's start, steps and stop use its own row alone, and sums over
+    # users take one fixed order, so each row of a block equals its
+    # solution as a block of one and in a split of the block, 1 + 69 + the
+    # rest: numpy's own sum over the users of a (K, N) array changes its
+    # order with N, and would fail here from K = 8 up
+    for K, M_r in ((3, 2), (10, 4), (16, 4), (50, 8)):
+        base = ScenarioConfig(K=K, M_r=M_r, P_max=10.0, alpha=1.0, seed=8)
+        scens = [replace(base, alpha=a, P_r=db_to_linear(db))
+                 for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))]
+        blk = scaled_block(scens * 10, [i // len(scens) for i in range(10 * len(scens))])
+        d, nr, hp = user_snrs(blk)
+        alloc, why = block_slots(d, nr, hp)
+        assert not any(why)
+        rows = [slice(j, j + 1) for j in range(len(hp))]
+        for parts in (rows, [slice(0, 1), slice(1, 70), slice(70, None)]):
+            solved = [block_slots(d[part], nr[part], hp[part]) for part in parts]
+            assert not any(w for _, why_part in solved for w in why_part)
+            for name, field in vars(alloc).items():
+                joined = np.concatenate([getattr(part, name) for part, _ in solved])
+                assert np.array_equal(joined, field), (K, len(parts), name)
 
 
 @pytest.mark.parametrize("alpha, P_max", [(1.0, 10.0), (1e-6, 1e-6)])

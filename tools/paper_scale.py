@@ -13,7 +13,8 @@ old file, which can stall a run for tens of milliseconds.
 The commands are the paper's tables at 1,000 trials per cell: the
 criterion-8 sweep (K=10, M_r=4) at W = 1 and W = 2, the K=50, M_r=8
 superiority table, one cell of it, where no two cells share a draw, and the
-K=3, M_r=2 sweep. For each one the file records each side's main() walls in
+K=3, M_r=2 sweep; and a K=50, M_r=8 sweep at 200 trials per cell, which
+times the TDMA slot optimizer at large K. For each one the file records each side's main() walls in
 ms, their median and quartiles, the pairs the change won, and whether every
 CSV of both sides has the same bytes. The exit code is 1 if any CSV differs.
 """
@@ -45,6 +46,8 @@ COMMANDS = {
                            "--trials 1000 --workers 1",
     "k3m2-sweep-w1": "sweep --users 3 --antennas 2 --alpha 0.5 --alpha 1.0 --pr-db 0:40:2 "
                      "--pmax-db 10 --seed 10 --trials 1000 --workers 1",
+    "k50m8-sweep-w1": "sweep --users 50 --antennas 8 --alpha 0.1 --alpha 1.0 --pr-db 0:40:10 "
+                      "--pmax-db 10 --seed 11 --trials 200 --workers 1",
 }
 
 

@@ -17,14 +17,18 @@ Each pass of the optimizer calls ``tdma._slot_derivs`` once on the block's
 live trials, and the block's final check calls it once more on all of them.
 A trial stays live until it stops, so the live counts of the passes,
 n_1 >= n_2 >= ..., give the trials that took p passes as n_p - n_(p+1). For
-each block the table prints its trials, its passes and the live trials of
-each pass; then each set's total passes and its trials per pass count.
+each block the table prints its trials, its passes, its wall time in ms
+(``tdma.block_slots`` on the block's inputs, the median of 3 runs, after the
+counted run) and the live trials of each pass; then each set's total
+passes, its trials per pass count and its total ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -45,21 +49,27 @@ def twenty_four_decades(K: int, N: int = 2000):
     return d, nr, hp
 
 
-def count_passes(tdma, run) -> list[tuple[int, list[int]]]:
+def count_passes(tdma, run, inputs=None) -> list[tuple[int, list[int]]]:
     """(trials, live trials of each pass) of each block_slots call that
     run() makes, from the calls of tdma._slot_derivs between two final
-    checks."""
+    checks; hp has one entry per trial, whether the optimizer holds users
+    first (hp of shape (N,)) or trials first ((N, 1)). Appends each block's
+    inputs (d, nr, hp) of block_slots to inputs, if given."""
     derivs, checked = tdma._slot_derivs, tdma._checked_allocation
     blocks, live = [], []
 
     def counted_derivs(d, nr, hp, tau):
-        live.append(len(tau))
+        live.append(len(hp))
         return derivs(d, nr, hp, tau)
 
     def counted_check(d, nr, hp, tau):
         result = checked(d, nr, hp, tau)
-        blocks.append((len(tau), live[:-1]))  # the check's own call ends the list
+        blocks.append((len(hp), live[:-1]))  # the check's own call ends the list
         live.clear()
+        if inputs is not None:
+            users_first = hp.ndim == 1
+            inputs.append((d.T.copy() if users_first else d, nr.T.copy() if users_first else nr,
+                           hp.reshape(-1)))
         return result
 
     tdma._slot_derivs, tdma._checked_allocation = counted_derivs, counted_check
@@ -68,6 +78,16 @@ def count_passes(tdma, run) -> list[tuple[int, list[int]]]:
     finally:
         tdma._slot_derivs, tdma._checked_allocation = derivs, checked
     return blocks
+
+
+def wall_ms(tdma, d, nr, hp, reps: int = 3) -> float:
+    """The median wall time in ms of reps runs of tdma.block_slots(d, nr, hp)."""
+    walls = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        tdma.block_slots(d, nr, hp)
+        walls.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(walls)
 
 
 def histogram(blocks) -> Counter:
@@ -100,20 +120,23 @@ def main(argv=None) -> int:
                 for a, p_max in ((1.0, 10.0), (1e-6, 1e-6))],
     }
     print(f"marcsim from {args.src}")
-    print("| draws | block | trials | passes | live trials per pass |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| draws | block | trials | passes | ms | live trials per pass |")
+    print("| --- | --- | --- | --- | --- | --- |")
     totals = {}
     for name, runs in sets.items():
-        blocks = [b for run in runs for b in count_passes(tdma, run)]
-        for i, (n, passes) in enumerate(blocks):
-            print(f"| {name} | {i} | {n} | {len(passes)} | {', '.join(map(str, passes))} |")
-        totals[name] = blocks
-    print("\n| draws | blocks | passes | trials per pass count |")
-    print("| --- | --- | --- | --- |")
-    for name, blocks in totals.items():
+        inputs = []
+        blocks = [b for run in runs for b in count_passes(tdma, run, inputs)]
+        ms = [wall_ms(tdma, *block) for block in inputs]
+        for i, ((n, passes), t) in enumerate(zip(blocks, ms)):
+            print(f"| {name} | {i} | {n} | {len(passes)} | {t:.3f} | "
+                  f"{', '.join(map(str, passes))} |")
+        totals[name] = blocks, sum(ms)
+    print("\n| draws | blocks | passes | trials per pass count | ms |")
+    print("| --- | --- | --- | --- | --- |")
+    for name, (blocks, ms) in totals.items():
         hist = histogram(blocks)
         print(f"| {name} | {len(blocks)} | {sum(len(p) for _, p in blocks)} | "
-              f"{', '.join(f'{p}: {hist[p]}' for p in sorted(hist))} |")
+              f"{', '.join(f'{p}: {hist[p]}' for p in sorted(hist))} | {ms:.3f} |")
     return 0
 
 
