@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
@@ -57,7 +58,7 @@ class ScenarioConfig:
             raise ValidationError(f"K and M_r must be >= 1, got K={self.K}, M_r={self.M_r}")
         for name in ("P_max", "P_r", "alpha"):
             val = getattr(self, name)
-            if not np.isfinite(val):
+            if not isfinite(val):
                 raise ValidationError(f"{name} must be finite, got {val}")
         if self.P_max <= 0:
             raise ValidationError(f"P_max must be positive, got {self.P_max}")
@@ -158,51 +159,60 @@ def _hash_steps(init: int, mult: int, n: int) -> list:
     h = [init]
     for _ in range(n):
         h.append(h[-1] * mult & 0xFFFFFFFF)
-    return [(np.uint32(a), np.uint32(b)) for a, b in zip(h, h[1:])]
+    return list(zip(h, h[1:]))
 
 
 # numpy's SeedSequence (pool of 4 words) on the 6 entropy words of a trial
 # key takes 24 mixing hash steps and 8 output steps; PCG64 then seeds with
-# two steps of its 128-bit LCG.
+# two steps of its 128-bit LCG. The last 8 mixing steps, 4 for each of the
+# words t and retry, and the output steps are stacked as (xor, multiplier)
+# columns.
 _MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 24)
-_OUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_WORD_STEPS = np.array(_MIX_STEPS[16:], np.uint32).reshape(2, 4, 2).transpose(0, 2, 1)[..., None]
+_OUT_STEPS = np.array(_hash_steps(0x8B51F9DD, 0x58F38DED, 8), np.uint32).T[..., None]
+_MIX_L, _MIX_R, _SHIFT, _MASK32 = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(v, xor, mult):
+    """One SeedSequence hash step, on uint32 arrays or on Python ints."""
+    v = (v ^ xor) * mult & _MASK32
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_pool(seed: int) -> list:
+    """The 4-word SeedSequence pool after its first 16 hash steps, which
+    read only the seed words (seed low, seed high, 0, 0)."""
+    steps = iter(_MIX_STEPS)
+    pool = [_hashmix(w, *next(steps)) for w in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    return pool
 
 
 def _substream_states(seed: int, trials, retry: int) -> Iterator[dict]:
     """The PCG64 state of ``trial_rng(seed, t, retry)`` for each trial t,
     hashed for all trials at once and yielded one dict at a time.
 
-    SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]
-    here as uint32 array arithmetic, and PCG64's two seeding steps run on
-    Python ints. Every t and retry must be below 2**32 and the seed below
-    2**64, so that each key has exactly these six words."""
-    seed, n = int(seed), len(trials)
-    words = [np.full(n, seed & 0xFFFFFFFF, np.uint32), np.full(n, seed >> 32, np.uint32),
-             np.zeros(n, np.uint32), np.zeros(n, np.uint32),
-             np.array(trials, dtype=np.uint32), np.full(n, retry, np.uint32)]
-    steps = iter(_MIX_STEPS)
-
-    def hashmix(v, step):
-        v = (v ^ step[0]) * step[1]
-        return v ^ (v >> _SHIFT)
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> _SHIFT)
-
-    pool = [hashmix(w, next(steps)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], next(steps)))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w, next(steps)))
-    out = [hashmix(pool[i % 4], step).astype(np.uint64) for i, step in enumerate(_OUT_STEPS)]
+    SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]:
+    the seed words once, as Python ints, and then t and retry into a (4, N)
+    pool, one stacked hash step and one mix per word, and its 8 output words
+    as one (8, N) array; PCG64's two seeding steps run on Python ints. Every
+    t and retry must be below 2**32 and the seed below 2**64, so that each
+    key has exactly these six words."""
+    pool = np.array(_seed_pool(int(seed)), dtype=np.uint32)[:, None]
+    for word, steps in zip((np.array(trials, dtype=np.uint32), np.uint32(retry)), _WORD_STEPS):
+        pool = _mix(pool, _hashmix(word, *steps))
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], *_OUT_STEPS).astype(np.uint64)
     # little-endian uint32 pairs -> uint64: state high, state low, seq high, seq low
-    hi_lo = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
+    hi_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
     for s_hi, s_lo, q_hi, q_lo in zip(*hi_lo):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128

@@ -21,10 +21,13 @@ the others at the same time. Every trial draws from a substream keyed on
 cells, each item's trial and cell index and the redraw number, and samples
 the draws itself; _runs, on those integer indices, is what decides which
 items share work. Both tables draw each trial once, by sample_block at unit
-alpha, P_max and P_r, build its aggregates once and scale them to its cells
-by scale_aggregates. A trial's cells of one alpha, adjacent in a sweep
-block, differ only in P_r: they share one scaling and one build of the
-eigenpairs, and hp, the bounds and the slots are each cell's. No trial's
+alpha, P_max and P_r, and build its aggregates once. A sweep scales them to
+its cells by scale_aggregates; a superiority table forms the draw's
+superiority index mu once and compares alpha^2 P_max mu with 1 in each
+cell, whose direct links and SNR sums it still checks. A trial's cells of
+one alpha, adjacent in a sweep block, differ only in P_r: they share one
+scaling and one build of the eigenpairs, and hp, the bounds and the slots
+are each cell's. No trial's
 values depend on the rest of its block, as the kernels take C-ordered
 stacks, so results are byte-identical for any W >= 1.
 A failed draw is redrawn on a flagged substream, in a smaller block, by one
@@ -47,7 +50,7 @@ import numpy as np
 
 from .channel import (
     ChannelBlock, ChannelRealization, ScenarioConfig, compute_aggregates, direct_links,
-    sample_block, scale_aggregates, trial_rng,
+    sample_block, scale_aggregates, sum_snrs, trial_rng,
 )
 from .channel import sample_channel  # noqa: F401 (perfbench wraps it)
 from .errors import NumericalError, ValidationError
@@ -59,6 +62,7 @@ from .numerics import quadratic_form
 from .tdma import (
     _KKT_ATOL, _SIMPLEX_ATOL, AsymptoticResult, TdmaAllocation, _kkt_gaps, _kkt_tolerance,
     asymptotic_allocation, block_asymptotic, block_slots, optimize_slots, single_user_relay_matrix,
+    superiority_index,
 )
 
 __all__ = [
@@ -216,18 +220,14 @@ def _runs(*keys):
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _cell_aggregates(scens, trials, cells, retry: int, items=...):
-    """The aggregates of items ``items`` of a block, trial trials[i] of cell
-    scens[cells[i]], from their draws on substream retry: each trial drawn
-    once, by sample_block at alpha = P_max = P_r = 1, its aggregates built
-    once and scaled to each item's alpha and P_max by scale_aggregates; hp is
-    ||h||^2, at unit P_r."""
+def _unit_draws(scens, trials, retry: int, items=...):
+    """Each distinct trial of trials drawn once on substream retry, by
+    sample_block at alpha = P_max = P_r = 1, its aggregates built once (hp
+    is ||h||^2, at unit P_r), and the row of them of each of the items
+    ``items`` (... for all)."""
     first, row = _runs(trials)
     blk = sample_block(scens[0], trials[first], retry)
-    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells[items]]
-                    for name in ("alpha", "P_max"))
-    return scale_aggregates(blk, compute_aggregates(blk), items if row is ... else row[items],
-                            alpha, p_max)
+    return blk, compute_aggregates(blk), items if row is ... else row[items]
 
 
 def _sweep_block(scens, trials, cells, retry: int):
@@ -240,7 +240,7 @@ def _sweep_block(scens, trials, cells, retry: int):
     alpha, p_max, p_r = (np.array([getattr(c, name) for c in scens])[cells]
                          for name in ("alpha", "P_max", "P_r"))
     first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
-    agg = _cell_aggregates(scens, trials, cells, retry, first)
+    agg = scale_aggregates(*_unit_draws(scens, trials, retry, first), alpha[first], p_max[first])
     # agg.hp is ||h||^2, and ||h||^2 * P_r each item's hp, bit for bit
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
@@ -250,9 +250,18 @@ def _sweep_block(scens, trials, cells, retry: int):
 
 def _prob_block(scens, trials, cells, retry: int):
     """The superiority predicate of each item of a block, trial trials[i] of
-    cell scens[cells[i]], from its draw on substream retry; no check can
+    cell scens[cells[i]], from its draw on substream retry: alpha^2 P_max mu
+    > 1, with mu the superiority index of the draw at unit alpha and P_max,
+    formed once per draw. Each item's direct links and SNR sums are checked
+    at its own alpha and P_max, as a build there checks them; no check can
     fail."""
-    wins = block_asymptotic(_cell_aggregates(scens, trials, cells, retry)).joint_wins
+    blk, agg, row = _unit_draws(scens, trials, retry)
+    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells]
+                    for name in ("alpha", "P_max"))
+    h_d, P = direct_links(alpha[:, None], blk.h_d[row]), blk.P[row] * p_max[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_snrs(np.square(np.abs(h_d)) * P, agg.nr[row] * p_max[:, None])
+    wins = alpha * (alpha * p_max) * superiority_index(agg)[row] > 1.0
     return wins, np.full(wins.shape, "")
 
 

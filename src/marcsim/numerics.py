@@ -1,8 +1,9 @@
 """Minimal dense complex linear algebra used by the rate formulas.
 
 Only what the sum-rate expressions need: Hermitian validation, quadratic
-forms, and the dominant eigenpair (LAPACK ``eigh``) or eigenvalue (``eigvalsh``)
-of a Hermitian positive-semidefinite matrix, or of each matrix of a stack.
+forms, the dominant eigenpair (LAPACK ``eigh``) or eigenvalue (``eigvalsh``)
+of a Hermitian positive-semidefinite matrix, and a whitener of a Hermitian
+positive-definite one (LAPACK Cholesky), or of each matrix of a stack.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["is_hermitian", "quadratic_form", "dominant_eigenpair", "dominant_eigenvalue"]
+__all__ = [
+    "is_hermitian", "quadratic_form", "dominant_eigenpair", "dominant_eigenvalue", "whitener",
+]
 
 HERMITIAN_RTOL = 1e-12
 _PSD_RTOL = 1e-12  # relative slack below 0 still accepted as PSD
@@ -24,8 +27,10 @@ def is_hermitian(A: np.ndarray) -> bool:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         return False
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
-    diff = np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
-    return bool(np.all(diff <= HERMITIAN_RTOL * scale))
+    # every entry against its matrix's bound, in one reduction over the stack
+    diff = np.conjugate(np.swapaxes(A, -1, -2))
+    diff = np.abs(np.subtract(A, diff, out=diff))
+    return bool(np.all(diff <= (HERMITIAN_RTOL * scale)[..., None, None]))
 
 
 def _check_hermitian(A: np.ndarray) -> np.ndarray:
@@ -81,3 +86,26 @@ def dominant_eigenpair(A: np.ndarray):
 def dominant_eigenvalue(A: np.ndarray):
     """lambda_max of :func:`dominant_eigenpair`, with its checks, by ``eigvalsh``."""
     return _dominant(A, vectors=False)[0]
+
+
+def whitener(B: np.ndarray):
+    """(V, pd) for a stack B (N, n, n) of Hermitian matrices: pd[i] is True
+    where B[i] is positive definite, and then V[i] B[i] V[i]^H = I, with
+    V[i] = L^-1 of the Cholesky factor B[i] = L L^H; V[i] = 0 elsewhere.
+    When Cholesky fails on a matrix, numerically singular or not positive
+    definite, that matrix alone takes V = diag(beta^(-1/2)) U^H of its
+    ``eigh`` B = U diag(beta) U^H, and pd is False if some beta <= 0, so each
+    V[i] depends on B[i] alone. ValidationError unless B is finite and
+    Hermitian."""
+    B = _check_hermitian(B)
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        if len(B) > 1:
+            V, pd = zip(*(whitener(b[None]) for b in B))
+            return np.concatenate(V), np.concatenate(pd)
+        beta, U = np.linalg.eigh(B)
+        pd = (beta > 0.0).all(axis=-1)
+        root = np.sqrt(np.where(pd[:, None], beta, np.inf))
+        return np.swapaxes(U.conj(), -1, -2) / root[..., None], pd
+    return np.linalg.inv(L), np.ones(len(B), dtype=bool)

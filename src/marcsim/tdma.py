@@ -11,7 +11,9 @@ most nu gets none, and nu is the level at which the durations sum to one.
 
 For unbounded relay power the optimal durations and the resulting sum rate
 have closed forms, which also yield the test deciding whether joint relaying
-beats TDMA in that regime.
+beats TDMA in that regime: lambda_max(R + W) > tr R, or, as one number per
+draw, the superiority index mu = lambda_max(W, (tr R) I - R) > 1. R scales
+as P_max and W as alpha^2 P_max^2, so mu scales as alpha^2 P_max.
 
 :func:`block_slots` and :func:`block_asymptotic` evaluate every trial of a
 channel block at once; the single-realization functions run them on one.
@@ -27,12 +29,14 @@ import numpy as np
 from .channel import ChannelAggregates, ChannelRealization, compute_aggregates, user_snrs
 from .errors import NumericalError, ValidationError
 from .joint import RelayMatrix
-from .numerics import dominant_eigenpair, dominant_eigenvalue  # noqa: F401 (perfbench wraps it)
+from .numerics import dominant_eigenvalue, whitener
+from .numerics import dominant_eigenpair  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
     "TdmaAllocation", "AsymptoticResult", "single_user_relay_matrix", "single_user_rate",
     "user_rate", "user_rate_derivative", "optimize_slots", "block_slots", "kkt_slackness",
     "asymptotic_allocation", "block_asymptotic", "joint_beats_tdma_asymptotic",
+    "superiority_index",
 ]
 
 _LN2 = log(2.0)
@@ -43,7 +47,8 @@ _SIMPLEX_ATOL = 1e-9  # |sum_k tau_k - 1| an allocation may show
 _KKT_ATOL = 1e-8  # KKT spread and slackness in bits an allocation may show
 _KKT_RTOL = 1e-10  # ... and relative to the water level nu, where that is smaller
 # ulps of tr R by which lambda_max(R + W) must pass it for joint relaying to
-# win; a K = 1 tie, lambda_max(R) = tr R, errs by at most 12.
+# win, the guard g of superiority_index; a K = 1 tie, lambda_max(R) = tr R,
+# errs by at most 12.
 _TIE_ULPS = 64
 # n = 2..24 in the series of _log_excess: at t = 1/5 its last term is below
 # 1e-16 of the sum, and the tail after it below 1e-17.
@@ -338,11 +343,40 @@ def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:
     return bool(asymptotic_allocation(c).joint_wins)
 
 
+def superiority_index(agg: ChannelAggregates) -> np.ndarray:
+    """Each trial's superiority index mu = lambda_max(W, B), the largest
+    x^H W x / x^H B x, with B = (tr R + g) I - R and g = _TIE_ULPS ulps of
+    tr R, from aggregates with or without a trial axis: joint relaying beats
+    TDMA at unbounded relay power iff mu > 1, i.e. iff lambda_max(R + W)
+    passes tr R by more than g. mu is lambda_max of V W V^H for V the
+    whitener of B, V B V^H = I; it is 0 where W = 0, NaN, which passes no
+    threshold, where B is not positive definite, and inf where V W V^H
+    overflows. R scales as t and W as (alpha t)^2 in scale_aggregates, so mu
+    scales as alpha^2 t, up to the rounding of g."""
+    M = agg.R.shape[-1]
+    tr_R = agg.nr.sum(axis=-1)
+    top = (tr_R + _TIE_ULPS * np.spacing(tr_R)).reshape(-1)
+    R, W = agg.R.reshape(-1, M, M), agg.W.reshape(-1, M, M)
+    mu = np.zeros(len(W))
+    live = np.flatnonzero(W.reshape(-1, M * M).any(axis=-1))
+    if live.size:
+        live = slice(None) if live.size == len(W) else live  # no copies of R and W
+        V, pd = whitener(top[live, None, None] * np.eye(M) - R[live])
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = V @ W[live]
+            X = X @ np.swapaxes(np.conjugate(V, out=V), -1, -2)  # V W V^H
+        del V  # X alone while it is checked and decomposed
+        big = ~np.isfinite(X).reshape(-1, M * M).all(axis=-1)
+        X[big] = 0.0
+        mu[live] = np.where(pd, np.where(big, np.inf, dominant_eigenvalue(X)), np.nan)
+    return mu.reshape(tr_R.shape)
+
+
 def block_asymptotic(agg: ChannelAggregates) -> AsymptoticResult:
     """:func:`asymptotic_allocation` for each trial of a block, or for one
-    realization, from its aggregates."""
+    realization, from its aggregates; the verdict is superiority_index > 1,
+    and lambda_max(R + W) serves joint_rate_inf alone."""
     lam = dominant_eigenvalue(agg.R + agg.W)
-    relay_sum = agg.nr.sum(axis=-1)  # tr R
     weights = agg.d + agg.nr
     total = weights.sum(axis=-1)
     some = total > 0.0
@@ -351,10 +385,7 @@ def block_asymptotic(agg: ChannelAggregates) -> AsymptoticResult:
                          1.0 / weights.shape[-1]),
         rate_inf=np.log1p(total) / _LN2,
         joint_rate_inf=np.log1p(agg.s + lam) / _LN2,
-        # lam_max(R + W) > sum_k ||h_r^(k)||^2 P^(k), strictly and with a
-        # guard of _TIE_ULPS so exact ties (e.g. K = 1, where lam equals the
-        # sum) resolve to TDMA under float noise.
-        joint_wins=lam > relay_sum + _TIE_ULPS * np.spacing(relay_sum),
+        joint_wins=superiority_index(agg) > 1.0,
     )
 
 

@@ -209,14 +209,17 @@ def test_each_pass_draws_each_trial_once(count_draws, table):
 
 
 def test_the_scaled_predicate_equals_the_per_item_one():
-    # _prob_block builds each draw's aggregates once, at unit alpha and
-    # P_max, and scales R and W to each of its cells. Outside near-ties,
-    # |lambda_max(R + W) - tr R| <= 1e-10 tr R, its predicate is the one of
-    # the aggregates built at each item's own alpha and P_max.
+    # _prob_block forms each draw's superiority index mu once, from its
+    # aggregates at unit alpha and P_max, and compares alpha^2 P_max mu with 1
+    # in each of its cells. Outside near-ties, |lambda_max(R + W) - tr R| <=
+    # 1e-10 tr R, its predicate is the one of the aggregates built at each
+    # item's own alpha and P_max.
     compared = items = 0
-    for K, M_r in ((1, 1), (1, 8), (2, 1), (5, 3), (10, 4), (50, 1), (50, 8)):
+    for K, M_r in ((1, 1), (1, 8), (2, 1), (5, 3), (10, 4), (50, 1), (50, 8), (100, 2),
+                   (100, 8)):
         base = ScenarioConfig(K=K, M_r=M_r, seed=13)
-        cells = [replace(base, alpha=a, P_max=db_to_linear(db)) for a in (0.0, 1e-3, 0.1, 1.0)
+        cells = [replace(base, alpha=a, P_max=db_to_linear(db))
+                 for a in (0.0, 1e-6, 1e-3, 0.1, 1.0, 1e6)
                  for db in (-40.0, -20.0, 0.0, 20.0, 40.0, 80.0)]
         item = np.arange(20 * len(cells))
         cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)

@@ -146,6 +146,20 @@ def test_bulk_seeding_matches_seed_sequence(seed, retry):
         assert state == PCG64(SeedSequence(seed, spawn_key=(t, retry))).state, t
 
 
+def test_sample_block_draws_the_oracle_streams_at_the_key_bounds():
+    # the largest seed, trial index and retry a block takes: each row is the
+    # unit draw sample_channel makes from numpy's own SeedSequence stream
+    unit = ScenarioConfig(K=3, M_r=2, P_max=1.0, P_r=1.0, alpha=1.0, seed=2**64 - 1)
+    trials = [0, 2**31, 2**32 - 1]
+    for retry in (0, 2**32 - 1):
+        blk = sample_block(replace(unit, alpha=0.5, P_max=4.0), trials, retry)
+        for i, t in enumerate(trials):
+            rng = np.random.Generator(PCG64(SeedSequence(2**64 - 1, spawn_key=(t, retry))))
+            want = sample_channel(unit, rng)
+            for name in ("h_r", "h_d", "h", "P"):
+                assert np.array_equal(getattr(blk, name)[i], getattr(want, name)), (retry, t, name)
+
+
 def test_sample_block_rejects_malformed_blocks():
     cfg = ScenarioConfig(K=2, M_r=2, seed=5)
     for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32), ([], 0), (range(0), 0)):
@@ -478,6 +492,13 @@ def test_scenario_validation():
         ScenarioConfig(P_max=0.0)
     with pytest.raises(ValidationError):
         ScenarioConfig(alpha=-0.5)
+    for name in ("P_max", "P_r", "alpha"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match=f"^{name} must be finite, got {bad}$"):
+                ScenarioConfig(**{name: bad})
+        for bad in ("1.0", None, 1j):
+            with pytest.raises(TypeError):
+                ScenarioConfig(**{name: bad})
 
 
 def test_realizations_immutable(make_channel):

@@ -409,8 +409,9 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build for all its cells and, in each
-    # alpha, the eigenpairs of R and R + W; a superiority trial one build for
-    # all its (alpha, P_max) cells, and the top eigenvalue of R + W in each
+    # alpha, the eigenpairs of R and R + W; a superiority trial one build and
+    # one superiority index, whose top eigenvalue is one row, for all its
+    # (alpha, P_max) cells
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
@@ -420,7 +421,7 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
     counts.clear()
     cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 45}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 5}
 
 
 def test_check_builds_aggregates_at_most_twice_per_trial(monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from marcsim import (
     compute_aggregates,
     dominant_eigenpair,
     dominant_eigenvalue,
+    is_hermitian,
     quadratic_form,
     sample_channel,
     trial_rng,
+    whitener,
 )
 from marcsim.errors import ValidationError
 
@@ -180,6 +184,59 @@ def test_dominant_eigenvalue_raises_as_the_eigenpair(A):
             top(A)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def test_whitener_whitens_and_falls_back_one_matrix_at_a_time(rng, monkeypatch):
+    # Cholesky fails on the whole stack when one matrix is singular or
+    # indefinite, or too near singular for its rounding, as (tr R + e) I - R
+    # is for a rank-one R and e of an ulp of tr R; then each matrix takes its
+    # own way, so that its whitener is the one it gets alone: L^-1 of
+    # B = L L^H where Cholesky succeeds, else diag(beta^(-1/2)) U^H of its
+    # eigh, or 0 where some beta <= 0
+    near = []
+    for _ in range(40):
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        R = np.outer(u, u.conj())
+        tr_R = np.sum(np.abs(u) ** 2)
+        near.append((tr_R + np.spacing(tr_R)) * np.eye(3) - 0.5 * (R + R.conj().T))
+    stack = np.stack([random_psd(rng, 3) + np.eye(3), np.diag([1.0, 0.0, 2.0]),
+                      np.diag([1.0, -1.0, 1.0]), random_psd(rng, 3) + 1e-3 * np.eye(3), *near])
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda B: eighs.append(len(B)) or real_eigh(B))
+    V, pd = whitener(stack)
+    assert pd[:4].tolist() == [True, False, False, True]
+    assert len(eighs) >= 2
+    for i, B in enumerate(stack):
+        alone, pd_alone = whitener(B[None])
+        assert np.array_equal(V[i], alone[0]) and pd_alone[0] == pd[i], i
+        assert np.isfinite(V[i]).all() and V[i].any() == pd[i], i
+    for i in (0, 3):
+        assert np.allclose(V[i] @ stack[i] @ V[i].conj().T, np.eye(3), atol=1e-9), i
+    for bad in (np.array([[[1.0, 2.0], [0.0, 1.0]]]), np.array([[[np.nan]]])):
+        with pytest.raises(ValidationError):
+            whitener(bad)
+
+
+def test_is_hermitian_is_the_per_matrix_maximum_test(rng):
+    # each entry of |A - A^H| against its own matrix's bound gives the same
+    # answer as their maximum against it: at, just over and just under the
+    # bound, with large and small entries, and with NaN or inf anywhere
+    def reference(A):
+        scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+        diff = np.abs(A - np.swapaxes(A, -1, -2).conj()).max(axis=(-2, -1))
+        return bool(np.all(diff <= 1e-12 * scale))
+
+    for n, size in ((1, 1), (2, 30), (4, 7), (8, 3)):
+        for magnitude in (1e-3, 1.0, 1e6):
+            A = np.stack([random_psd(rng, n) for _ in range(size)]) * magnitude
+            bound = 1e-12 * max(1.0, np.abs(A[-1]).max())
+            for bad, factor in product((None, np.nan, np.inf), (0.5, 1.0, 2.0)):
+                B = A.copy()
+                B[-1, 0, n - 1] += factor * bound if bad is None else bad
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    assert is_hermitian(B) == reference(B), (n, magnitude, bad, factor)
+                    assert is_hermitian(B[-1]) == reference(B[-1]), (n, magnitude, bad, factor)
 
 
 def test_quadratic_form_trivial_cases():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marcsim import (
+    ChannelAggregates,
     ChannelBlock,
     ChannelRealization,
     ScenarioConfig,
@@ -24,11 +25,12 @@ from marcsim import (
     user_rate,
     user_rate_derivative,
 )
-from marcsim import tdma
-from marcsim.channel import user_snrs
+from marcsim import harness, tdma
+from marcsim.channel import compute_aggregates, sample_block, scale_aggregates, user_snrs
 from marcsim.errors import ValidationError
 from marcsim.harness import _BLOCK_BYTES, _trial_bytes, db_to_linear
-from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_slots
+from marcsim.numerics import dominant_eigenvalue
+from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_asymptotic, block_slots
 
 from conftest import scaled_block
 
@@ -653,6 +655,96 @@ def test_the_tie_guard_is_tens_of_ulps_wide():
         cfg = SweepConfig(replace(base, K=1, M_r=M_r), (-40.0, 0.0, 40.0, 80.0),
                           alpha_values=(0.0, 0.001, 1.0), n_trials=500)
         assert {r.probability for r in estimate_superiority_probability(cfg).rows} == {0.0}
+
+
+def test_the_superiority_index_scales_as_alpha_squared_p_max():
+    # R scales as t and W as (alpha t)^2, so mu at (alpha, t) is alpha^2 t
+    # times the unit draw's mu. Only the guard g, 64 ulps of tr R, scales by
+    # rounding, by up to a factor 2, and moves mu by about g over the gap
+    # tr R - lambda_max(R): on the draws whose gap is a tenth of tr R or
+    # more, mu scales to 1e-12 of itself.
+    for K, M_r in ((2, 2), (3, 8), (10, 4), (50, 8), (100, 2)):
+        c = sample_block(ScenarioConfig(K=K, M_r=M_r, seed=4), np.arange(50))
+        unit = compute_aggregates(c)
+        mu = tdma.superiority_index(unit)
+        assert np.all(mu > 0.0), (K, M_r)
+        tr_R = unit.nr.sum(axis=-1)
+        wide = tr_R - dominant_eigenvalue(unit.R) >= 0.1 * tr_R
+        assert wide.sum() >= 15, (K, M_r)
+        for alpha, t in product((1e-3, 0.3, 1.0, 7.0), (1e-4, 1.0, 10.0, 1e8)):
+            got = tdma.superiority_index(scale_aggregates(c, unit, ..., alpha, t))
+            want = alpha * alpha * t * mu
+            assert np.all(np.abs(got - want)[wide] <= 1e-12 * want[wide]), (K, M_r, alpha, t)
+
+
+def test_the_superiority_index_is_zero_without_cross_terms():
+    # W = 0 for K = 1, for alpha = 0 and when one user alone has power: mu
+    # is 0 and TDMA wins, however small tr R - lambda_max(R) is
+    for M_r in (1, 4):
+        c = sample_block(ScenarioConfig(K=1, M_r=M_r, seed=2), np.arange(30))
+        agg = compute_aggregates(c)
+        assert np.array_equal(tdma.superiority_index(agg), np.zeros(30))
+        assert not block_asymptotic(agg).joint_wins.any()
+        c = sample_block(ScenarioConfig(K=4, M_r=M_r, seed=2), np.arange(30))
+        agg = scale_aggregates(c, compute_aggregates(c), ..., 0.0, 10.0)
+        assert np.array_equal(tdma.superiority_index(agg), np.zeros(30))
+        assert not block_asymptotic(agg).joint_wins.any()
+    alone = ChannelRealization(h_r=[[1.0, 1j, 0.5], [0.3, -1.0, 2j]], h_d=[1.0, 2.0],
+                               h=[1.0, 0.0, 1.0], P=[3.0, 0.0], P_r=1.0)
+    agg = compute_aggregates(alone)
+    assert tdma.superiority_index(agg) == 0.0 and not asymptotic_allocation(alone).joint_wins
+
+
+def test_the_superiority_index_takes_parallel_relay_links():
+    # Parallel h_r make R rank one, so B = (tr R + g) I - R has an
+    # eigenvalue of about g and its Cholesky factor may not exist; at M_r = 1
+    # every h_r is parallel and B is g alone. W then lies along R's one
+    # direction and lambda_max(R + W) = tr R + tr W: no case raises, and
+    # the verdict is that comparison's wherever it is clear of the guard.
+    rng = np.random.default_rng(6)
+    for K, M_r in ((2, 1), (5, 1), (2, 3), (6, 8)):
+        for scale in (1e-9, 1e-6, 1e-3, 1.0):
+            v = rng.standard_normal(M_r) + 1j * rng.standard_normal(M_r)
+            gains = rng.standard_normal((40, K)) + 1j * rng.standard_normal((40, K))
+            h_d = scale * (rng.standard_normal((40, K)) + 1j * rng.standard_normal((40, K)))
+            blk = ChannelBlock(h_r=gains[..., None] * v, h_d=h_d, h=np.ones((40, M_r)),
+                               P=rng.uniform(size=(40, K)), P_r=np.ones(40))
+            agg = compute_aggregates(blk)
+            mu = tdma.superiority_index(agg)
+            assert not np.isnan(mu).any(), (K, M_r, scale)
+            lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
+            clear = np.abs(lam - tr_R) > 1e3 * np.spacing(tr_R)
+            assert clear.sum() >= (20 if scale >= 1e-6 else 0), (K, M_r, scale)
+            assert np.array_equal((mu > 1.0)[clear], (lam > tr_R)[clear]), (K, M_r, scale)
+
+
+def test_the_superiority_index_is_nan_where_the_guard_is_passed():
+    # lambda_max(R) can pass tr R + g only by rounding; B is then not
+    # positive definite, mu is NaN and the verdict TDMA's, with no error.
+    # Here R's lambda_max, 2, passes a tr R of 1.5 given in nr.
+    R = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]]])
+    W = np.array([[[1.0, 0.5], [0.5, 1.0]]] * 2)
+    agg = ChannelAggregates(s=np.ones(2), R=R, T=np.zeros_like(W), W=W,
+                            d=np.ones((2, 2)), nr=np.array([[1.0, 1.0], [1.0, 0.5]]),
+                            hp=np.ones(2))
+    mu = tdma.superiority_index(agg)
+    assert mu[0] == pytest.approx(1.5) and np.isnan(mu[1])
+    assert block_asymptotic(agg).joint_wins.tolist() == [True, False]
+
+
+def test_the_prob_verdict_is_monotone_in_alpha_squared_p_max():
+    # a draw's verdict is alpha^2 P_max mu > 1 for its one mu: once joint
+    # relaying wins at some alpha^2 P_max, it wins at every larger one
+    base = ScenarioConfig(K=3, M_r=2, seed=12)
+    cells = [replace(base, alpha=a, P_max=db_to_linear(db))
+             for a in (1e-3, 0.1, 0.5, 1.0, 10.0) for db in (-40.0, -20.0, 0.0, 20.0, 40.0)]
+    item = np.arange(200 * len(cells))
+    wins, _ = harness._prob_block(cells, item // len(cells), item % len(cells), 0)
+    wins = wins.reshape(200, len(cells))
+    c = np.array([s.alpha * (s.alpha * s.P_max) for s in cells])
+    order = np.argsort(c, kind="stable")
+    assert np.all(np.diff(wins[:, order].astype(int), axis=1) >= 0)
+    assert 0 < wins.mean() < 1
 
 
 def test_asymptotic_all_zero_weights():
