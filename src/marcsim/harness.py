@@ -6,45 +6,46 @@ over P_r; estimate_superiority_probability estimates over P_max the
 probability that joint relaying wins as the relay power grows without bound.
 
 One pipeline serves both tables; they differ only in the swept power, the
-block evaluator and how a cell's values become rows. The run's trials, each
-over every cell in sorted (alpha, dB) order, form one flat list, and a
-block is a slice of it: a range of trials across every cell. A run is split
-into n process groups: W, at most the CPU count, but no more than leave
-every process the work that pays for its start, _MIN_PROCESS_WORK, a trial
-weighing sqrt(K * M_r); a smaller run is one group, computed here. Each
-group is a contiguous run of the same number of equal blocks, as few as
-keep a block within a byte budget on its memory, at a footprint per trial
-fitted in K and M_r. The calling process computes the first group; with
-more groups, one process pool, of one process per further group, computes
-the others at the same time. Every trial draws from a substream keyed on
-(seed, trial index), seeded in bulk. A block's evaluator takes the table's
-cells, each item's trial and cell index and the redraw number, and samples
-the draws itself; _runs, on those integer indices, is what decides which
-items share work. Both tables draw each trial once, by sample_block at unit
-alpha, P_max and P_r, and build its aggregates once. A sweep scales them to
-its cells by scale_aggregates; a superiority table forms the draw's
-superiority index mu once and compares alpha^2 P_max mu with 1 in each
-cell, whose direct links and SNR sums it still checks. A trial's cells of
-one alpha, adjacent in a sweep block, differ only in P_r: they share one
-scaling and one build of the eigenpairs, and hp, the bounds and the slots
-are each cell's. No trial's
-values depend on the rest of its block, as the kernels take C-ordered
-stacks, so results are byte-identical for any W >= 1.
-A failed draw is redrawn on a flagged substream, in a smaller block, by one
-loop. A block returns its values, with a leading trial axis, and its redraw
-count; the table reads the blocks joined into one (cells, trials, ...)
-array. The invariant suite of ``marcsim check`` draws by sample_block too,
-and evaluates its trials in chunks that keep within the same byte budget, at
-a footprint per trial of its own.
+block evaluator and how a cell's values become rows. A table's cells, in
+sorted (alpha, dB) order, are one array of their alpha, P_max and P_r beside
+the base scenario. The run's trials, each over every cell, form one flat
+list, and a block is a slice of it: a range of trials across every cell. A
+run is split into n process groups: W, at most the CPU count, but no more
+than leave every process the work that pays for its start,
+_MIN_PROCESS_WORK, a trial weighing sqrt(K * M_r); a smaller run is one
+group, computed here. Each group is a contiguous run of the same number of
+equal blocks, as few as keep a block within a byte budget on its memory, at
+a footprint per trial fitted in K and M_r. The calling process computes the
+first group; with more groups, one process pool, of one process per further
+group, computes the others at the same time. Every trial draws from a
+substream keyed on (seed, trial index), seeded in bulk. A block's evaluator
+takes the base scenario and that array, each item's trial and cell index and
+the redraw number, and samples the draws itself; _runs, on those integer
+indices, is what decides which items share work. Both tables draw each trial
+once, by sample_block at unit alpha, P_max and P_r, and build its aggregates
+once. A sweep scales them to its cells by scale_aggregates; a superiority
+table forms the draw's superiority index mu once and compares alpha^2 P_max
+mu with 1 in each cell, whose direct links and SNR sums it still checks. A
+trial's cells of one alpha, adjacent in a sweep block, differ only in P_r:
+they share one scaling and one build of the eigenpairs, and hp, the bounds
+and the slots are each cell's. No trial's values depend on the rest of its
+block, as the kernels take C-ordered stacks, so results are byte-identical
+for any W >= 1. A failed draw is redrawn on a flagged substream, in a
+smaller block, by one loop. A block returns its values, with a leading trial
+axis, and its redraw count; the table reads the blocks joined into one
+(cells, trials, ...) array, whose reductions make the rows, named tuples.
+The invariant suite of ``marcsim check`` draws by sample_block too, and
+evaluates its trials in chunks that keep within the same byte budget, at a
+footprint per trial of its own.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from math import sqrt
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +167,7 @@ def evaluate_realization(c: ChannelRealization) -> RealizationMetrics:
     return RealizationMetrics(lower_bound(c), optimize_slots(c), asymptotic_allocation(c))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     alpha: float
     pr_db: float
     metric: str
@@ -177,8 +177,7 @@ class SweepRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class ProbRow:
+class ProbRow(NamedTuple):
     alpha: float
     pmax_db: float
     probability: float
@@ -201,10 +200,9 @@ class TableResult:
         the first, whose float fields read %.10g and the rest %s."""
         if not self.rows:
             return ""
-        names = [f.name for f in fields(self.rows[0])]
-        values = attrgetter(*names)
-        line = ",".join("%.10g" if isinstance(v, float) else "%s" for v in values(self.rows[0]))
-        return "\n".join([",".join(names), *(line % values(r) for r in self.rows)]) + "\n"
+        first = self.rows[0]
+        line = ",".join("%.10g" if isinstance(v, float) else "%s" for v in first)
+        return "\n".join([",".join(first._fields), *map(line.__mod__, self.rows)]) + "\n"
 
 
 SweepResult = ProbResult = TableResult
@@ -220,27 +218,26 @@ def _runs(*keys):
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _unit_draws(scens, trials, retry: int, items=...):
+def _unit_draws(base: ScenarioConfig, trials, retry: int, items=...):
     """Each distinct trial of trials drawn once on substream retry, by
     sample_block at alpha = P_max = P_r = 1, its aggregates built once (hp
     is ||h||^2, at unit P_r), and the row of them of each of the items
     ``items`` (... for all)."""
     first, row = _runs(trials)
-    blk = sample_block(scens[0], trials[first], retry)
+    blk = sample_block(base, trials[first], retry)
     return blk, compute_aggregates(blk), items if row is ... else row[items]
 
 
-def _sweep_block(scens, trials, cells, retry: int):
-    """The METRICS of each item of a block, trial trials[i] of cell
-    scens[cells[i]], (N, 5), and a failure message per item ("" when it
-    passed every check), from the items' draws on substream retry. A run of
-    items of one trial, alpha and P_max, which differ only in P_r, takes its
-    first item's aggregates and builds its eigenpairs once; hp, the bounds
-    and the slots are each item's."""
-    alpha, p_max, p_r = (np.array([getattr(c, name) for c in scens])[cells]
-                         for name in ("alpha", "P_max", "P_r"))
+def _sweep_block(base: ScenarioConfig, powers, trials, cells, retry: int):
+    """The METRICS of each item of a block, trial trials[i] of the cell of
+    alpha, P_max and P_r powers[:, cells[i]], (N, 5), and a failure message
+    per item ("" when it passed every check), from the items' draws of base
+    on substream retry. A run of items of one trial, alpha and P_max, which
+    differ only in P_r, takes its first item's aggregates and builds its
+    eigenpairs once; hp, the bounds and the slots are each item's."""
+    alpha, p_max, p_r = powers[:, cells]
     first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
-    agg = scale_aggregates(*_unit_draws(scens, trials, retry, first), alpha[first], p_max[first])
+    agg = scale_aggregates(*_unit_draws(base, trials, retry, first), alpha[first], p_max[first])
     # agg.hp is ||h||^2, and ||h||^2 * P_r each item's hp, bit for bit
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
@@ -248,16 +245,15 @@ def _sweep_block(scens, trials, cells, retry: int):
     return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
 
 
-def _prob_block(scens, trials, cells, retry: int):
+def _prob_block(base: ScenarioConfig, powers, trials, cells, retry: int):
     """The superiority predicate of each item of a block, trial trials[i] of
-    cell scens[cells[i]], from its draw on substream retry: alpha^2 P_max mu
-    > 1, with mu the superiority index of the draw at unit alpha and P_max,
-    formed once per draw. Each item's direct links and SNR sums are checked
-    at its own alpha and P_max, as a build there checks them; no check can
-    fail."""
-    blk, agg, row = _unit_draws(scens, trials, retry)
-    alpha, p_max = (np.array([getattr(c, name) for c in scens])[cells]
-                    for name in ("alpha", "P_max"))
+    the cell of alpha and P_max powers[:2, cells[i]], from its draw of base
+    on substream retry: alpha^2 P_max mu > 1, with mu the superiority index
+    of the draw at unit alpha and P_max, formed once per draw. Each item's
+    direct links and SNR sums are checked at its own alpha and P_max, as a
+    build there checks them; no check can fail."""
+    blk, agg, row = _unit_draws(base, trials, retry)
+    alpha, p_max = powers[:2, cells]
     h_d, P = direct_links(alpha[:, None], blk.h_d[row]), blk.P[row] * p_max[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         sum_snrs(np.square(np.abs(h_d)) * P, agg.nr[row] * p_max[:, None])
@@ -265,17 +261,18 @@ def _prob_block(scens, trials, cells, retry: int):
     return wins, np.full(wins.shape, "")
 
 
-def _trial_block(evaluate, scens: list[ScenarioConfig], lo: int, hi: int):
+def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
     """The values of items lo <= i < hi of the flat (trial, cell) list,
     i = trial * cells + cell, evaluated as one block with a leading item
-    axis, and the number of redraws behind them. ``evaluate`` takes the
-    table's cells and each item's trial and cell index, in this trial-major
-    order. Draws that fail a check are redrawn as a block on their next
-    flagged substreams, over their rows, in the same order."""
-    rows, resampled, cells = np.arange(hi - lo), 0, len(scens)  # the rows still to draw
+    axis, and the number of redraws behind them. ``evaluate`` takes base,
+    powers, the cells' alpha, P_max and P_r as a (3, cells) array, and each
+    item's trial and cell index, in this trial-major order. Draws that fail a
+    check are redrawn as a block on their next flagged substreams, over
+    their rows, in the same order."""
+    rows, resampled, cells = np.arange(hi - lo), 0, powers.shape[1]  # the rows still to draw
     for retry in range(_MAX_RESAMPLES):
         items = rows + lo
-        got, why = evaluate(scens, items // cells, items % cells, retry)
+        got, why = evaluate(base, powers, items // cells, items % cells, retry)
         if retry:
             values[rows] = got
             resampled += len(rows)
@@ -300,28 +297,28 @@ def _run_blocks(tasks) -> list:
     return [_trial_block(*task) for task in tasks]
 
 
-def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: int):
-    """``evaluate``d values of trials t < n_trials of every cell, as one
-    (cells, n_trials, ...) array, and the total number of redraws. workers
-    is an upper bound: it is capped at the CPU count, as a pool starts all
-    its processes at once, and at one process per _MIN_PROCESS_WORK of the
-    run's work, items * sqrt(K * M_r), which gives n groups; W = 1 and a run
-    of less than twice that work are one group. Each group gets the same
-    number of blocks of about equal size, as few as keep a block within the
-    _BLOCK_BYTES // _trial_bytes(K, M_r) trials that fit its memory budget,
-    so that the groups finish together; a block of many small trials as of a
-    few large ones, as every block pays the kernels' fixed cost per call
-    again. The blocks, in order, form min(n, blocks) contiguous groups. With
-    more than one group, one pool of a process per group after the first
-    takes those groups while this process computes the first; the groups are
-    joined in order."""
+def _run_cells(evaluate, base: ScenarioConfig, powers, n_trials: int, workers: int):
+    """``evaluate``d values of trials t < n_trials of every cell, the
+    columns of powers, as one (cells, n_trials, ...) array, and the total
+    number of redraws. workers is an upper bound: it is capped at the CPU
+    count, as a pool starts all its processes at once, and at one process
+    per _MIN_PROCESS_WORK of the run's work, items * sqrt(K * M_r), which
+    gives n groups; W = 1 and a run of less than twice that work are one
+    group. Each group gets the same number of blocks of about equal size, as
+    few as keep a block within the _BLOCK_BYTES // _trial_bytes(K, M_r)
+    trials that fit its memory budget, so that the groups finish together; a
+    block of many small trials as of a few large ones, as every block pays
+    the kernels' fixed cost per call again. The blocks, in order, form
+    min(n, blocks) contiguous groups. With more than one group, one pool of
+    a process per group after the first takes those groups while this
+    process computes the first; the groups are joined in order."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    items, K, M_r = len(scens) * n_trials, scens[0].K, scens[0].M_r
+    items, K, M_r = powers.shape[1] * n_trials, base.K, base.M_r
     n = max(1, min(workers, os.cpu_count() or 1, int(items * sqrt(K * M_r) // _MIN_PROCESS_WORK)))
     per_group = -(-items // (n * max(1, _BLOCK_BYTES // _trial_bytes(K, M_r))))
     size = -(-items // (n * per_group))
-    tasks = [(evaluate, scens, lo, min(lo + size, items)) for lo in range(0, items, size)]
+    tasks = [(evaluate, base, powers, lo, min(lo + size, items)) for lo in range(0, items, size)]
     n = min(n, len(tasks))
     groups = [tasks[g * len(tasks) // n:(g + 1) * len(tasks) // n] for g in range(n)]
     if n == 1:
@@ -333,7 +330,7 @@ def _run_cells(evaluate, scens: list[ScenarioConfig], n_trials: int, workers: in
             for group in rest:
                 blocks += group
     values, counts = zip(*blocks)
-    values = np.concatenate(values).reshape(n_trials, len(scens), *values[0].shape[1:])
+    values = np.concatenate(values).reshape(n_trials, -1, *values[0].shape[1:])
     return values.swapaxes(0, 1), sum(counts)
 
 
@@ -341,11 +338,17 @@ def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
     """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell of
     cfg.grid_db, where dB sets the scenario's ``power`` ("P_r" or "P_max").
     Returns the cells in sorted order, their values as one (cells, n_trials,
-    ...) array and the total number of redraws."""
+    ...) array and the total number of redraws. One ScenarioConfig per
+    distinct swept power and alpha raises each invalid cell's ValidationError
+    before any draw, as it checks each field alone."""
     cells = sorted(product(cfg.alpha_values, cfg.grid_db))
-    scens = [replace(cfg.base, alpha=a, **{power: db_to_linear(db)})
-             for a, db in cells]
-    return (cells, *_run_cells(evaluate, scens, cfg.n_trials, workers))
+    columns = {"alpha": [a for a, _ in cells], "P_max": [cfg.base.P_max] * len(cells),
+               "P_r": [cfg.base.P_r] * len(cells), power: [db_to_linear(db) for _, db in cells]}
+    for name in (power, "alpha"):
+        for value in dict.fromkeys(columns[name]):
+            replace(cfg.base, **{name: value})
+    powers = np.array(list(columns.values()))
+    return (cells, *_run_cells(evaluate, cfg.base, powers, cfg.n_trials, workers))
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
@@ -359,11 +362,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     by_metric = np.ascontiguousarray(values.transpose(0, 2, 1))
     means = by_metric.mean(axis=-1)
     stderrs = by_metric.std(axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(means)
-    rows = [SweepRow(alpha, pr_db, m, float(mean), float(stderr), n, seed)
-            for (alpha, pr_db), cell_means, cell_stderrs in zip(cells, means, stderrs)
-            for m, mean, stderr in zip(METRICS, cell_means, cell_stderrs)]
     # Only equal cells, from a repeated alpha, move: they interleave by metric.
-    rows.sort(key=lambda r: (r.alpha, r.pr_db, r.metric))
+    rows = sorted((SweepRow(alpha, pr_db, m, mean, stderr, n, seed)
+                   for (alpha, pr_db), *cell in zip(cells, means.tolist(), stderrs.tolist())
+                   for m, mean, stderr in zip(METRICS, *cell)), key=lambda r: r[:3])
     return SweepResult(rows=tuple(rows), resampled_trials=resampled)
 
 
@@ -373,11 +375,9 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     from cfg.grid_db, with the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
     cells, values, resampled = _run_table(cfg, "P_max", _prob_block, workers)
-    rows = []
-    for (alpha, pmax_db), count in zip(cells, values.sum(axis=1).tolist()):
-        p = count / n
-        rows.append(ProbRow(alpha, pmax_db, p, float(np.sqrt(p * (1.0 - p) / n)), n, seed))
-    return ProbResult(rows=tuple(rows), resampled_trials=resampled)
+    p = values.sum(axis=1) / n
+    stats = zip(cells, p.tolist(), np.sqrt(p * (1.0 - p) / n).tolist())
+    return ProbResult(tuple(ProbRow(a, db, *ps, n, seed) for (a, db), *ps in stats), resampled)
 
 
 def _slot_logdet_error(c: ChannelBlock, tau: np.ndarray, rates: np.ndarray) -> np.ndarray:

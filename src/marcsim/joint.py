@@ -27,7 +27,7 @@ from .channel import (
     relay_tx_power,
 )
 from .errors import NumericalError
-from .numerics import dominant_eigenpair, quadratic_form
+from .numerics import dominant_eigenpair, dominant_eigenvalue, quadratic_form
 
 __all__ = [
     "RelayMatrix", "JointRateBounds", "sum_rate_logdet", "sum_rate_closed", "relay_matrix_ub1",
@@ -119,10 +119,10 @@ def block_bounds(P_r, agg: ChannelAggregates, run=...):
     realization, from its relay power P_r and aggregates: the JointRateBounds,
     the directions v of R + W that f_lower beamforms, and a failure message per
     trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound by
-    more than 1e-9. The eigenpairs of R and R + W, which do not depend on P_r,
+    more than 1e-9. lambda_max(R) and the top eigenpair of R + W, free of P_r,
     are found per realization, agg's matrices holding each once and run giving
     a trial's row of them; the rates per trial, from its P_r, s and hp."""
-    lam_r, _ = dominant_eigenpair(agg.R)
+    lam_r = dominant_eigenvalue(agg.R)
     lam_rw, v = dominant_eigenpair(agg.R + agg.W)
     vRv = np.sum(v.conj() * (agg.R @ v[..., None])[..., 0], axis=-1).real
     lam_r, lam_rw, v, vRv = lam_r[run], lam_rw[run], v[run], vRv[run]

@@ -38,38 +38,46 @@ ALPHAS = (0.0, 0.1, 1.0)
 RELAY_POWERS = (0.0, 10.0, 1e8)  # none, 10 dB and 80 dB
 
 
+def _table(scens):
+    """The block evaluators' arguments for the cells scens, of one K, M_r and
+    seed: the base scenario, scens[0], and the (3, cells) array of the cells'
+    alpha, P_max and P_r."""
+    return scens[0], np.array([[s.alpha, s.P_max, s.P_r] for s in scens]).T.copy()
+
+
 def _cells(K, M_r):
     base = ScenarioConfig(K=K, M_r=M_r, P_max=10.0, seed=21)
-    return [replace(base, alpha=a, P_r=p) for a in ALPHAS for p in RELAY_POWERS]
+    return _table([replace(base, alpha=a, P_r=p) for a in ALPHAS for p in RELAY_POWERS])
 
 
-def _evaluate(evaluate, scens, items):
-    """The values of the (cell, trial) items of the table scens, evaluated
+def _evaluate(evaluate, table, items):
+    """The values of the (cell, trial) items of the table's cells, evaluated
     as one block."""
     cells, trials = map(np.array, zip(*items))
-    values, why = evaluate(scens, trials, cells, 0)
+    values, why = evaluate(*table, trials, cells, 0)
     assert not any(why), why
     return np.asarray(values)
 
 
-def _item(evaluate, scens, i, retry):
+def _item(evaluate, table, i, retry):
     """The values of item i of the flat (trial, cell) list evaluated alone."""
-    return evaluate(scens, np.array([i // len(scens)]), np.array([i % len(scens)]), retry)[0][0]
+    n = table[1].shape[1]
+    return evaluate(*table, np.array([i // n]), np.array([i % n]), retry)[0][0]
 
 
-def _alone_and_in_blocks(evaluate, scens):
+def _alone_and_in_blocks(evaluate, table):
     """Every trial's values evaluated alone, then in its own cell's block,
     in one block of all cells, cell by cell, trial by trial and shuffled."""
-    draws = [[(c, t) for t in range(N_TRIALS)] for c in range(len(scens))]
+    draws = [[(c, t) for t in range(N_TRIALS)] for c in range(table[1].shape[1])]
     flat = [d for cell in draws for d in cell]
-    alone = np.array([_evaluate(evaluate, scens, [d])[0] for d in flat])
+    alone = np.array([_evaluate(evaluate, table, [d])[0] for d in flat])
     trial_major, shuffled = np.empty_like(alone), np.empty_like(alone)
     order = sorted(range(len(flat)), key=lambda i: flat[i][1])
-    trial_major[order] = _evaluate(evaluate, scens, [flat[i] for i in order])
+    trial_major[order] = _evaluate(evaluate, table, [flat[i] for i in order])
     order = np.random.default_rng(0).permutation(len(flat))
-    shuffled[order] = _evaluate(evaluate, scens, [flat[i] for i in order])
-    own_cell = np.concatenate([_evaluate(evaluate, scens, cell) for cell in draws])
-    return alone, (own_cell, _evaluate(evaluate, scens, flat), trial_major, shuffled)
+    shuffled[order] = _evaluate(evaluate, table, [flat[i] for i in order])
+    own_cell = np.concatenate([_evaluate(evaluate, table, cell) for cell in draws])
+    return alone, (own_cell, _evaluate(evaluate, table, flat), trial_major, shuffled)
 
 
 @pytest.mark.parametrize("K, M_r", [(10, 4), (3, 2), (1, 1), (1, 3), (6, 1)])
@@ -83,8 +91,10 @@ def test_trial_values_do_not_depend_on_the_block(K, M_r, table):
 def test_a_sweep_shares_a_realization_only_within_one_p_max():
     # cells of one alpha and three P_r at P_max 1, then the same at P_max 10:
     # a trial's adjacent cells of another P_max are another realization
-    scens = [replace(c, P_max=p_max) for p_max in (1.0, 10.0) for c in _cells(3, 2)[:3]]
-    alone, blocks = _alone_and_in_blocks(harness_mod._sweep_block, scens)
+    base, powers = _cells(3, 2)
+    table = _table([replace(base, alpha=a, P_max=p_max, P_r=p_r)
+                    for p_max in (1.0, 10.0) for a, _, p_r in powers.T[:3]])
+    alone, blocks = _alone_and_in_blocks(harness_mod._sweep_block, table)
     for values in blocks:
         assert np.array_equal(values, alone)
 
@@ -152,17 +162,18 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
     # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14),
     # and in the first block a redraw of cells 4 and 5 of trial 0 and cell 0
     # of trial 1. Every item's values are its values alone; the aggregates
-    # take one row per trial of each pass, and both eigenpairs one row per
-    # (trial, alpha).
-    scens, cells = _cells(K, M_r), 9
-    alone = {(i, retry): _item(harness_mod._sweep_block, scens, i, retry)
+    # take one row per trial of each pass, and both eigen-solves, lambda_max(R)
+    # and the eigenpair of R + W, one row per (trial, alpha).
+    table, cells = _cells(K, M_r), 9
+    alone = {(i, retry): _item(harness_mod._sweep_block, table, i, retry)
              for i in range(N_TRIALS * cells) for retry in (0, 1)}
     rows = {"aggregates": [], "eigenpairs": []}
-    real_agg, real_eig = harness_mod.compute_aggregates, joint_mod.dominant_eigenpair
+    real_agg = harness_mod.compute_aggregates
     monkeypatch.setattr(harness_mod, "compute_aggregates",
                         lambda c: rows["aggregates"].append(len(c.P)) or real_agg(c))
-    monkeypatch.setattr(joint_mod, "dominant_eigenpair",
-                        lambda A: rows["eigenpairs"].append(len(A)) or real_eig(A))
+    for name in ("dominant_eigenvalue", "dominant_eigenpair"):
+        monkeypatch.setattr(joint_mod, name, lambda A, real=getattr(joint_mod, name):
+                            rows["eigenpairs"].append(len(A)) or real(A))
     passes = []
 
     def flaky(*draws):
@@ -173,8 +184,8 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
             why[[4, 5, 9]] = "injected failure"
         return values, why
 
-    first, _ = harness_mod._trial_block(flaky, scens, 0, 13)
-    second, _ = harness_mod._trial_block(flaky, scens, 13, N_TRIALS * cells)
+    first, _ = harness_mod._trial_block(flaky, *table, 0, 13)
+    second, _ = harness_mod._trial_block(flaky, *table, 13, N_TRIALS * cells)
     assert passes == [13, 3, 32]
     # items 0-12 hold trials 0-1, the redraw 0-1 and items 13-44 1-4, and
     # (trial, alpha) runs 5, 2 and 11
@@ -190,21 +201,21 @@ def test_each_pass_draws_each_trial_once(count_draws, table):
     # The blocks of items 0-12 and 13-44 of 9 cells, trial-major as
     # _trial_block lists them, and in the first a redraw of items 4, 5 and 9,
     # of trials 0, 0 and 1: each pass draws each trial of its items once.
-    scens, cells = _cells(3, 2), 9
+    cells_table, cells = _cells(3, 2), 9
     real = getattr(harness_mod, table)
     passes = []
 
-    def flaky(scens, trials, cells, retry):
+    def flaky(base, powers, trials, cells, retry):
         drawn = len(count_draws)
-        values, why = real(scens, trials, cells, retry)
+        values, why = real(base, powers, trials, cells, retry)
         passes.append((len(trials), len(count_draws) - drawn))
         if len(passes) == 1:
             why = why.astype(object)
             why[[4, 5, 9]] = "injected failure"
         return values, why
 
-    harness_mod._trial_block(flaky, scens, 0, 13)
-    harness_mod._trial_block(flaky, scens, 13, N_TRIALS * cells)
+    harness_mod._trial_block(flaky, *cells_table, 0, 13)
+    harness_mod._trial_block(flaky, *cells_table, 13, N_TRIALS * cells)
     assert passes == [(13, 2), (3, 2), (32, 4)]
 
 
@@ -223,7 +234,7 @@ def test_the_scaled_predicate_equals_the_per_item_one():
                  for db in (-40.0, -20.0, 0.0, 20.0, 40.0, 80.0)]
         item = np.arange(20 * len(cells))
         cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)
-        wins, why = harness_mod._prob_block(cells, trials, item % len(cells), 0)
+        wins, why = harness_mod._prob_block(*_table(cells), trials, item % len(cells), 0)
         agg = compute_aggregates(scaled_block(cfgs, trials))
         lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
         clear = np.abs(lam - tr_R) > 1e-10 * tr_R
@@ -233,13 +244,13 @@ def test_the_scaled_predicate_equals_the_per_item_one():
     assert compared >= 0.5 * items, (compared, items)
 
 
-def _assert_worker_count_free(evaluate, scens):
-    """The pooled run of scens at 1, 2 and 3 workers gives each trial's
-    values alone."""
-    alone, _ = _alone_and_in_blocks(evaluate, scens)
+def _assert_worker_count_free(evaluate, table):
+    """The pooled run of the table's cells at 1, 2 and 3 workers gives each
+    trial's values alone."""
+    alone, _ = _alone_and_in_blocks(evaluate, table)
     for workers in (1, 2, 3):
-        values, resampled = harness_mod._run_cells(evaluate, scens, N_TRIALS, workers)
-        assert values.shape == (len(scens), N_TRIALS, *alone.shape[1:]), workers
+        values, resampled = harness_mod._run_cells(evaluate, *table, N_TRIALS, workers)
+        assert values.shape == (table[1].shape[1], N_TRIALS, *alone.shape[1:]), workers
         assert np.array_equal(values.reshape(alone.shape), alone), workers
         assert resampled == 0
 
@@ -251,10 +262,10 @@ def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, an
     _assert_worker_count_free(evaluate, _cells(10, 4))
     # one cell of 1,024 trials at K=2, M_r=4: one block, then blocks of 512
     # and 342, whose stacked matrix products must not change a trial's values
-    one_cell = [ScenarioConfig(K=2, M_r=4, P_max=10.0, P_r=10.0, seed=5)]
-    whole, _ = harness_mod._run_cells(evaluate, one_cell, 1024, 1)
+    one_cell = _table([ScenarioConfig(K=2, M_r=4, P_max=10.0, P_r=10.0, seed=5)])
+    whole, _ = harness_mod._run_cells(evaluate, *one_cell, 1024, 1)
     for workers in (2, 3):
-        values, _ = harness_mod._run_cells(evaluate, one_cell, 1024, workers)
+        values, _ = harness_mod._run_cells(evaluate, *one_cell, 1024, workers)
         assert np.array_equal(values, whole), workers
 
 
@@ -272,16 +283,16 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
     spans = []
     real = harness_mod._trial_block
 
-    def recorded(evaluate, scens, lo, hi):
+    def recorded(evaluate, base, powers, lo, hi):
         spans.append((lo, hi))
-        return real(evaluate, scens, lo, hi)
+        return real(evaluate, base, powers, lo, hi)
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
     evaluate = harness_mod._prob_block
     items = 9 * N_TRIALS
     for workers in (1, 2, 3):
         spans.clear()
-        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        harness_mod._run_cells(evaluate, *_cells(3, 2), N_TRIALS, workers)
         assert spans == [(0, items)], workers
     assert inline_pool == []
     # with a process paid for by any trial: one block per worker, of
@@ -290,14 +301,14 @@ def test_blocks_are_capped_and_span_cells(monkeypatch, inline_pool, pin_cpu_coun
     monkeypatch.setattr(harness_mod, "_MIN_PROCESS_WORK", 1)
     for workers, ends in ((1, [0, items]), (2, [0, 23, items]), (3, [0, 15, 30, items])):
         spans.clear()
-        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        harness_mod._run_cells(evaluate, *_cells(3, 2), N_TRIALS, workers)
         assert spans == list(zip(ends, ends[1:])), workers
     # a budget of 7 trials: each of the W groups gets as few blocks as keep
     # them within it, 7, 4 or 3, and all of those blocks split the run evenly
     monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._trial_bytes(3, 2))
     for workers, size in ((1, 7), (2, 6), (3, 5)):
         spans.clear()
-        harness_mod._run_cells(evaluate, _cells(3, 2), N_TRIALS, workers)
+        harness_mod._run_cells(evaluate, *_cells(3, 2), N_TRIALS, workers)
         assert spans == [(lo, min(lo + size, items)) for lo in range(0, items, size)], workers
     assert inline_pool == [1, 2, 1, 2]
 
@@ -312,10 +323,10 @@ def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
     peaks = []
     real = harness_mod._trial_block
 
-    def traced(evaluate, scens, lo, hi):
+    def traced(evaluate, base, powers, lo, hi):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        out = real(evaluate, scens, lo, hi)
+        out = real(evaluate, base, powers, lo, hi)
         peaks.append((tracemalloc.get_traced_memory()[1] - held, hi - lo))
         return out
 
@@ -323,12 +334,12 @@ def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
     tracemalloc.start()
     try:
         for K, M_r in ((1, 1), (3, 2), (10, 4), (50, 1), (1, 8), (50, 8)):
-            scen = ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=10.0, seed=3)
+            scen = _table([ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=10.0, seed=3)])
             fit = harness_mod._trial_bytes(K, M_r)
             size = harness_mod._BLOCK_BYTES // fit
-            harness_mod._run_cells(evaluate, [scen], 2, 1)  # first use: not counted
+            harness_mod._run_cells(evaluate, *scen, 2, 1)  # first use: not counted
             peaks.clear()
-            harness_mod._run_cells(evaluate, [scen], 2 * size, 1)
+            harness_mod._run_cells(evaluate, *scen, 2 * size, 1)
             assert [n for _, n in peaks] == [size, size], (K, M_r)
             for peak, n in peaks:
                 assert 0.4 <= peak / (n * fit) <= 1.5, (K, M_r, peak / n)
@@ -345,12 +356,12 @@ def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu
     returned = []
     real = harness_mod._trial_block
 
-    def recorded(evaluate, scens, lo, hi):
-        returned.append((hi - lo, real(evaluate, scens, lo, hi)))
+    def recorded(evaluate, base, powers, lo, hi):
+        returned.append((hi - lo, real(evaluate, base, powers, lo, hi)))
         return returned[-1][1]
 
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
-    harness_mod._run_cells(getattr(harness_mod, table), _cells(3, 2), N_TRIALS, workers)
+    harness_mod._run_cells(getattr(harness_mod, table), *_cells(3, 2), N_TRIALS, workers)
     assert len(returned) == workers
     for size, (values, resampled) in returned:
         assert isinstance(values, np.ndarray) and len(values) == size
@@ -360,7 +371,7 @@ def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu
 
 def test_redraws_overwrite_their_rows_and_count_once_each():
     # items 3..7: rows 0 and 2 fail the first pass, row 0 the second too
-    scens, lo, hi = _cells(3, 2), 3, 8
+    table, lo, hi = _cells(3, 2), 3, 8
     passes = []
 
     def flaky(*draws):
@@ -370,10 +381,10 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
         why[{1: [0, 2], 2: [0]}.get(len(passes), [])] = "injected failure"
         return values, why
 
-    values, resampled = harness_mod._trial_block(flaky, scens, lo, hi)
+    values, resampled = harness_mod._trial_block(flaky, *table, lo, hi)
     assert passes == [5, 2, 1]
     assert type(resampled) is int and resampled == 3
-    expected = [_item(harness_mod._sweep_block, scens, i, retry)
+    expected = [_item(harness_mod._sweep_block, table, i, retry)
                 for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
     assert np.array_equal(values, expected)
 
@@ -390,7 +401,7 @@ def test_exhausted_resamples_report_the_whole_last_message():
         return values, np.full(why.shape, message)
 
     with pytest.raises(NumericalError) as err:
-        harness_mod._trial_block(failing, _cells(3, 2), 7, 9)
+        harness_mod._trial_block(failing, *_cells(3, 2), 7, 9)
     assert len(passes) == 100
     assert str(err.value) == ("trial 0 failed after 100 resamples: "
                               "pass 100 failed for a longer reason")
@@ -464,7 +475,7 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
         with pytest.raises(ValidationError) as want:
             compute_aggregates(scaled_block(cfgs, [0, 1, 1]))
         with pytest.raises(ValidationError) as got:
-            harness_mod._prob_block(cfgs, np.array([0, 1, 1]), np.arange(3), 0)
+            harness_mod._prob_block(*_table(cfgs), np.array([0, 1, 1]), np.arange(3), 0)
         assert str(got.value) == str(want.value), big
     assert str(want.value).startswith("channel SNRs overflow a float: s = inf, tr R = ")
 
@@ -491,7 +502,7 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
     # trial 2 fails in some cells on its first draw: only those items are
     # redrawn, on one shared retry-1 draw, and the trial's other cells keep
     # their retry-0 values
-    scens = _cells(3, 2)
+    table, cells = _cells(3, 2), 9
     calls = []
     real = harness_mod.sample_block
 
@@ -503,16 +514,16 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
         values, why = harness_mod._sweep_block(*draws)
         why = why.astype(object)
         if len(calls) == 1:
-            why[[2 * len(scens) + c for c in failing_cells]] = "injected failure"
+            why[[2 * cells + c for c in failing_cells]] = "injected failure"
         return values, why
 
     monkeypatch.setattr(harness_mod, "sample_block", recorded)
-    values, resampled = harness_mod._run_cells(flaky, scens, N_TRIALS, 1)
+    values, resampled = harness_mod._run_cells(flaky, *table, N_TRIALS, 1)
     assert resampled == len(failing_cells)
-    assert calls == [(scens[0], list(range(N_TRIALS)), 0), (scens[0], [2], 1)]
+    assert calls == [(table[0], list(range(N_TRIALS)), 0), (table[0], [2], 1)]
     assert len(count_draws) == N_TRIALS + 1
-    for c, scen in enumerate(scens):
+    for c in range(cells):
         for t in range(N_TRIALS):
             retry = int(t == 2 and c in failing_cells)
-            want = _item(harness_mod._sweep_block, scens, t * len(scens) + c, retry)
+            want = _item(harness_mod._sweep_block, table, t * cells + c, retry)
             assert np.array_equal(values[c, t], want), (c, t)

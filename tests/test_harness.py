@@ -164,8 +164,12 @@ def test_csv_rows_format_each_field_alone():
     assert lines[0] == "alpha,pr_db,metric,mean,stderr,n_trials,seed"
     for r, line in zip(rows, lines[1:]):
         assert line == ",".join(format(float(v), ".10g") if isinstance(v, float) else str(v)
-                                for v in vars(r).values())
+                                for v in r._asdict().values())
     assert lines[1:3] == ["0.1,-0,r_lower,-0,0.3333333333,3,-1", "1,-0,r_lower,inf,nan,3,-1"]
+    # a row reads as its class and fields, keyword by keyword
+    row = harness_mod.SweepRow(0.1, -0.0, "r_lower", -0.0, 1 / 3, 3, -1)
+    assert repr(row) == ("SweepRow(alpha=0.1, pr_db=-0.0, metric='r_lower', mean=-0.0, "
+                         "stderr=0.3333333333333333, n_trials=3, seed=-1)")
 
 
 def test_sweep_aggregated_bound_ordering():
@@ -250,6 +254,30 @@ def test_sweep_config_validation():
     # the swept power has no default: no table falls back to the base's
     with pytest.raises(TypeError):
         SweepConfig(base=base)
+
+
+@pytest.mark.parametrize("alphas, grid, sweep_message, prob_message", [
+    ((0.5, -1.0), (0.0, 10.0), "P_r and alpha must be nonnegative", None),
+    ((0.5, math.inf), (0.0, 10.0), "alpha must be finite, got inf", None),
+    ((0.5,), (0.0, math.nan), "P_r must be finite, got nan", "P_max must be finite, got nan"),
+    ((0.5,), (0.0, 4000.0), "4000.0 dB overflows a float", None),
+    ((0.5,), (0.0, -4000.0), None, "P_max must be positive, got 0.0"),  # P_max 0, P_r 0 is fine
+])
+def test_an_invalid_cell_raises_before_any_draw(monkeypatch, alphas, grid, sweep_message,
+                                                prob_message):
+    # each table checks its cells' scenarios before it draws a trial
+    def no_draw(*args):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(harness_mod, "sample_block", no_draw)
+    cfg = small_cfg(alpha_values=alphas, grid_db=grid, n_trials=2)
+    for run, message in ((run_sweep, sweep_message),
+                         (estimate_superiority_probability, prob_message or sweep_message)):
+        if message is None:
+            continue
+        with pytest.raises(ValidationError) as err:
+            run(cfg)
+        assert str(err.value) == message, run.__name__
 
 
 def test_each_table_reads_one_swept_power():
@@ -409,15 +437,16 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build for all its cells and, in each
-    # alpha, the eigenpairs of R and R + W; a superiority trial one build and
-    # one superiority index, whose top eigenvalue is one row, for all its
-    # (alpha, P_max) cells
+    # alpha, lambda_max(R) and the eigenpair of R + W; a superiority trial one
+    # build and one superiority index, whose top eigenvalue is one row, for
+    # all its (alpha, P_max) cells
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
     cfg = small_cfg(alpha_values=(0.5, 1.0), grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 2 * 10}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 10,
+                      "dominant_eigenpair": 10}
     counts.clear()
     cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
@@ -527,10 +556,10 @@ def test_pool_starts_only_when_each_process_gets_its_work(monkeypatch, pin_cpu_c
 _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
 
-def _fail_on_weak_first_link(name, scens, trials, cells, retry):
+def _fail_on_weak_first_link(name, base, powers, trials, cells, retry):
     # deterministic in the draw, so forked workers resample the same trials
-    values, why = _REAL_EVALUATORS[name](scens, trials, cells, retry)
-    weak = np.abs(sample_block(scens[0], trials, retry).h_r[:, 0, 0]) < 1.0
+    values, why = _REAL_EVALUATORS[name](base, powers, trials, cells, retry)
+    weak = np.abs(sample_block(base, trials, retry).h_r[:, 0, 0]) < 1.0
     return values, np.where(weak, "injected failure", why)
 
 
@@ -542,12 +571,12 @@ def _always_fail(name, *draws):
 _REAL_TRIAL_BLOCK = harness_mod._trial_block
 
 
-def _recorded_block(spans, fail_from, evaluate, scens, lo, hi):
+def _recorded_block(spans, fail_from, evaluate, base, powers, lo, hi):
     # a sweep's draws of items from fail_from on always fail; the spans a
     # process evaluated land in its own copy of spans
     if lo >= fail_from:
         evaluate = partial(_always_fail, "_sweep_block")
-    result = _REAL_TRIAL_BLOCK(evaluate, scens, lo, hi)
+    result = _REAL_TRIAL_BLOCK(evaluate, base, powers, lo, hi)
     spans.append((lo, hi))
     return result
 
@@ -587,13 +616,14 @@ def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count, any_r
     pin_cpu_count(2)
     spans = []
     monkeypatch.setattr(harness_mod, "_trial_block", partial(_recorded_block, spans, np.inf))
-    scens = [ScenarioConfig(K=3, M_r=2, alpha=a, seed=4) for a in (0.1, 0.5, 1.0)]
-    harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
+    base = ScenarioConfig(K=3, M_r=2, seed=4)
+    powers = np.array([[0.1, 0.5, 1.0], [base.P_max] * 3, [base.P_r] * 3])
+    harness_mod._run_cells(harness_mod._prob_block, base, powers, 5, 2)
     assert spans == [(0, 8)]
     # 15 items in blocks of 2: eight blocks, four to a group
     monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 2 * harness_mod._trial_bytes(3, 2))
     spans.clear()
-    harness_mod._run_cells(harness_mod._prob_block, scens, 5, 2)
+    harness_mod._run_cells(harness_mod._prob_block, base, powers, 5, 2)
     assert spans == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
 

@@ -739,7 +739,8 @@ def test_the_prob_verdict_is_monotone_in_alpha_squared_p_max():
     cells = [replace(base, alpha=a, P_max=db_to_linear(db))
              for a in (1e-3, 0.1, 0.5, 1.0, 10.0) for db in (-40.0, -20.0, 0.0, 20.0, 40.0)]
     item = np.arange(200 * len(cells))
-    wins, _ = harness._prob_block(cells, item // len(cells), item % len(cells), 0)
+    powers = np.array([[s.alpha, s.P_max, s.P_r] for s in cells]).T.copy()
+    wins, _ = harness._prob_block(base, powers, item // len(cells), item % len(cells), 0)
     wins = wins.reshape(200, len(cells))
     c = np.array([s.alpha * (s.alpha * s.P_max) for s in cells])
     order = np.argsort(c, kind="stable")

@@ -42,6 +42,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from marcsim import ScenarioConfig, harness  # noqa: E402
 
 # name: (table, the first cell of the benchmark workload's command)
@@ -50,6 +52,12 @@ SHAPES = {
     "k50m8": ("_prob_block", ScenarioConfig(K=50, M_r=8, alpha=0.1, P_max=1.0, seed=9)),
     "small": ("_sweep_block", ScenarioConfig(K=3, M_r=2, alpha=0.5, P_max=10.0, P_r=1.0, seed=10)),
 }
+
+
+def one_cell_block(table: str, scen: ScenarioConfig, n: int):
+    """The values of trials 0 <= t < n of scen's one cell, as one block."""
+    powers = np.array([[scen.alpha], [scen.P_max], [scen.P_r]])
+    return harness._trial_block(getattr(harness, table), scen, powers, 0, n)
 
 
 def traced_peak(table: str, scen: ScenarioConfig, n: int) -> int:
@@ -61,7 +69,7 @@ def traced_peak(table: str, scen: ScenarioConfig, n: int) -> int:
         if table == "check":
             harness.invariant_suite(scen, n)
         else:
-            harness._trial_block(getattr(harness, table), [scen], 0, n)
+            one_cell_block(table, scen, n)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -74,7 +82,7 @@ def timed(table: str, scen: ScenarioConfig, n: int, reps: int) -> tuple[float, f
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
         t = time.perf_counter()
-        harness._trial_block(getattr(harness, table), [scen], 0, n)
+        one_cell_block(table, scen, n)
         walls.append(time.perf_counter() - t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return 1e6 * statistics.median(walls) / n, faults / (reps * n)

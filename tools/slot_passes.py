@@ -30,7 +30,6 @@ import statistics
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -107,16 +106,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     from marcsim import ScenarioConfig, harness, tdma
 
-    def sweep(scens, n):
-        return lambda: harness._run_cells(harness._sweep_block, scens, n, 1)
+    def sweep(base, cells, n):  # cells: (alpha, P_max, P_r) each
+        powers = np.array(cells).T.copy()
+        return lambda: harness._run_cells(harness._sweep_block, base, powers, n, 1)
 
     base = ScenarioConfig(K=10, M_r=4, P_max=10.0, P_r=1.0, alpha=1.0, seed=8)
     pr0 = ScenarioConfig(K=10, M_r=4, P_r=0.0, seed=77)
     sets = {
-        "crit8": [sweep([replace(base, alpha=a, P_r=harness.db_to_linear(db))
-                         for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))], 1000)],
+        "crit8": [sweep(base, [(a, base.P_max, harness.db_to_linear(db))
+                               for a, db in product((0.1, 1.0), (0.0, 10.0, 20.0, 30.0, 40.0))],
+                        1000)],
         "24-decades": [lambda K=K: tdma.block_slots(*twenty_four_decades(K)) for K in (2, 3, 6)],
-        "pr0": [sweep([replace(pr0, alpha=a, P_max=p_max)], 200)
+        "pr0": [sweep(pr0, [(a, p_max, pr0.P_r)], 200)
                 for a, p_max in ((1.0, 10.0), (1e-6, 1e-6))],
     }
     print(f"marcsim from {args.src}")
