@@ -88,8 +88,8 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.45-1.04 times it for K 1-50 and M_r 1-8
-    (tools/block_footprint.py --grid)."""
+    blocks, which lie within 0.43-1.15 times it for K 1-50 and M_r 1-8, above
+    1.04 only at K <= 2 and M_r = 8 (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
 
@@ -98,8 +98,8 @@ def _check_bytes(K: int, M_r: int) -> int:
     memory of a chunk of the invariant suite: its open slots' single-user
     relay matrices grow it as K * M_r^2, the log-det rate's K x K minors as
     K^2. A fit to the traced peaks of chunks of the budget's size, which lie
-    within 0.61-1.01 times it for K 1-50 and M_r 1-8 (tools/block_footprint.py
-    --grid)."""
+    within 0.61-1.07 times it for K 1-50 and M_r 1-8, above 1.01 only at
+    K <= 5 and M_r >= 4 (tools/block_footprint.py --grid)."""
     return 40 * K * (2 * M_r * (M_r + 1) + K) + 120 * M_r * M_r + 900
 
 
@@ -230,11 +230,12 @@ def _unit_draws(base: ScenarioConfig, trials, retry: int, items=...):
 
 def _sweep_block(base: ScenarioConfig, powers, trials, cells, retry: int):
     """The METRICS of each item of a block, trial trials[i] of the cell of
-    alpha, P_max and P_r powers[:, cells[i]], (N, 5), and a failure message
-    per item ("" when it passed every check), from the items' draws of base
-    on substream retry. A run of items of one trial, alpha and P_max, which
-    differ only in P_r, takes its first item's aggregates and builds its
-    eigenpairs once; hp, the bounds and the slots are each item's."""
+    alpha, P_max and P_r powers[:, cells[i]], (N, 5), and the failures as
+    {item: message}, a bounds message before a slots one, from the items'
+    draws of base on substream retry. A run of items of one trial, alpha and
+    P_max, which differ only in P_r, takes its first item's aggregates and
+    builds its eigenpairs once; hp, the bounds and the slots are each
+    item's."""
     alpha, p_max, p_r = powers[:, cells]
     first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
     agg = scale_aggregates(*_unit_draws(base, trials, retry, first), alpha[first], p_max[first])
@@ -242,7 +243,7 @@ def _sweep_block(base: ScenarioConfig, powers, trials, cells, retry: int):
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
-    return np.stack(_metrics(b, alloc), axis=1), np.where(why != "", why, why_slots)
+    return np.stack(_metrics(b, alloc), axis=1), {**why_slots, **why}
 
 
 def _prob_block(base: ScenarioConfig, powers, trials, cells, retry: int):
@@ -251,14 +252,15 @@ def _prob_block(base: ScenarioConfig, powers, trials, cells, retry: int):
     on substream retry: alpha^2 P_max mu > 1, with mu the superiority index
     of the draw at unit alpha and P_max, formed once per draw. Each item's
     direct links and SNR sums are checked at its own alpha and P_max, as a
-    build there checks them; no check can fail."""
+    build there checks them; no check can fail, so its failures, {row:
+    message}, are always empty."""
     blk, agg, row = _unit_draws(base, trials, retry)
     alpha, p_max = powers[:2, cells]
     h_d, P = direct_links(alpha[:, None], blk.h_d[row]), blk.P[row] * p_max[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         sum_snrs(np.square(np.abs(h_d)) * P, agg.nr[row] * p_max[:, None])
     wins = alpha * (alpha * p_max) * superiority_index(agg)[row] > 1.0
-    return wins, np.full(wins.shape, "")
+    return wins, {}
 
 
 def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
@@ -266,7 +268,8 @@ def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
     i = trial * cells + cell, evaluated as one block with a leading item
     axis, and the number of redraws behind them. ``evaluate`` takes base,
     powers, the cells' alpha, P_max and P_r as a (3, cells) array, and each
-    item's trial and cell index, in this trial-major order. Draws that fail a
+    item's trial and cell index, in this trial-major order, and returns
+    their values and their failures as {row: message}. Draws that fail a
     check are redrawn as a block on their next flagged substreams, over
     their rows, in the same order."""
     rows, resampled, cells = np.arange(hi - lo), 0, powers.shape[1]  # the rows still to draw
@@ -278,12 +281,11 @@ def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
             resampled += len(rows)
         else:
             values = got
-        failed = why != ""
-        if not failed.any():
+        if not why:
             return values, resampled
-        rows = rows[failed]
+        rows = rows[sorted(why)]
     raise NumericalError(f"trial {(rows[0] + lo) // cells} failed after {_MAX_RESAMPLES} "
-                         f"resamples: {why[failed][0]}")
+                         f"resamples: {why[min(why)]}")
 
 
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802  (stands in for the class it returns)
@@ -412,9 +414,9 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     b, v, why = block_bounds(blk.P_r, agg)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     asym = block_asymptotic(agg)
-    for message in np.concatenate([why, why_slots]):
-        if message:
-            raise NumericalError(message)
+    for failures in (why, why_slots):
+        if failures:
+            raise NumericalError(failures[min(failures)])
     scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(agg.T).max(axis=(1, 2))))
     psd = -quadratic_form(probes[:, :3], np.stack([agg.R, agg.T, agg.W], axis=1))
     F, f = probes[:, 3:], RelayMatrix.beamformer(blk, v, b.gamma)

@@ -27,7 +27,7 @@ from .channel import (
     relay_tx_power,
 )
 from .errors import NumericalError
-from .numerics import dominant_eigenpair, dominant_eigenvalue, quadratic_form
+from .numerics import dominant_eigenpair, quadratic_form
 
 __all__ = [
     "RelayMatrix", "JointRateBounds", "sum_rate_logdet", "sum_rate_closed", "relay_matrix_ub1",
@@ -117,13 +117,17 @@ def relay_matrix_ub1(c: ChannelRealization) -> RelayMatrix:
 def block_bounds(P_r, agg: ChannelAggregates, run=...):
     """The bounds of :func:`lower_bound` for each trial of a block, or for one
     realization, from its relay power P_r and aggregates: the JointRateBounds,
-    the directions v of R + W that f_lower beamforms, and a failure message per
-    trial, "" unless a rate is below -1e-9 or r_lower exceeds an upper bound by
-    more than 1e-9. lambda_max(R) and the top eigenpair of R + W, free of P_r,
-    are found per realization, agg's matrices holding each once and run giving
-    a trial's row of them; the rates per trial, from its P_r, s and hp."""
-    lam_r = dominant_eigenvalue(agg.R)
-    lam_rw, v = dominant_eigenpair(agg.R + agg.W)
+    the directions v of R + W that f_lower beamforms, and the failures as
+    {row: message}, empty unless a rate is below -1e-9 or r_lower exceeds an
+    upper bound by more than 1e-9 (row 0 for a realization). lambda_max(R) and
+    the top eigenpair of R + W, free of P_r, come from one eigen-solve of the
+    stack [R, R + W] per realization, agg's matrices holding each once and run
+    giving a trial's row of them; the rates per trial, from its P_r, s and hp."""
+    S = np.empty((2, *agg.R.shape), complex)  # [R, R + W], with no R + W temporary
+    S[0] = agg.R
+    np.add(agg.R, agg.W, out=S[1])
+    lam, V = dominant_eigenpair(S)
+    lam_r, lam_rw, v = lam[0], lam[1], V[1]
     vRv = np.sum(v.conj() * (agg.R @ v[..., None])[..., 0], axis=-1).real
     lam_r, lam_rw, v, vRv = lam_r[run], lam_rw[run], v[run], vRv[run]
     gamma = np.sqrt(P_r / (1.0 + vRv))
@@ -137,7 +141,8 @@ def block_bounds(P_r, agg: ChannelAggregates, run=...):
     )
     ordered = (np.minimum(b.r_up_min, b.r_lower) >= -_ORDER_SLACK) & (
         b.r_lower <= b.r_up_min + _ORDER_SLACK)
-    return b, v, np.where(ordered, "", "joint bounds out of order or negative")
+    return b, v, dict.fromkeys(np.flatnonzero(~ordered).tolist(),
+                               "joint bounds out of order or negative")
 
 
 def lower_bound(c: ChannelRealization) -> JointRateBounds:
@@ -156,5 +161,5 @@ def lower_bound(c: ChannelRealization) -> JointRateBounds:
     """
     b, v, why = block_bounds(c.P_r, compute_aggregates(c))
     if why:
-        raise NumericalError(str(why))
+        raise NumericalError(why[0])
     return replace(b, f_lower=RelayMatrix.beamformer(c, v, b.gamma))

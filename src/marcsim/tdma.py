@@ -114,16 +114,15 @@ def _log_excess(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slot_derivs(d, nr, hp, tau):
+def _slot_derivs(d, nr, a, b, tau):
     """(R', R'') in nats at tau > 0 of R(tau) = tau*ln(1 + u),
-    u = d/tau + a/(b*tau + nr) with a = hp*nr, b = hp + 1, den = b*tau + nr:
+    u = d/tau + a/(b*tau + nr), given a = hp*nr and b = hp + 1, den = b*tau + nr:
     R' = [ln(1+u) - u/(1+u)] + (u + tau*u')/(1+u), two terms >= 0
     (u + tau*u' = r = a*nr/den^2) that keep R' accurate when every rate is
     tiny, and R'' = (2u' + tau*u'')/(1+u) - tau*u'^2/(1+u)^2
     = -2b*r/(den*(1+u)) - tau*(u'/(1+u))^2. Arrays broadcast."""
-    b = hp + 1.0
     den = b * tau + nr
-    q = hp * nr / den
+    q = a / den
     u = d / tau + q
     w = 1.0 + u
     rw = q * nr / den / w
@@ -173,10 +172,10 @@ def user_rate(c: ChannelRealization, k: int, tau):
 def user_rate_derivative(c: ChannelRealization, k: int, tau: float) -> float:
     """Marginal rate dR^(k)/dtau at tau > 0 (analytic form; strictly
     decreasing in tau)."""
-    consts = _user_consts(c, k)
+    d, nr, hp = _user_consts(c, k)
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    return float(_slot_derivs(*consts, np.array([float(tau)]))[0][0] / _LN2)
+    return float(_slot_derivs(d, nr, hp * nr, hp + 1.0, np.array([float(tau)]))[0][0] / _LN2)
 
 
 def _user_sum(x: np.ndarray) -> np.ndarray:
@@ -193,14 +192,17 @@ def _user_sum(x: np.ndarray) -> np.ndarray:
 
 def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     """:func:`optimize_slots` for each trial of a block, from its SNRs d, nr
-    (N, K) and hp (N,): its TdmaAllocation and one failure message per trial,
-    "" when it passed every check. The loop and its check hold users first,
-    (K, N), so each reduction over users is one contiguous pass over the
-    trials; live trials are gathered anew only after a pass on which some
-    trial stops. A trial's start, steps and stop use its own column alone,
-    and sums over users the fixed order of _user_sum: no result depends on
-    the rest of the block."""
+    (N, K) and hp (N,): its TdmaAllocation and its failures as
+    {trial: message}, empty when every trial passed every check. The loop
+    and its check hold users first, (K, N), so each reduction over users is
+    one contiguous pass over the trials; live trials are gathered anew only
+    after a pass on which some trial stops. Only a relay-only slot (d = 0)
+    can close, step linearly or be parked, so that work runs only while some
+    live slot is relay-only. A trial's start, steps and stop use its own
+    column alone, and sums over users the fixed order of _user_sum: no result
+    depends on the rest of the block."""
     d, nr = d.T.copy(), nr.T.copy()
+    a, b = hp * nr, hp + 1.0  # the constants of _slot_derivs, formed once
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g0 = _marginal_at_zero(d, nr, hp)
         act = g0 > 0.0
@@ -209,16 +211,17 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
         some = act.any(axis=0)
         t /= np.where(some, _user_sum(t), 1.0)
         for _ in range(2):
-            snr = np.where(act, d + nr * (hp * t / ((hp + 1.0) * t + nr)), 0.0)
+            snr = np.where(act, d + nr * (hp * t / (b * t + nr)), 0.0)
             total = _user_sum(snr)
             t = np.where((total > 0.0) & (total < np.inf), snr / total, t)
         # A trial with no user to serve stops on its first pass.
-        L, tau, dL, nrL, hpL, g0L = np.arange(len(hp)), t, d, nr, hp, g0
+        L, tau, dL, nrL, aL, bL, g0L = np.arange(len(hp)), t, d, nr, a, b, g0
+        ro = not (dL > 0.0).all()  # some live slot is relay-only
         for _ in range(_MAX_ITER):
             if not L.size:
                 break
             open_ = tau > 0.0
-            g, h = _slot_derivs(dL, nrL, hpL, np.where(open_, tau, 1.0))
+            g, h = _slot_derivs(dL, nrL, aL, bL, np.where(open_, tau, 1.0) if ro else tau)
             # nu = ref + rise, ref the g of the flattest slot, whose tau moves
             # most per ulp of nu: rise and the (ref - g_k)/h_k are then small
             # and exact. A slot whose 1/R'' is not finite takes no step.
@@ -232,22 +235,26 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
             nu = ref + rise
             tol = _NU_ULPS * np.spacing(np.abs(nu))
             delta = move + rise * inv
-            lin = tau + delta
-            nxt = np.where(dL > 0.0, tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0)),
-                           np.where(lin > 0.0, lin, 0.5 * tau))
+            nxt = tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0))
+            if ro:  # a relay-only slot steps linearly, halved where that would close it
+                lin = tau + delta
+                nxt = np.where(dL > 0.0, nxt, np.where(lin > 0.0, lin, 0.5 * tau))
             nxt = np.where(step, nxt, tau)
-            nxt[~open_ | (g0L < nu - tol)] = 0.0
+            if ro:  # ... and is parked when closed or its R' at 0 is below nu
+                nxt[~open_ | (g0L < nu - tol)] = 0.0
             stop = ((np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)).all(axis=0)
             tau = nxt
             if stop.any():
                 t[:, L] = tau
                 keep = np.flatnonzero(~stop)
-                L, tau, dL, nrL, hpL, g0L = (x.take(keep, -1) for x in (L, tau, dL, nrL, hpL, g0L))
+                L, tau, dL, nrL, aL, bL, g0L = (
+                    x.take(keep, -1) for x in (L, tau, dL, nrL, aL, bL, g0L))
+                ro = not (dL > 0.0).all()
         t[:, L] = tau
         # A slot stopped by the nu test may step far in ln tau: rescale to sum 1.
         t = np.where(some, t / _user_sum(t), 1.0 / len(d))
     alloc, why = _checked_allocation(d, nr, hp, t)
-    why[L] = f"water level not found in {_MAX_ITER} steps"
+    why.update(dict.fromkeys(L.tolist(), f"water level not found in {_MAX_ITER} steps"))
     return alloc, why
 
 
@@ -258,7 +265,7 @@ def _kkt_gaps(d, nr, hp, tau):
     when none exceeds it), and nu, the largest marginal rate of an open slot."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         open_ = tau > 0.0
-        g, _ = _slot_derivs(d, nr, hp, np.where(open_, tau, 1.0))
+        g, _ = _slot_derivs(d, nr, hp * nr, hp + 1.0, np.where(open_, tau, 1.0))
         nu = np.where(open_, g, -np.inf).max(axis=0)
         spread = np.where(open_.any(axis=0), nu - np.where(open_, g, np.inf).min(axis=0), 0.0)
         excess = np.where(open_, -np.inf, _marginal_at_zero(d, nr, hp) - nu)
@@ -275,19 +282,22 @@ def _kkt_tolerance(nu):
 
 def _checked_allocation(d, nr, hp, tau):
     """The TdmaAllocation of durations tau (K, N), tau and per_user_rate as
-    (N, K) copies, and per trial "" or its failure: a KKT spread or slackness
-    over _kkt_tolerance, or durations off the simplex."""
+    (N, K) views, and its failures as {trial: message}: a KKT spread or
+    slackness over _kkt_tolerance, or durations off the simplex, in that
+    precedence."""
     spread, slack, nu = _kkt_gaps(d, nr, hp, tau)
     tol = _kkt_tolerance(nu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rates = _slot_rate(d, nr, hp, tau)
-    why = np.full(tau.shape[1], "", dtype=object)
+    why = {}
     for name, gap in (("spread", spread), ("slackness", slack)):
-        for j in np.flatnonzero((why == "") & ~(gap <= tol)):
-            why[j] = f"KKT {name} {gap[j]:.3e} > {tol[j]:.3e}"
+        for j in np.flatnonzero(~(gap <= tol)).tolist():
+            if j not in why:
+                why[j] = f"KKT {name} {gap[j]:.3e} > {tol[j]:.3e}"
     simplex = np.all(tau >= 0.0, axis=0) & (np.abs(_user_sum(tau) - 1.0) <= _SIMPLEX_ATOL)
-    why[(why == "") & ~simplex] = "slot durations off the simplex"
-    return TdmaAllocation(tau.T.copy(), rates.T.copy(), _user_sum(rates), spread), why
+    for j in np.flatnonzero(~simplex).tolist():
+        why.setdefault(j, "slot durations off the simplex")
+    return TdmaAllocation(tau.T, rates.T, _user_sum(rates), spread), why
 
 
 def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
@@ -315,7 +325,7 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     durations leave the simplex by more than 1e-9."""
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))
-    if why[0]:
+    if why:
         raise NumericalError(why[0])
     return TdmaAllocation(*(field[0] for field in vars(alloc).values()))
 

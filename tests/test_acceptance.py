@@ -49,7 +49,7 @@ def _block_bounds(cfgs, trials):
     lower_bound raises on any failure."""
     blk = scaled_block(cfgs, trials)
     b, _, why = block_bounds(blk.P_r, compute_aggregates(blk))
-    assert not any(why), [m for m in why if m]
+    assert not why, why
     return b
 
 

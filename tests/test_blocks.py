@@ -55,7 +55,7 @@ def _evaluate(evaluate, table, items):
     as one block."""
     cells, trials = map(np.array, zip(*items))
     values, why = evaluate(*table, trials, cells, 0)
-    assert not any(why), why
+    assert not why, why
     return np.asarray(values)
 
 
@@ -162,8 +162,8 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
     # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14),
     # and in the first block a redraw of cells 4 and 5 of trial 0 and cell 0
     # of trial 1. Every item's values are its values alone; the aggregates
-    # take one row per trial of each pass, and both eigen-solves, lambda_max(R)
-    # and the eigenpair of R + W, one row per (trial, alpha).
+    # take one row per trial of each pass, and the one eigen-solve of each
+    # pass, of the stack [R, R + W], one row of each per (trial, alpha).
     table, cells = _cells(K, M_r), 9
     alone = {(i, retry): _item(harness_mod._sweep_block, table, i, retry)
              for i in range(N_TRIALS * cells) for retry in (0, 1)}
@@ -171,17 +171,16 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
     real_agg = harness_mod.compute_aggregates
     monkeypatch.setattr(harness_mod, "compute_aggregates",
                         lambda c: rows["aggregates"].append(len(c.P)) or real_agg(c))
-    for name in ("dominant_eigenvalue", "dominant_eigenpair"):
-        monkeypatch.setattr(joint_mod, name, lambda A, real=getattr(joint_mod, name):
-                            rows["eigenpairs"].append(len(A)) or real(A))
+    real_eig = joint_mod.dominant_eigenpair
+    monkeypatch.setattr(joint_mod, "dominant_eigenpair",
+                        lambda A: rows["eigenpairs"].append(A.shape[:-2]) or real_eig(A))
     passes = []
 
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
-        passes.append(len(why))
+        passes.append(len(values))
         if len(passes) == 1:
-            why = why.astype(object)
-            why[[4, 5, 9]] = "injected failure"
+            why = {**why, **dict.fromkeys([4, 5, 9], "injected failure")}
         return values, why
 
     first, _ = harness_mod._trial_block(flaky, *table, 0, 13)
@@ -189,7 +188,7 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
     assert passes == [13, 3, 32]
     # items 0-12 hold trials 0-1, the redraw 0-1 and items 13-44 1-4, and
     # (trial, alpha) runs 5, 2 and 11
-    assert rows == {"aggregates": [2, 2, 4], "eigenpairs": [5, 5, 2, 2, 11, 11]}
+    assert rows == {"aggregates": [2, 2, 4], "eigenpairs": [(2, 5), (2, 2), (2, 11)]}
     values = np.concatenate([first, second])
     for i, got in enumerate(values):
         want = alone[i, int(i in (4, 5, 9))]
@@ -210,8 +209,7 @@ def test_each_pass_draws_each_trial_once(count_draws, table):
         values, why = real(base, powers, trials, cells, retry)
         passes.append((len(trials), len(count_draws) - drawn))
         if len(passes) == 1:
-            why = why.astype(object)
-            why[[4, 5, 9]] = "injected failure"
+            why = {**why, **dict.fromkeys([4, 5, 9], "injected failure")}
         return values, why
 
     harness_mod._trial_block(flaky, *cells_table, 0, 13)
@@ -238,7 +236,7 @@ def test_the_scaled_predicate_equals_the_per_item_one():
         agg = compute_aggregates(scaled_block(cfgs, trials))
         lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
         clear = np.abs(lam - tr_R) > 1e-10 * tr_R
-        assert not any(why)
+        assert not why
         assert np.array_equal(wins[clear], block_asymptotic(agg).joint_wins[clear]), (K, M_r)
         compared, items = compared + clear.sum(), items + len(item)
     assert compared >= 0.5 * items, (compared, items)
@@ -376,10 +374,9 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
 
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
-        passes.append(len(why))
-        why = why.astype(object)
-        why[{1: [0, 2], 2: [0]}.get(len(passes), [])] = "injected failure"
-        return values, why
+        passes.append(len(values))
+        return values, {**why, **dict.fromkeys({1: [0, 2], 2: [0]}.get(len(passes), []),
+                                               "injected failure")}
 
     values, resampled = harness_mod._trial_block(flaky, *table, lo, hi)
     assert passes == [5, 2, 1]
@@ -390,15 +387,15 @@ def test_redraws_overwrite_their_rows_and_count_once_each():
 
 
 def test_exhausted_resamples_report_the_whole_last_message():
-    # The first pass's messages are one character wide, as _prob_block's
-    # empty ones are; the later passes fail with a longer message.
+    # The first pass fails with a one-character message, the later passes
+    # with a longer one: the error names the last pass's message whole.
     passes = []
 
     def failing(*draws):
         values, why = harness_mod._prob_block(*draws)
         passes.append(1)
         message = "x" if len(passes) == 1 else f"pass {len(passes)} failed for a longer reason"
-        return values, np.full(why.shape, message)
+        return values, {**why, **dict.fromkeys(range(len(values)), message)}
 
     with pytest.raises(NumericalError) as err:
         harness_mod._trial_block(failing, *_cells(3, 2), 7, 9)
@@ -512,9 +509,9 @@ def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells)
 
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
-        why = why.astype(object)
         if len(calls) == 1:
-            why[[2 * cells + c for c in failing_cells]] = "injected failure"
+            why = {**why, **dict.fromkeys([2 * cells + c for c in failing_cells],
+                                          "injected failure")}
         return values, why
 
     monkeypatch.setattr(harness_mod, "sample_block", recorded)

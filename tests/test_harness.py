@@ -344,7 +344,7 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
 
     def parks_user_1(d, nr, hp):
         _, why = tdma_mod.block_slots(d, nr, hp)
-        assert not any(why)
+        assert not why
         tau = np.tile([1.0, 0.0], (len(d), 1))
         return tdma_mod._checked_allocation(d.T, nr.T, hp, tau.T)[0], why
 
@@ -419,17 +419,17 @@ def test_check_fails_a_row_with_a_nan(monkeypatch, capsys):
 
 
 def _count_trials(counts, monkeypatch, modules, names):
-    """Count the trials each named function is called on: a stack or a block
-    counts its leading axis, a single matrix or realization one."""
+    """Count the trials each named function is called on: a block counts its
+    trials, a stack its matrices, over every leading axis, and a single
+    matrix or realization one."""
     for mod in modules:
         for name in names:
             if hasattr(mod, name):
 
                 def counted(*args, _real=getattr(mod, name), _name=name):
                     x = args[0]
-                    stacked = isinstance(x, ChannelBlock) or getattr(x, "ndim", 0) == 3
-                    counts[_name] += len(x.P) if isinstance(x, ChannelBlock) else (
-                        len(x) if stacked else 1)
+                    counts[_name] += (len(x.P) if isinstance(x, ChannelBlock)
+                                      else int(np.prod(np.shape(x)[:-2])))
                     return _real(*args)
 
                 monkeypatch.setattr(mod, name, counted)
@@ -437,16 +437,15 @@ def _count_trials(counts, monkeypatch, modules, names):
 
 def test_each_trial_builds_aggregates_once(monkeypatch):
     # a sweep trial needs one aggregate build for all its cells and, in each
-    # alpha, lambda_max(R) and the eigenpair of R + W; a superiority trial one
-    # build and one superiority index, whose top eigenvalue is one row, for
-    # all its (alpha, P_max) cells
+    # alpha, the eigenpairs of R and of R + W, two matrices of one stack; a
+    # superiority trial one build and one superiority index, whose top
+    # eigenvalue is one row, for all its (alpha, P_max) cells
     counts = Counter()
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
     cfg = small_cfg(alpha_values=(0.5, 1.0), grid_db=(10.0,), n_trials=5)
     assert run_sweep(cfg).resampled_trials == 0
-    assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 10,
-                      "dominant_eigenpair": 10}
+    assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 20}
     counts.clear()
     cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
     assert estimate_superiority_probability(cfg).resampled_trials == 0
@@ -560,12 +559,12 @@ def _fail_on_weak_first_link(name, base, powers, trials, cells, retry):
     # deterministic in the draw, so forked workers resample the same trials
     values, why = _REAL_EVALUATORS[name](base, powers, trials, cells, retry)
     weak = np.abs(sample_block(base, trials, retry).h_r[:, 0, 0]) < 1.0
-    return values, np.where(weak, "injected failure", why)
+    return values, {**why, **dict.fromkeys(np.flatnonzero(weak).tolist(), "injected failure")}
 
 
 def _always_fail(name, *draws):
     values, why = _REAL_EVALUATORS[name](*draws)
-    return values, np.full(len(why), "injected failure")
+    return values, {**why, **dict.fromkeys(range(len(values)), "injected failure")}
 
 
 _REAL_TRIAL_BLOCK = harness_mod._trial_block

@@ -51,15 +51,16 @@ def twenty_four_decades(K: int, N: int = 2000):
 def count_passes(tdma, run, inputs=None) -> list[tuple[int, list[int]]]:
     """(trials, live trials of each pass) of each block_slots call that
     run() makes, from the calls of tdma._slot_derivs between two final
-    checks; hp has one entry per trial, whether the optimizer holds users
-    first (hp of shape (N,)) or trials first ((N, 1)). Appends each block's
-    inputs (d, nr, hp) of block_slots to inputs, if given."""
+    checks. Its next-to-last argument has one entry per live trial, whether
+    it is hp, (N,) with users first or (N, 1) with trials first, or the
+    hoisted hp + 1, (N,). Appends each block's inputs (d, nr, hp) of
+    block_slots to inputs, if given."""
     derivs, checked = tdma._slot_derivs, tdma._checked_allocation
     blocks, live = [], []
 
-    def counted_derivs(d, nr, hp, tau):
-        live.append(len(hp))
-        return derivs(d, nr, hp, tau)
+    def counted_derivs(*args):
+        live.append(len(args[-2]))
+        return derivs(*args)
 
     def counted_check(d, nr, hp, tau):
         result = checked(d, nr, hp, tau)
