@@ -142,14 +142,13 @@ class ChannelAggregates:
     hp: float
 
 
-def trial_rng(seed: int, trial_index: int, retry: int = 0) -> Generator:
+def trial_rng(seed: int, trial_index: int) -> Generator:
     """Independent, reproducible substream for one Monte Carlo trial.
 
-    Streams are keyed on (seed, trial_index, retry), so trials can run in
-    any order or in parallel and still produce identical draws. retry > 0
-    gives a flagged replacement stream after a numerical failure.
+    Streams are keyed on (seed, trial_index, 0), so trials can run in any
+    order or in parallel and still produce identical draws.
     """
-    ss = SeedSequence(entropy=int(seed), spawn_key=(int(trial_index), int(retry)))
+    ss = SeedSequence(entropy=int(seed), spawn_key=(int(trial_index), 0))
     return default_rng(ss)
 
 
@@ -165,7 +164,7 @@ def _hash_steps(init: int, mult: int, n: int) -> list:
 # numpy's SeedSequence (pool of 4 words) on the 6 entropy words of a trial
 # key takes 24 mixing hash steps and 8 output steps; PCG64 then seeds with
 # two steps of its 128-bit LCG. The last 8 mixing steps, 4 for each of the
-# words t and retry, and the output steps are stacked as (xor, multiplier)
+# words t and 0, and the output steps are stacked as (xor, multiplier)
 # columns.
 _MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 24)
 _WORD_STEPS = np.array(_MIX_STEPS[16:], np.uint32).reshape(2, 4, 2).transpose(0, 2, 1)[..., None]
@@ -197,18 +196,18 @@ def _seed_pool(seed: int) -> list:
     return pool
 
 
-def _substream_states(seed: int, trials, retry: int) -> Iterator[dict]:
-    """The PCG64 state of ``trial_rng(seed, t, retry)`` for each trial t,
-    hashed for all trials at once and yielded one dict at a time.
+def _substream_states(seed: int, trials) -> Iterator[dict]:
+    """The PCG64 state of ``trial_rng(seed, t)`` for each trial t, hashed
+    for all trials at once and yielded one dict at a time.
 
-    SeedSequence hashes the entropy words [seed (two words), 0, 0, t, retry]:
-    the seed words once, as Python ints, and then t and retry into a (4, N)
+    SeedSequence hashes the entropy words [seed (two words), 0, 0, t, 0]:
+    the seed words once, as Python ints, and then t and 0 into a (4, N)
     pool, one stacked hash step and one mix per word, and its 8 output words
     as one (8, N) array; PCG64's two seeding steps run on Python ints. Every
-    t and retry must be below 2**32 and the seed below 2**64, so that each
-    key has exactly these six words."""
+    t must be below 2**32 and the seed below 2**64, so that each key has
+    exactly these six words."""
     pool = np.array(_seed_pool(int(seed)), dtype=np.uint32)[:, None]
-    for word, steps in zip((np.array(trials, dtype=np.uint32), np.uint32(retry)), _WORD_STEPS):
+    for word, steps in zip((np.array(trials, dtype=np.uint32), np.uint32(0)), _WORD_STEPS):
         pool = _mix(pool, _hashmix(word, *steps))
     out = _hashmix(pool[[0, 1, 2, 3] * 2], *_OUT_STEPS).astype(np.uint64)
     # little-endian uint32 pairs -> uint64: state high, state low, seq high, seq low
@@ -261,22 +260,21 @@ def sample_channel(cfg: ScenarioConfig, rng: Generator) -> ChannelRealization:
                               P_r=cfg.P_r)
 
 
-def sample_block(scen: ScenarioConfig, trials, retry: int = 0) -> ChannelBlock:
+def sample_block(scen: ScenarioConfig, trials) -> ChannelBlock:
     """The unit draws of scen's (K, M_r) and seed, one row per trial index
-    t: the draw :func:`sample_channel` makes from
-    ``trial_rng(scen.seed, t, retry)`` at alpha = P_max = P_r = 1, whatever
-    scen's alpha and powers. A caller scales h_d by its alpha, through
-    :func:`direct_links`, P by its P_max and P_r by its P_r. The substreams
-    are seeded in bulk, by _substream_states."""
+    t: the draw :func:`sample_channel` makes from ``trial_rng(scen.seed, t)``
+    at alpha = P_max = P_r = 1, whatever scen's alpha and powers. A caller
+    scales h_d by its alpha, through :func:`direct_links`, P by its P_max
+    and P_r by its P_r. The substreams are seeded in bulk, by
+    _substream_states."""
     trials = np.asarray(trials)
-    if not trials.size or trials.min() < 0 or trials.max() >= 2**32 or not 0 <= retry < 2**32:
-        raise ValidationError("a block needs at least one trial index, each in [0, 2**32), "
-                              "and a retry in [0, 2**32)")
+    if not trials.size or trials.min() < 0 or trials.max() >= 2**32:
+        raise ValidationError("a block needs at least one trial index, each in [0, 2**32)")
     K, M = scen.K, scen.M_r
     z, P = np.empty((len(trials), 2 * (K * M + M + K))), np.empty((len(trials), K))
     bitgen = PCG64()  # every draw sets its own state first
     rng = Generator(bitgen)
-    for i, state in enumerate(_substream_states(scen.seed, trials, retry)):
+    for i, state in enumerate(_substream_states(scen.seed, trials)):
         bitgen.state = state
         _draw(rng, z[i], P[i])
     h_r, h, h_d = _coefficients(z, K, M)
@@ -439,4 +437,6 @@ def realization_from_json(text: str) -> ChannelRealization:
         raise ValidationError("h_r must be a list of per-user channel vectors")
     if not (np.isfinite(N0) and N0 > 0):
         raise ValidationError(f"N0 must be finite and positive, got {N0}")
-    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P / N0, P_r=P_r / N0)
+    with np.errstate(over="ignore"):  # the realization rejects a P that overflows
+        P = P / N0
+    return ChannelRealization(h_r=h_r, h_d=h_d, h=h, P=P, P_r=P_r / N0)

@@ -133,11 +133,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.realization == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.realization, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.realization == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.realization, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"realization is not UTF-8 text: {exc.reason} at byte "
+                              f"{exc.start}") from None
     c = realization_from_json(text)
     metrics = evaluate_realization(c)
     _write_text(args.out, json.dumps(metrics.to_json_dict(), indent=2) + "\n")
@@ -155,8 +159,6 @@ def _cmd_table(args) -> int:
     cfg = SweepConfig(base, _parse_grid(swept), alpha_values=args.alpha, n_trials=args.trials)
     result = run(cfg, workers=args.workers)
     _write_text(args.out, result.to_csv())
-    if result.resampled_trials:
-        print(f"resampled_trials={result.resampled_trials}", file=sys.stderr)
     return 0
 
 

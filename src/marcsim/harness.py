@@ -19,22 +19,23 @@ a footprint per trial fitted in K and M_r. The calling process computes the
 first group; with more groups, one process pool, of one process per further
 group, computes the others at the same time. Every trial draws from a
 substream keyed on (seed, trial index), seeded in bulk. A block's evaluator
-takes the base scenario and that array, each item's trial and cell index and
-the redraw number, and samples the draws itself; _runs, on those integer
-indices, is what decides which items share work. Both tables draw each trial
-once, by sample_block at unit alpha, P_max and P_r, and build its aggregates
-once. A sweep scales them to its cells by scale_aggregates; a superiority
-table forms the draw's superiority index mu once and compares alpha^2 P_max
-mu with 1 in each cell, whose direct links and SNR sums it still checks. A
+takes the base scenario and that array and each item's trial and cell index,
+and samples the draws itself; _runs, on those integer indices, is what
+decides which items share work. Both tables draw each trial once, by
+sample_block at unit alpha, P_max and P_r, and build its aggregates once. A
+sweep scales them to its cells by scale_aggregates; a superiority table
+forms the draw's superiority index mu once and compares alpha^2 P_max mu
+with 1 in each cell, whose direct links and SNR sums it still checks. A
 trial's cells of one alpha, adjacent in a sweep block, differ only in P_r:
 they share one scaling and one build of the eigenpairs, and hp, the bounds
 and the slots are each cell's. No trial's values depend on the rest of its
 block, as the kernels take C-ordered stacks, so results are byte-identical
-for any W >= 1. A failed draw is redrawn on a flagged substream, in a
-smaller block, by one loop. A block returns its values, with a leading trial
-axis, and its redraw count; the table reads the blocks joined into one
-(cells, trials, ...) array, whose reductions make the rows, named tuples.
-The invariant suite of ``marcsim check`` draws by sample_block too, and
+for any W >= 1. A draw that fails a check stops the run: NumericalError names
+the lowest failing item's trial, cell and message, the same for any W, as a
+group stops at its first failing block and the groups are joined in order.
+A block returns its values, with a leading trial axis; the table reads the
+blocks joined into one (cells, trials, ...) array, whose reductions make the
+rows, named tuples. The invariant suite of ``marcsim check`` draws by sample_block too, and
 evaluates its trials in chunks that keep within the same byte budget, at a
 footprint per trial of its own.
 """
@@ -74,7 +75,6 @@ __all__ = [
 
 METRICS = ("joint_lower", "joint_up1", "joint_up2", "joint_up_min", "tdma_sum_rate")
 
-_MAX_RESAMPLES = 100
 _BLOCK_BYTES = 1 << 22  # budget of a block's peak memory, at _trial_bytes per trial
 # Work, in trials times sqrt(K * M_r), that pays for importing the pool and
 # starting a process. At W = 2 two processes overtake one from about 0.6-1.3
@@ -188,11 +188,9 @@ class ProbRow(NamedTuple):
 
 @dataclass(frozen=True)
 class TableResult:
-    """The rows of one Monte Carlo table, in CSV order, and the number of
-    resampled draws behind them."""
+    """The rows of one Monte Carlo table, in CSV order."""
 
     rows: tuple[SweepRow, ...] | tuple[ProbRow, ...]
-    resampled_trials: int = 0
 
     def to_csv(self) -> str:
         """Header from the row fields, then one line per row; floats at 10
@@ -218,27 +216,25 @@ def _runs(*keys):
     return (..., ...) if new.all() else (np.flatnonzero(new), np.cumsum(new) - 1)
 
 
-def _unit_draws(base: ScenarioConfig, trials, retry: int, items=...):
-    """Each distinct trial of trials drawn once on substream retry, by
-    sample_block at alpha = P_max = P_r = 1, its aggregates built once (hp
-    is ||h||^2, at unit P_r), and the row of them of each of the items
-    ``items`` (... for all)."""
+def _unit_draws(base: ScenarioConfig, trials, items=...):
+    """Each distinct trial of trials drawn once, by sample_block at alpha =
+    P_max = P_r = 1, its aggregates built once (hp is ||h||^2, at unit P_r),
+    and the row of them of each of the items ``items`` (... for all)."""
     first, row = _runs(trials)
-    blk = sample_block(base, trials[first], retry)
+    blk = sample_block(base, trials[first])
     return blk, compute_aggregates(blk), items if row is ... else row[items]
 
 
-def _sweep_block(base: ScenarioConfig, powers, trials, cells, retry: int):
+def _sweep_block(base: ScenarioConfig, powers, trials, cells):
     """The METRICS of each item of a block, trial trials[i] of the cell of
     alpha, P_max and P_r powers[:, cells[i]], (N, 5), and the failures as
     {item: message}, a bounds message before a slots one, from the items'
-    draws of base on substream retry. A run of items of one trial, alpha and
-    P_max, which differ only in P_r, takes its first item's aggregates and
-    builds its eigenpairs once; hp, the bounds and the slots are each
-    item's."""
+    draws of base. A run of items of one trial, alpha and P_max, which
+    differ only in P_r, takes its first item's aggregates and builds its
+    eigenpairs once; hp, the bounds and the slots are each item's."""
     alpha, p_max, p_r = powers[:, cells]
     first, run = _runs(trials, alpha.view(np.int64), p_max.view(np.int64))  # -0.0 is not 0.0
-    agg = scale_aggregates(*_unit_draws(base, trials, retry, first), alpha[first], p_max[first])
+    agg = scale_aggregates(*_unit_draws(base, trials, first), alpha[first], p_max[first])
     # agg.hp is ||h||^2, and ||h||^2 * P_r each item's hp, bit for bit
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
@@ -246,15 +242,15 @@ def _sweep_block(base: ScenarioConfig, powers, trials, cells, retry: int):
     return np.stack(_metrics(b, alloc), axis=1), {**why_slots, **why}
 
 
-def _prob_block(base: ScenarioConfig, powers, trials, cells, retry: int):
+def _prob_block(base: ScenarioConfig, powers, trials, cells):
     """The superiority predicate of each item of a block, trial trials[i] of
-    the cell of alpha and P_max powers[:2, cells[i]], from its draw of base
-    on substream retry: alpha^2 P_max mu > 1, with mu the superiority index
-    of the draw at unit alpha and P_max, formed once per draw. Each item's
-    direct links and SNR sums are checked at its own alpha and P_max, as a
-    build there checks them; no check can fail, so its failures, {row:
-    message}, are always empty."""
-    blk, agg, row = _unit_draws(base, trials, retry)
+    the cell of alpha and P_max powers[:2, cells[i]], from its draw of base:
+    alpha^2 P_max mu > 1, with mu the superiority index of the draw at unit
+    alpha and P_max, formed once per draw. Each item's direct links and SNR
+    sums are checked at its own alpha and P_max, as a build there checks
+    them; no check can fail, so its failures, {row: message}, are always
+    empty."""
+    blk, agg, row = _unit_draws(base, trials)
     alpha, p_max = powers[:2, cells]
     h_d, P = direct_links(alpha[:, None], blk.h_d[row]), blk.P[row] * p_max[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,26 +262,20 @@ def _prob_block(base: ScenarioConfig, powers, trials, cells, retry: int):
 def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
     """The values of items lo <= i < hi of the flat (trial, cell) list,
     i = trial * cells + cell, evaluated as one block with a leading item
-    axis, and the number of redraws behind them. ``evaluate`` takes base,
-    powers, the cells' alpha, P_max and P_r as a (3, cells) array, and each
-    item's trial and cell index, in this trial-major order, and returns
-    their values and their failures as {row: message}. Draws that fail a
-    check are redrawn as a block on their next flagged substreams, over
-    their rows, in the same order."""
-    rows, resampled, cells = np.arange(hi - lo), 0, powers.shape[1]  # the rows still to draw
-    for retry in range(_MAX_RESAMPLES):
-        items = rows + lo
-        got, why = evaluate(base, powers, items // cells, items % cells, retry)
-        if retry:
-            values[rows] = got
-            resampled += len(rows)
-        else:
-            values = got
-        if not why:
-            return values, resampled
-        rows = rows[sorted(why)]
-    raise NumericalError(f"trial {(rows[0] + lo) // cells} failed after {_MAX_RESAMPLES} "
-                         f"resamples: {why[min(why)]}")
+    axis. ``evaluate`` takes base, powers, the cells' alpha, P_max and P_r
+    as a (3, cells) array, and each item's trial and cell index, in this
+    trial-major order, and returns their values and their failures as
+    {row: message}. NumericalError, naming the lowest failing item's trial,
+    its cell and the message, when any item fails a check."""
+    items, cells = np.arange(lo, hi), powers.shape[1]
+    values, why = evaluate(base, powers, items // cells, items % cells)
+    if why:
+        row = min(why)
+        trial, cell = divmod(lo + row, cells)
+        alpha, p_max, p_r = powers[:, cell]
+        raise NumericalError(f"trial {trial} of cell alpha={alpha:.10g}, P_max={p_max:.10g}, "
+                             f"P_r={p_r:.10g}: {why[row]}")
+    return values
 
 
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802  (stands in for the class it returns)
@@ -295,15 +285,15 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802  (stands in for the cla
 
 
 def _run_blocks(tasks) -> list:
-    """The (values, redraws) of each of a group's blocks, in order."""
+    """The values of each of a group's blocks, in order."""
     return [_trial_block(*task) for task in tasks]
 
 
 def _run_cells(evaluate, base: ScenarioConfig, powers, n_trials: int, workers: int):
     """``evaluate``d values of trials t < n_trials of every cell, the
-    columns of powers, as one (cells, n_trials, ...) array, and the total
-    number of redraws. workers is an upper bound: it is capped at the CPU
-    count, as a pool starts all its processes at once, and at one process
+    columns of powers, as one (cells, n_trials, ...) array. workers is an
+    upper bound: it is capped at the CPU count, as a pool starts all its
+    processes at once, and at one process
     per _MIN_PROCESS_WORK of the run's work, items * sqrt(K * M_r), which
     gives n groups; W = 1 and a run of less than twice that work are one
     group. Each group gets the same number of blocks of about equal size, as
@@ -313,7 +303,8 @@ def _run_cells(evaluate, base: ScenarioConfig, powers, n_trials: int, workers: i
     the kernels' fixed cost per call again. The blocks, in order, form
     min(n, blocks) contiguous groups. With more than one group, one pool of
     a process per group after the first takes those groups while this
-    process computes the first; the groups are joined in order."""
+    process computes the first; the groups are joined in order, so the
+    first failing block raises the NumericalError of the run."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     items, K, M_r = powers.shape[1] * n_trials, base.K, base.M_r
@@ -331,18 +322,17 @@ def _run_cells(evaluate, base: ScenarioConfig, powers, n_trials: int, workers: i
             blocks = _run_blocks(groups[0])
             for group in rest:
                 blocks += group
-    values, counts = zip(*blocks)
-    values = np.concatenate(values).reshape(n_trials, -1, *values[0].shape[1:])
-    return values.swapaxes(0, 1), sum(counts)
+    values = np.concatenate(blocks).reshape(n_trials, -1, *blocks[0].shape[1:])
+    return values.swapaxes(0, 1)
 
 
 def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
     """Run ``evaluate`` on cfg.n_trials draws of every (alpha, dB) cell of
     cfg.grid_db, where dB sets the scenario's ``power`` ("P_r" or "P_max").
-    Returns the cells in sorted order, their values as one (cells, n_trials,
-    ...) array and the total number of redraws. One ScenarioConfig per
-    distinct swept power and alpha raises each invalid cell's ValidationError
-    before any draw, as it checks each field alone."""
+    Returns the cells in sorted order and their values as one (cells,
+    n_trials, ...) array. One ScenarioConfig per distinct swept power and
+    alpha raises each invalid cell's ValidationError before any draw, as it
+    checks each field alone."""
     cells = sorted(product(cfg.alpha_values, cfg.grid_db))
     columns = {"alpha": [a for a, _ in cells], "P_max": [cfg.base.P_max] * len(cells),
                "P_r": [cfg.base.P_r] * len(cells), power: [db_to_linear(db) for _, db in cells]}
@@ -350,7 +340,7 @@ def _run_table(cfg: SweepConfig, power: str, evaluate, workers: int):
         for value in dict.fromkeys(columns[name]):
             replace(cfg.base, **{name: value})
     powers = np.array(list(columns.values()))
-    return (cells, *_run_cells(evaluate, cfg.base, powers, cfg.n_trials, workers))
+    return cells, _run_cells(evaluate, cfg.base, powers, cfg.n_trials, workers)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
@@ -358,7 +348,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (alpha, P_r) cell, P_r from cfg.grid_db. Deterministic for a fixed
     config: trial t of every cell draws from the substream keyed on (seed, t)."""
     n, seed = cfg.n_trials, cfg.base.seed
-    cells, values, resampled = _run_table(cfg, "P_r", _sweep_block, workers)
+    cells, values = _run_table(cfg, "P_r", _sweep_block, workers)
     # Contiguous trials per (cell, metric): the reductions then sum in the
     # order each cell's own contiguous copy would.
     by_metric = np.ascontiguousarray(values.transpose(0, 2, 1))
@@ -368,7 +358,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     rows = sorted((SweepRow(alpha, pr_db, m, mean, stderr, n, seed)
                    for (alpha, pr_db), *cell in zip(cells, means.tolist(), stderrs.tolist())
                    for m, mean, stderr in zip(METRICS, *cell)), key=lambda r: r[:3])
-    return SweepResult(rows=tuple(rows), resampled_trials=resampled)
+    return SweepResult(rows=tuple(rows))
 
 
 def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> ProbResult:
@@ -376,10 +366,10 @@ def estimate_superiority_probability(cfg: SweepConfig, workers: int = 1) -> Prob
     TDMA in the unbounded-relay-power regime, per (alpha, P_max) cell, P_max
     from cfg.grid_db, with the binomial standard error."""
     n, seed = cfg.n_trials, cfg.base.seed
-    cells, values, resampled = _run_table(cfg, "P_max", _prob_block, workers)
+    cells, values = _run_table(cfg, "P_max", _prob_block, workers)
     p = values.sum(axis=1) / n
     stats = zip(cells, p.tolist(), np.sqrt(p * (1.0 - p) / n).tolist())
-    return ProbResult(tuple(ProbRow(a, db, *ps, n, seed) for (a, db), *ps in stats), resampled)
+    return ProbResult(tuple(ProbRow(a, db, *ps, n, seed) for (a, db), *ps in stats))
 
 
 def _slot_logdet_error(c: ChannelBlock, tau: np.ndarray, rates: np.ndarray) -> np.ndarray:

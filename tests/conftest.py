@@ -8,15 +8,15 @@ from marcsim import ChannelBlock, ChannelRealization, ScenarioConfig, sample_cha
 from marcsim.channel import direct_links, sample_block
 
 
-def scaled_block(scens, trials, retry=0) -> ChannelBlock:
+def scaled_block(scens, trials) -> ChannelBlock:
     """The block whose row i is sample_channel(scens[i], trial_rng(scens[i].seed,
-    trials[i], retry)), for scenarios of one (K, M_r): sample_block's unit
+    trials[i])), for scenarios of one (K, M_r): sample_block's unit
     draws, one call per seed, with each row's direct links scaled by its
     alpha, its powers by its P_max and its relay power set to its P_r."""
     trials, groups = np.asarray(trials), {}
     for i, scen in enumerate(scens):
         groups.setdefault(scen.seed, []).append(i)
-    units = [sample_block(scens[rows[0]], trials[rows], retry) for rows in groups.values()]
+    units = [sample_block(scens[rows[0]], trials[rows]) for rows in groups.values()]
     at = np.argsort(np.concatenate(list(groups.values())))  # each item's row of the units
     h_r, h_d, h, P = (np.concatenate([getattr(u, name) for u in units])[at]
                       for name in ("h_r", "h_d", "h", "P"))

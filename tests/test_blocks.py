@@ -54,15 +54,15 @@ def _evaluate(evaluate, table, items):
     """The values of the (cell, trial) items of the table's cells, evaluated
     as one block."""
     cells, trials = map(np.array, zip(*items))
-    values, why = evaluate(*table, trials, cells, 0)
+    values, why = evaluate(*table, trials, cells)
     assert not why, why
     return np.asarray(values)
 
 
-def _item(evaluate, table, i, retry):
+def _item(evaluate, table, i):
     """The values of item i of the flat (trial, cell) list evaluated alone."""
     n = table[1].shape[1]
-    return evaluate(*table, np.array([i // n]), np.array([i % n]), retry)[0][0]
+    return evaluate(*table, np.array([i // n]), np.array([i % n]))[0][0]
 
 
 def _alone_and_in_blocks(evaluate, table):
@@ -159,14 +159,12 @@ def test_stacked_kernels_equal_their_per_realization_calls(K, M_r):
 @pytest.mark.parametrize("K, M_r", [(1, 1), (10, 4), (6, 1)])
 def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r):
     # Trial-major blocks, as _trial_block builds them: items 0-12 and 13-44 of
-    # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14),
-    # and in the first block a redraw of cells 4 and 5 of trial 0 and cell 0
-    # of trial 1. Every item's values are its values alone; the aggregates
-    # take one row per trial of each pass, and the one eigen-solve of each
-    # pass, of the stack [R, R + W], one row of each per (trial, alpha).
+    # 9 cells, so the edge splits trial 1's run of alpha = 0.1 (items 12-14).
+    # Every item's values are its values alone; the aggregates take one row
+    # per trial of each block, and the one eigen-solve of each block, of the
+    # stack [R, R + W], one row of each per (trial, alpha).
     table, cells = _cells(K, M_r), 9
-    alone = {(i, retry): _item(harness_mod._sweep_block, table, i, retry)
-             for i in range(N_TRIALS * cells) for retry in (0, 1)}
+    alone = [_item(harness_mod._sweep_block, table, i) for i in range(N_TRIALS * cells)]
     rows = {"aggregates": [], "eigenpairs": []}
     real_agg = harness_mod.compute_aggregates
     monkeypatch.setattr(harness_mod, "compute_aggregates",
@@ -174,47 +172,33 @@ def test_a_trials_cells_share_one_aggregate_build_per_trial(monkeypatch, K, M_r)
     real_eig = joint_mod.dominant_eigenpair
     monkeypatch.setattr(joint_mod, "dominant_eigenpair",
                         lambda A: rows["eigenpairs"].append(A.shape[:-2]) or real_eig(A))
-    passes = []
-
-    def flaky(*draws):
-        values, why = harness_mod._sweep_block(*draws)
-        passes.append(len(values))
-        if len(passes) == 1:
-            why = {**why, **dict.fromkeys([4, 5, 9], "injected failure")}
-        return values, why
-
-    first, _ = harness_mod._trial_block(flaky, *table, 0, 13)
-    second, _ = harness_mod._trial_block(flaky, *table, 13, N_TRIALS * cells)
-    assert passes == [13, 3, 32]
-    # items 0-12 hold trials 0-1, the redraw 0-1 and items 13-44 1-4, and
-    # (trial, alpha) runs 5, 2 and 11
-    assert rows == {"aggregates": [2, 2, 4], "eigenpairs": [(2, 5), (2, 2), (2, 11)]}
+    first = harness_mod._trial_block(harness_mod._sweep_block, *table, 0, 13)
+    second = harness_mod._trial_block(harness_mod._sweep_block, *table, 13, N_TRIALS * cells)
+    # items 0-12 hold trials 0-1 and items 13-44 1-4, and (trial, alpha) runs
+    # 5 and 11
+    assert rows == {"aggregates": [2, 4], "eigenpairs": [(2, 5), (2, 11)]}
     values = np.concatenate([first, second])
     for i, got in enumerate(values):
-        want = alone[i, int(i in (4, 5, 9))]
-        assert got.tobytes() == want.tobytes(), (K, M_r, i)
+        assert got.tobytes() == alone[i].tobytes(), (K, M_r, i)
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
 def test_each_pass_draws_each_trial_once(count_draws, table):
     # The blocks of items 0-12 and 13-44 of 9 cells, trial-major as
-    # _trial_block lists them, and in the first a redraw of items 4, 5 and 9,
-    # of trials 0, 0 and 1: each pass draws each trial of its items once.
+    # _trial_block lists them: each block draws each trial of its items once.
     cells_table, cells = _cells(3, 2), 9
     real = getattr(harness_mod, table)
     passes = []
 
-    def flaky(base, powers, trials, cells, retry):
+    def counted(base, powers, trials, cells):
         drawn = len(count_draws)
-        values, why = real(base, powers, trials, cells, retry)
+        values, why = real(base, powers, trials, cells)
         passes.append((len(trials), len(count_draws) - drawn))
-        if len(passes) == 1:
-            why = {**why, **dict.fromkeys([4, 5, 9], "injected failure")}
         return values, why
 
-    harness_mod._trial_block(flaky, *cells_table, 0, 13)
-    harness_mod._trial_block(flaky, *cells_table, 13, N_TRIALS * cells)
-    assert passes == [(13, 2), (3, 2), (32, 4)]
+    harness_mod._trial_block(counted, *cells_table, 0, 13)
+    harness_mod._trial_block(counted, *cells_table, 13, N_TRIALS * cells)
+    assert passes == [(13, 2), (32, 4)]
 
 
 def test_the_scaled_predicate_equals_the_per_item_one():
@@ -232,7 +216,7 @@ def test_the_scaled_predicate_equals_the_per_item_one():
                  for db in (-40.0, -20.0, 0.0, 20.0, 40.0, 80.0)]
         item = np.arange(20 * len(cells))
         cfgs, trials = [cells[i % len(cells)] for i in item], item // len(cells)
-        wins, why = harness_mod._prob_block(*_table(cells), trials, item % len(cells), 0)
+        wins, why = harness_mod._prob_block(*_table(cells), trials, item % len(cells))
         agg = compute_aggregates(scaled_block(cfgs, trials))
         lam, tr_R = dominant_eigenvalue(agg.R + agg.W), agg.nr.sum(axis=-1)
         clear = np.abs(lam - tr_R) > 1e-10 * tr_R
@@ -247,10 +231,9 @@ def _assert_worker_count_free(evaluate, table):
     trial's values alone."""
     alone, _ = _alone_and_in_blocks(evaluate, table)
     for workers in (1, 2, 3):
-        values, resampled = harness_mod._run_cells(evaluate, *table, N_TRIALS, workers)
+        values = harness_mod._run_cells(evaluate, *table, N_TRIALS, workers)
         assert values.shape == (table[1].shape[1], N_TRIALS, *alone.shape[1:]), workers
         assert np.array_equal(values.reshape(alone.shape), alone), workers
-        assert resampled == 0
 
 
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
@@ -261,9 +244,9 @@ def test_trial_values_do_not_depend_on_the_worker_count(table, pin_cpu_count, an
     # one cell of 1,024 trials at K=2, M_r=4: one block, then blocks of 512
     # and 342, whose stacked matrix products must not change a trial's values
     one_cell = _table([ScenarioConfig(K=2, M_r=4, P_max=10.0, P_r=10.0, seed=5)])
-    whole, _ = harness_mod._run_cells(evaluate, *one_cell, 1024, 1)
+    whole = harness_mod._run_cells(evaluate, *one_cell, 1024, 1)
     for workers in (2, 3):
-        values, _ = harness_mod._run_cells(evaluate, *one_cell, 1024, workers)
+        values = harness_mod._run_cells(evaluate, *one_cell, 1024, workers)
         assert np.array_equal(values, whole), workers
 
 
@@ -348,8 +331,8 @@ def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
-def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu_count,
-                                               any_run_forks, table, workers):
+def test_a_block_returns_one_array(monkeypatch, inline_pool, pin_cpu_count, any_run_forks, table,
+                                   workers):
     pin_cpu_count(2)
     returned = []
     real = harness_mod._trial_block
@@ -361,47 +344,29 @@ def test_a_block_returns_one_array_and_a_count(monkeypatch, inline_pool, pin_cpu
     monkeypatch.setattr(harness_mod, "_trial_block", recorded)
     harness_mod._run_cells(getattr(harness_mod, table), *_cells(3, 2), N_TRIALS, workers)
     assert len(returned) == workers
-    for size, (values, resampled) in returned:
+    for size, values in returned:
         assert isinstance(values, np.ndarray) and len(values) == size
-        assert type(resampled) is int and resampled == 0
     assert inline_pool == [1] * (workers - 1)
 
 
-def test_redraws_overwrite_their_rows_and_count_once_each():
-    # items 3..7: rows 0 and 2 fail the first pass, row 0 the second too
-    table, lo, hi = _cells(3, 2), 3, 8
-    passes = []
-
-    def flaky(*draws):
-        values, why = harness_mod._sweep_block(*draws)
-        passes.append(len(values))
-        return values, {**why, **dict.fromkeys({1: [0, 2], 2: [0]}.get(len(passes), []),
-                                               "injected failure")}
-
-    values, resampled = harness_mod._trial_block(flaky, *table, lo, hi)
-    assert passes == [5, 2, 1]
-    assert type(resampled) is int and resampled == 3
-    expected = [_item(harness_mod._sweep_block, table, i, retry)
-                for i, retry in zip(range(lo, hi), (2, 0, 1, 0, 0))]
-    assert np.array_equal(values, expected)
-
-
-def test_exhausted_resamples_report_the_whole_last_message():
-    # The first pass fails with a one-character message, the later passes
-    # with a longer one: the error names the last pass's message whole.
+@pytest.mark.parametrize("table", ["_sweep_block", "_prob_block"])
+def test_a_failed_block_names_its_lowest_failing_item(table):
+    # items 12..16, trial 1 of cells 3-7: rows 3 and 1 fail, row 3 with a
+    # one-character message. The block is evaluated once, and the error
+    # names row 1's item, trial 1 of cell 4, its cell's alpha, P_max and P_r
+    # and its message whole.
     passes = []
 
     def failing(*draws):
-        values, why = harness_mod._prob_block(*draws)
-        passes.append(1)
-        message = "x" if len(passes) == 1 else f"pass {len(passes)} failed for a longer reason"
-        return values, {**why, **dict.fromkeys(range(len(values)), message)}
+        values, why = getattr(harness_mod, table)(*draws)
+        passes.append(len(values))
+        return values, {**why, 3: "x", 1: "a longer reason, with: punctuation"}
 
     with pytest.raises(NumericalError) as err:
-        harness_mod._trial_block(failing, *_cells(3, 2), 7, 9)
-    assert len(passes) == 100
-    assert str(err.value) == ("trial 0 failed after 100 resamples: "
-                              "pass 100 failed for a longer reason")
+        harness_mod._trial_block(failing, *_cells(3, 2), 12, 17)
+    assert passes == [5]
+    assert str(err.value) == ("trial 1 of cell alpha=0.1, P_max=10, P_r=10: "
+                              "a longer reason, with: punctuation")
 
 
 @pytest.fixture
@@ -414,23 +379,23 @@ def count_draws(monkeypatch):
 
 
 def test_a_block_matches_sample_channel_row_for_row(count_draws):
-    # each seed's shuffled trials on a retry, whatever the scenario's alpha
+    # each seed's shuffled trials, whatever the scenario's alpha
     # and powers: one draw per row, every row the realization sample_channel
     # makes from the trial's own stream at alpha = P_max = P_r = 1
     base = ScenarioConfig(K=4, M_r=3, alpha=0.3, P_max=10.0, P_r=1e8, seed=0)
     order = np.random.default_rng(3).permutation(12)
     for seed in (21, 2**32 + 5):
         count_draws.clear()
-        blk = sample_block(replace(base, seed=seed), order, 3)
+        blk = sample_block(replace(base, seed=seed), order)
         assert len(count_draws) == len(order)
         unit = replace(base, seed=seed, alpha=1.0, P_max=1.0, P_r=1.0)
         for i, t in enumerate(order):
-            want = sample_channel(unit, trial_rng(seed, t, 3))
+            want = sample_channel(unit, trial_rng(seed, t))
             for name in ("h_r", "h_d", "h", "P", "P_r"):
                 assert np.asarray(getattr(blk, name)[i]).tobytes() == np.asarray(
                     getattr(want, name)).tobytes(), (name, seed, t)
     # each (seed, t) key under several alpha, P_max and P_r, in a shuffled
-    # block of two seeds on a retry, unit draws scaled per item as the tests'
+    # block of two seeds, unit draws scaled per item as the tests'
     # scaled_block does: every row the realization sample_channel makes
     cfgs = [replace(base, seed=seed, alpha=a, P_max=p_max, P_r=p_r)
             for seed in (21, 2**32 + 5) for a in (0.0, 0.3, 1.0)
@@ -439,10 +404,10 @@ def test_a_block_matches_sample_channel_row_for_row(count_draws):
     order = np.random.default_rng(3).permutation(len(pairs))
     pairs = [pairs[i] for i in order]
     count_draws.clear()
-    blk = scaled_block([cfg for cfg, _ in pairs], [t for _, t in pairs], 3)
+    blk = scaled_block([cfg for cfg, _ in pairs], [t for _, t in pairs])
     assert len(count_draws) == len(pairs)
     for i, (cfg, t) in enumerate(pairs):
-        want = sample_channel(cfg, trial_rng(cfg.seed, t, 3))
+        want = sample_channel(cfg, trial_rng(cfg.seed, t))
         for name in ("h_r", "h_d", "h", "P"):
             got, ref = getattr(blk, name)[i], getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
@@ -472,7 +437,7 @@ def test_overflowing_direct_links_raise_among_shared_keys(count_draws):
         with pytest.raises(ValidationError) as want:
             compute_aggregates(scaled_block(cfgs, [0, 1, 1]))
         with pytest.raises(ValidationError) as got:
-            harness_mod._prob_block(*_table(cfgs), np.array([0, 1, 1]), np.arange(3), 0)
+            harness_mod._prob_block(*_table(cfgs), np.array([0, 1, 1]), np.arange(3))
         assert str(got.value) == str(want.value), big
     assert str(want.value).startswith("channel SNRs overflow a float: s = inf, tr R = ")
 
@@ -491,36 +456,27 @@ def test_multi_cell_tables_equal_their_one_cell_runs(pin_cpu_count, any_run_fork
         expected = tuple(sorted((row for cell in alone for row in cell.rows), key=order))
         assert whole.rows == expected, run.__name__
         assert repr(whole.rows) == repr(expected), run.__name__  # and -0.0 stays -0.0
-        assert whole.resampled_trials == 0
 
 
 @pytest.mark.parametrize("failing_cells", [[4], [4, 6]])
-def test_a_failed_item_is_redrawn_alone(monkeypatch, count_draws, failing_cells):
-    # trial 2 fails in some cells on its first draw: only those items are
-    # redrawn, on one shared retry-1 draw, and the trial's other cells keep
-    # their retry-0 values
+def test_a_failed_item_stops_the_run(monkeypatch, count_draws, failing_cells):
+    # trial 2 fails in some cells: the run draws each trial once and stops,
+    # naming the trial's lowest failing cell and its message
     table, cells = _cells(3, 2), 9
     calls = []
     real = harness_mod.sample_block
 
-    def recorded(scen, trials, retry):
-        calls.append((scen, list(trials), retry))
-        return real(scen, trials, retry)
+    def recorded(scen, trials):
+        calls.append((scen, list(trials)))
+        return real(scen, trials)
 
     def flaky(*draws):
         values, why = harness_mod._sweep_block(*draws)
-        if len(calls) == 1:
-            why = {**why, **dict.fromkeys([2 * cells + c for c in failing_cells],
-                                          "injected failure")}
-        return values, why
+        return values, {**why, **{2 * cells + c: f"injected failure {c}" for c in failing_cells}}
 
     monkeypatch.setattr(harness_mod, "sample_block", recorded)
-    values, resampled = harness_mod._run_cells(flaky, *table, N_TRIALS, 1)
-    assert resampled == len(failing_cells)
-    assert calls == [(table[0], list(range(N_TRIALS)), 0), (table[0], [2], 1)]
-    assert len(count_draws) == N_TRIALS + 1
-    for c in range(cells):
-        for t in range(N_TRIALS):
-            retry = int(t == 2 and c in failing_cells)
-            want = _item(harness_mod._sweep_block, table, t * cells + c, retry)
-            assert np.array_equal(values[c, t], want), (c, t)
+    with pytest.raises(NumericalError) as err:
+        harness_mod._run_cells(flaky, *table, N_TRIALS, 1)
+    assert str(err.value) == "trial 2 of cell alpha=0.1, P_max=10, P_r=10: injected failure 4"
+    assert calls == [(table[0], list(range(N_TRIALS)))]
+    assert len(count_draws) == N_TRIALS

@@ -48,15 +48,15 @@ def test_sample_matches_public_construction(K, M_r, alpha):
     # call; on the same streams it must build the realizations the public
     # constructor builds from one call per real or imaginary part, alone and,
     # at alpha = P_max = P_r = 1, as a block seeded in bulk, whatever order
-    # the block lists its trials in, also for a two-word seed and a retry.
-    for seed, retry in ((4, 0), (2**32 + 5, 2)):
+    # the block lists its trials in, also for a two-word seed.
+    for seed in (4, 2**32 + 5):
         cfg = ScenarioConfig(K=K, M_r=M_r, alpha=alpha, P_max=5.0, P_r=2.0, seed=seed)
         order = np.random.default_rng(K).permutation(50)
-        blk = sample_block(cfg, order.tolist(), retry)
+        blk = sample_block(cfg, order.tolist())
         unit = {"h_r": blk.h_r, "h_d": direct_links(alpha, blk.h_d), "h": blk.h, "P": blk.P * 5.0}
         for i, t in enumerate(order):
-            c = sample_channel(cfg, trial_rng(seed, t, retry))
-            rng = trial_rng(seed, t, retry)
+            c = sample_channel(cfg, trial_rng(seed, t))
+            rng = trial_rng(seed, t)
 
             def cn(shape):
                 return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -136,35 +136,34 @@ def test_direct_links_reject_overflow():
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-@pytest.mark.parametrize("retry", [0, 3])
-def test_bulk_seeding_matches_seed_sequence(seed, retry):
+def test_bulk_seeding_matches_seed_sequence(seed):
     # numpy's own SeedSequence and PCG64 are the oracle for every key the
-    # harness can form, also the top trial index, which check's probes take
+    # harness can form, (seed, t, 0), also the top trial index, which
+    # check's probes take
     trials = list(range(4999)) + [2**32 - 1]
-    got = _substream_states(seed, trials, retry)
+    got = _substream_states(seed, trials)
     for t, state in zip(trials, got, strict=True):
-        assert state == PCG64(SeedSequence(seed, spawn_key=(t, retry))).state, t
+        assert state == PCG64(SeedSequence(seed, spawn_key=(t, 0))).state, t
 
 
 def test_sample_block_draws_the_oracle_streams_at_the_key_bounds():
-    # the largest seed, trial index and retry a block takes: each row is the
-    # unit draw sample_channel makes from numpy's own SeedSequence stream
+    # the largest seed and trial index a block takes: each row is the unit
+    # draw sample_channel makes from numpy's own SeedSequence stream
     unit = ScenarioConfig(K=3, M_r=2, P_max=1.0, P_r=1.0, alpha=1.0, seed=2**64 - 1)
     trials = [0, 2**31, 2**32 - 1]
-    for retry in (0, 2**32 - 1):
-        blk = sample_block(replace(unit, alpha=0.5, P_max=4.0), trials, retry)
-        for i, t in enumerate(trials):
-            rng = np.random.Generator(PCG64(SeedSequence(2**64 - 1, spawn_key=(t, retry))))
-            want = sample_channel(unit, rng)
-            for name in ("h_r", "h_d", "h", "P"):
-                assert np.array_equal(getattr(blk, name)[i], getattr(want, name)), (retry, t, name)
+    blk = sample_block(replace(unit, alpha=0.5, P_max=4.0), trials)
+    for i, t in enumerate(trials):
+        rng = np.random.Generator(PCG64(SeedSequence(2**64 - 1, spawn_key=(t, 0))))
+        want = sample_channel(unit, rng)
+        for name in ("h_r", "h_d", "h", "P"):
+            assert np.array_equal(getattr(blk, name)[i], getattr(want, name)), (t, name)
 
 
 def test_sample_block_rejects_malformed_blocks():
     cfg = ScenarioConfig(K=2, M_r=2, seed=5)
-    for trials, retry in (([0, 2**32], 0), ([-1], 0), ([0], 2**32), ([], 0), (range(0), 0)):
+    for trials in ([0, 2**32], [-1], [], range(0)):
         with pytest.raises(ValidationError, match="a block needs at least one trial index"):
-            sample_block(cfg, trials, retry)
+            sample_block(cfg, trials)
 
 
 @pytest.mark.parametrize("K, M_r", [(1, 1), (2, 3), (10, 4), (50, 8)])
@@ -480,7 +479,7 @@ def test_realization_validation():
         ChannelRealization(h_r=np.zeros((2, 0)), h_d=[1.0, 1.0], h=[], P=[1.0, 1.0], P_r=1.0)
     doc = json.loads(realization_to_json(
         ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[1.0], P_r=1.0)))
-    for n0 in (0, -1, float("nan"), float("inf"), "x"):
+    for n0 in (0, -1, float("nan"), float("inf"), "x", 1e-320):
         with pytest.raises(ValidationError):
             realization_from_json(json.dumps({**doc, "N0": n0}))
 

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import re
 import subprocess
@@ -213,6 +214,17 @@ def test_eval_invalid_json_is_validation_error(tmp_path, capsys):
     path.write_text("{broken")
     code, _, _ = run_cli(capsys, "eval", str(path))
     assert code == 1
+
+
+def test_eval_of_text_that_is_not_utf8_is_validation_error(tmp_path, capsys, monkeypatch):
+    # from a file and from stdin, decoded strictly as UTF-8: one error line
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), "utf-8"))
+    for source in (str(path), "-"):
+        code, out, err = run_cli(capsys, "eval", source)
+        assert code == 1 and out == "", source
+        assert err == "error: realization is not UTF-8 text: invalid start byte at byte 0\n"
 
 
 def test_sweep_csv_deterministic_across_workers(tmp_path, capsys, any_run_forks):

@@ -109,14 +109,14 @@ def test_table_statistics_equal_the_per_cell_reductions(n_trials):
     # reductions over that cell's trials, bit for bit
     cfg = small_cfg(n_trials=n_trials)
     rows = {(r.alpha, r.pr_db, r.metric): r for r in run_sweep(cfg).rows}
-    cells, values, _ = harness_mod._run_table(cfg, "P_r", harness_mod._sweep_block, 1)
+    cells, values = harness_mod._run_table(cfg, "P_r", harness_mod._sweep_block, 1)
     for (alpha, pr_db), cell in zip(cells, values):
         for m, vals in zip(METRICS, cell.T):
             row = rows[alpha, pr_db, m]
             assert row.mean == float(vals.mean())
             assert row.stderr == float(vals.std(ddof=1) / np.sqrt(n_trials))
     probs = estimate_superiority_probability(cfg).rows
-    cells, wins, _ = harness_mod._run_table(cfg, "P_max", harness_mod._prob_block, 1)
+    cells, wins = harness_mod._run_table(cfg, "P_max", harness_mod._prob_block, 1)
     assert [(r.alpha, r.pmax_db) for r in probs] == cells
     assert [r.probability for r in probs] == [int(w.sum()) / n_trials for w in wins]
 
@@ -180,22 +180,25 @@ def test_sweep_aggregated_bound_ordering():
             assert rows[(alpha, pr, "joint_lower")] <= rows[(alpha, pr, "joint_up_min")] + 1e-9
 
 
-def test_sweep_resamples_failed_trials(monkeypatch):
+def test_sweep_raises_on_a_failed_trial(monkeypatch, capsys, tmp_path):
+    # a slot failure of trial 1 stops the sweep, and the CLI exits 2 with
+    # the trial, the cell and the message, and writes no CSV
     real = harness_mod.block_slots
-    calls = {"n": 0}
 
     def flaky(*args):
-        calls["n"] += 1
         alloc, why = real(*args)
-        if calls["n"] == 1:
-            why[0] = "injected failure"
-        return alloc, why
+        return alloc, {**why, 1: "injected failure"}
 
     monkeypatch.setattr(harness_mod, "block_slots", flaky)
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=3)
-    result = run_sweep(cfg)
-    assert result.resampled_trials == 1
-    assert len(result.rows) == len(METRICS)
+    with pytest.raises(NumericalError, match="^trial 1 of cell alpha=1, P_max=10, P_r=10: "
+                                             "injected failure$"):
+        run_sweep(cfg)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--trials", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("numerical failure: trial 1 of cell alpha=1, P_max=10, "
+                                       "P_r=10: injected failure\n")
+    assert not out.exists()
 
 
 def test_no_direct_links_tdma_dominates_at_high_relay_power():
@@ -335,7 +338,7 @@ def test_check_rejects_a_planted_wrong_allocation(monkeypatch, scale):
 
     drawn = []
 
-    def planted(scen, trials, retry=0):  # c in every row, at alpha = P_max = P_r = 1
+    def planted(scen, trials):  # c in every row, at alpha = P_max = P_r = 1
         drawn.append(len(trials))
         return ChannelBlock(*(np.array([getattr(c, name)] * len(trials))
                               for name in ("h_r", "h_d", "h", "P", "P_r")))
@@ -362,7 +365,7 @@ def test_check_chunks_change_no_outcome(monkeypatch):
     scen = ScenarioConfig(K=4, M_r=3, P_max=10.0, P_r=10.0, alpha=0.5, seed=11)
     drawn, real = [], harness_mod.sample_block
     monkeypatch.setattr(harness_mod, "sample_block",
-                        lambda scen, trials, retry=0: drawn.append(trials) or real(scen, trials))
+                        lambda scen, trials: drawn.append(trials) or real(scen, trials))
     whole = invariant_suite(scen, n_trials=25)
     assert drawn == [range(25)]
     drawn.clear()
@@ -444,11 +447,11 @@ def test_each_trial_builds_aggregates_once(monkeypatch):
     _count_trials(counts, monkeypatch, (harness_mod, joint_mod, tdma_mod),
                   ("compute_aggregates", "dominant_eigenpair", "dominant_eigenvalue"))
     cfg = small_cfg(alpha_values=(0.5, 1.0), grid_db=(10.0,), n_trials=5)
-    assert run_sweep(cfg).resampled_trials == 0
+    run_sweep(cfg)
     assert counts == {"compute_aggregates": 5, "dominant_eigenpair": 20}
     counts.clear()
     cfg = small_cfg(alpha_values=(0.1, 0.5, 1.0), grid_db=(0.0, 10.0, 40.0), n_trials=5)
-    assert estimate_superiority_probability(cfg).resampled_trials == 0
+    estimate_superiority_probability(cfg)
     assert counts == {"compute_aggregates": 5, "dominant_eigenvalue": 5}
 
 
@@ -555,11 +558,13 @@ def test_pool_starts_only_when_each_process_gets_its_work(monkeypatch, pin_cpu_c
 _REAL_EVALUATORS = {name: getattr(harness_mod, name) for name in ("_sweep_block", "_prob_block")}
 
 
-def _fail_on_weak_first_link(name, base, powers, trials, cells, retry):
-    # deterministic in the draw, so forked workers resample the same trials
-    values, why = _REAL_EVALUATORS[name](base, powers, trials, cells, retry)
-    weak = np.abs(sample_block(base, trials, retry).h_r[:, 0, 0]) < 1.0
-    return values, {**why, **dict.fromkeys(np.flatnonzero(weak).tolist(), "injected failure")}
+def _fail_on_weak_first_link(name, base, powers, trials, cells):
+    # deterministic in the draw, so forked workers fail on the same items,
+    # each with a message of its own
+    values, why = _REAL_EVALUATORS[name](base, powers, trials, cells)
+    link = np.abs(sample_block(base, trials).h_r[:, 0, 0])
+    return values, {**why, **{i: f"weak first link {link[i]:.17g}"
+                              for i in np.flatnonzero(link < 0.5).tolist()}}
 
 
 def _always_fail(name, *draws):
@@ -588,23 +593,39 @@ _needs_fork = pytest.mark.skipif(
 
 @_needs_fork
 @pytest.mark.parametrize("n_trials", [1, 7])
-def test_output_and_resamples_worker_invariant(monkeypatch, any_run_forks, n_trials):
+def test_output_and_failures_worker_invariant(monkeypatch, capsys, tmp_path, any_run_forks,
+                                              n_trials):
+    # Items whose first link is below 0.5 fail: trials 5-8 of seed 123. With
+    # one trial the CSV, and with seven the exit code 2, no CSV and stderr
+    # naming trial 5's first cell and its message, are the same at any W;
+    # at W = 2 that item is in the pool's group.
     for name in ("_sweep_block", "_prob_block"):
         monkeypatch.setattr(harness_mod, name, partial(_fail_on_weak_first_link, name))
-    cfg = small_cfg(n_trials=n_trials)
-    for run in (run_sweep, estimate_superiority_probability):
-        results = [run(cfg, workers=w) for w in (1, 2, 3)]
-        assert results[0].resampled_trials > 0
-        for r in results[1:]:
-            assert r.to_csv() == results[0].to_csv()
-            assert r.resampled_trials == results[0].resampled_trials
+    for command, power, cell in (("sweep", "--pr-db", "P_max=10, P_r=1"),
+                                 ("prob", "--pmax-db", "P_max=1, P_r=10")):
+        runs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{command}-{workers}.csv"
+            code = main([command, "--seed", "123", "--alpha", "0.5", "--alpha", "1", power,
+                         "0:10:10", "--trials", str(n_trials), "--workers", str(workers),
+                         "--out", str(out)])
+            runs.append((code, capsys.readouterr().err, out.read_text() if out.exists() else None))
+        code, err, csv = runs[0]
+        if n_trials == 1:
+            assert code == 0 and err == "" and csv, command
+        else:
+            assert code == 2 and csv is None, command
+            assert err.startswith(f"numerical failure: trial 5 of cell alpha=0.5, {cell}: "
+                                  "weak first link 0.10"), err
+        assert runs == runs[:1] * 3, command
 
 
 @_needs_fork
-def test_exhausted_resamples_raise_through_pool(monkeypatch, any_run_forks):
+def test_failures_raise_through_pool(monkeypatch, any_run_forks):
     monkeypatch.setattr(harness_mod, "_sweep_block", partial(_always_fail, "_sweep_block"))
     cfg = small_cfg(alpha_values=(1.0,), grid_db=(10.0,), n_trials=2)
-    with pytest.raises(NumericalError, match="after 100 resamples"):
+    with pytest.raises(NumericalError,
+                       match="^trial 0 of cell alpha=1, P_max=10, P_r=10: injected failure$"):
         run_sweep(cfg, workers=2)
 
 
@@ -627,12 +648,14 @@ def test_this_process_computes_the_first_group(monkeypatch, pin_cpu_count, any_r
 
 
 @_needs_fork
-def test_exhausted_resamples_in_the_pool_raise_after_the_first_group(monkeypatch, pin_cpu_count,
-                                                                     any_run_forks):
-    # 4 cells of 3 trials in blocks [0, 6) and [6, 12): only the pool's group fails
+def test_failures_in_the_pool_raise_after_the_first_group(monkeypatch, pin_cpu_count,
+                                                          any_run_forks):
+    # 4 cells of 3 trials in blocks [0, 6) and [6, 12): only the pool's
+    # group fails, and its first item, trial 1 of the third cell, is named
     pin_cpu_count(2)
     spans = []
     monkeypatch.setattr(harness_mod, "_trial_block", partial(_recorded_block, spans, 6))
-    with pytest.raises(NumericalError, match="after 100 resamples"):
+    with pytest.raises(NumericalError,
+                       match="^trial 1 of cell alpha=1, P_max=10, P_r=1: injected failure$"):
         run_sweep(small_cfg(n_trials=3), workers=2)
     assert spans == [(0, 6)]
