@@ -126,20 +126,27 @@ class ChannelBlock:
 class ChannelAggregates:
     """Quantities the reformulated sum-rate is built from.
 
-    s is the direct-link SNR sum, R the relay-side signal covariance, T the
-    rank-one direct/relay cross term, and W the pairwise cross-difference
-    matrix satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD).
-    d, nr and hp are the SNRs of :func:`user_snrs`, so s = sum d and
-    tr R = sum nr. Aggregates of a ChannelBlock carry its leading trial axis.
+    s is the direct-link SNR sum, R the relay-side signal covariance, u the
+    factor sum_k P^(k) conj(h_d^(k)) h_r^(k) of the rank-one direct/relay
+    cross term T = u u^H, and W the pairwise cross-difference matrix
+    satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD). T itself
+    is not stored; the property forms it on each access. d, nr and hp are
+    the SNRs of :func:`user_snrs`, so s = sum d and tr R = sum nr.
+    Aggregates of a ChannelBlock carry its leading trial axis.
     """
 
     s: float
     R: np.ndarray
-    T: np.ndarray
+    u: np.ndarray
     W: np.ndarray
     d: np.ndarray
     nr: np.ndarray
     hp: float
+
+    @property
+    def T(self) -> np.ndarray:
+        """The cross term u u^H, formed anew on each access."""
+        return self.u[..., :, None] * self.u.conj()[..., None, :]
 
 
 def trial_rng(seed: int, trial_index: int) -> Generator:
@@ -323,14 +330,15 @@ def sum_snrs(d: np.ndarray, nr: np.ndarray):
 
 
 def compute_aggregates(c) -> ChannelAggregates:
-    """Build (s, R, T, W, d, nr, hp) from a realization or, with a leading
+    """Build (s, R, u, W, d, nr, hp) from a realization or, with a leading
     trial axis, from a ChannelBlock.
 
     W is defined as the pair sum over j < k of P^(j) P^(k) w_jk w_jk^H with
     w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), so s*R - T = W exactly. It is
     formed in O(K M_r^2) as Y Y^H with Y = sqrt(s) G - u d^T / sqrt(s), where G
     has columns g_k = sqrt(P^(k)) h_r^(k), d_k = sqrt(P^(k)) h_d^(k) and
-    u = G conj(d), so T = u u^H. As for the pair sum, W = 0 exactly when s = 0
+    u = G conj(d), the factor of T = u u^H kept in its place; no M_r x M_r
+    cross term is formed. As for the pair sum, W = 0 exactly when s = 0
     or fewer than two users have power. ValidationError is raised, before
     anything else is formed, when s * tr(R), which bounds T and W, overflows
     a float in any trial."""
@@ -345,7 +353,6 @@ def compute_aggregates(c) -> ChannelAggregates:
     # size and a trial's values do not depend on its block.
     R = np.ascontiguousarray(0.5 * (R + np.swapaxes(R, -1, -2).conj()))
     u = ((P * h_d.conj())[..., None, :] @ h_r)[..., 0, :]
-    T = u[..., :, None] * u.conj()[..., None, :]
     gram = (s > 0.0) & (np.count_nonzero(P, axis=-1) >= 2)
     root_P, root_s = np.sqrt(P)[..., None, :], np.sqrt(np.where(gram, s, 1.0))[..., None, None]
     Y = np.multiply(G, root_P, out=A)
@@ -353,7 +360,7 @@ def compute_aggregates(c) -> ChannelAggregates:
     Y *= root_s
     Y -= np.divide(ud, root_s, out=ud)
     W = np.where(gram[..., None, None], Y @ np.conjugate(np.swapaxes(Y, -1, -2), out=B), 0.0)
-    return ChannelAggregates(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp)
+    return ChannelAggregates(s=s, R=R, u=u, W=W, d=d, nr=nr, hp=hp)
 
 
 def scale_aggregates(c, agg: ChannelAggregates, rows, alpha, t) -> ChannelAggregates:
@@ -363,19 +370,18 @@ def scale_aggregates(c, agg: ChannelAggregates, rows, alpha, t) -> ChannelAggreg
     the rows. d, nr and s are formed from the scaled draw, alpha h_d through
     direct_links and P times t, with compute_aggregates' checks in its order:
     they and the error messages are bit for bit a build's at the scaled draw.
-    R scales as t, and T and W as (alpha t)^2, by alpha t twice, as its
-    square overflows first: a build's to rounding. hp does not scale."""
+    R scales as t, u as alpha t, and W as (alpha t)^2, by alpha t twice, as
+    its square overflows first: a build's to rounding. hp does not scale."""
     alpha, t = np.asarray(alpha, dtype=float), np.asarray(t, dtype=float)
     h_d, P = direct_links(alpha[..., None], c.h_d[rows]), c.P[rows] * t[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # user_snrs' d and nr
         d = np.square(np.abs(h_d)) * P
         gains = np.abs(c.h_r)
         nr = np.square(gains, out=gains).sum(axis=-1)[rows] * P
-    s, at = sum_snrs(d, nr), (alpha * t)[..., None, None]
-    T, W = agg.T[rows] * at, agg.W[rows] * at
-    T *= at
-    W *= at
-    return ChannelAggregates(s=s, R=agg.R[rows] * t[..., None, None], T=T, W=W,
+    s, at = sum_snrs(d, nr), (alpha * t)[..., None]
+    W = agg.W[rows] * at[..., None]
+    W *= at[..., None]
+    return ChannelAggregates(s=s, R=agg.R[rows] * t[..., None, None], u=agg.u[rows] * at, W=W,
                              d=d, nr=nr, hp=agg.hp[rows])
 
 

@@ -88,8 +88,8 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.43-1.15 times it for K 1-50 and M_r 1-8, above
-    1.04 only at K <= 2 and M_r = 8 (tools/block_footprint.py --grid)."""
+    blocks, which lie within 0.41-1.03 times it for K 1-50 and M_r 1-8, above
+    1.01 only at K = 1 and M_r = 8 (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
 
@@ -407,8 +407,9 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     for failures in (why, why_slots):
         if failures:
             raise NumericalError(failures[min(failures)])
-    scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(agg.T).max(axis=(1, 2))))
-    psd = -quadratic_form(probes[:, :3], np.stack([agg.R, agg.T, agg.W], axis=1))
+    T = agg.T
+    scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(T).max(axis=(1, 2))))
+    psd = -quadratic_form(probes[:, :3], np.stack([agg.R, T, agg.W], axis=1))
     F, f = probes[:, 3:], RelayMatrix.beamformer(blk, v, b.gamma)
     _, slack, nu = _kkt_gaps(agg.d.T, agg.nr.T, agg.hp, alloc.tau.T)
     # The KKT gaps in bits times _KKT_ATOL / min(_KKT_ATOL, _KKT_RTOL * nu):
@@ -417,7 +418,7 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     gap = asym.joint_rate_inf - asym.rate_inf
     return {  # name: (violation measure per trial or slot, threshold)
         "aggregates_identity": (
-            abs(agg.s[:, None, None] * agg.R - agg.T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
+            abs(agg.s[:, None, None] * agg.R - T - agg.W).max(axis=(1, 2)) / scale, 1e-10),
         "aggregates_psd": (psd.max(axis=1) / scale, 1e-10),
         "rate_formula_equivalence": (abs(sum_rate_logdet(F, blk) - sum_rate_closed(F, blk)), 1e-10),
         "bound_ordering": (b.r_lower - b.r_up_min, _ORDER_SLACK),

@@ -171,7 +171,7 @@ def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
     # Aggregates built once at alpha = P_max = 1 and scaled to a cell, for
     # every draw or for rows picked with repeats, equal those built from the
     # draws at the cell's alpha and P_max: s, d, nr and hp bit for bit, and
-    # R, T and W to 1e-13 of each trial's largest entry, at every alpha and
+    # R, u, T and W to 1e-13 of each trial's largest entry, at every alpha and
     # power a table can take.
     base = ScenarioConfig(K=K, M_r=M_r, P_r=3.0, seed=6)
     trials = np.arange(40)
@@ -187,7 +187,7 @@ def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
                 for name in ("s", "d", "nr", "hp"):
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, alpha, t)
-                for name in ("R", "T", "W"):
+                for name in ("R", "u", "T", "W"):
                     g, w = (np.reshape(getattr(a, name), (len(drawn), -1)) for a in (got, want))
                     scale = np.abs(w).max(axis=1, keepdims=True)
                     assert np.all(np.abs(g - w) <= 1e-13 * scale), (name, alpha, t)
@@ -195,7 +195,7 @@ def test_scaled_aggregates_match_a_build_at_the_scaled_draw(K, M_r):
     one = sample_channel(replace(base, alpha=1.0, P_max=1.0), trial_rng(6, 0))
     got = scale_aggregates(one, compute_aggregates(one), ..., 0.3, 10.0)
     row = scale_aggregates(c, unit, ..., 0.3, 10.0)
-    for name in ("s", "R", "T", "W", "d", "nr", "hp"):
+    for name in ("s", "R", "u", "T", "W", "d", "nr", "hp"):
         assert np.array_equal(getattr(got, name), getattr(row, name)[0]), name
 
 
@@ -342,7 +342,7 @@ def aggregates_reference(c) -> dict:
     ud /= root_s
     Y -= ud
     W = np.where(gram[..., None, None], Y @ np.swapaxes(Y, -1, -2).conj(), 0.0)
-    return dict(s=s, R=R, T=T, W=W, d=d, nr=nr, hp=hp, gram=gram)
+    return dict(s=s, R=R, u=u, T=T, W=W, d=d, nr=nr, hp=hp, gram=gram)
 
 
 @pytest.mark.parametrize("K", [1, 3, 50])
@@ -368,7 +368,7 @@ def test_aggregates_match_the_reference_expressions_bit_for_bit(K, M_r):
         c = ChannelRealization(h_r=blk.h_r[i], h_d=blk.h_d[i], h=blk.h[i], P=P[i],
                                P_r=float(blk.P_r[i]))
         got, want = compute_aggregates(c), aggregates_reference(c)
-        for name in "s R T W d nr hp".split():
+        for name in "s R u T W d nr hp".split():
             assert same_bits(getattr(got, name), want[name]), (i, name)
 
 

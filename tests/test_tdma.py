@@ -752,7 +752,7 @@ def test_the_superiority_index_is_nan_where_the_guard_is_passed():
     # Here R's lambda_max, 2, passes a tr R of 1.5 given in nr.
     R = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]]])
     W = np.array([[[1.0, 0.5], [0.5, 1.0]]] * 2)
-    agg = ChannelAggregates(s=np.ones(2), R=R, T=np.zeros_like(W), W=W,
+    agg = ChannelAggregates(s=np.ones(2), R=R, u=np.zeros((2, 2)), W=W,
                             d=np.ones((2, 2)), nr=np.array([[1.0, 1.0], [1.0, 0.5]]),
                             hp=np.ones(2))
     mu = tdma.superiority_index(agg)
