@@ -27,7 +27,7 @@ from marcsim import (
 )
 from marcsim import harness, tdma
 from marcsim.channel import compute_aggregates, sample_block, scale_aggregates, user_snrs
-from marcsim.errors import NumericalError, ValidationError
+from marcsim.errors import ValidationError
 from marcsim.harness import _BLOCK_BYTES, _trial_bytes, db_to_linear
 from marcsim.numerics import dominant_eigenvalue
 from marcsim.tdma import _marginal_at_zero, _slot_derivs, block_asymptotic, block_slots
@@ -269,18 +269,18 @@ def test_matches_brute_force_grid(make_channel, K):
         assert alloc.kkt_spread <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalError,
-                   reason="the slot optimizer stops at a KKT spread of 1.3e-5 bits, over its "
-                          "tolerance of 1.5e-9, though its sum rate is within 1e-11 of a scalar "
-                          "search over tau")
 def test_slots_converge_with_snrs_thirty_decades_apart():
     # Outside the sampler's domain: one user's relay-hop SNR is 4e17 and its
-    # direct one 2e-5, the other's 1e-14 and 5e3. About 1 in 2,000-5,000
-    # such trials fails.
+    # direct one 2e-5, the other's 1e-14 and 5e3. User 1's R' is flat, so it
+    # is at the level wherever its slot lies, and the steps stop with the
+    # durations summing to 1.000009; that residual goes to user 1's slot, by
+    # Newton's share, and user 2's stays at the level: tau_1 is within 1e-12
+    # of where a 200-step bisection on tau_1 equalizes the marginal rates.
     c = ChannelRealization(h_r=[[1.0], [1.0]], h_d=[6.884954422695724e-12, 675354483.9043907],
                            h=[1.0], P=[4.312e17, 1.196e-14], P_r=26763.07)
     alloc = optimize_slots(c)
     assert alloc.kkt_spread <= 1e-8
+    assert alloc.tau[0] == pytest.approx(0.92501747601026, abs=1e-12)
 
 
 # Extreme but valid inputs: no relay power, no direct links, 80 dB relay
