@@ -88,8 +88,9 @@ def _trial_bytes(K: int, M_r: int) -> int:
     """Bytes a trial of K users and M_r relay antennas adds to a block's peak
     memory: the M_r x M_r aggregates grow it as M_r^2, the channel and the
     slot arrays as K * M_r and K. A fit to the traced peaks of both tables'
-    blocks, which lie within 0.41-1.03 times it for K 1-50 and M_r 1-8, above
-    1.01 only at K = 1 and M_r = 8 (tools/block_footprint.py --grid)."""
+    blocks, which lie within 0.41-1.04 times it for K 1-50 and M_r 1-8, above
+    1.01 only at K = 1 with M_r = 8 and at K >= 20 with M_r = 1
+    (tools/block_footprint.py --grid)."""
     return 25 * K * (M_r + 8) + 100 * (M_r * M_r + 4)
 
 
@@ -272,10 +273,15 @@ def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
     if why:
         row = min(why)
         trial, cell = divmod(lo + row, cells)
-        alpha, p_max, p_r = powers[:, cell]
-        raise NumericalError(f"trial {trial} of cell alpha={alpha:.10g}, P_max={p_max:.10g}, "
-                             f"P_r={p_r:.10g}: {why[row]}")
+        raise _failure(trial, *powers[:, cell], why[row])
     return values
+
+
+def _failure(trial: int, alpha, p_max, p_r, message: str) -> NumericalError:
+    """The error that stops a run at a failed check of trial ``trial`` of the
+    cell of alpha, P_max and P_r, naming the three and the message."""
+    return NumericalError(f"trial {trial} of cell alpha={alpha:.10g}, P_max={p_max:.10g}, "
+                          f"P_r={p_r:.10g}: {message}")
 
 
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802  (stands in for the class it returns)
@@ -396,7 +402,9 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     """Every invariant's violation measure, per trial or open slot, and its
     threshold, on trials ``trials`` of scen, drawn as one block by
     sample_block and scaled to scen, with their probes: three vectors x and
-    a relay matrix F per trial."""
+    a relay matrix F per trial. A failed check raises the tables'
+    NumericalError, naming the lowest failing trial, scen's cell and the
+    message, a bounds message before a slots one."""
     unit = sample_block(scen, trials)
     blk = replace(unit, h_d=direct_links(scen.alpha, unit.h_d), P=unit.P * scen.P_max,
                   P_r=unit.P_r * scen.P_r)
@@ -404,9 +412,10 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     b, v, why = block_bounds(blk.P_r, agg)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
     asym = block_asymptotic(agg)
-    for failures in (why, why_slots):
-        if failures:
-            raise NumericalError(failures[min(failures)])
+    why = {**why_slots, **why}
+    if why:
+        row = min(why)
+        raise _failure(trials[row], scen.alpha, scen.P_max, scen.P_r, why[row])
     T = agg.T
     scale = np.maximum(1.0, np.maximum(abs(agg.W).max(axis=(1, 2)), abs(T).max(axis=(1, 2))))
     psd = -quadratic_form(probes[:, :3], np.stack([agg.R, T, agg.W], axis=1))

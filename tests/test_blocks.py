@@ -314,7 +314,7 @@ def test_blocks_stay_within_the_byte_budget(monkeypatch, table):
     monkeypatch.setattr(harness_mod, "_trial_block", traced)
     tracemalloc.start()
     try:
-        for K, M_r in ((1, 1), (3, 2), (10, 4), (50, 1), (1, 8), (50, 8)):
+        for K, M_r in ((1, 1), (3, 2), (10, 4), (50, 1), (1, 8), (2, 8), (50, 8)):
             scen = _table([ScenarioConfig(K=K, M_r=M_r, P_max=10.0, P_r=10.0, seed=3)])
             fit = harness_mod._trial_bytes(K, M_r)
             size = harness_mod._BLOCK_BYTES // fit

@@ -400,6 +400,31 @@ def test_check_rejects_slot_rates_off_their_logdet_reference(monkeypatch):
     assert 0.99e-9 < outcomes["tdma_rates_logdet"].worst < 1.01e-9
 
 
+def test_check_names_the_failing_trial(monkeypatch, capsys):
+    # a slot failure planted on row 2 of the second chunk of 7 trials stops
+    # the suite with trial 9, the scenario's cell and the message, as the
+    # tables name a failure; the CLI exits 2 with that one stderr line
+    real, calls = harness_mod.block_slots, []
+
+    def flaky(*args):
+        alloc, why = real(*args)
+        calls.append(len(calls))
+        return alloc, ({**why, 2: "injected failure"} if calls[-1] == 1 else why)
+
+    monkeypatch.setattr(harness_mod, "block_slots", flaky)
+    monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._check_bytes(4, 3))
+    scen = ScenarioConfig(K=4, M_r=3, P_max=10.0, P_r=10.0, alpha=0.5, seed=11)
+    message = "trial 9 of cell alpha=0.5, P_max=10, P_r=10: injected failure"
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        invariant_suite(scen, n_trials=20)
+    calls.clear()
+    argv = ["check", "--users", "4", "--antennas", "3", "--alpha", "0.5", "--trials", "20",
+            "--seed", "11"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {message}\n" and not captured.out
+
+
 def test_check_fails_a_row_with_a_nan(monkeypatch, capsys):
     # one slot rate planted as NaN: its row fails with worst NaN, as a NaN
     # compares false with every threshold, and the row prints worst=nan
