@@ -129,9 +129,8 @@ class ChannelAggregates:
     s is the direct-link SNR sum, R the relay-side signal covariance, u the
     factor sum_k P^(k) conj(h_d^(k)) h_r^(k) of the rank-one direct/relay
     cross term T = u u^H, and W the pairwise cross-difference matrix
-    satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD). T itself
-    is not stored; the property forms it on each access. d, nr and hp are
-    the SNRs of :func:`user_snrs`, so s = sum d and tr R = sum nr.
+    satisfying s*R - T = W, formed as a Gram product Y Y^H (PSD). d, nr and
+    hp are the SNRs of :func:`user_snrs`, so s = sum d and tr R = sum nr.
     Aggregates of a ChannelBlock carry its leading trial axis.
     """
 
@@ -337,9 +336,8 @@ def compute_aggregates(c) -> ChannelAggregates:
     w_jk = h_d^(k) h_r^(j) - h_d^(j) h_r^(k), so s*R - T = W exactly. It is
     formed in O(K M_r^2) as Y Y^H with Y = sqrt(s) G - u d^T / sqrt(s), where G
     has columns g_k = sqrt(P^(k)) h_r^(k), d_k = sqrt(P^(k)) h_d^(k) and
-    u = G conj(d), the factor of T = u u^H kept in its place; no M_r x M_r
-    cross term is formed. As for the pair sum, W = 0 exactly when s = 0
-    or fewer than two users have power. ValidationError is raised, before
+    u = G conj(d), kept in place of T = u u^H. As for the pair sum, W = 0
+    exactly when s = 0 or fewer than two users have power. ValidationError is raised, before
     anything else is formed, when s * tr(R), which bounds T and W, overflows
     a float in any trial."""
     h_r, h_d, P = c.h_r, c.h_d, c.P

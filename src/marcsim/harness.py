@@ -278,8 +278,7 @@ def _trial_block(evaluate, base: ScenarioConfig, powers, lo: int, hi: int):
 
 
 def _failure(trial: int, alpha, p_max, p_r, message: str) -> NumericalError:
-    """The error that stops a run at a failed check of trial ``trial`` of the
-    cell of alpha, P_max and P_r, naming the three and the message."""
+    """The error naming a failed trial, its cell's alpha, P_max and P_r and the message."""
     return NumericalError(f"trial {trial} of cell alpha={alpha:.10g}, P_max={p_max:.10g}, "
                           f"P_r={p_r:.10g}: {message}")
 
@@ -402,9 +401,8 @@ def _check_rows(scen: ScenarioConfig, trials: range, probes: np.ndarray) -> dict
     """Every invariant's violation measure, per trial or open slot, and its
     threshold, on trials ``trials`` of scen, drawn as one block by
     sample_block and scaled to scen, with their probes: three vectors x and
-    a relay matrix F per trial. A failed check raises the tables'
-    NumericalError, naming the lowest failing trial, scen's cell and the
-    message, a bounds message before a slots one."""
+    a relay matrix F per trial. A failed check raises the _failure of the
+    lowest failing trial, a bounds message before a slots one."""
     unit = sample_block(scen, trials)
     blk = replace(unit, h_d=direct_links(scen.alpha, unit.h_d), P=unit.P * scen.P_max,
                   P_r=unit.P_r * scen.P_r)

@@ -253,16 +253,12 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
                 ro = not (dL > 0.0).all()
         t[:, L] = tau
         # A slot stopped by the nu test may step far in ln tau, and one whose
-        # R' is flat stops wherever it lies. The residual 1 - sum tau goes to
-        # the open slots by Newton's share, 1/R'' of the last pass, so that a
-        # flat slot takes it and a steep one keeps its level; a trial where
-        # no slot has a share, or where one would fall below 0, is rescaled.
+        # R' is flat stops wherever it lies: the residual 1 - sum tau goes to
+        # the open slots by 1/R'' of their last pass, or else by rescaling.
         share = np.where(t > 0.0, share, 0.0)
         total = _user_sum(share)
-        newton = (-np.inf < total) & (total < 0.0)
-        shared = t + share * ((1.0 - _user_sum(t)) / np.where(newton, total, 1.0))
-        newton &= (shared >= 0.0).all(axis=0)
-        t = np.where(some, np.where(newton, shared, t / _user_sum(t)), 1.0 / len(d))
+        shared = t + share * ((1.0 - _user_sum(t)) / np.where(total < 0.0, total, 1.0))
+        t = np.where(some, np.where(total < 0.0, shared, t / _user_sum(t)), 1.0 / len(d))
     alloc, why = _checked_allocation(d, nr, hp, t)
     why.update(dict.fromkeys(L.tolist(), f"water level not found in {_MAX_ITER} steps"))
     return alloc, why
@@ -328,15 +324,14 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     converges quadratically, or has its marginal rate within 16 ulps of nu; then
     the residual 1 - sum tau goes to the open slots in proportion to 1/R'' of
     the last step, Newton's own share, so that a slot whose R' is flat takes it
-    and a steep slot stays at the level; where no slot has a share, or one
-    would fall below 0, the durations are rescaled to sum to one. Sums over
-    users take one pairwise order for any trial count. Users whose rate is
-    identically zero get tau = 0; when no user carries rate the split is
-    uniform. NumericalError is raised if
-    the steps exceed their cap, the marginal rates of the users with a slot
-    differ by more than 1e-8 bits or 1e-10 of nu, where that is smaller, a user
-    without a slot has a marginal rate at 0 above nu by as much, or the
-    durations leave the simplex by more than 1e-9."""
+    and a steep slot stays at the level; where no slot has a share, the
+    durations are rescaled to sum to one. Sums over users take one pairwise
+    order for any trial count. Users whose rate is identically zero get
+    tau = 0; when no user carries rate the split is uniform. NumericalError is
+    raised if the steps exceed their cap, the marginal rates of the users with
+    a slot differ by more than 1e-8 bits or 1e-10 of nu, where that is
+    smaller, a user without a slot has a marginal rate at 0 above nu by as
+    much, or the durations leave the simplex by more than 1e-9."""
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))
     if why:

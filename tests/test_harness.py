@@ -408,8 +408,8 @@ def test_check_names_the_failing_trial(monkeypatch, capsys):
 
     def flaky(*args):
         alloc, why = real(*args)
-        calls.append(len(calls))
-        return alloc, ({**why, 2: "injected failure"} if calls[-1] == 1 else why)
+        calls.append(args)
+        return alloc, ({**why, 2: "injected failure"} if len(calls) == 2 else why)
 
     monkeypatch.setattr(harness_mod, "block_slots", flaky)
     monkeypatch.setattr(harness_mod, "_BLOCK_BYTES", 7 * harness_mod._check_bytes(4, 3))

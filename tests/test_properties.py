@@ -108,9 +108,9 @@ def test_users_at_zero_power_get_no_slot(case):
         blk.P[:, zero] = 0.0
         return blk
 
-    with mock.patch.object(harness_mod, "sample_block", planted):
-        with mock.patch.object(harness_mod, "block_slots", recorded):
-            values, why = harness_mod._sweep_block(*block)
+    with (mock.patch.object(harness_mod, "sample_block", planted),
+          mock.patch.object(harness_mod, "block_slots", recorded)):
+        values, why = harness_mod._sweep_block(*block)
         wins, why_prob = harness_mod._prob_block(*block)
     assert not why and not why_prob, (why, why_prob)
     assert np.isfinite(values).all() and wins.shape == block[2].shape
