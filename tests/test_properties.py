@@ -158,9 +158,8 @@ def far_apart_snrs(draw):
 @settings(PROPERTY, max_examples=100)
 @given(far_apart_snrs())
 def test_slots_reach_the_level_with_snrs_thirty_decades_apart(snrs):
-    # About 1 in 2,600 such trials stopped off the level when the durations
-    # were rescaled to sum to one, as that moved a steep slot; 100 blocks
-    # of 500 trials hold about 19 of them.
+    # A flat slot beside a steep one, the hard case, is about 1 in 2,600 of
+    # these trials: 100 blocks of 500 trials hold about 19.
     alloc, why = block_slots(*snrs)
     assert not why, why
     assert (np.abs(alloc.tau.sum(axis=1) - 1.0) <= _SIMPLEX_ATOL).all()
