@@ -190,77 +190,90 @@ def _user_sum(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
+def _water_fill(d, nr, hp, users):
+    """The slot durations (K, N) of the Newton loop of block_slots on the
+    users ``users`` (K, N) of each trial, every other slot closed, and the
+    trials, as indices, that did not stop within _MAX_ITER passes. Live
+    trials are gathered anew only after a pass on which some trial stops."""
+    a, b = hp * nr, hp + 1.0  # the constants of _slot_derivs, formed once
+    t = np.where(users, d + nr, 0.0)
+    some = users.any(axis=0)
+    t /= np.where(some, _user_sum(t), 1.0)
+    for _ in range(2):  # a trial whose sum underflows to 0 keeps its tau
+        snr = np.where(users, d + nr * (hp * t / (b * t + nr)), 0.0)
+        total = _user_sum(snr)
+        t = np.where((total > 0.0) & (total < np.inf), snr / total, t)
+    # A trial with no user to serve stops on its first pass.
+    L, tau, dL, nrL, aL, bL = np.arange(len(hp)), t, d, nr, a, b
+    share = np.zeros_like(t)
+    for _ in range(_MAX_ITER):
+        if not L.size:
+            break
+        g, h = _slot_derivs(dL, nrL, aL, bL, tau)
+        # nu = ref + rise, ref the g of the flattest slot, whose tau moves
+        # most per ulp of nu: rise and the (ref - g_k)/h_k are then small
+        # and exact. A closed slot, or one whose 1/R'' is not finite, takes
+        # no step.
+        inv = 1.0 / h
+        step = (tau > 0.0) & (inv < 0.0) & (inv > -np.inf)
+        inv[~step] = 0.0
+        flattest = step & (inv == inv.min(axis=0))
+        ref = np.where(flattest, g, -np.inf).max(axis=0)
+        move = np.where(step, (ref - g) * inv, 0.0)
+        rise = (1.0 - _user_sum(tau) - _user_sum(move)) / _user_sum(inv)
+        nu = ref + rise
+        delta = move + rise * inv
+        nxt = np.where(step, tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0)), tau)
+        stop = ((np.abs(nxt - tau) <= _TAU_RTOL * tau)
+                | (np.abs(g - nu) <= _NU_ULPS * np.spacing(np.abs(nu)))).all(axis=0)
+        tau = nxt
+        if stop.any():
+            t[:, L], share[:, L] = tau, inv
+            keep = np.flatnonzero(~stop)
+            L, tau, dL, nrL, aL, bL = (x.take(keep, -1) for x in (L, tau, dL, nrL, aL, bL))
+    t[:, L] = tau
+    # A slot stopped by the nu test may step far in ln tau, and one whose R'
+    # is flat stops wherever it lies: the residual 1 - sum tau goes to the
+    # open slots by 1/R'' of their last pass, Newton's share, or else by
+    # rescaling. Where two slots are flat that share can take one below 0,
+    # so there the residual goes by tau/R''.
+    share = np.where(t > 0.0, share, 0.0)
+    total, rest = _user_sum(share), 1.0 - _user_sum(t)
+    shared = t + share * (rest / np.where(total < 0.0, total, 1.0))
+    over = np.flatnonzero((shared < 0.0).any(axis=0))
+    if over.size:
+        w = t[:, over] * share[:, over]
+        shared[:, over] = t[:, over] + w * (rest[over] / _user_sum(w))
+    t = np.where(some, np.where(total < 0.0, shared, t / _user_sum(t)), 1.0 / len(d))
+    return t, L
+
+
 def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
     """:func:`optimize_slots` for each trial of a block, from its SNRs d, nr
     (N, K) and hp (N,): its TdmaAllocation and its failures as
     {trial: message}, empty when every trial passed every check. The loop
     and its check hold users first, (K, N), so each reduction over users is
-    one contiguous pass over the trials; live trials are gathered anew only
-    after a pass on which some trial stops. Only a relay-only slot (d = 0)
-    can close, step linearly or be parked, so that work runs only while some
-    live slot is relay-only. A trial's start, steps and stop use its own
-    column alone, and sums over users the fixed order of _user_sum: no result
+    one contiguous pass over the trials. Every relay-only user (d = 0) of a
+    trial has the marginal rate ln(1 + hp) at a vanishing slot, so they hold
+    a slot together or not at all: a trial with a direct link runs the loop
+    on its direct-link users, and again on every user with rate where that
+    level leaves a relay-only user slack; a trial without one runs it on its
+    relay-only users. A trial's start, steps and stop use its own column
+    alone, and sums over users the fixed order of _user_sum: no result
     depends on the rest of the block."""
     d, nr = d.T.copy(), nr.T.copy()
-    a, b = hp * nr, hp + 1.0  # the constants of _slot_derivs, formed once
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g0 = _marginal_at_zero(d, nr, hp)
-        act = g0 > 0.0
-        # The start; a trial whose sum underflows to 0 keeps its tau.
-        t = np.where(act, d + nr, 0.0)
-        some = act.any(axis=0)
-        t /= np.where(some, _user_sum(t), 1.0)
-        for _ in range(2):
-            snr = np.where(act, d + nr * (hp * t / (b * t + nr)), 0.0)
-            total = _user_sum(snr)
-            t = np.where((total > 0.0) & (total < np.inf), snr / total, t)
-        # A trial with no user to serve stops on its first pass.
-        L, tau, dL, nrL, aL, bL, g0L = np.arange(len(hp)), t, d, nr, a, b, g0
-        share = np.zeros_like(t)
-        ro = not (dL > 0.0).all()  # some live slot is relay-only
-        for _ in range(_MAX_ITER):
-            if not L.size:
-                break
-            open_ = tau > 0.0
-            g, h = _slot_derivs(dL, nrL, aL, bL, np.where(open_, tau, 1.0) if ro else tau)
-            # nu = ref + rise, ref the g of the flattest slot, whose tau moves
-            # most per ulp of nu: rise and the (ref - g_k)/h_k are then small
-            # and exact. A slot whose 1/R'' is not finite takes no step.
-            inv = 1.0 / h
-            step = open_ & (inv < 0.0) & (inv > -np.inf)
-            inv[~step] = 0.0
-            flattest = step & (inv == inv.min(axis=0))
-            ref = np.where(flattest, g, -np.inf).max(axis=0)
-            move = np.where(step, (ref - g) * inv, 0.0)
-            rise = (1.0 - _user_sum(tau) - _user_sum(move)) / _user_sum(inv)
-            nu = ref + rise
-            tol = _NU_ULPS * np.spacing(np.abs(nu))
-            delta = move + rise * inv
-            nxt = tau * np.exp(np.minimum(np.maximum(delta / tau, -2.0), 2.0))
-            if ro:  # a relay-only slot steps linearly, halved where that would close it
-                lin = tau + delta
-                nxt = np.where(dL > 0.0, nxt, np.where(lin > 0.0, lin, 0.5 * tau))
-            nxt = np.where(step, nxt, tau)
-            if ro:  # ... and is parked when closed or its R' at 0 is below nu
-                nxt[~open_ | (g0L < nu - tol)] = 0.0
-            stop = ((np.abs(nxt - tau) <= _TAU_RTOL * tau) | (np.abs(g - nu) <= tol)).all(axis=0)
-            tau = nxt
-            if stop.any():
-                t[:, L], share[:, L] = tau, inv
-                keep = np.flatnonzero(~stop)
-                L, tau, dL, nrL, aL, bL, g0L = (
-                    x.take(keep, -1) for x in (L, tau, dL, nrL, aL, bL, g0L))
-                ro = not (dL > 0.0).all()
-        t[:, L] = tau
-        # A slot stopped by the nu test may step far in ln tau, and one whose
-        # R' is flat stops wherever it lies: the residual 1 - sum tau goes to
-        # the open slots by 1/R'' of their last pass, or else by rescaling.
-        share = np.where(t > 0.0, share, 0.0)
-        total = _user_sum(share)
-        shared = t + share * ((1.0 - _user_sum(t)) / np.where(total < 0.0, total, 1.0))
-        t = np.where(some, np.where(total < 0.0, shared, t / _user_sum(t)), 1.0 / len(d))
+        act, direct = _marginal_at_zero(d, nr, hp) > 0.0, d > 0.0
+        linked = direct.any(axis=0)
+        t, left = _water_fill(d, nr, hp, np.where(linked, direct, act))
+        j = np.flatnonzero(linked & (act & ~direct).any(axis=0))
+        if j.size:
+            j = j[_kkt_gaps(d[:, j], nr[:, j], hp[j], t[:, j])[1] > 0.0]
+        if j.size:
+            t[:, j], again = _water_fill(d[:, j], nr[:, j], hp[j], act[:, j])
+            left = np.union1d(np.setdiff1d(left, j), j[again])
     alloc, why = _checked_allocation(d, nr, hp, t)
-    why.update(dict.fromkeys(L.tolist(), f"water level not found in {_MAX_ITER} steps"))
+    why.update(dict.fromkeys(left.tolist(), f"water level not found in {_MAX_ITER} steps"))
     return alloc, why
 
 
@@ -309,29 +322,32 @@ def _checked_allocation(d, nr, hp, tau):
 def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     """Find slot durations maximizing the TDMA sum rate.
 
-    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1. It
-    starts from the unbounded-relay-power optimum tau_k ~ d_k + nr_k and takes
-    two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k + nr_k), each
-    user's SNR over its own slot at this relay power: exact at P_r = 0, tau ~ d,
-    and as P_r grows without bound. Each step linearizes every open slot as
-    tau_k + delta_k, delta_k = (nu - g_k)/h_k with g_k and h_k its R' and R'',
-    and takes nu in closed form so that these sum to one. A slot with a direct
-    link, whose R' grows as -ln tau near 0, moves to tau_k*exp(delta_k/tau_k),
-    the exponent clipped to +-2; a relay-only slot moves to tau_k + delta_k, or
-    is halved where that would close it. A slot whose marginal rate at 0 is
-    below nu by more than 16 ulps of nu gets tau = 0 for good. The steps stop
-    once each slot has moved by at most 1e-8 of itself, near rounding as Newton
-    converges quadratically, or has its marginal rate within 16 ulps of nu; then
-    the residual 1 - sum tau goes to the open slots in proportion to 1/R'' of
-    the last step, Newton's own share, so that a slot whose R' is flat takes it
-    and a steep slot stays at the level; where no slot has a share, the
-    durations are rescaled to sum to one. Sums over users take one pairwise
-    order for any trial count. Users whose rate is identically zero get
-    tau = 0; when no user carries rate the split is uniform. NumericalError is
-    raised if the steps exceed their cap, the marginal rates of the users with
-    a slot differ by more than 1e-8 bits or 1e-10 of nu, where that is
-    smaller, a user without a slot has a marginal rate at 0 above nu by as
-    much, or the durations leave the simplex by more than 1e-9."""
+    Newton's method on the KKT system R_k'(tau_k) = nu, sum_k tau_k = 1. Every
+    relay-only user (d = 0) has R'(0) = ln(1 + hp), so they hold a slot
+    together or not at all: with a direct link, the users that have one are
+    solved first, and every user with rate again where that level leaves a
+    relay-only user slack; without one, the relay-only users alone. Each
+    solve starts from the unbounded-relay-power optimum tau_k ~ d_k + nr_k
+    and takes two sweeps of tau_k ~ d_k + hp*nr_k*tau_k/((hp + 1)*tau_k +
+    nr_k), each user's SNR over its own slot at this relay power: exact at
+    P_r = 0, tau ~ d, and as P_r grows without bound. Each step linearizes
+    every open slot as tau_k + delta_k, delta_k = (nu - g_k)/h_k with g_k and
+    h_k its R' and R'', takes nu in closed form so that these sum to one, and
+    moves the slot to tau_k*exp(delta_k/tau_k), the exponent clipped to +-2,
+    so no slot closes. The steps stop once each slot has moved by at most
+    1e-8 of itself, near rounding as Newton converges quadratically, or has
+    its marginal rate within 16 ulps of nu; then the residual 1 - sum tau
+    goes to the open slots in proportion to 1/R'' of the last step, Newton's
+    own share, so that a slot whose R' is flat takes it and a steep slot
+    stays at the level, or by tau/R'' where Newton's share would take a slot
+    below 0; where no slot has a share, the durations are rescaled to sum to
+    one. Sums over users take one pairwise order for any trial count. Users
+    whose rate is identically zero get tau = 0; when no user carries rate
+    the split is uniform. NumericalError is raised if the steps exceed their
+    cap, the marginal rates of the users with a slot differ by more than
+    1e-8 bits or 1e-10 of nu, where that is smaller, a user without a slot
+    has a marginal rate at 0 above nu by as much, or the durations leave the
+    simplex by more than 1e-9."""
     d, nr, hp = user_snrs(c)
     alloc, why = block_slots(d[None], nr[None], np.array([hp]))
     if why:

@@ -21,18 +21,24 @@ def slot_passes():
 
 
 def test_passes_are_counted_per_block(slot_passes):
+    # each block's Newton loops, the second one only on the trials whose
+    # relay-only users take a slot after all; the slackness test between
+    # them and the final check call _slot_derivs too, and count no pass
     d, nr, hp = slot_passes.twenty_four_decades(3, N=50)
-    derivs = tdma._slot_derivs
+    derivs, fill = tdma._slot_derivs, tdma._water_fill
     blocks = slot_passes.count_passes(
         tdma, lambda: [tdma.block_slots(d[lo:lo + 25], nr[lo:lo + 25], hp[lo:lo + 25])
                        for lo in (0, 25)])
-    assert tdma._slot_derivs is derivs
+    assert tdma._slot_derivs is derivs and tdma._water_fill is fill
     assert [n for n, _ in blocks] == [25, 25]
-    for n, passes in blocks:
-        assert passes and passes[0] <= n and passes == sorted(passes, reverse=True)
+    assert [len(loops) for _, loops in blocks] == [2, 2]
+    for n, loops in blocks:
+        assert loops[0][0] == n and loops[1][0] < n
+        for passes in loops:
+            assert passes == sorted(passes, reverse=True)
     hist = slot_passes.histogram(blocks)
-    assert sum(hist.values()) == 50
-    assert max(hist) == max(len(passes) for _, passes in blocks)
+    assert sum(hist.values()) == 50 + sum(loops[1][0] for _, loops in blocks)
+    assert max(hist) == max(len(passes) for _, loops in blocks for passes in loops)
 
 
 def test_main_prints_every_set(slot_passes, capsys):
@@ -45,5 +51,5 @@ def test_main_prints_every_set(slot_passes, capsys):
     assert len(rows) == 3 and all(float(row[4]) > 0.0 for row in rows[:2])  # each block's ms
     assert ("| crit8 | 12 | 92 | 2: 1189, 3: 4141, 4: 3681, 5: 812, 6: 138, 7: 24, 8: 12, "
             "9: 3 |") in out
-    assert "| 24-decades | 3 | 82 |" in out
+    assert "| 24-decades | 3 | 139 |" in out
     assert "| pr0 | 2 | 2 | 1: 400 |" in out

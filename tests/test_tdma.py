@@ -283,6 +283,67 @@ def test_slots_converge_with_snrs_thirty_decades_apart():
     assert alloc.tau[0] == pytest.approx(0.92501747601026, abs=1e-12)
 
 
+
+# SNRs (d, nr, hp) of single trials outside the sampler's domain, each with
+# users whose relay hop saturates (nr >> hp), so that their R' is flat.
+FLAT_DRAWS = {
+    # a relay-only slot with a flat R' at the level: stepped on its own, it
+    # was halved every pass while the others took the time it did not have
+    "drift": ((1.83e-3, 4.57e-7, 0.0), (1.02e-4, 3.10e3, 7.77e14), 8.57e-7),
+    # the direct-link user's level leaves both relay-only users no slack
+    "whole-frame": ((1.0279528378647643e-05, 0.0, 0.0),
+                    (8.90490341847316e-08, 185203.57613885571, 568324637662673.6),
+                    3.1698626493709126e-11),
+    # two direct-link users, one of them with a flat R' and a tiny slot:
+    # Newton's share of the residual would take that slot below 0
+    "flat-direct": ((1.274984278399896e-13, 3.3090546508610363e-06),
+                    (251758089926908.56, 980005111282233.8), 11.581571226487386),
+    # seven relay-only users take slots, several flat: Newton's share of the
+    # residual would take one below 0 here too
+    "K=8": ((2.332704583541383e-06, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (4104706.076808603, 2.3435643618170567e-10, 859698937377211.4, 905056797416844.0,
+             115416617.08129817, 13122476.28532357, 1.2633391054947559e-06, 46952778.48943144),
+            6.2788998448504575e-06),
+}
+
+
+@pytest.mark.parametrize("name", FLAT_DRAWS)
+def test_flat_marginal_rates_keep_the_slots_on_the_simplex(name):
+    # relay-only users hold a slot together or not at all; where Newton's
+    # share of the residual would take a slot below 0, it goes by tau/R''
+    d, nr, hp = (np.array([x], dtype=float) for x in FLAT_DRAWS[name])
+    alloc, why = block_slots(d, nr, hp)
+    assert not why, why
+    assert (alloc.tau >= 0.0).all() and abs(alloc.tau.sum() - 1.0) <= 1e-15
+    relay_only = alloc.tau[0, d[0] == 0.0]
+    assert (relay_only > 0.0).all() or (relay_only == 0.0).all()
+    if name == "whole-frame":
+        assert np.array_equal(alloc.tau, [[1.0, 0.0, 0.0]])
+
+
+# A direct-link user with a tiny d and nr >> hp has a flat R' and ends with
+# tau < 0: "KKT slackness inf", as the closed slot's marginal rate at 0 is
+# unbounded.
+FLAT_DIRECT_DRAWS = [
+    ((2.3408826241628513e-14, 7.541691592707154e-13, 6.498852957281844e-05,
+      3.7528629266629876e-05),
+     (201849559863269.88, 1.0998451672011294e-12, 371919379.42583513, 3.9179158875954565e-06),
+     0.18177504581326648),
+    ((0.0, 0.14848626120129294, 0.023629285691337407, 1.325532581794726e-13),
+     (86827296.86766988, 1636868.1606221304, 476.1962317382678, 791222246813362.1),
+     19.75178655987937),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="a flat direct-link slot's share of the residual "
+                                       "takes it below 0")
+@pytest.mark.parametrize("draw", FLAT_DIRECT_DRAWS, ids=["K=4", "K=4-relay-only"])
+def test_a_flat_direct_link_slot_stays_open(draw):
+    d, nr, hp = (np.array([x], dtype=float) for x in draw)
+    alloc, why = block_slots(d, nr, hp)
+    assert not why, why
+
+
 # Extreme but valid inputs: no relay power, no direct links, 80 dB relay
 # power, a single scalar user, far more users than relay antennas, and rates
 # of ~1e-19 bits (-60 dB powers, no relay power).
@@ -480,9 +541,9 @@ def test_a_block_row_solved_alone_is_bit_identical():
     # users take one fixed order, so each row of a block equals its
     # solution as a block of one and in a split of the block, 1 + 69 + the
     # rest: numpy's own sum over the users of a (K, N) array changes its
-    # order with N, and would fail here from K = 8 up. The relay-only slots
-    # of the 24-decade draws take their linear steps and parking by flat
-    # index into the live trials, which must not mix rows either.
+    # order with N, and would fail here from K = 8 up. Trials of the
+    # 24-decade draws whose relay-only users take a slot run a second loop
+    # on a gathered subset of the block, which must not mix rows either.
     for d, nr, hp in _row_test_draws():
         K = d.shape[1]
         alloc, why = block_slots(d, nr, hp)

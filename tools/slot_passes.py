@@ -13,14 +13,16 @@ Imports marcsim from ``--src`` (default: this checkout's ``src``) and runs
 - pr0: K=10, M_r=4 at P_r = 0 (seed 77, 200 trials), at alpha = 1,
   P_max = 10 and at alpha = P_max = 1e-6, one block each.
 
-Each pass of the optimizer calls ``tdma._slot_derivs`` once on the block's
-live trials, and the block's final check calls it once more on all of them.
-A trial stays live until it stops, so the live counts of the passes,
-n_1 >= n_2 >= ..., give the trials that took p passes as n_p - n_(p+1). For
-each block the table prints its trials, its passes, its wall time in ms
-(``tdma.block_slots`` on the block's inputs, the median of 3 runs, after the
-counted run) and the live trials of each pass; then each set's total
-passes, its trials per pass count and its total ms.
+Each trial runs the optimizer's Newton loop, ``tdma._water_fill``, once, or
+twice where relay-only users take a slot after all, and each pass of a loop
+calls ``tdma._slot_derivs`` once on the loop's live trials. A trial stays
+live until it stops, so the live counts of a loop's passes, n_1 >= n_2 >=
+..., give the trials that took p passes in it as n_p - n_(p+1). For each
+block the table prints its trials, its passes over every loop, its wall time
+in ms (``tdma.block_slots`` on the block's inputs, the median of 3 runs,
+after the counted run) and the live trials of each pass, a " / " between
+loops; then each set's total passes, its trials per pass count, a trial
+counted once per loop it runs, and its total ms.
 """
 
 from __future__ import annotations
@@ -48,35 +50,43 @@ def twenty_four_decades(K: int, N: int = 2000):
     return d, nr, hp
 
 
-def count_passes(tdma, run, inputs=None) -> list[tuple[int, list[int]]]:
-    """(trials, live trials of each pass) of each block_slots call that
-    run() makes, from the calls of tdma._slot_derivs between two final
-    checks. Its next-to-last argument has one entry per live trial, whether
-    it is hp, (N,) with users first or (N, 1) with trials first, or the
-    hoisted hp + 1, (N,). Appends each block's inputs (d, nr, hp) of
-    block_slots to inputs, if given."""
-    derivs, checked = tdma._slot_derivs, tdma._checked_allocation
-    blocks, live = [], []
+def count_passes(tdma, run, inputs=None) -> list[tuple[int, list[list[int]]]]:
+    """(trials, live trials of each pass of each Newton loop) of each
+    block_slots call that run() makes: a loop is a tdma._water_fill call, its
+    passes its calls of tdma._slot_derivs, whose next-to-last argument, the
+    hoisted hp + 1, has one entry per live trial, and a block ends at its
+    final check. Appends each block's inputs (d, nr, hp) of block_slots to
+    inputs, if given."""
+    derivs, fill, checked = tdma._slot_derivs, tdma._water_fill, tdma._checked_allocation
+    blocks, loops, inside = [], [], [False]
 
     def counted_derivs(*args):
-        live.append(len(args[-2]))
+        if inside[0]:
+            loops[-1].append(len(args[-2]))
         return derivs(*args)
+
+    def counted_fill(*args):
+        loops.append([])
+        inside[0] = True
+        try:
+            return fill(*args)
+        finally:
+            inside[0] = False
 
     def counted_check(d, nr, hp, tau):
         result = checked(d, nr, hp, tau)
-        blocks.append((len(hp), live[:-1]))  # the check's own call ends the list
-        live.clear()
+        blocks.append((len(hp), loops[:]))
+        loops.clear()
         if inputs is not None:
-            users_first = hp.ndim == 1
-            inputs.append((d.T.copy() if users_first else d, nr.T.copy() if users_first else nr,
-                           hp.reshape(-1)))
+            inputs.append((d.T.copy(), nr.T.copy(), hp))
         return result
 
-    tdma._slot_derivs, tdma._checked_allocation = counted_derivs, counted_check
+    tdma._slot_derivs, tdma._water_fill = counted_derivs, counted_fill
+    tdma._checked_allocation = counted_check
     try:
         run()
     finally:
-        tdma._slot_derivs, tdma._checked_allocation = derivs, checked
+        tdma._slot_derivs, tdma._water_fill, tdma._checked_allocation = derivs, fill, checked
     return blocks
 
 
@@ -91,12 +101,14 @@ def wall_ms(tdma, d, nr, hp, reps: int = 3) -> float:
 
 
 def histogram(blocks) -> Counter:
-    """Trials per number of passes, over blocks of (trials, live counts)."""
+    """Trials per number of passes of a loop, over blocks of (trials, live
+    counts of each loop); a trial counts once per loop it runs."""
     hist = Counter()
-    for n, passes in blocks:
-        for p, (now, after) in enumerate(zip([n, *passes], [*passes, 0])):
-            if now > after:
-                hist[p] += now - after
+    for _, loops in blocks:
+        for passes in loops:
+            for p, (now, after) in enumerate(zip(passes, [*passes[1:], 0]), 1):
+                if now > after:
+                    hist[p] += now - after
     return hist
 
 
@@ -129,15 +141,15 @@ def main(argv=None) -> int:
         inputs = []
         blocks = [b for run in runs for b in count_passes(tdma, run, inputs)]
         ms = [wall_ms(tdma, *block) for block in inputs]
-        for i, ((n, passes), t) in enumerate(zip(blocks, ms)):
-            print(f"| {name} | {i} | {n} | {len(passes)} | {t:.3f} | "
-                  f"{', '.join(map(str, passes))} |")
+        for i, ((n, loops), t) in enumerate(zip(blocks, ms)):
+            print(f"| {name} | {i} | {n} | {sum(map(len, loops))} | {t:.3f} | "
+                  f"{' / '.join(', '.join(map(str, passes)) for passes in loops)} |")
         totals[name] = blocks, sum(ms)
     print("\n| draws | blocks | passes | trials per pass count | ms |")
     print("| --- | --- | --- | --- | --- |")
     for name, (blocks, ms) in totals.items():
         hist = histogram(blocks)
-        print(f"| {name} | {len(blocks)} | {sum(len(p) for _, p in blocks)} | "
+        print(f"| {name} | {len(blocks)} | {sum(len(p) for _, loops in blocks for p in loops)} | "
               f"{', '.join(f'{p}: {hist[p]}' for p in sorted(hist))} | {ms:.3f} |")
     return 0
 
