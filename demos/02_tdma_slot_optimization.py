@@ -9,7 +9,6 @@ from marcsim import (
     ScenarioConfig,
     optimize_slots,
     sample_channel,
-    single_user_rate,
     trial_rng,
     user_rate,
     user_rate_derivative,
@@ -20,7 +19,7 @@ c = sample_channel(cfg, trial_rng(cfg.seed, 4))
 
 print("Per-user stand-alone rates (whole frame each):")
 for k in range(c.K):
-    print(f"  user {k}: {single_user_rate(c, k):.4f} bits/use  (P={c.P[k]:.2f})")
+    print(f"  user {k}: {user_rate(c, k, 1.0):.4f} bits/use  (P={c.P[k]:.2f})")
 
 alloc = optimize_slots(c)  # fails if the KKT spread exceeds 1e-8 bits
 print(f"\noptimized slot durations tau = {np.round(alloc.tau, 6)}")

@@ -142,9 +142,6 @@ class RealizationMetrics:
     tdma: TdmaAllocation
     asymptotic: AsymptoticResult
 
-    def metric_values(self) -> dict[str, float]:
-        return dict(zip(METRICS, _metrics(self.bounds, self.tdma)))
-
     def to_json_dict(self) -> dict:
         def plain(record, names: str) -> dict:
             return {n: np.asarray(getattr(record, n)).tolist() for n in names.split()}
@@ -155,11 +152,6 @@ class RealizationMetrics:
             "asymptotic": plain(self.asymptotic, "tau_inf rate_inf joint_rate_inf joint_wins"),
             "joint_beats_tdma_asymptotic": bool(self.asymptotic.joint_wins),
         }
-
-
-def _metrics(bounds: JointRateBounds, alloc: TdmaAllocation) -> tuple:
-    """The METRICS of a trial, or of each trial of a block as arrays."""
-    return bounds.r_lower, bounds.r_up1, bounds.r_up2, bounds.r_up_min, alloc.sum_rate
 
 
 def evaluate_realization(c: ChannelRealization) -> RealizationMetrics:
@@ -240,7 +232,8 @@ def _sweep_block(base: ScenarioConfig, powers, trials, cells):
     agg = replace(agg, s=agg.s[run], d=agg.d[run], nr=agg.nr[run], hp=agg.hp[run] * p_r)
     b, _, why = block_bounds(p_r, agg, run)
     alloc, why_slots = block_slots(agg.d, agg.nr, agg.hp)
-    return np.stack(_metrics(b, alloc), axis=1), {**why_slots, **why}
+    values = np.stack((b.r_lower, b.r_up1, b.r_up2, b.r_up_min, alloc.sum_rate), axis=1)
+    return values, {**why_slots, **why}
 
 
 def _prob_block(base: ScenarioConfig, powers, trials, cells):

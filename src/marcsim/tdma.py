@@ -33,9 +33,8 @@ from .numerics import dominant_eigenvalue, whitener
 from .numerics import dominant_eigenpair  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
-    "TdmaAllocation", "AsymptoticResult", "single_user_relay_matrix", "single_user_rate",
-    "user_rate", "user_rate_derivative", "optimize_slots", "block_slots", "kkt_slackness",
-    "asymptotic_allocation", "block_asymptotic", "joint_beats_tdma_asymptotic",
+    "TdmaAllocation", "AsymptoticResult", "single_user_relay_matrix", "user_rate",
+    "user_rate_derivative", "optimize_slots", "block_slots", "asymptotic_allocation", "block_asymptotic", "joint_beats_tdma_asymptotic",
     "superiority_index",
 ]
 
@@ -151,16 +150,12 @@ def single_user_relay_matrix(c, k: int) -> RelayMatrix:
     return RelayMatrix.beamformer(alone, v, np.sqrt(c.P_r / (1.0 + nr)))
 
 
-def single_user_rate(c: ChannelRealization, k: int) -> float:
-    """Rate of user k alone with the matched relay matrix:
-    log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P))."""
-    return float(_slot_rate(*_user_consts(c, k), np.ones(1))[0])
-
-
 def user_rate(c: ChannelRealization, k: int, tau):
     """Rate of user k in a slot of duration tau (power boosted to P/tau),
     continuously extended to 0 at tau = 0. Accepts a scalar or an array of
-    durations."""
+    durations. At tau = 1 it is the rate of user k alone with the matched
+    relay matrix: log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r /
+    (1 + ||h||^2 P_r + ||h_r||^2 P))."""
     consts = _user_consts(c, k)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all((tau_arr >= 0) & (tau_arr <= 1)):
@@ -353,22 +348,6 @@ def optimize_slots(c: ChannelRealization) -> TdmaAllocation:
     if why:
         raise NumericalError(why[0])
     return TdmaAllocation(*(field[0] for field in vars(alloc).values()))
-
-
-def kkt_slackness(c, tau):
-    """Complementary-slackness violation of slot durations tau: the largest
-    excess of R_k'(0) over nu, the largest marginal rate among users with a
-    slot, over users with tau_k = 0 (0.0 when none exceeds nu). For a
-    realization, tau holds its K durations; for a ChannelBlock, one row of K
-    per trial, and the result has one value per trial. Every duration lies
-    in [0, 1], and each row has a positive one."""
-    tau = np.asarray(tau, dtype=float)
-    if (tau.shape != c.h_r.shape[:-1] or not np.all((tau >= 0) & (tau <= 1))
-            or not np.all(np.any(tau > 0, axis=-1))):
-        raise ValidationError(f"need slot durations of shape {c.h_r.shape[:-1]} in [0, 1], "
-                              f"each row not all zero, got {tau}")
-    d, nr, hp = user_snrs(c)
-    return _kkt_gaps(d.T, nr.T, hp, tau.T)[1]
 
 
 def joint_beats_tdma_asymptotic(c: ChannelRealization) -> bool:

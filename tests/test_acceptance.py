@@ -19,7 +19,6 @@ from marcsim import (
     optimize_slots,
     run_sweep,
     sample_channel,
-    single_user_rate,
     sum_rate_closed,
     sum_rate_logdet,
     trial_rng,
@@ -260,10 +259,10 @@ def test_criterion_07_single_user_schemes_coincide():
     worst = 0.0
     for i in range(n):
         c = _mk(seed=7, K=1, M_r=MR_MIX[i % 3], trial=i)
-        gap = abs(single_user_rate(c, 0) - lower_bound(c).r_lower)
+        gap = abs(user_rate(c, 0, 1.0) - lower_bound(c).r_lower)
         worst = max(worst, gap)
     ones = ChannelRealization(h_r=[[1.0]], h_d=[1.0], h=[1.0], P=[1.0], P_r=1.0)
-    hand = abs(single_user_rate(ones, 0) - np.log2(7 / 3))
+    hand = abs(user_rate(ones, 0, 1.0) - np.log2(7 / 3))
     hand_joint = abs(lower_bound(ones).r_lower - np.log2(7 / 3))
     ok = worst <= 1e-9 and hand <= 1e-12 and hand_joint <= 1e-12
     _report(

@@ -25,11 +25,11 @@ from marcsim import (
     estimate_superiority_probability, quadratic_form, relay_tx_power, run_sweep, sample_channel,
     single_user_relay_matrix, sum_rate_closed, sum_rate_logdet, trial_rng,
 )
-from marcsim.channel import compute_aggregates, sample_block
+from marcsim.channel import compute_aggregates, sample_block, user_snrs
 from marcsim.errors import NumericalError, ValidationError
 from marcsim.harness import db_to_linear
 from marcsim.numerics import dominant_eigenvalue
-from marcsim.tdma import block_asymptotic, kkt_slackness
+from marcsim.tdma import _kkt_gaps, block_asymptotic
 
 from conftest import scaled_block
 
@@ -105,6 +105,7 @@ def _kernel_values(c, F, x, A, v, gain, k, tau) -> dict:
     v and gains, user k for the single-user matrix, and slot durations tau
     for the slackness."""
     bf, alone = RelayMatrix.beamformer(c, v, gain), single_user_relay_matrix(c, k)
+    d, nr, hp = user_snrs(c)
     return {
         "relay_tx_power": relay_tx_power(F, c),
         "effective_channel": effective_channel(F, c),
@@ -115,7 +116,7 @@ def _kernel_values(c, F, x, A, v, gain, k, tau) -> dict:
         "beamformer power": bf.tx_power,
         "single_user_relay_matrix": alone.F,
         "single-user power": alone.tx_power,
-        "kkt_slackness": kkt_slackness(c, tau),
+        "kkt slackness": _kkt_gaps(d.T, nr.T, hp, tau.T)[1],
     }
 
 

@@ -64,18 +64,15 @@ def test_evaluate_zero_relay_power(make_channel):
     m = evaluate_realization(c)
     agg = compute_aggregates(c)
     assert m.bounds.r_lower == pytest.approx(np.log2(1 + agg.s))
-    assert m.metric_values()["joint_lower"] <= m.metric_values()["joint_up_min"] + 1e-9
+    assert m.bounds.r_lower <= m.bounds.r_up_min + 1e-9
 
 
 def test_evaluate_record_invariants(make_channel):
     for seed in range(10):
         c = make_channel(seed=seed, K=4, M_r=2)
         m = evaluate_realization(c)
-        vals = m.metric_values()
-        assert vals["joint_lower"] <= vals["joint_up_min"] + 1e-9
-        assert vals["joint_up_min"] == pytest.approx(
-            min(vals["joint_up1"], vals["joint_up2"])
-        )
+        assert m.bounds.r_lower <= m.bounds.r_up_min + 1e-9
+        assert m.bounds.r_up_min == pytest.approx(min(m.bounds.r_up1, m.bounds.r_up2))
         assert m.tdma.kkt_spread <= 1e-8
         # the eval JSON's superiority predicate is the asymptotic comparison's
         assert m.to_json_dict()["joint_beats_tdma_asymptotic"] is bool(m.asymptotic.joint_wins)
@@ -88,7 +85,9 @@ def test_sweep_single_trial_equals_direct_evaluation():
 
     scen = replace(cfg.base, alpha=1.0, P_r=10.0)
     c = sample_channel(scen, trial_rng(cfg.base.seed, 0))
-    direct = evaluate_realization(c).metric_values()
+    m = evaluate_realization(c)
+    direct = dict(zip(METRICS, (m.bounds.r_lower, m.bounds.r_up1, m.bounds.r_up2,
+                                m.bounds.r_up_min, m.tdma.sum_rate)))
     for row in result.rows:
         assert row.mean == pytest.approx(direct[row.metric], abs=1e-14)
         assert row.stderr == 0.0

@@ -13,12 +13,10 @@ from marcsim import (
     asymptotic_allocation,
     estimate_superiority_probability,
     joint_beats_tdma_asymptotic,
-    kkt_slackness,
     lower_bound,
     optimize_slots,
     relay_tx_power,
     sample_channel,
-    single_user_rate,
     single_user_relay_matrix,
     sum_rate_logdet,
     trial_rng,
@@ -63,7 +61,7 @@ def test_single_user_matrix_zero_relay_power(scalar_ones_channel):
 def test_single_user_matrix_zero_channel_falls_back():
     c = ChannelRealization(h_r=[[0.0]], h_d=[2.0], h=[1.0], P=[1.0], P_r=1.0)
     assert np.all(single_user_relay_matrix(c, 0).F == 0)
-    assert single_user_rate(c, 0) == pytest.approx(np.log2(1 + 4))
+    assert user_rate(c, 0, 1.0) == pytest.approx(np.log2(1 + 4))
 
 
 def test_single_user_matrix_power_equality():
@@ -89,14 +87,14 @@ def test_single_user_rate_matches_logdet_oracle():
     for seed in range(10):
         c = single_user(seed=seed, M_r=3)
         fm = single_user_relay_matrix(c, 0)
-        assert single_user_rate(c, 0) == pytest.approx(
+        assert user_rate(c, 0, 1.0) == pytest.approx(
             sum_rate_logdet(fm, c), abs=1e-10
         )
 
 
 def test_single_user_rate_all_ones(scalar_ones_channel):
-    assert single_user_rate(scalar_ones_channel, 0) == pytest.approx(np.log2(7 / 3))
-    assert single_user_rate(scalar_ones_channel, 0) == pytest.approx(
+    assert user_rate(scalar_ones_channel, 0, 1.0) == pytest.approx(np.log2(7 / 3))
+    assert user_rate(scalar_ones_channel, 0, 1.0) == pytest.approx(
         lower_bound(scalar_ones_channel).r_lower, abs=1e-12
     )
 
@@ -106,9 +104,13 @@ def test_single_user_rate_all_ones(scalar_ones_channel):
 # --------------------------------------------------------------------------
 
 def test_user_rate_full_slot_reduces_to_single_user(make_channel):
+    # log2(1 + |h_d|^2 P + ||h||^2 ||h_r||^2 P P_r / (1 + ||h||^2 P_r + ||h_r||^2 P))
     c = make_channel(seed=1, K=3)
+    hh = np.sum(np.abs(c.h) ** 2)
     for k in range(3):
-        assert user_rate(c, k, 1.0) == pytest.approx(single_user_rate(c, k), rel=1e-12)
+        hr, P = np.sum(np.abs(c.h_r[k]) ** 2), c.P[k]
+        alone = np.abs(c.h_d[k]) ** 2 * P + hh * hr * P * c.P_r / (1 + hh * c.P_r + hr * P)
+        assert user_rate(c, k, 1.0) == pytest.approx(np.log2(1 + alone), rel=1e-12)
 
 
 def test_user_rate_zero_power_is_zero(make_channel):
@@ -128,7 +130,7 @@ def test_user_rate_power_boost_identity(make_channel):
         boosted = replace(c, P=c.P / tau)
         for k in range(2):
             assert user_rate(c, k, tau) == pytest.approx(
-                tau * single_user_rate(boosted, k), abs=1e-10
+                tau * user_rate(boosted, k, 1.0), abs=1e-10
             )
 
 
@@ -154,14 +156,6 @@ def test_user_rate_rejects_nan(make_channel):
         user_rate(c, 0, float("nan"))
     with pytest.raises(ValidationError):
         user_rate(c, 0, np.array([0.5, np.nan]))
-
-
-def test_single_user_rate_is_the_full_slot_rate(make_channel):
-    # one slot-rate formula: the single-user rate is the rate of a full slot
-    for seed in range(5):
-        c = make_channel(seed=seed, K=3, alpha=(0.0, 1.0)[seed % 2])
-        for k in range(3):
-            assert single_user_rate(c, k) == user_rate(c, k, 1.0)
 
 
 def test_derivative_matches_finite_differences(make_channel):
@@ -252,7 +246,7 @@ def test_single_user_gets_whole_slot(make_channel):
     c = make_channel(seed=6, K=1)
     alloc = optimize_slots(c)
     assert alloc.tau[0] == 1.0
-    assert alloc.sum_rate == pytest.approx(single_user_rate(c, 0), rel=1e-12)
+    assert alloc.sum_rate == pytest.approx(user_rate(c, 0, 1.0), rel=1e-12)
     assert alloc.kkt_spread == 0.0
 
 
@@ -368,7 +362,7 @@ def test_allocation_invariants(make_channel):
         assert np.all(alloc.tau >= 0), case
         assert alloc.sum_rate == pytest.approx(alloc.per_user_rate.sum(), abs=1e-9)
         assert alloc.kkt_spread <= 1e-8, case
-        assert kkt_slackness(c, alloc.tau) <= 1e-8, case
+        assert tdma._kkt_gaps(*user_snrs(c), alloc.tau)[1] <= 1e-8, case
 
 
 def test_slot_rates_match_a_single_user_logdet_reference():
@@ -582,30 +576,9 @@ def test_kkt_slackness_flags_a_starved_user():
     c = ChannelRealization(
         h_r=np.ones((2, 1)), h_d=np.ones(2), h=np.ones(1), P=[1.0, 1.0], P_r=1.0
     )
-    assert kkt_slackness(c, [0.5, 0.5]) == 0.0
-    assert kkt_slackness(c, [0.0, 1.0]) == np.inf
-
-
-@pytest.mark.parametrize(
-    "tau", [[0.0, 0.0, 0.0], [0.5, 0.5], [0.2, 0.3, 0.5, 0.0], [0.5, np.nan, 0.5],
-            [-0.5, 1.0, 0.5], [[0.5, 0.5, 0.0]]],
-)
-def test_kkt_slackness_validates_tau(make_channel, tau):
-    with pytest.raises(ValidationError):
-        kkt_slackness(make_channel(K=3), tau)
-
-
-def test_kkt_slackness_validates_a_blocks_tau(make_channel):
-    # a block takes one row of K durations per trial, each with a slot open
-    c = [make_channel(seed=s, K=3) for s in (1, 2)]
-    blk = ChannelBlock(*(np.stack([getattr(r, name) for r in c])
-                         for name in ("h_r", "h_d", "h", "P", "P_r")))
-    tau = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-    assert kkt_slackness(blk, tau).shape == (2,)
-    for bad in (tau[0], tau[:1], tau[:, :2], [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],
-                [[0.5, 0.5, 0.0], [0.5, 1.5, 0.0]]):
-        with pytest.raises(ValidationError):
-            kkt_slackness(blk, bad)
+    d, nr, hp = user_snrs(c)
+    assert tdma._kkt_gaps(d, nr, hp, np.array([0.5, 0.5]))[1] == 0.0
+    assert tdma._kkt_gaps(d, nr, hp, np.array([0.0, 1.0]))[1] == np.inf
 
 
 def test_sum_rate_invariant_to_user_relabeling(make_channel):
@@ -646,7 +619,7 @@ def test_a_flat_marginal_rate_keeps_the_only_slot():
                            P=[82770.0], P_r=1.0)
     alloc = optimize_slots(c)
     assert np.array_equal(alloc.tau, [1.0])
-    assert alloc.sum_rate == pytest.approx(single_user_rate(c, 0), rel=1e-15)
+    assert alloc.sum_rate == pytest.approx(user_rate(c, 0, 1.0), rel=1e-15)
 
 
 def test_corner_solution_pins_weak_user_to_zero():
