@@ -437,23 +437,26 @@ def invariant_suite(scen: ScenarioConfig, n_trials: int = 100) -> list[CheckOutc
     """Exercise the cross-formula invariants on random realizations: trial t
     is sample_channel(scen, trial_rng(scen.seed, t)), scaled from a
     sample_block draw, and the probes, three vectors x and a relay matrix F
-    per trial, come from trial_rng(scen.seed, 2**32 - 1), which no trial
-    reaches. The trials are evaluated in chunks of as many as keep within
-    _BLOCK_BYTES at _check_bytes per trial, each as one block by the kernels
-    the sweeps run; only sum_rate_closed, the independent closed form,
-    builds the aggregates again. Returns one outcome per invariant with the
-    worst violation seen over all chunks; used by the CLI ``check``
-    subcommand. ValidationError, before any draw, unless
-    1 <= n_trials < 2**32."""
+    per trial, each entry with real and imaginary parts uniform on [-1, 1),
+    come from trial_rng(scen.seed, 2**32 - 1), which no trial reaches, trial
+    after trial, one 64-bit output per part. The trials are evaluated in
+    chunks of as many as keep within _BLOCK_BYTES at _check_bytes per trial,
+    each as one block by the kernels the sweeps run, with its own probes
+    drawn as it starts: the next ones of the stream, so no probe depends on
+    the chunking. Only sum_rate_closed, the independent closed form, builds
+    the aggregates again. Returns one outcome per invariant with the worst
+    violation seen over all chunks; used by the CLI ``check`` subcommand.
+    ValidationError, before any draw, unless 1 <= n_trials < 2**32."""
     if not 1 <= n_trials < 2**32:
         raise ValidationError(f"n_trials must be in [1, 2**32), got {n_trials}")
     M = scen.M_r  # per trial, rows 0-2 are the probes x and rows 3.. the relay matrix F
-    z = trial_rng(scen.seed, 2**32 - 1).standard_normal((2, n_trials, 3 + M, M))
-    probes = z[0] + 1j * z[1]
+    rng = trial_rng(scen.seed, 2**32 - 1)
     size = max(1, _BLOCK_BYTES // _check_bytes(scen.K, M))
     maxima = {}  # name: each chunk's largest violation measure
     for lo in range(0, n_trials, size):
-        chunk = _check_rows(scen, range(lo, min(lo + size, n_trials)), probes[lo:lo + size])
+        trials = range(lo, min(lo + size, n_trials))
+        z = 2.0 * rng.random((len(trials), 2, 3 + M, M)) - 1.0
+        chunk = _check_rows(scen, trials, z[:, 0] + 1j * z[:, 1])
         for name, (m, _) in chunk.items():
             maxima.setdefault(name, []).append(np.max(m))
     worst = {name: float(np.max(m)) for name, m in maxima.items()}

@@ -374,15 +374,17 @@ def test_check_chunks_change_no_outcome(monkeypatch):
 
 
 def test_check_stays_within_the_byte_budget():
-    # 400 trials at K=50, M_r=8 held every trial's work at once, 117 MiB
-    scen = ScenarioConfig(K=50, M_r=8, seed=3)
-    tracemalloc.start()
-    try:
-        assert all(o.passed for o in invariant_suite(scen, n_trials=400))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * harness_mod._BLOCK_BYTES, peak
+    # 400 trials at K=50, M_r=8 held every trial's work at once, 117 MiB;
+    # 4,000 at K=2, M_r=8 held every trial's probes at once, 14.4 MiB
+    for K, n_trials in ((50, 400), (2, 4000)):
+        scen = ScenarioConfig(K=K, M_r=8, seed=3)
+        tracemalloc.start()
+        try:
+            assert all(o.passed for o in invariant_suite(scen, n_trials=n_trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * harness_mod._BLOCK_BYTES, (K, peak)
 
 
 def test_check_rejects_slot_rates_off_their_logdet_reference(monkeypatch):
