@@ -34,8 +34,8 @@ from .numerics import dominant_eigenpair  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
     "TdmaAllocation", "AsymptoticResult", "single_user_relay_matrix", "user_rate",
-    "user_rate_derivative", "optimize_slots", "block_slots", "asymptotic_allocation", "block_asymptotic", "joint_beats_tdma_asymptotic",
-    "superiority_index",
+    "user_rate_derivative", "optimize_slots", "block_slots", "asymptotic_allocation",
+    "block_asymptotic", "joint_beats_tdma_asymptotic", "superiority_index",
 ]
 
 _LN2 = log(2.0)

@@ -20,7 +20,8 @@ def test_package_keeps_its_public_names():
         evaluate_realization invariant_suite run_sweep JointRateBounds RelayMatrix
         lower_bound relay_matrix_ub1 sum_rate_closed sum_rate_logdet dominant_eigenpair
         is_hermitian quadratic_form AsymptoticResult TdmaAllocation asymptotic_allocation
-        joint_beats_tdma_asymptotic optimize_slots single_user_relay_matrix user_rate user_rate_derivative""".split()
+        joint_beats_tdma_asymptotic optimize_slots single_user_relay_matrix user_rate
+        user_rate_derivative""".split()
     assert set(public) <= set(marcsim.__all__)
 
 
