@@ -262,9 +262,8 @@ def block_slots(d: np.ndarray, nr: np.ndarray, hp: np.ndarray):
         linked = direct.any(axis=0)
         t, left = _water_fill(d, nr, hp, np.where(linked, direct, act))
         j = np.flatnonzero(linked & (act & ~direct).any(axis=0))
-        if j.size:
+        if j.size:  # none where every user has a direct link, as at alpha > 0
             j = j[_kkt_gaps(d[:, j], nr[:, j], hp[j], t[:, j])[1] > 0.0]
-        if j.size:
             t[:, j], again = _water_fill(d[:, j], nr[:, j], hp[j], act[:, j])
             left = np.union1d(np.setdiff1d(left, j), j[again])
     alloc, why = _checked_allocation(d, nr, hp, t)
